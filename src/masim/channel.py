@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
+from .codec import JsonCodec
+
 
 def to_db(values, floor: float = 1e-30):
     """10*log10 with a floor so exact nulls do not produce -inf."""
@@ -118,7 +120,7 @@ class Position:
 
 
 @dataclass(frozen=True)
-class MovementRegion:
+class MovementRegion(JsonCodec):
     """Rectangular movement region with a sampling grid.
 
     The slide home position anchors the region, so it spans [0, x_extent_m]

@@ -23,23 +23,22 @@ from .harness import (
     load_psi,
     load_sounding_campaign,
     measure_campaign,
+    optimize_on_slide_track,
     run_pipeline,
     synthesize_campaign,
 )
-from .mover import MoveAborted, SimulatedSlideTrack
-from .mover import optimize as run_optimize
-from .signals import NoiseSpec, derive_seed
+from .mover import MoveAborted
 
 
-def _load_config(args) -> ScenarioConfig:
-    cfg = ScenarioConfig.load(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=args.seed)
+def _load_config(path, seed: int | None) -> ScenarioConfig:
+    cfg = ScenarioConfig.load(path)
+    if seed is not None:
+        cfg = replace(cfg, master_seed=seed)
     return cfg
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, args.seed)
     psi = load_psi(args.psi)
     gm = gain_map(psi, cfg.region)
     gm.to_csv(args.out)
@@ -50,7 +49,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sound(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, args.seed)
     psi = load_psi(args.psi)
     out = synthesize_campaign(cfg, psi, args.mode, args.out_dir)
     n = cfg.sounding_region.num_points if args.mode == "ofdm" else cfg.region.num_points
@@ -83,21 +82,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = ScenarioConfig.load(args.region)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
+    cfg = _load_config(args.region, args.seed)
     psi = load_psi(args.psi)
     est = load_psi(args.est) if args.est is not None else psi
-    track = SimulatedSlideTrack(
-        psi=psi,
-        region=cfg.region,
-        noise=NoiseSpec(cfg.noise_power, cfg.bandwidth_hz),
-        f0_hz=cfg.tone_f0_hz,
-        num_samples=cfg.samples_per_measurement,
-        master_seed=derive_seed(cfg.master_seed, "mover"),
-    )
-    step = args.refine_step if args.refine_step is not None else max(cfg.region.x_step_m, cfg.region.y_step_m)
-    res = run_optimize(est, cfg.region, track, refine_step_m=step, budget=args.budget)
+    res = optimize_on_slide_track(cfg, psi, est, budget=args.budget, refine_step_m=args.refine_step)
     _atomic_write_json(args.out, res.to_json_dict())
     print(f"wrote {args.out}: {res.final_power_dbr:.2f} dBr at "
           f"({res.final_position.x_m * 1e3:.3f}, {res.final_position.y_m * 1e3:.3f}) mm "
@@ -106,7 +94,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, args.seed)
     psi = load_psi(args.psi)
     stages = {s.strip() for s in args.stages.split(",") if s.strip()}
     stages.add("export")

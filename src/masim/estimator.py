@@ -30,6 +30,7 @@ from scipy import ndimage
 from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
 from .channel import PathComponent, PathStateInfo, Position, to_db
+from .codec import JsonCodec
 from .signals import IQRecord, OfdmNumerology
 
 
@@ -206,7 +207,7 @@ class EstimatedPath:
 
 
 @dataclass(frozen=True)
-class EstimatedPsi:
+class EstimatedPsi(JsonCodec):
     """Estimated path state information, paths sorted by descending amplitude.
 
     Amplitudes are normalized against the total measured channel power, so
@@ -238,40 +239,6 @@ class EstimatedPsi:
             carrier_hz=self.carrier_hz,
             large_scale_gain=large_scale_gain,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "paths": [
-                {
-                    "elevation_deg": p.elevation_deg,
-                    "azimuth_deg": p.azimuth_deg,
-                    "amplitude": p.amplitude,
-                    "delay_s": p.delay_s,
-                    "prominence_db": p.prominence_db,
-                }
-                for p in self.paths
-            ],
-            "carrier_hz": self.carrier_hz,
-            "grid_step_deg": self.grid_step_deg,
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "EstimatedPsi":
-        known = {"paths", "carrier_hz", "grid_step_deg"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown estimated PSI fields: {sorted(extra)}")
-        paths = tuple(
-            EstimatedPath(
-                elevation_deg=p["elevation_deg"],
-                azimuth_deg=p["azimuth_deg"],
-                amplitude=p["amplitude"],
-                delay_s=p["delay_s"],
-                prominence_db=p.get("prominence_db", 0.0),
-            )
-            for p in data["paths"]
-        )
-        return EstimatedPsi(paths=paths, carrier_hz=data["carrier_hz"], grid_step_deg=data["grid_step_deg"])
 
 
 def _snapshot_matrix(campaign: SoundingCampaign, max_snapshots: int) -> np.ndarray:

@@ -27,11 +27,11 @@ import numpy as np
 
 from .channel import (
     MovementRegion,
-    PathComponent,
     PathStateInfo,
     gain_map,
     read_grid_csv,
 )
+from .codec import ConfigError, JsonCodec, decode, encode
 from .estimator import (
     AngleGrid,
     EstimatedPsi,
@@ -40,7 +40,7 @@ from .estimator import (
     compute_pds,
     estimate_psi,
 )
-from .mover import SimulatedSlideTrack, optimize
+from .mover import MoveResult, SimulatedSlideTrack, optimize
 from .powermeter import PowerMap, sweep_measure
 from .signals import (
     IQRecord,
@@ -57,10 +57,6 @@ from .signals import (
 
 MANIFEST_FORMAT = "maiq-campaign/1"
 MANIFEST_NAME = "manifest.json"
-
-
-class ConfigError(ValueError):
-    """A scenario config, PSI file, or campaign manifest failed validation."""
 
 
 class StageError(RuntimeError):
@@ -87,55 +83,8 @@ def _canonical_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _reject_unknown(data: dict, known, what: str) -> None:
-    extra = set(data) - set(known)
-    if extra:
-        raise ConfigError(f"unknown {what} fields: {sorted(extra)}")
-
-
-def _require(data: dict, keys, what: str) -> None:
-    missing = set(keys) - set(data)
-    if missing:
-        raise ConfigError(f"missing {what} fields: {sorted(missing)}")
-
-
-_REGION_KEYS = ("x_extent_m", "y_extent_m", "x_step_m", "y_step_m")
-_NUMEROLOGY_KEYS = ("subcarrier_spacing_hz", "num_subcarriers", "num_symbols", "cp_duration_s")
-
-
-def _region_to_dict(region: MovementRegion) -> dict:
-    return {k: getattr(region, k) for k in _REGION_KEYS}
-
-
-def _region_from_dict(data: dict, what: str) -> MovementRegion:
-    _require(data, _REGION_KEYS, what)
-    _reject_unknown(data, _REGION_KEYS, what)
-    try:
-        return MovementRegion(**{k: float(data[k]) for k in _REGION_KEYS})
-    except ValueError as e:
-        raise ConfigError(f"bad {what}: {e}") from e
-
-
-def _numerology_to_dict(num: OfdmNumerology) -> dict:
-    return {k: getattr(num, k) for k in _NUMEROLOGY_KEYS}
-
-
-def _numerology_from_dict(data: dict) -> OfdmNumerology:
-    _require(data, _NUMEROLOGY_KEYS, "numerology")
-    _reject_unknown(data, _NUMEROLOGY_KEYS, "numerology")
-    try:
-        return OfdmNumerology(
-            subcarrier_spacing_hz=float(data["subcarrier_spacing_hz"]),
-            num_subcarriers=int(data["num_subcarriers"]),
-            num_symbols=int(data["num_symbols"]),
-            cp_duration_s=float(data["cp_duration_s"]),
-        )
-    except ValueError as e:
-        raise ConfigError(f"bad numerology: {e}") from e
-
-
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(JsonCodec):
     """Everything needed to reproduce a campaign, minus the channel itself.
 
     region is the fine grid the power meter and mover work on;
@@ -178,49 +127,6 @@ class ScenarioConfig:
         if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) or self.master_seed < 0:
             raise ConfigError(f"master_seed must be a non-negative integer: {self.master_seed!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "carrier_hz": self.carrier_hz,
-            "bandwidth_hz": self.bandwidth_hz,
-            "tx_position_m": list(self.tx_position_m),
-            "region": _region_to_dict(self.region),
-            "sounding_region": _region_to_dict(self.sounding_region),
-            "numerology": _numerology_to_dict(self.numerology),
-            "noise_power": self.noise_power,
-            "tone_f0_hz": self.tone_f0_hz,
-            "samples_per_measurement": self.samples_per_measurement,
-            "master_seed": self.master_seed,
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ScenarioConfig":
-        known = (
-            "carrier_hz",
-            "bandwidth_hz",
-            "tx_position_m",
-            "region",
-            "sounding_region",
-            "numerology",
-            "noise_power",
-            "tone_f0_hz",
-            "samples_per_measurement",
-            "master_seed",
-        )
-        _require(data, known, "scenario")
-        _reject_unknown(data, known, "scenario")
-        return ScenarioConfig(
-            carrier_hz=float(data["carrier_hz"]),
-            bandwidth_hz=float(data["bandwidth_hz"]),
-            tx_position_m=tuple(data["tx_position_m"]),
-            region=_region_from_dict(data["region"], "region"),
-            sounding_region=_region_from_dict(data["sounding_region"], "sounding_region"),
-            numerology=_numerology_from_dict(data["numerology"]),
-            noise_power=float(data["noise_power"]),
-            tone_f0_hz=float(data["tone_f0_hz"]),
-            samples_per_measurement=int(data["samples_per_measurement"]),
-            master_seed=int(data["master_seed"]),
-        )
-
     def canonical_bytes(self) -> bytes:
         return _canonical_bytes(self.to_json_dict())
 
@@ -248,55 +154,21 @@ def _load_json(path) -> dict:
     return data
 
 
-def psi_to_json_dict(psi: PathStateInfo) -> dict:
-    return {
-        "carrier_hz": psi.carrier_hz,
-        "large_scale_gain": psi.large_scale_gain,
-        "normalized": psi.normalized,
-        "paths": [
-            {
-                "elevation_deg": p.elevation_deg,
-                "azimuth_deg": p.azimuth_deg,
-                "amplitude": p.amplitude,
-                "delay_s": p.delay_s,
-            }
-            for p in psi.paths
-        ],
-    }
-
-
 def psi_from_json_dict(data: dict) -> PathStateInfo:
     """Parse path state from JSON, accepting estimator output as well.
 
     The estimator adds prominence_db per path and a top-level grid_step_deg;
-    both are ignored here so an estimate file can seed a simulation.
+    both are dropped here so an estimate file can seed a simulation.
+    large_scale_gain and normalized default to 1 and false.
     """
-    _require(data, ("carrier_hz", "paths"), "path state")
-    _reject_unknown(
-        data, ("carrier_hz", "large_scale_gain", "normalized", "paths", "grid_step_deg"), "path state"
-    )
-    path_keys = ("elevation_deg", "azimuth_deg", "amplitude", "delay_s", "prominence_db")
-    paths = []
-    for i, p in enumerate(data["paths"]):
-        _require(p, ("elevation_deg", "azimuth_deg", "amplitude", "delay_s"), f"path {i}")
-        _reject_unknown(p, path_keys, f"path {i}")
-        paths.append(
-            PathComponent(
-                elevation_deg=float(p["elevation_deg"]),
-                azimuth_deg=float(p["azimuth_deg"]),
-                amplitude=float(p["amplitude"]),
-                delay_s=float(p["delay_s"]),
-            )
-        )
-    try:
-        return PathStateInfo(
-            paths=tuple(paths),
-            carrier_hz=float(data["carrier_hz"]),
-            large_scale_gain=float(data.get("large_scale_gain", 1.0)),
-            normalized=bool(data.get("normalized", False)),
-        )
-    except ValueError as e:
-        raise ConfigError(f"bad path state: {e}") from e
+    data = {"large_scale_gain": 1.0, "normalized": False, **data}
+    data.pop("grid_step_deg", None)
+    if isinstance(data.get("paths"), list):
+        data["paths"] = [
+            {k: v for k, v in p.items() if k != "prominence_db"} if isinstance(p, dict) else p
+            for p in data["paths"]
+        ]
+    return decode(PathStateInfo, data, "PathStateInfo")
 
 
 def load_psi(path) -> PathStateInfo:
@@ -304,7 +176,7 @@ def load_psi(path) -> PathStateInfo:
 
 
 def save_psi(path, psi: PathStateInfo) -> None:
-    _atomic_write_json(path, psi_to_json_dict(psi))
+    _atomic_write_json(path, encode(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +270,7 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
 
 
 @dataclass(frozen=True)
-class RecordEntry:
+class RecordEntry(JsonCodec):
     file: str
     x_m: float
     y_m: float
@@ -406,7 +278,7 @@ class RecordEntry:
 
 
 @dataclass(frozen=True)
-class CampaignManifest:
+class CampaignManifest(JsonCodec):
     """Index of an on-disk campaign: scenario, mode, and per-record seeds."""
 
     mode: str
@@ -433,50 +305,17 @@ class CampaignManifest:
         return self.scenario.sounding_region if self.mode == "ofdm" else self.scenario.region
 
     def to_json_dict(self) -> dict:
-        sys_resp = None
-        if self.sys_response is not None:
-            sys_resp = [[v.real, v.imag] for v in self.sys_response]
-        return {
-            "format": MANIFEST_FORMAT,
-            "mode": self.mode,
-            "scenario": self.scenario.to_json_dict(),
-            "scenario_hash": self.scenario.scenario_hash(),
-            "tx_power": self.tx_power,
-            "tx_symbol_seed": self.tx_symbol_seed,
-            "sys_response": sys_resp,
-            "records": [
-                {"file": r.file, "x_m": r.x_m, "y_m": r.y_m, "seed": r.seed} for r in self.records
-            ],
-        }
+        return {**encode(self), "format": MANIFEST_FORMAT, "scenario_hash": self.scenario.scenario_hash()}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "CampaignManifest":
-        known = ("format", "mode", "scenario", "scenario_hash", "tx_power", "tx_symbol_seed", "sys_response", "records")
-        _require(data, known, "manifest")
-        _reject_unknown(data, known, "manifest")
-        if data["format"] != MANIFEST_FORMAT:
-            raise ConfigError(f"unsupported manifest format: {data['format']!r}")
-        scenario = ScenarioConfig.from_json_dict(data["scenario"])
-        if data["scenario_hash"] != scenario.scenario_hash():
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "CampaignManifest":
+        fields = {k: v for k, v in data.items() if k not in ("format", "scenario_hash")}
+        if data.get("format") != MANIFEST_FORMAT:
+            raise ConfigError(f"unsupported manifest format: {data.get('format')!r}")
+        manifest = super().from_json_dict(fields)
+        if data.get("scenario_hash") != manifest.scenario.scenario_hash():
             raise ConfigError("manifest scenario_hash does not match its scenario")
-        entries = []
-        for i, r in enumerate(data["records"]):
-            keys = ("file", "x_m", "y_m", "seed")
-            _require(r, keys, f"record {i}")
-            _reject_unknown(r, keys, f"record {i}")
-            entries.append(RecordEntry(str(r["file"]), float(r["x_m"]), float(r["y_m"]), int(r["seed"])))
-        sys_resp = data["sys_response"]
-        if sys_resp is not None:
-            sys_resp = tuple(complex(re, im) for re, im in sys_resp)
-        tx_seed = data["tx_symbol_seed"]
-        return CampaignManifest(
-            mode=str(data["mode"]),
-            scenario=scenario,
-            records=tuple(entries),
-            tx_power=float(data["tx_power"]),
-            tx_symbol_seed=None if tx_seed is None else int(tx_seed),
-            sys_response=sys_resp,
-        )
+        return manifest
 
     def save(self, dir_path) -> None:
         _atomic_write_json(Path(dir_path) / MANIFEST_NAME, self.to_json_dict())
@@ -564,6 +403,31 @@ def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None 
         raise ConfigError(f"expected a tone campaign, found mode {manifest.mode!r}")
     f0 = manifest.scenario.tone_f0_hz if f0_hz is None else f0_hz
     return sweep_measure(records, f0, fft_size)
+
+
+def optimize_on_slide_track(
+    cfg: ScenarioConfig,
+    psi: PathStateInfo,
+    est: EstimatedPsi | PathStateInfo,
+    budget: int = 50,
+    refine_step_m: float | None = None,
+) -> MoveResult:
+    """Two-stage placement over cfg.region on a simulated slide track.
+
+    The track measures the true channel psi with the scenario's tone and
+    noise, seeded from its master seed; est drives the coarse stage. The
+    refinement starts at refine_step_m, by default the coarser grid step.
+    """
+    track = SimulatedSlideTrack(
+        psi=psi,
+        region=cfg.region,
+        noise=NoiseSpec(cfg.noise_power, cfg.bandwidth_hz),
+        f0_hz=cfg.tone_f0_hz,
+        num_samples=cfg.samples_per_measurement,
+        master_seed=derive_seed(cfg.master_seed, "mover"),
+    )
+    step = refine_step_m if refine_step_m is not None else max(cfg.region.x_step_m, cfg.region.y_step_m)
+    return optimize(est, cfg.region, track, refine_step_m=step, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +520,7 @@ def run_pipeline(
         payload = {
             "stage": name,
             "scenario": cfg.to_json_dict(),
-            "psi": psi_to_json_dict(psi),
+            "psi": encode(psi),
             "params": params[name],
             "parents": [hashes[p] for p in parents],
         }
@@ -717,16 +581,7 @@ def _run_stage(name, sdir, cfg, psi, artifacts, *, angle_grid, max_paths, promin
         _atomic_write_json(sdir / "estimated_psi.json", est.to_json_dict())
     elif name == "optimize":
         est = EstimatedPsi.from_json_dict(_load_json(artifacts["estimated_psi"]))
-        track = SimulatedSlideTrack(
-            psi=psi,
-            region=cfg.region,
-            noise=NoiseSpec(cfg.noise_power, cfg.bandwidth_hz),
-            f0_hz=cfg.tone_f0_hz,
-            num_samples=cfg.samples_per_measurement,
-            master_seed=derive_seed(cfg.master_seed, "mover"),
-        )
-        step = refine_step_m if refine_step_m is not None else max(cfg.region.x_step_m, cfg.region.y_step_m)
-        res = optimize(est, cfg.region, track, refine_step_m=step, budget=optimize_budget)
+        res = optimize_on_slide_track(cfg, psi, est, budget=optimize_budget, refine_step_m=refine_step_m)
         _atomic_write_json(sdir / "move_result.json", res.to_json_dict())
     elif name == "export":
         gain_map(psi, cfg.region).to_csv(sdir / "gain_map.csv")
@@ -775,7 +630,7 @@ def _map_db(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class CompareReport:
+class CompareReport(JsonCodec):
     """How two dB maps on the same grid relate: b relative to a."""
 
     correlation: float
@@ -783,15 +638,6 @@ class CompareReport:
     max_abs_residual_db: float
     rms_residual_db: float
     argmax_shift_steps: tuple[int, int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "correlation": self.correlation,
-            "offset_db": self.offset_db,
-            "max_abs_residual_db": self.max_abs_residual_db,
-            "rms_residual_db": self.rms_residual_db,
-            "argmax_shift_steps": list(self.argmax_shift_steps),
-        }
 
 
 def compare_maps(a, b) -> CompareReport:

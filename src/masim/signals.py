@@ -9,12 +9,14 @@ campaign (one record per grid position) can be replayed deterministically.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PathStateInfo, Position, channel_response
+from .codec import JsonCodec
 
 MAIQ_MAGIC = b"MAIQ"
 MAIQ_VERSION = 1
@@ -61,7 +63,7 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class OfdmNumerology:
+class OfdmNumerology(JsonCodec):
     """OFDM sounding numerology: I subcarriers at spacing df, M symbols, CP length Tc.
 
     One symbol lasts To = 1/df + Tc. Time-domain synthesis runs at the
@@ -174,9 +176,13 @@ def read_iq_record(path) -> IQRecord:
             raise ValueError(f"bad IQ record magic {magic!r}: {path}")
         if version != MAIQ_VERSION:
             raise ValueError(f"unsupported IQ record version {version}: {path}")
-        data = fh.read(16 * n)
-    if len(data) != 16 * n:
-        raise ValueError(f"truncated IQ record payload: {path}")
+        # check the declared count against the file before trusting it with a read
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != 16 * n:
+            what = "truncated" if size < 16 * n else "oversized"
+            raise ValueError(f"{what} IQ record payload: header declares {n} samples, "
+                             f"file holds {size} bytes: {path}")
+        data = fh.read(size)
     samples = np.frombuffer(data, dtype="<c16").astype(np.complex128)
     return IQRecord(position=Position(x, y), samples=samples, sample_interval_s=t, seed=seed)
 
@@ -253,10 +259,6 @@ def apply_channel(
     mode "tone": narrowband flat fading, y = h(r) * sqrt(pt) * tx. Path delays
     act only through the carrier phase already inside h(r).
 
-    mode "shift": per-path integer-sample delay, y = sum_l h_l * sqrt(pt) *
-    tx shifted by round(tau_l/T). Each tau_l must sit on the sample grid and
-    inside the buffer.
-
     mode "ofdm": per-symbol circular convolution, realized as the per-
     subcarrier phase exp(-j*2*pi*i*df*tau_l). Requires the numerology used to
     build tx and delays shorter than the cyclic prefix.
@@ -273,18 +275,6 @@ def apply_channel(
         * psi.amplitudes
         * np.exp(-2j * np.pi * (d / lam + psi.carrier_hz * psi.delays_s))
     )
-
-    if mode == "shift":
-        out = np.zeros_like(tx)
-        for hl, tau in zip(h_l, psi.delays_s):
-            shift = tau / sample_interval_s
-            if abs(shift - round(shift)) > 1e-6:
-                raise ValueError(f"delay {tau} is not an integer number of samples")
-            shift = int(round(shift))
-            if shift >= len(tx):
-                raise ValueError(f"delay of {shift} samples exceeds buffer length {len(tx)}")
-            out[shift:] += hl * amp * tx[: len(tx) - shift]
-        return out
 
     if mode == "ofdm":
         if numerology is None:

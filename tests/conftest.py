@@ -4,6 +4,8 @@ The heavyweight pieces (sounding campaigns, the full estimation chain) are
 session-scoped; everything downstream reuses them instead of re-synthesizing.
 """
 
+import struct
+
 import pytest
 
 from masim import (
@@ -57,6 +59,13 @@ def make_lo_scenario(master_seed: int = 11, noise_power: float = 0.0) -> Scenari
         samples_per_measurement=4096,
         master_seed=master_seed,
     )
+
+
+def forge_sample_count(path, n: int) -> None:
+    """Overwrite the sample count N in a .maiq record header (bytes 32..40)."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, 32, n)
+    path.write_bytes(bytes(blob))
 
 
 # Campaign builds cost tens of seconds, so they are memoized at module level

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from masim.channel import MovementRegion, Position, gain_map
+from masim.codec import encode
 from masim.cli import main as cli_main
 from masim.harness import (
     CampaignManifest,
@@ -22,7 +23,6 @@ from masim.harness import (
     load_sounding_campaign,
     measure_campaign,
     psi_from_json_dict,
-    psi_to_json_dict,
     run_pipeline,
     save_psi,
     synthesize_campaign,
@@ -30,7 +30,7 @@ from masim.harness import (
 from masim.presets import hall_psi_27p5ghz
 from masim.signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_ofdm, gen_tone, qpsk_symbols
 
-from conftest import TEST_NUMEROLOGY, make_hi_scenario
+from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario
 
 
 def pipeline_config(master_seed=21, noise_power=0.01):
@@ -102,7 +102,7 @@ class TestScenarioConfig:
 class TestPsiSerialization:
     def test_round_trip_exact(self):
         psi = hall_psi_27p5ghz()
-        back = psi_from_json_dict(psi_to_json_dict(psi))
+        back = psi_from_json_dict(encode(psi))
         assert back == psi
         for a, b in zip(back.paths, psi.paths):
             assert a.delay_s == b.delay_s  # bitwise, not approximately
@@ -126,9 +126,10 @@ class TestPsiSerialization:
         psi = load_psi(path)
         assert psi.paths[0].delay_s == 22.7e-9
         assert psi.carrier_hz == 27.5e9
+        assert psi.large_scale_gain == 1.0 and psi.normalized is False
 
     def test_rejects_unknown_fields(self):
-        data = psi_to_json_dict(hall_psi_27p5ghz())
+        data = encode(hall_psi_27p5ghz())
         data["paths"][0]["bogus"] = 1
         with pytest.raises(ConfigError, match="bogus"):
             psi_from_json_dict(data)
@@ -361,6 +362,13 @@ class TestCli:
         bad.write_text("{not json")
         rc = cli_main(["simulate", "--config", str(bad), "--psi", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_forged_record_header_exits_2(self, tmp_path, capsys):
+        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
+        forge_sample_count(cdir / "rec_000004.maiq", 2**62)
+        rc = cli_main(["measure", "--campaign", str(cdir), "--out", str(tmp_path / "pm.csv")])
+        assert rc == 2
+        assert "rec_000004.maiq" in capsys.readouterr().err
 
     def test_stage_failure_exits_3(self, tmp_path):
         cfg = pipeline_config()
