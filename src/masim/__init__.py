@@ -1,8 +1,9 @@
 """Desk-scale movable-antenna measurement campaigns, simulated end to end.
 
 Synthesizes multipath IQ captures over a planar positioning region, runs
-the FFT power meter and the OFDM channel sounder on them, and drives the
-two-stage (simulate coarse, measure fine) antenna placement scheme.
+the single-bin DFT tone power meter and the OFDM channel sounder on them,
+and drives the two-stage (simulate coarse, measure fine) antenna placement
+scheme.
 """
 
 from .channel import (

@@ -26,6 +26,10 @@ from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 from .codec import JsonCodec
 
 
+MAX_GRID_POINTS = 10**6
+"""Largest sampling grid a MovementRegion accepts (the paper's largest is 101 x 101)."""
+
+
 def to_db(values, floor: float = 1e-30):
     """10*log10 with a floor so exact nulls do not produce -inf."""
     return 10.0 * np.log10(np.maximum(values, floor))
@@ -139,24 +143,33 @@ class MovementRegion(JsonCodec):
             raise ValueError("extents must be >= 0")
         if self.x_step_m <= 0.0 or self.y_step_m <= 0.0:
             raise ValueError("grid steps must be > 0")
+        ny, nx = self.shape
+        if ny * nx > MAX_GRID_POINTS:
+            raise ValueError(f"a {ny} x {nx} grid exceeds {MAX_GRID_POINTS} points")
 
     @staticmethod
-    def _axis(extent: float, step: float) -> np.ndarray:
-        # k*step for k = 0..K, K chosen so the grid stays inside the extent
-        # (within float tolerance of one cell)
-        k = int(math.floor(extent / step + 1e-9))
-        return step * np.arange(k + 1)
+    def _axis_count(extent: float, step: float) -> int:
+        # K + 1 points k*step, K chosen so the grid stays inside the extent
+        # (within float tolerance of one cell); counted without building the
+        # axis, so an oversized grid is refused rather than allocated
+        cells = extent / step + 1e-9
+        if not cells < MAX_GRID_POINTS:  # also refuses inf and nan
+            raise ValueError(f"an extent of {extent} m at a {step} m step exceeds {MAX_GRID_POINTS} grid points")
+        return math.floor(cells) + 1
 
     def grid_x(self) -> np.ndarray:
-        return self._axis(self.x_extent_m, self.x_step_m)
+        return self.x_step_m * np.arange(self._axis_count(self.x_extent_m, self.x_step_m))
 
     def grid_y(self) -> np.ndarray:
-        return self._axis(self.y_extent_m, self.y_step_m)
+        return self.y_step_m * np.arange(self._axis_count(self.y_extent_m, self.y_step_m))
 
     @property
     def shape(self) -> tuple[int, int]:
         """(n_y, n_x) of the sampling grid."""
-        return len(self.grid_y()), len(self.grid_x())
+        return (
+            self._axis_count(self.y_extent_m, self.y_step_m),
+            self._axis_count(self.x_extent_m, self.x_step_m),
+        )
 
     @property
     def num_points(self) -> int:

@@ -144,10 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="campaign")
     p.set_defaults(func=_cmd_sound)
 
-    p = sub.add_parser("measure", help="FFT power meter over an existing tone campaign")
+    p = sub.add_parser("measure", help="single-bin DFT tone power meter over an existing tone campaign")
     p.add_argument("--campaign", required=True, help="campaign directory")
     p.add_argument("--f0", type=float, default=None, help="tone frequency (default: from the manifest)")
-    p.add_argument("--fft-size", type=int, default=None, help="FFT length (default: next pow2 >= 8N)")
+    p.add_argument("--fft-size", type=int, default=None,
+                   help="bin grid size Ns: the tone bin of a zero-padded Ns-point FFT is read (default: next pow2 >= 8N)")
     p.add_argument("--out", default="power_map.csv")
     p.set_defaults(func=_cmd_measure)
 

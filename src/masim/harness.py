@@ -55,6 +55,9 @@ from .signals import (
     write_iq_record,
 )
 
+MAX_RECORD_SAMPLES = 2**24
+"""Largest record a ScenarioConfig may ask for (the paper's OFDM frame is 336,600 samples)."""
+
 MANIFEST_FORMAT = "maiq-campaign/1"
 MANIFEST_NAME = "manifest.json"
 
@@ -124,6 +127,12 @@ class ScenarioConfig(JsonCodec):
             raise ConfigError(f"noise_power must be >= 0: {self.noise_power}")
         if self.samples_per_measurement < 2:
             raise ConfigError("samples_per_measurement must be >= 2")
+        for name, count in (
+            ("samples_per_measurement", self.samples_per_measurement),
+            ("numerology.frame_samples", self.numerology.frame_samples),
+        ):
+            if count > MAX_RECORD_SAMPLES:
+                raise ConfigError(f"{name} {count} exceeds the {MAX_RECORD_SAMPLES}-sample cap per record")
         if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) or self.master_seed < 0:
             raise ConfigError(f"master_seed must be a non-negative integer: {self.master_seed!r}")
 
@@ -397,7 +406,11 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
 
 
 def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> PowerMap:
-    """Run the FFT power meter over every record of an on-disk tone campaign."""
+    """Meter every record of an on-disk tone campaign with the single-bin DFT.
+
+    fft_size is the bin grid Ns (default: next power of two >= 8N); each
+    record reads the tone's bin of that grid, as a zero-padded Ns-point FFT would.
+    """
     manifest, records = load_campaign(dir_path)
     if manifest.mode != "tone":
         raise ConfigError(f"expected a tone campaign, found mode {manifest.mode!r}")

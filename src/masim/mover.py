@@ -92,8 +92,9 @@ class SimulatedSlideTrack:
 
     Each measure() synthesizes a fresh tone capture at the current position
     (independent noise per probe, seeded from master_seed and the probe
-    counter) and runs the FFT power meter on it. An event log of
-    ("move"|"ack"|"measure", position) tuples is kept for protocol audits.
+    counter) and meters it with the single-bin DFT of `measure_power` on
+    the default bin grid. An event log of ("move"|"ack"|"measure", position)
+    tuples is kept for protocol audits.
     """
 
     def __init__(

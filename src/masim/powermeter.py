@@ -1,19 +1,23 @@
-"""Tone power measurement: window, zero-pad, FFT, read the peak bin.
+"""Tone power measurement: a single-bin DFT at the tone's bin of an Ns-point grid.
 
 A captured tone y[n] = h*sqrt(pt)*exp(j*2*pi*f0*n*T) + z[n] is rectangular
-windowed over its N samples, zero-padded to the FFT size Ns and transformed.
-The estimated receive power is the peak-bin energy normalized by N^2:
+windowed over its N samples. The meter evaluates the one DFT bin nearest the
+known tone frequency on an Ns-point bin grid (Ns >= N, `fft_size`) and
+normalizes its energy by N^2:
 
-    p_hat = |Y_fft[k_hat]|^2 / N^2,   k_hat = round(Ns*T*f0)
+    p_hat = |sum_n y[n]*exp(-j*2*pi*k_hat*n/Ns)|^2 / N^2,   k_hat = round(Ns*T*f0)
 
-For an on-bin tone this is exact; off-bin tones see the usual sinc^2
-scalloping of the rectangular window. Coherent integration over N samples
-buys ~10*log10(N) of SNR against white noise.
+This is exactly bin k_hat of the N-sample window zero-padded to Ns points and
+FFT'd, without computing the other Ns - 1 bins (Goertzel 1958 is the
+streaming form of the same sum). For an on-bin tone it is exact; off-bin
+tones see the usual sinc^2 scalloping of the rectangular window. Coherent
+integration over N samples buys ~10*log10(N) of SNR against white noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,18 +35,24 @@ def default_fft_size(num_samples: int) -> int:
     return size
 
 
-def zero_pad(samples: np.ndarray, fft_size: int) -> np.ndarray:
-    """Pad a window with trailing zeros up to fft_size."""
-    n = len(samples)
-    if fft_size < n:
-        raise ValueError(f"fft_size {fft_size} is smaller than the window ({n} samples)")
-    out = np.zeros(fft_size, dtype=np.complex128)
-    out[:n] = samples
-    return out
+@lru_cache(maxsize=8)
+def _bin_phasor(num_samples: int, fft_size: int, k_hat: int) -> np.ndarray:
+    """Read-only exp(-j*2*pi*k_hat*n/Ns) for n = 0..N-1, the DFT row of bin k_hat.
+
+    The phase is reduced modulo one cycle in floating point before scaling by
+    2*pi: exact on power-of-two grids, and free of integer overflow at any Ns.
+    Cached because a sweep or a placement meters every record on one key.
+    """
+    cycles = np.mod(np.arange(num_samples) * (k_hat / fft_size), 1.0)
+    phasor = np.exp(-2j * np.pi * cycles)
+    phasor.flags.writeable = False
+    return phasor
 
 
 @dataclass(frozen=True)
 class PowerMeasurement:
+    """One metered record; fft_size is the bin grid Ns and peak_bin the bin read on it."""
+
     position: Position
     power_linear: float
     power_db: float
@@ -61,8 +71,7 @@ def measure_power(record: IQRecord, f0_hz: float, fft_size: int | None = None) -
     if ns < n:
         raise ValueError(f"fft_size {ns} is smaller than the record ({n} samples)")
     k_hat = int(round(ns * t * f0_hz)) % ns
-    spectrum = np.fft.fft(zero_pad(record.samples, ns))
-    p_lin = float(np.abs(spectrum[k_hat]) ** 2) / n**2
+    p_lin = float(np.abs(record.samples @ _bin_phasor(n, ns, k_hat)) ** 2) / n**2
     return PowerMeasurement(
         position=record.position,
         power_linear=p_lin,

@@ -221,6 +221,13 @@ class TestMovementRegion:
         with pytest.raises(ValueError):
             MovementRegion(0.05, 0.05, 0.0, 1e-3)
 
+    @pytest.mark.parametrize("step", [1e-7, 1e-300])
+    def test_rejects_oversized_grid(self, step):
+        # 1e-7 m over 50 mm is 500,001 x 500,001 points: refused from the axis
+        # counts at construction, before positions() could expand it
+        with pytest.raises(ValueError, match="exceeds"):
+            MovementRegion(0.05, 0.05, step, step)
+
 
 class TestGainMaps:
     def test_field_matches_scalar(self):

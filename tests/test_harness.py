@@ -82,6 +82,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="bandwidth"):
             ScenarioConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize("patch", [
+        {"samples_per_measurement": 2**40},
+        {"numerology": {**TEST_NUMEROLOGY.to_json_dict(), "num_symbols": 2**30}},  # frames of 884 samples
+    ])
+    def test_rejects_oversized_records(self, patch):
+        with pytest.raises(ConfigError, match="sample cap per record"):
+            ScenarioConfig.from_json_dict({**make_hi_scenario().to_json_dict(), **patch})
+
     def test_rejects_out_of_band_tone(self):
         data = make_hi_scenario().to_json_dict()
         data["tone_f0_hz"] = 300e6
@@ -369,6 +377,28 @@ class TestCli:
         rc = cli_main(["measure", "--campaign", str(cdir), "--out", str(tmp_path / "pm.csv")])
         assert rc == 2
         assert "rec_000004.maiq" in capsys.readouterr().err
+
+    def test_oversized_record_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.json"
+        psi_path = tmp_path / "psi.json"
+        cfg_path.write_text(json.dumps({**pipeline_config().to_json_dict(), "samples_per_measurement": 2**40}))
+        save_psi(psi_path, hall_psi_27p5ghz())
+        rc = cli_main(["sound", "--config", str(cfg_path), "--psi", str(psi_path),
+                       "--mode", "tone", "--out-dir", str(tmp_path / "camp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "samples_per_measurement" in err and err.count("\n") == 1
+
+    def test_huge_fft_size_meters_one_bin(self, tmp_path):
+        # f0 = fs/8 lies on a bin of both the default 32,768-point grid and a
+        # 2**40-point one; the meter must read that bin without allocating the grid
+        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
+        maps = {}
+        for name, extra in (("default", []), ("huge", ["--fft-size", str(2**40)])):
+            out = tmp_path / f"{name}.csv"
+            assert cli_main(["measure", "--campaign", str(cdir), "--out", str(out), *extra]) == 0
+            maps[name] = load_map_csv(out)
+        np.testing.assert_allclose(maps["huge"].db, maps["default"].db, rtol=0, atol=1e-9)
 
     def test_stage_failure_exits_3(self, tmp_path):
         cfg = pipeline_config()

@@ -1,4 +1,5 @@
-"""FFT tone power meter tests: exactness on-bin, scalloping off-bin, noise behavior."""
+"""Single-bin DFT tone power meter tests: the zero-padded FFT oracle, exactness
+on-bin, scalloping off-bin, noise behavior."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from masim.channel import MovementRegion, Position, gain_map
 from masim.harness import compare_maps
-from masim.powermeter import default_fft_size, measure_power, sweep_measure, zero_pad
+from masim.powermeter import _bin_phasor, default_fft_size, measure_power, sweep_measure
 from masim.presets import hall_psi_3p5ghz
 from masim.signals import IQRecord, NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
@@ -20,24 +21,41 @@ def tone_record(h, num_samples=4096, f0=50e6, pos=Position(0, 0), tx_power=1.0, 
     return IQRecord(position=pos, samples=samples, sample_interval_s=T, seed=seed)
 
 
+def zero_padded_fft_bin(samples, f0_hz, fft_size):
+    """Reference meter: bin k_hat of the record zero-padded to fft_size points and FFT'd."""
+    n = len(samples)
+    padded = np.zeros(fft_size, dtype=np.complex128)
+    padded[:n] = samples
+    k_hat = int(round(fft_size * T * f0_hz)) % fft_size
+    return k_hat, float(np.abs(np.fft.fft(padded)[k_hat]) ** 2) / n**2
+
+
 class TestZeroPad:
-    def test_pads_with_zeros(self):
-        x = np.arange(4, dtype=complex)
-        y = zero_pad(x, 8)
-        np.testing.assert_array_equal(y[:4], x)
-        np.testing.assert_array_equal(y[4:], np.zeros(4))
-
-    def test_noop_at_equal_size(self):
-        x = np.ones(8, dtype=complex)
-        np.testing.assert_array_equal(zero_pad(x, 8), x)
-
-    def test_rejects_shrinking(self):
-        with pytest.raises(ValueError):
-            zero_pad(np.ones(8, dtype=complex), 4)
+    """The meter against its definition: one bin of the zero-padded FFT."""
 
     def test_default_size_is_8x_next_pow2(self):
         assert default_fft_size(4096) == 32768
         assert default_fft_size(1000) == 8192
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_zero_padded_fft(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=128), label="n")
+        ns = n + data.draw(st.integers(min_value=0, max_value=8 * n), label="ns - n")
+        values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+        samples = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="samples"), dtype=np.complex128)
+        f0 = data.draw(st.floats(min_value=-0.49, max_value=0.49), label="f0 / fs") * FS
+        m = measure_power(IQRecord(Position(0, 0), samples, T, 0), f0, ns)
+        k_hat, p_ref = zero_padded_fft_bin(samples, f0, ns)
+        assert m.peak_bin == k_hat
+        # approx's default abs=1e-12 covers a bin that rounds to ~0 in both sums
+        assert m.power_linear == pytest.approx(p_ref, rel=1e-9)
+
+    def test_cached_phasor_is_read_only(self):
+        phasor = _bin_phasor(64, 512, 64)
+        assert _bin_phasor(64, 512, 64) is phasor
+        with pytest.raises(ValueError, match="read-only"):
+            phasor[0] = 0.0
 
 
 class TestMeasurePower:
