@@ -12,16 +12,16 @@ import sys
 from dataclasses import replace
 
 from .channel import gain_map
-from .estimator import AngleGrid, compute_pas, compute_pds, estimate_psi
+from .estimator import AngleGrid
 from .harness import (
     ConfigError,
     ScenarioConfig,
     StageError,
     _atomic_write_json,
     compare_maps,
+    estimate_campaign,
     load_map_csv,
     load_psi,
-    load_sounding_campaign,
     measure_campaign,
     optimize_on_slide_track,
     run_pipeline,
@@ -67,15 +67,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    _, campaign = load_sounding_campaign(args.campaign)
     grid = AngleGrid(args.el_step, args.az_step)
-    pas = compute_pas(campaign, grid)
-    est = estimate_psi(campaign, grid, max_paths=args.max_paths, prominence_db=args.prominence_db, pas=pas)
-    _atomic_write_json(args.out, est.to_json_dict())
-    if args.pas is not None:
-        pas.to_csv(args.pas)
-    if args.pds is not None:
-        compute_pds(campaign).to_csv(args.pds)
+    est = estimate_campaign(args.campaign, grid, args.max_paths, args.prominence_db, args.out, args.pas, args.pds)
     print(f"wrote {args.out}: {est.num_paths} paths, "
           f"strongest ({est.paths[0].elevation_deg:g}, {est.paths[0].azimuth_deg:g}) deg")
     return 0

@@ -312,6 +312,8 @@ def compute_pas(
 
 def find_paths(pas: PasMatrix, max_paths: int = 8, prominence_db: float = 20.0) -> list[SpectrumPeak]:
     """Pick path candidates: 8-neighborhood local maxima within prominence_db of the global max."""
+    if max_paths < 1:
+        raise ValueError(f"max_paths must be >= 1: {max_paths}")
     v = pas.values
     local_max = v == ndimage.maximum_filter(v, size=3, mode="constant", cval=-np.inf)
     peak_val = float(np.max(v))

@@ -10,7 +10,11 @@ run_pipeline() chains sound -> estimate -> measure -> optimize -> export
 through content-addressed stage directories: each stage directory name
 embeds a hash of everything the stage depends on, so re-running with the
 same inputs is a cache hit and changing any input re-runs exactly the
-stages downstream of the change.
+stages downstream of the change. The STAGES table is the one description
+of the stages: in run order, each entry names its upstream stages (export
+follows every other requested stage), its artifacts relative to the stage
+directory, and its body. The CLI's estimate and optimize commands run the
+same code as those stages' bodies (estimate_campaign, optimize_on_slide_track).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import math
 import os
 import shutil
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -447,14 +452,73 @@ def optimize_on_slide_track(
 # pipeline
 
 
-_STAGE_ORDER = ("sound", "estimate", "measure", "optimize", "export")
-_STAGE_DEPS = {
-    "sound": (),
-    "estimate": ("sound",),
-    "measure": (),
-    "optimize": ("estimate",),
-    # export depends on whatever else was requested; resolved at run time
-    "export": (),
+def estimate_campaign(
+    campaign_dir, grid: AngleGrid, max_paths: int, prominence_db: float, est_path, pas_path=None, pds_path=None
+) -> EstimatedPsi:
+    """Estimate path state from an on-disk sounding campaign and write it to est_path.
+
+    pas_path and pds_path, when given, also receive the angular and delay
+    spectra as CSV. Both `masim estimate` and the estimate stage run this.
+    """
+    _, campaign = load_sounding_campaign(campaign_dir)
+    pas = compute_pas(campaign, grid)
+    est = estimate_psi(campaign, grid, max_paths=max_paths, prominence_db=prominence_db, pas=pas)
+    _atomic_write_json(est_path, est.to_json_dict())
+    if pas_path is not None:
+        pas.to_csv(pas_path)
+    if pds_path is not None:
+        compute_pds(campaign).to_csv(pds_path)
+    return est
+
+
+def _sound(sdir, cfg, psi, inputs):
+    synthesize_campaign(cfg, psi, "ofdm", sdir / "campaign")
+
+
+def _estimate(sdir, cfg, psi, inputs, angle_grid, max_paths, prominence_db):
+    estimate_campaign(inputs["sounding_campaign"], AngleGrid(*angle_grid), max_paths, prominence_db,
+                      sdir / "estimated_psi.json", sdir / "pas.csv", sdir / "pds.csv")
+
+
+def _measure(sdir, cfg, psi, inputs, fft_size):
+    synthesize_campaign(cfg, psi, "tone", sdir / "campaign")
+    measure_campaign(sdir / "campaign", fft_size=fft_size).to_csv(sdir / "power_map.csv")
+
+
+def _optimize(sdir, cfg, psi, inputs, budget, refine_step_m):
+    est = load_psi(inputs["estimated_psi"])
+    res = optimize_on_slide_track(cfg, psi, est, budget=budget, refine_step_m=refine_step_m)
+    _atomic_write_json(sdir / "move_result.json", res.to_json_dict())
+
+
+def _export(sdir, cfg, psi, inputs):
+    gain_map(psi, cfg.region).to_csv(sdir / "gain_map.csv")
+    for src in inputs.values():
+        if src.is_file():
+            shutil.copyfile(src, sdir / src.name)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage. upstream None means every other requested stage;
+    artifacts map names to paths relative to the stage directory. The body
+    runs as body(stage_dir, cfg, psi, inputs, **params): inputs are the
+    upstream stages' artifacts, params the stage's hashed parameters.
+    """
+
+    upstream: tuple[str, ...] | None
+    artifacts: dict
+    body: Callable
+
+
+STAGES = {
+    "sound": Stage((), {"sounding_campaign": "campaign"}, _sound),
+    "estimate": Stage(
+        ("sound",), {"estimated_psi": "estimated_psi.json", "pas": "pas.csv", "pds": "pds.csv"}, _estimate
+    ),
+    "measure": Stage((), {"tone_campaign": "campaign", "power_map": "power_map.csv"}, _measure),
+    "optimize": Stage(("estimate",), {"move_result": "move_result.json"}, _optimize),
+    "export": Stage(None, {"export_dir": ".", "gain_map": "gain_map.csv"}, _export),
 }
 
 
@@ -465,20 +529,9 @@ class PipelineResult:
     cached: set
 
 
-def _stage_artifacts(name: str, sdir: Path) -> dict:
-    if name == "sound":
-        return {"sounding_campaign": sdir / "campaign"}
-    if name == "measure":
-        return {"tone_campaign": sdir / "campaign", "power_map": sdir / "power_map.csv"}
-    if name == "estimate":
-        return {
-            "estimated_psi": sdir / "estimated_psi.json",
-            "pas": sdir / "pas.csv",
-            "pds": sdir / "pds.csv",
-        }
-    if name == "optimize":
-        return {"move_result": sdir / "move_result.json"}
-    return {"export_dir": sdir, "gain_map": sdir / "gain_map.csv"}
+def _upstream(name: str, requested) -> list[str]:
+    ups = STAGES[name].upstream
+    return sorted(s for s in requested if s != name) if ups is None else list(ups)
 
 
 def run_pipeline(
@@ -493,7 +546,7 @@ def run_pipeline(
     optimize_budget: int = 50,
     refine_step_m: float | None = None,
 ) -> PipelineResult:
-    """Run the requested stages (deps pulled in automatically) under out_dir.
+    """Run the requested stages (upstream stages pulled in automatically) under out_dir.
 
     Stage directories are content-addressed: <stage>-<hash> where the hash
     covers the scenario, the path state, the stage parameters, and the
@@ -501,22 +554,20 @@ def run_pipeline(
     trusted as a cache hit and not recomputed.
     """
     requested = set(stages)
-    unknown = requested - set(_STAGE_ORDER)
+    unknown = requested - set(STAGES)
     if unknown:
         raise ConfigError(f"unknown pipeline stages: {sorted(unknown)}")
-    # close over dependencies
-    while True:
-        need = {d for s in requested for d in _stage_deps(s, requested)} - requested
-        if not need:
-            break
-        requested |= need
-    ordered = [s for s in _STAGE_ORDER if s in requested]
+    # upstream stages come earlier in STAGES, so one backward pass closes the set
+    for name in reversed(STAGES):
+        if name in requested:
+            requested.update(_upstream(name, requested))
 
+    grid = angle_grid or AngleGrid()
     params = {
         "sound": {},
         "measure": {"fft_size": fft_size},
         "estimate": {
-            "angle_grid": list(_grid_steps(angle_grid)),
+            "angle_grid": [grid.elevation_step_deg, grid.azimuth_step_deg],
             "max_paths": max_paths,
             "prominence_db": prominence_db,
         },
@@ -528,8 +579,10 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
     result = PipelineResult(stage_dirs={}, artifacts={}, cached=set())
     hashes = {}
-    for name in ordered:
-        parents = sorted(_stage_deps(name, requested))
+    for name, stage in STAGES.items():
+        if name not in requested:
+            continue
+        parents = _upstream(name, requested)
         payload = {
             "stage": name,
             "scenario": cfg.to_json_dict(),
@@ -546,70 +599,14 @@ def run_pipeline(
             result.cached.add(name)
         else:
             sdir.mkdir(parents=True, exist_ok=True)
+            inputs = {key: result.stage_dirs[p] / rel for p in parents for key, rel in STAGES[p].artifacts.items()}
             try:
-                _run_stage(
-                    name,
-                    sdir,
-                    cfg,
-                    psi,
-                    result.artifacts,
-                    angle_grid=angle_grid,
-                    max_paths=max_paths,
-                    prominence_db=prominence_db,
-                    fft_size=fft_size,
-                    optimize_budget=optimize_budget,
-                    refine_step_m=refine_step_m,
-                )
+                stage.body(sdir, cfg, psi, inputs, **params[name])
             except Exception as e:
                 raise StageError(name, e) from e
             _atomic_write_bytes(marker, (digest + "\n").encode())
-        result.artifacts.update(_stage_artifacts(name, sdir))
+        result.artifacts.update({key: sdir / rel for key, rel in stage.artifacts.items()})
     return result
-
-
-def _stage_deps(name: str, requested) -> tuple:
-    if name == "export":
-        return tuple(s for s in requested if s != "export")
-    return _STAGE_DEPS[name]
-
-
-def _grid_steps(grid: AngleGrid | None) -> tuple[float, float]:
-    grid = grid or AngleGrid()
-    return grid.elevation_step_deg, grid.azimuth_step_deg
-
-
-def _run_stage(name, sdir, cfg, psi, artifacts, *, angle_grid, max_paths, prominence_db, fft_size, optimize_budget, refine_step_m):
-    if name == "sound":
-        synthesize_campaign(cfg, psi, "ofdm", sdir / "campaign")
-    elif name == "measure":
-        synthesize_campaign(cfg, psi, "tone", sdir / "campaign")
-        measure_campaign(sdir / "campaign", fft_size=fft_size).to_csv(sdir / "power_map.csv")
-    elif name == "estimate":
-        _, campaign = load_sounding_campaign(artifacts["sounding_campaign"])
-        grid = angle_grid or AngleGrid()
-        pas = compute_pas(campaign, grid)
-        est = estimate_psi(campaign, grid, max_paths=max_paths, prominence_db=prominence_db, pas=pas)
-        pas.to_csv(sdir / "pas.csv")
-        compute_pds(campaign).to_csv(sdir / "pds.csv")
-        _atomic_write_json(sdir / "estimated_psi.json", est.to_json_dict())
-    elif name == "optimize":
-        est = EstimatedPsi.from_json_dict(_load_json(artifacts["estimated_psi"]))
-        res = optimize_on_slide_track(cfg, psi, est, budget=optimize_budget, refine_step_m=refine_step_m)
-        _atomic_write_json(sdir / "move_result.json", res.to_json_dict())
-    elif name == "export":
-        gain_map(psi, cfg.region).to_csv(sdir / "gain_map.csv")
-        for key, fname in (
-            ("power_map", "power_map.csv"),
-            ("estimated_psi", "estimated_psi.json"),
-            ("pas", "pas.csv"),
-            ("pds", "pds.csv"),
-            ("move_result", "move_result.json"),
-        ):
-            src = artifacts.get(key)
-            if src is not None:
-                shutil.copyfile(src, sdir / fname)
-    else:  # pragma: no cover - guarded by run_pipeline
-        raise ValueError(f"unknown stage {name!r}")
 
 
 # ---------------------------------------------------------------------------

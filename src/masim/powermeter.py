@@ -25,6 +25,10 @@ from .channel import Position, to_db, write_grid_csv
 from .signals import IQRecord
 
 
+MAX_FFT_SIZE = 2**53
+"""Largest bin grid Ns: float64 holds every bin index up to here, so round(Ns*T*f0) is exact."""
+
+
 def default_fft_size(num_samples: int) -> int:
     """Next power of two at or above 8x the window length."""
     if num_samples < 1:
@@ -70,6 +74,8 @@ def measure_power(record: IQRecord, f0_hz: float, fft_size: int | None = None) -
     ns = default_fft_size(n) if fft_size is None else int(fft_size)
     if ns < n:
         raise ValueError(f"fft_size {ns} is smaller than the record ({n} samples)")
+    if ns > MAX_FFT_SIZE:
+        raise ValueError(f"fft_size {ns} exceeds {MAX_FFT_SIZE}, past which the tone bin index is not exact")
     k_hat = int(round(ns * t * f0_hz)) % ns
     p_lin = float(np.abs(record.samples @ _bin_phasor(n, ns, k_hat)) ** 2) / n**2
     return PowerMeasurement(

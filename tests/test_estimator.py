@@ -209,6 +209,13 @@ class TestFindPaths:
         peaks = find_paths(compute_pas(lo_campaign), max_paths=2)
         assert len(peaks) == 2
 
+    @pytest.mark.parametrize("max_paths", [0, -1])
+    def test_rejects_nonpositive_max_paths(self, max_paths):
+        # -1 used to slice off the weakest peak, 0 to report "no paths found"
+        pas = compute_pas(small_campaign(one_path_psi()))
+        with pytest.raises(ValueError, match="max_paths"):
+            find_paths(pas, max_paths=max_paths)
+
     def test_prominence_threshold_drops_weak_paths(self, lo_campaign):
         # Table II peaks sit at 0, -0.4, -3.7, -11.6, -11.9 dB relative
         peaks = find_paths(compute_pas(lo_campaign), prominence_db=5.0)

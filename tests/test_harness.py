@@ -47,6 +47,24 @@ def pipeline_config(master_seed=21, noise_power=0.01):
     )
 
 
+ALL_STAGES = ["sound", "estimate", "measure", "optimize", "export"]
+
+
+@pytest.fixture(scope="module")
+def five_stage_run(tmp_path_factory):
+    """Every stage of pipeline_config() at the default stage parameters."""
+    return run_pipeline(pipeline_config(), hall_psi_27p5ghz(), ALL_STAGES, tmp_path_factory.mktemp("pipeline"))
+
+
+def input_files(tmp_path, cfg=None):
+    """Write pipeline_config() (or cfg) and the 27.5 GHz hall paths for the CLI."""
+    cfg_path = tmp_path / "scenario.json"
+    psi_path = tmp_path / "psi.json"
+    (cfg or pipeline_config()).save(cfg_path)
+    save_psi(psi_path, hall_psi_27p5ghz())
+    return str(cfg_path), str(psi_path)
+
+
 class TestScenarioConfig:
     def test_json_round_trip(self):
         cfg = make_hi_scenario()
@@ -300,6 +318,16 @@ class TestPipeline:
             run_pipeline(cfg, hall_psi_27p5ghz(), ["estimate"], tmp_path / "run")
         assert err.value.stage == "estimate"
 
+    def test_stage_directory_names_pinned(self, five_stage_run):
+        # each name hashes the stage's payload: a change here orphans every cached tree
+        assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
+            "sound": "sound-64b9ab2ea05c",
+            "estimate": "estimate-0235900051f0",
+            "measure": "measure-266441cf3c85",
+            "optimize": "optimize-8ec159f667be",
+            "export": "export-96891978ae82",
+        }
+
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown pipeline stages"):
             run_pipeline(pipeline_config(), hall_psi_27p5ghz(), ["calibrate"], tmp_path / "run")
@@ -400,6 +428,14 @@ class TestCli:
             maps[name] = load_map_csv(out)
         np.testing.assert_allclose(maps["huge"].db, maps["default"].db, rtol=0, atol=1e-9)
 
+    def test_fft_size_past_exact_bin_index_exits_2(self, tmp_path, capsys):
+        # 10**400 used to die converting Ns*T*f0 to float (OverflowError, exit 1)
+        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
+        rc = cli_main(["measure", "--campaign", str(cdir), "--out", str(tmp_path / "pm.csv"), "--fft-size", str(10**400)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "fft_size" in err and err.count("\n") == 1
+
     def test_stage_failure_exits_3(self, tmp_path):
         cfg = pipeline_config()
         cfg = ScenarioConfig.from_json_dict(
@@ -419,3 +455,42 @@ class TestCli:
              "--stages", "estimate", "--out-dir", str(tmp_path / "run")]
         )
         assert rc == 3
+
+    def test_estimate_matches_stage(self, five_stage_run, tmp_path):
+        art = five_stage_run.artifacts
+        campaign = str(art["sounding_campaign"])
+        full, bare = tmp_path / "full", tmp_path / "bare"
+        full.mkdir()
+        bare.mkdir()
+        assert cli_main(["estimate", "--campaign", campaign, "--out", str(full / "estimated_psi.json"),
+                         "--pas", str(full / "pas.csv"), "--pds", str(full / "pds.csv")]) == 0
+        for key in ("estimated_psi", "pas", "pds"):
+            assert (full / art[key].name).read_bytes() == art[key].read_bytes(), key
+        assert cli_main(["estimate", "--campaign", campaign, "--out", str(bare / "est.json")]) == 0
+        assert [p.name for p in bare.iterdir()] == ["est.json"]
+
+    def test_estimate_rejects_negative_max_paths(self, five_stage_run, tmp_path, capsys):
+        # -1 used to exit 0 with the weakest of the three planted paths sliced off
+        out = tmp_path / "est.json"
+        campaign = str(five_stage_run.artifacts["sounding_campaign"])
+        assert cli_main(["estimate", "--campaign", campaign, "--max-paths=-1", "--out", str(out)]) == 2
+        assert "max_paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_optimize_matches_stage(self, five_stage_run, tmp_path):
+        art = five_stage_run.artifacts
+        cfg_path, psi_path = input_files(tmp_path)
+        out = tmp_path / "move_result.json"
+        assert cli_main(["optimize", "--psi", psi_path, "--est", str(art["estimated_psi"]),
+                         "--region", cfg_path, "--out", str(out)]) == 0
+        assert out.read_bytes() == art["move_result"].read_bytes()
+
+    def test_export_runs_then_caches_every_stage(self, tmp_path, capsys):
+        cfg_path, psi_path = input_files(tmp_path)
+        argv = ["export", "--config", cfg_path, "--psi", psi_path, "--stages", "measure,optimize",
+                "--out-dir", str(tmp_path / "run")]
+        for tag in ("ran", "cached"):
+            assert cli_main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split(" (")[0] for line in lines[:-1]] == [f"{name}: {tag}" for name in sorted(ALL_STAGES)]
+            assert lines[-1].startswith("artifacts in ")

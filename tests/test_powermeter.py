@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from masim.channel import MovementRegion, Position, gain_map
 from masim.harness import compare_maps
-from masim.powermeter import _bin_phasor, default_fft_size, measure_power, sweep_measure
+from masim.powermeter import MAX_FFT_SIZE, _bin_phasor, default_fft_size, measure_power, sweep_measure
 from masim.presets import hall_psi_3p5ghz
 from masim.signals import IQRecord, NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
@@ -103,6 +103,12 @@ class TestMeasurePower:
     def test_rejects_fft_smaller_than_record(self):
         with pytest.raises(ValueError):
             measure_power(tone_record(1.0, num_samples=4096), 50e6, fft_size=2048)
+
+    def test_fft_size_capped_where_bin_index_stays_exact(self):
+        rec = tone_record(1.0, num_samples=512)
+        assert measure_power(rec, 50e6, fft_size=MAX_FFT_SIZE).peak_bin == MAX_FFT_SIZE // 8
+        with pytest.raises(ValueError, match="fft_size"):
+            measure_power(rec, 50e6, fft_size=MAX_FFT_SIZE + 1)
 
     def test_rejects_out_of_band_tone(self):
         rec = tone_record(1.0)
