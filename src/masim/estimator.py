@@ -8,8 +8,10 @@ large virtual array. Processing follows the measurement chain:
      virtual-array response at the scanned angle,
   2. peak picking on the PAS to count paths and read their angles,
   3. per-path zero-forcing weights that null every other found path,
-  4. system-response calibration and symbol averaging of the per-subcarrier
-     response, giving one channel frequency response per position,
+  4. symbol averaging of the equalized per-subcarrier response, done per
+     record as the campaign is built (SoundingCampaign keeps this h_raw and
+     the PAS snapshots, never the records), then system-response
+     calibration, giving one channel frequency response per position,
   5. per-path delay and amplitude from the beamformed delay profile, and a
      power delay spectrum (PDS) per position as a by-product.
 
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -47,8 +50,8 @@ class AngleGrid:
 
     def __post_init__(self):
         for step in (self.elevation_step_deg, self.azimuth_step_deg):
-            if step <= 0.0:
-                raise ValueError("angle steps must be > 0")
+            if not (math.isfinite(step) and step > 0.0):
+                raise ValueError(f"angle steps must be finite and > 0: {step}")
             if abs(180.0 / step - round(180.0 / step)) > 1e-9:
                 raise ValueError(f"angle step {step} does not divide the 180 degree range")
 
@@ -69,55 +72,112 @@ def array_response(elevation_deg: float, azimuth_deg: float, positions: np.ndarr
     return np.exp(-2j * np.pi * d / wavelength_m)
 
 
-@dataclass
-class SoundingCampaign:
-    """A full OFDM sounding sweep: one IQ record per grid position.
+def _snapshot_indices(numerology: OfdmNumerology, max_snapshots: int) -> np.ndarray:
+    """Frame indices of up to max_snapshots payload samples, evenly spread, CP samples excluded."""
+    num = numerology
+    sym = num.samples_per_symbol
+    payload_idx = np.concatenate(
+        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
+    )
+    if max_snapshots < len(payload_idx):
+        sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, max_snapshots)).astype(int))
+        payload_idx = payload_idx[sel]
+    return payload_idx
 
-    Records are re-sorted into row-major (y, then x) order at construction so
-    every estimate is independent of the order records were captured or
-    loaded in. tx_symbols is the known (I, M) subcarrier grid; sys_response
-    is the combined TX/RX system frequency response (None means flat).
+
+class SoundingCampaign:
+    """A full OFDM sounding sweep, reduced record by record to what the estimator reads.
+
+    records is any iterable of IQRecord, one per grid position, consumed
+    once; no record is kept. Each is checked against the numerology and
+    reduced to its position, up to max_snapshots payload time samples for
+    the PAS, and h_raw: the FFT of each symbol's payload, equalized by the
+    known transmit symbols and coherently averaged over the M symbols, the
+    per-subcarrier response before system calibration. Rows are sorted
+    stably into row-major (y, then x) order, so every estimate is
+    independent of the order records were captured or loaded in. When
+    num_records is given, rows fill preallocated arrays and any other record
+    count is an error. tx_symbols is the known (I, M) subcarrier grid;
+    sys_response is the combined TX/RX system frequency response (None
+    means flat).
     """
 
-    records: list[IQRecord]
-    numerology: OfdmNumerology
-    tx_symbols: np.ndarray
-    carrier_hz: float
-    sys_response: np.ndarray | None = None
-    tx_power: float = 1.0
-    _samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        records: Iterable[IQRecord],
+        numerology: OfdmNumerology,
+        tx_symbols: np.ndarray,
+        carrier_hz: float,
+        sys_response: np.ndarray | None = None,
+        tx_power: float = 1.0,
+        max_snapshots: int = 128,
+        num_records: int | None = None,
+    ):
+        i, m = numerology.num_subcarriers, numerology.num_symbols
+        if tx_symbols.shape != (i, m):
+            raise ValueError(f"tx_symbols must be ({i}, {m}), got {tx_symbols.shape}")
+        if sys_response is not None and len(sys_response) != i:
+            raise ValueError("sys_response length must match the subcarrier count")
+        if carrier_hz <= 0.0:
+            raise ValueError("carrier_hz must be > 0")
+        if tx_power <= 0.0:
+            raise ValueError("tx_power must be > 0")
+        if max_snapshots < 1:
+            raise ValueError(f"max_snapshots must be >= 1: {max_snapshots}")
+        self.numerology = numerology
+        self.tx_symbols = tx_symbols
+        self.carrier_hz = carrier_hz
+        self.sys_response = sys_response
+        self.tx_power = tx_power
 
-    def __post_init__(self):
-        if len(self.records) < 2:
-            raise ValueError("a sounding campaign needs at least 2 positions")
-        expect = self.numerology.frame_samples
-        t = self.numerology.sample_interval_s
-        for rec in self.records:
+        snap_idx = _snapshot_indices(numerology, max_snapshots)
+        expect, t = numerology.frame_samples, numerology.sample_interval_s
+        sym, cp = numerology.samples_per_symbol, numerology.cp_samples
+        den = i * math.sqrt(tx_power) * tx_symbols.T  # (M, I)
+
+        def reduce_record(rec: IQRecord):
             if rec.num_samples != expect:
                 raise ValueError(f"record has {rec.num_samples} samples, numerology expects {expect}")
             if abs(rec.sample_interval_s - t) > 1e-15:
                 raise ValueError("record sample interval disagrees with the numerology")
-        i, m = self.numerology.num_subcarriers, self.numerology.num_symbols
-        if self.tx_symbols.shape != (i, m):
-            raise ValueError(f"tx_symbols must be ({i}, {m}), got {self.tx_symbols.shape}")
-        if self.sys_response is not None and len(self.sys_response) != i:
-            raise ValueError("sys_response length must match the subcarrier count")
-        if self.carrier_hz <= 0.0:
-            raise ValueError("carrier_hz must be > 0")
-        if self.tx_power <= 0.0:
-            raise ValueError("tx_power must be > 0")
-        self.records = sorted(self.records, key=lambda r: (r.position.y_m, r.position.x_m))
+            payload = rec.samples.reshape(m, sym)[:, cp:]
+            h_raw = np.mean(np.fft.fft(payload, axis=1) / den, axis=0)
+            return (rec.position.x_m, rec.position.y_m), h_raw, rec.samples[snap_idx]
+
+        rows = map(reduce_record, records)
+        if num_records is None:
+            rows = list(rows)  # the reductions only; each record is dropped once reduced
+            num_records = len(rows)
+        if num_records < 2:
+            raise ValueError("a sounding campaign needs at least 2 positions")
+        pos = np.empty((num_records, 2))
+        h_raw = np.empty((num_records, i), dtype=np.complex128)
+        snaps = np.empty((num_records, len(snap_idx)), dtype=np.complex128)
+        q = 0
+        for q, (xy, h, snap) in enumerate(rows, 1):
+            if q > num_records:
+                raise ValueError(f"more records than the {num_records} announced")
+            pos[q - 1], h_raw[q - 1], snaps[q - 1] = xy, h, snap
+        if q != num_records:
+            raise ValueError(f"{q} records, {num_records} announced")
+        order = np.lexsort((pos[:, 0], pos[:, 1]))  # stable, like sorted()
+        if np.any(order != np.arange(len(order))):
+            pos, h_raw = pos[order], h_raw[order]
+        self._positions = pos
+        self.h_raw = h_raw  # (Q, I)
+        self._snapshots, self._order = snaps, order
+        self._samples: np.ndarray | None = None
 
     @property
     def num_positions(self) -> int:
-        return len(self.records)
+        return len(self._positions)
 
     @property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT_M_PER_S / self.carrier_hz
 
     def positions_array(self) -> np.ndarray:
-        return np.array([[r.position.x_m, r.position.y_m] for r in self.records])
+        return self._positions.copy()
 
     def resolved_sys_response(self) -> np.ndarray:
         if self.sys_response is None:
@@ -125,19 +185,19 @@ class SoundingCampaign:
         return np.asarray(self.sys_response, dtype=np.complex128)
 
     def samples_matrix(self) -> np.ndarray:
-        """(Q, N) matrix of all record samples, cached."""
+        """(Q, n_snap) block of the retained payload snapshots in (y, x) order, assembled on first use."""
         if self._samples is None:
-            self._samples = np.vstack([r.samples for r in self.records])
+            self._samples, self._snapshots = self._snapshots[self._order], None
         return self._samples
 
     def grid_axes(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(x values, y values) when positions tile a complete grid, else None."""
-        pos = self.positions_array()
+        pos = self._positions
         xs = np.unique(pos[:, 0])
         ys = np.unique(pos[:, 1])
         if len(xs) * len(ys) != len(pos):
             return None
-        # records are (y, x) sorted, so a complete grid must match exactly
+        # rows are (y, x) sorted, so a complete grid must match exactly
         expect_x = np.tile(xs, len(ys))
         expect_y = np.repeat(ys, len(xs))
         if np.array_equal(pos[:, 0], expect_x) and np.array_equal(pos[:, 1], expect_y):
@@ -241,40 +301,26 @@ class EstimatedPsi(JsonCodec):
         )
 
 
-def _snapshot_matrix(campaign: SoundingCampaign, max_snapshots: int) -> np.ndarray:
-    """(n_snap, Q) matrix of received snapshots, CP samples excluded."""
-    num = campaign.numerology
-    y = campaign.samples_matrix()
-    sym = num.samples_per_symbol
-    payload_idx = np.concatenate(
-        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
-    )
-    if max_snapshots < len(payload_idx):
-        sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, max_snapshots)).astype(int))
-        payload_idx = payload_idx[sel]
-    return y[:, payload_idx].T
-
-
 def compute_pas(
     campaign: SoundingCampaign,
     grid: AngleGrid | None = None,
-    max_snapshots: int = 128,
     taper_beta: float | None = 2.8,
 ) -> PasMatrix:
     """Power angular spectrum PAS(theta, phi) = f^H R f over the angle grid.
 
-    R is the sample covariance of up to max_snapshots received time samples
-    (evenly spread over the frame, CP excluded). A separable Kaiser taper is
-    applied across the position grid before correlation; the rectangular
-    aperture's -13 dB sidelobes would otherwise masquerade as paths. Gridded
-    campaigns use a separable two-stage transform so large sweeps stay
-    affordable; arbitrary position sets fall back to a direct scan.
+    R is the sample covariance of the campaign's retained snapshots: up to
+    max_snapshots received time samples per position, evenly spread over the
+    frame, CP excluded. A separable Kaiser taper is applied across the
+    position grid before correlation; the rectangular aperture's -13 dB
+    sidelobes would otherwise masquerade as paths. Gridded campaigns use a
+    separable two-stage transform so large sweeps stay affordable; arbitrary
+    position sets fall back to a direct scan.
     """
     grid = grid or AngleGrid()
     els = grid.elevations_deg()
     azs = grid.azimuths_deg()
     lam = campaign.wavelength_m
-    snaps = _snapshot_matrix(campaign, max_snapshots)  # (n_snap, Q)
+    snaps = campaign.samples_matrix().T  # (n_snap, Q)
     n_snap = snaps.shape[0]
     el_rad = np.radians(els)
     az_rad = np.radians(azs)
@@ -314,6 +360,8 @@ def find_paths(pas: PasMatrix, max_paths: int = 8, prominence_db: float = 20.0) 
     """Pick path candidates: 8-neighborhood local maxima within prominence_db of the global max."""
     if max_paths < 1:
         raise ValueError(f"max_paths must be >= 1: {max_paths}")
+    if not (math.isfinite(prominence_db) and prominence_db >= 0.0):
+        raise ValueError(f"prominence_db must be finite and >= 0: {prominence_db}")
     v = pas.values
     local_max = v == ndimage.maximum_filter(v, size=3, mode="constant", cval=-np.inf)
     peak_val = float(np.max(v))
@@ -374,21 +422,6 @@ def zf_weights(
     return w / math.sqrt(q)
 
 
-def raw_subcarrier_response(campaign: SoundingCampaign) -> np.ndarray:
-    """Per-position, per-subcarrier response before system calibration.
-
-    FFT of each symbol's payload, equalized by the known transmit symbols
-    and coherently averaged over the M symbols. Returns (Q, I).
-    """
-    num = campaign.numerology
-    i_n, m_n = num.num_subcarriers, num.num_symbols
-    y = campaign.samples_matrix().reshape(campaign.num_positions, m_n, num.samples_per_symbol)
-    payload = y[:, :, num.cp_samples:]
-    spec = np.fft.fft(payload, axis=2)  # (Q, M, I)
-    eq = spec / (i_n * math.sqrt(campaign.tx_power) * campaign.tx_symbols.T[None, :, :])
-    return np.mean(eq, axis=1)
-
-
 def calibrate(raw: np.ndarray, sys_response: np.ndarray, floor: float = 1e-6):
     """Divide out the system response; subcarriers with |H_sys| <= floor are flagged unusable.
 
@@ -398,13 +431,13 @@ def calibrate(raw: np.ndarray, sys_response: np.ndarray, floor: float = 1e-6):
     sys_response = np.asarray(sys_response, dtype=np.complex128)
     usable = np.abs(sys_response) > floor
     cal = np.zeros_like(raw)
-    cal[..., usable] = raw[..., usable] / sys_response[usable]
+    np.divide(raw, sys_response, out=cal, where=usable)
     return cal, usable
 
 
 def frequency_response(campaign: SoundingCampaign, floor: float = 1e-6):
     """Calibrated channel frequency response per position, (Q, I), plus usable mask."""
-    return calibrate(raw_subcarrier_response(campaign), campaign.resolved_sys_response(), floor)
+    return calibrate(campaign.h_raw, campaign.resolved_sys_response(), floor)
 
 
 def compute_pds(campaign: SoundingCampaign, floor: float = 1e-6) -> PdsMatrix:
@@ -528,7 +561,6 @@ def estimate_psi(
     grid: AngleGrid | None = None,
     max_paths: int = 8,
     prominence_db: float = 20.0,
-    max_snapshots: int = 128,
     taper_beta: float | None = 2.8,
     oversample: int = 8,
     pas: PasMatrix | None = None,
@@ -540,7 +572,7 @@ def estimate_psi(
     """
     grid = grid or AngleGrid()
     if pas is None:
-        pas = compute_pas(campaign, grid, max_snapshots=max_snapshots, taper_beta=taper_beta)
+        pas = compute_pas(campaign, grid, taper_beta=taper_beta)
     peaks = find_paths(pas, max_paths=max_paths, prominence_db=prominence_db)
     if not peaks:
         raise ValueError("no paths found in the angular spectrum")

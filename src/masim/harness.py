@@ -24,7 +24,7 @@ import json
 import math
 import os
 import shutil
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +33,7 @@ import numpy as np
 from .channel import (
     MovementRegion,
     PathStateInfo,
+    Position,
     gain_map,
     read_grid_csv,
 )
@@ -271,15 +272,16 @@ def iter_sounding_records(cfg: ScenarioConfig, psi: PathStateInfo, tx_symbols: n
 
 
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
-    """Synthesize a sounding campaign in memory (no files)."""
+    """Synthesize a sounding campaign in memory (no files), one record at a time."""
     tx_seed = derive_seed(cfg.master_seed, "tx")
     num = cfg.numerology
     tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, tx_seed)
     return SoundingCampaign(
-        records=list(iter_sounding_records(cfg, psi, tx)),
+        records=iter_sounding_records(cfg, psi, tx),
         numerology=num,
         tx_symbols=tx,
         carrier_hz=cfg.carrier_hz,
+        num_records=cfg.sounding_region.num_points,
     )
 
 
@@ -369,12 +371,20 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     return out
 
 
-def load_campaign(dir_path) -> tuple[CampaignManifest, list[IQRecord]]:
-    """Load a campaign directory, checking every record against the manifest."""
+def _open_campaign(dir_path) -> tuple[CampaignManifest, Iterator[IQRecord]]:
+    """A campaign's manifest, checked to tile its region, and a one-pass reader of its records.
+
+    The reader loads one record at a time and checks each against its
+    manifest entry.
+    """
     manifest = CampaignManifest.load(dir_path)
-    base = Path(dir_path)
-    records = []
-    for entry in manifest.records:
+    if [Position(e.x_m, e.y_m) for e in manifest.records] != manifest.region.positions():
+        raise ConfigError("campaign records do not tile the region declared in the manifest")
+    return manifest, _read_records(Path(dir_path), manifest.records)
+
+
+def _read_records(base: Path, entries):
+    for entry in entries:
         path = base / entry.file
         if not path.exists():
             raise ConfigError(f"manifest lists {entry.file} but the file is missing")
@@ -383,17 +393,18 @@ def load_campaign(dir_path) -> tuple[CampaignManifest, list[IQRecord]]:
             raise ConfigError(f"{entry.file}: position disagrees with the manifest")
         if rec.seed != entry.seed:
             raise ConfigError(f"{entry.file}: seed disagrees with the manifest")
-        records.append(rec)
-    expect = manifest.region.positions()
-    got = [r.position for r in records]
-    if got != expect:
-        raise ConfigError("campaign records do not tile the region declared in the manifest")
-    return manifest, records
+        yield rec
+
+
+def load_campaign(dir_path) -> tuple[CampaignManifest, list[IQRecord]]:
+    """Load a campaign directory, checking every record against the manifest."""
+    manifest, records = _open_campaign(dir_path)
+    return manifest, list(records)
 
 
 def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign]:
-    """Rebuild a SoundingCampaign (records, symbols, system response) from disk."""
-    manifest, records = load_campaign(dir_path)
+    """Stream an on-disk ofdm campaign into a SoundingCampaign, one record file at a time."""
+    manifest, records = _open_campaign(dir_path)
     if manifest.mode != "ofdm":
         raise ConfigError(f"expected an ofdm campaign, found mode {manifest.mode!r}")
     num = manifest.scenario.numerology
@@ -406,6 +417,7 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
         carrier_hz=manifest.scenario.carrier_hz,
         sys_response=sys_resp,
         tx_power=manifest.tx_power,
+        num_records=len(manifest.records),
     )
     return manifest, campaign
 

@@ -4,6 +4,9 @@ The heavyweight campaign fixtures come from conftest: a noisy 27.5 GHz
 51x51 sweep and a noiseless 3.5 GHz 101x101 sweep of the hall path sets.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,18 +27,19 @@ from masim.estimator import (
     frequency_response,
     zf_weights,
 )
-from masim.harness import build_sounding_campaign
-from masim.signals import IQRecord, NoiseSpec, OfdmNumerology, add_noise, qpsk_symbols
+from masim.harness import build_sounding_campaign, iter_sounding_records
+from masim.presets import hall_psi_27p5ghz
+from masim.signals import IQRecord, NoiseSpec, OfdmNumerology, add_noise, derive_seed, qpsk_symbols
 
-from conftest import make_hi_scenario
+from conftest import get_hi_campaign, make_hi_scenario
 
 SMALL_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=64, num_symbols=16,
                            cp_duration_s=4.0 / (64 * 480e3))
 
 
-def small_campaign(psi, extent=0.02, step=1e-3, noise_power=0.0, seed=5, numerology=SMALL_NUM):
+def small_config(extent=0.02, step=1e-3, noise_power=0.0, seed=5, numerology=SMALL_NUM):
     cfg = make_hi_scenario(master_seed=seed, noise_power=noise_power)
-    cfg = type(cfg).from_json_dict(
+    return type(cfg).from_json_dict(
         {
             **cfg.to_json_dict(),
             "sounding_region": {
@@ -49,14 +53,23 @@ def small_campaign(psi, extent=0.02, step=1e-3, noise_power=0.0, seed=5, numerol
             },
         }
     )
-    return build_sounding_campaign(cfg, psi)
+
+
+def small_campaign(psi, **kwargs):
+    return build_sounding_campaign(small_config(**kwargs), psi)
+
+
+def tx_symbols_of(cfg):
+    num = cfg.numerology
+    return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
 
 
 def one_path_psi(el=3.0, az=2.0, delay=22.7e-9):
     return PathStateInfo(paths=(PathComponent(el, az, 1.0, delay),), carrier_hz=27.5e9)
 
 
-def noise_campaign(q_side=10, seed=3, power=0.5):
+def noise_campaign(q_side=10, seed=3, power=0.5, max_snapshots=128):
+    """Noise-only records on a q_side x q_side grid; power 0 gives all-zero samples."""
     spec = NoiseSpec(power, SMALL_NUM.sample_rate_hz)
     t = SMALL_NUM.sample_interval_s
     n = SMALL_NUM.frame_samples
@@ -72,7 +85,71 @@ def noise_campaign(q_side=10, seed=3, power=0.5):
         numerology=SMALL_NUM,
         tx_symbols=qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1),
         carrier_hz=27.5e9,
+        max_snapshots=max_snapshots,
     )
+
+
+def ripple_records():
+    """Records of a 4x4 sweep through a rippled system response, with the true responses.
+
+    Returns (records, tx_symbols, sys_response, truth), truth being the
+    (Q, I) channel frequency response before the system response.
+    """
+    num = SMALL_NUM
+    i_n, m_n = num.num_subcarriers, num.num_symbols
+    psi = PathStateInfo(
+        paths=(PathComponent(3.0, 2.0, 0.8, 22.7e-9), PathComponent(-5.0, 30.0, 0.5, 60e-9)),
+        carrier_hz=27.5e9,
+    )
+    idx = np.arange(i_n)
+    sys = (1.0 + 0.3 * np.cos(2 * np.pi * idx / i_n)) * np.exp(1j * 0.4 * np.sin(2 * np.pi * idx / i_n))
+    b = qpsk_symbols(i_n, m_n, seed=6)
+    lam = psi.wavelength_m
+    region = MovementRegion(0.003, 0.003, 1e-3, 1e-3)
+    records = []
+    truth = []
+    for k, pos in enumerate(region.positions()):
+        h_i = np.zeros(i_n, dtype=complex)
+        for p in psi.paths:
+            d = (pos.x_m * np.cos(np.radians(p.elevation_deg)) * np.sin(np.radians(p.azimuth_deg))
+                 + pos.y_m * np.sin(np.radians(p.elevation_deg)))
+            h_l = p.amplitude * np.exp(-2j * np.pi * (d / lam + psi.carrier_hz * p.delay_s))
+            h_i += h_l * np.exp(-2j * np.pi * idx * num.subcarrier_spacing_hz * p.delay_s)
+        truth.append(h_i)
+        payload = np.fft.ifft(b * sys[:, None] * h_i[:, None], axis=0) * i_n
+        frame = np.concatenate([payload[-num.cp_samples :, :], payload], axis=0)
+        records.append(IQRecord(pos, frame.T.reshape(-1), num.sample_interval_s, k))
+    return records, b, sys, np.array(truth)
+
+
+def oracle_raw_subcarrier_response(samples, num, tx_symbols, tx_power=1.0):
+    """The batched (Q, M, I) form of h_raw: per-symbol payload FFTs, equalized, symbol-averaged.
+
+    samples is the (Q, N) matrix of all record samples in (y, x) order.
+    """
+    i_n, m_n = num.num_subcarriers, num.num_symbols
+    y = samples.reshape(len(samples), m_n, num.samples_per_symbol)
+    payload = y[:, :, num.cp_samples:]
+    spec = np.fft.fft(payload, axis=2)  # (Q, M, I)
+    eq = spec / (i_n * math.sqrt(tx_power) * tx_symbols.T[None, :, :])
+    return np.mean(eq, axis=1)
+
+
+def oracle_snapshot_matrix(samples, num, max_snapshots=128):
+    """(n_snap, Q) matrix of received snapshots, CP samples excluded, from the (Q, N) samples."""
+    sym = num.samples_per_symbol
+    payload_idx = np.concatenate(
+        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
+    )
+    if max_snapshots < len(payload_idx):
+        sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, max_snapshots)).astype(int))
+        payload_idx = payload_idx[sel]
+    return samples[:, payload_idx].T
+
+
+def sorted_samples(records):
+    """(Q, N) samples of records in (y, x) order, the order a campaign sorts its rows into."""
+    return np.vstack([r.samples for r in sorted(records, key=lambda r: (r.position.y_m, r.position.x_m))])
 
 
 class TestAngleGrid:
@@ -86,8 +163,11 @@ class TestAngleGrid:
             AngleGrid(elevation_step_deg=0.7)
 
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            AngleGrid(azimuth_step_deg=0.0)
+        # nan died in round(180 / step); inf was accepted with elevations [nan]
+        for step in (0.0, math.nan, math.inf):
+            for axis in ("elevation_step_deg", "azimuth_step_deg"):
+                with pytest.raises(ValueError, match="angle steps"):
+                    AngleGrid(**{axis: step})
 
 
 class TestArrayResponse:
@@ -135,7 +215,7 @@ class TestPas:
         assert pas.azimuths_deg[ia] == 2.0
 
     def test_noise_only_is_flat(self):
-        pas = compute_pas(noise_campaign(), AngleGrid(2.0, 2.0), max_snapshots=1024)
+        pas = compute_pas(noise_campaign(max_snapshots=1024), AngleGrid(2.0, 2.0))
         ratio = float(np.max(pas.values) / np.min(pas.values))
         assert ratio < 2.0
 
@@ -144,9 +224,7 @@ class TestPas:
         assert np.all(pas.values >= 0.0)
 
     def test_zero_samples_give_zero_spectrum(self):
-        camp = noise_campaign(power=1e-12)
-        for rec in camp.records:
-            rec.samples[:] = 0.0
+        camp = noise_campaign(power=0.0)
         pas = compute_pas(camp, AngleGrid(5.0, 5.0))
         np.testing.assert_array_equal(pas.values, np.zeros_like(pas.values))
         assert find_paths(pas) == []
@@ -215,6 +293,13 @@ class TestFindPaths:
         pas = compute_pas(small_campaign(one_path_psi()))
         with pytest.raises(ValueError, match="max_paths"):
             find_paths(pas, max_paths=max_paths)
+
+    @pytest.mark.parametrize("prominence_db", [-5.0, math.nan, math.inf])
+    def test_rejects_bad_prominence(self, prominence_db):
+        # -5 and nan kept no peak ("no paths found"); inf kept zero-valued maxima
+        pas = compute_pas(small_campaign(one_path_psi(), extent=0.004), AngleGrid(10.0, 10.0))
+        with pytest.raises(ValueError, match="prominence_db"):
+            find_paths(pas, prominence_db=prominence_db)
 
     def test_prominence_threshold_drops_weak_paths(self, lo_campaign):
         # Table II peaks sit at 0, -0.4, -3.7, -11.6, -11.9 dB relative
@@ -287,35 +372,84 @@ class TestCalibration:
 
     def test_ripple_round_trip(self):
         # synthesize through a rippled system response, then calibrate it out
-        num = SMALL_NUM
-        i_n, m_n = num.num_subcarriers, num.num_symbols
-        psi = PathStateInfo(
-            paths=(PathComponent(3.0, 2.0, 0.8, 22.7e-9), PathComponent(-5.0, 30.0, 0.5, 60e-9)),
-            carrier_hz=27.5e9,
-        )
-        idx = np.arange(i_n)
-        sys = (1.0 + 0.3 * np.cos(2 * np.pi * idx / i_n)) * np.exp(1j * 0.4 * np.sin(2 * np.pi * idx / i_n))
-        b = qpsk_symbols(i_n, m_n, seed=6)
-        lam = psi.wavelength_m
-        region = MovementRegion(0.003, 0.003, 1e-3, 1e-3)
-        records = []
-        truth = []
-        for k, pos in enumerate(region.positions()):
-            h_i = np.zeros(i_n, dtype=complex)
-            for p in psi.paths:
-                d = (pos.x_m * np.cos(np.radians(p.elevation_deg)) * np.sin(np.radians(p.azimuth_deg))
-                     + pos.y_m * np.sin(np.radians(p.elevation_deg)))
-                h_l = p.amplitude * np.exp(-2j * np.pi * (d / lam + psi.carrier_hz * p.delay_s))
-                h_i += h_l * np.exp(-2j * np.pi * idx * num.subcarrier_spacing_hz * p.delay_s)
-            truth.append(h_i)
-            payload = np.fft.ifft(b * sys[:, None] * h_i[:, None], axis=0) * i_n
-            frame = np.concatenate([payload[-num.cp_samples :, :], payload], axis=0)
-            records.append(IQRecord(pos, frame.T.reshape(-1), num.sample_interval_s, k))
-        camp = SoundingCampaign(records=records, numerology=num, tx_symbols=b,
-                                carrier_hz=psi.carrier_hz, sys_response=sys)
+        records, b, sys, truth = ripple_records()
+        camp = SoundingCampaign(records=records, numerology=SMALL_NUM, tx_symbols=b,
+                                carrier_hz=27.5e9, sys_response=sys)
         h_freq, usable = frequency_response(camp)
         assert usable.all()
-        np.testing.assert_allclose(h_freq, np.array(truth), atol=1e-9)
+        np.testing.assert_allclose(h_freq, truth, atol=1e-9)
+
+
+STREAM_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=64, num_symbols=256,
+                             cp_duration_s=4.0 / (64 * 480e3))
+
+
+def stream_records(count=64, seed=0):
+    """Noisy records of STREAM_NUM on an 8-wide grid, made one at a time."""
+    spec = NoiseSpec(0.5, STREAM_NUM.sample_rate_hz)
+    zeros = np.zeros(STREAM_NUM.frame_samples, dtype=complex)
+    for k in range(count):
+        pos = Position((k % 8) * 1e-3, (k // 8) * 1e-3)
+        yield IQRecord(pos, add_noise(zeros, spec, seed + k), STREAM_NUM.sample_interval_s, k)
+
+
+def stream_campaign(records, **kwargs):
+    tx = qpsk_symbols(STREAM_NUM.num_subcarriers, STREAM_NUM.num_symbols, 1)
+    return SoundingCampaign(records=records, numerology=STREAM_NUM, tx_symbols=tx, carrier_hz=27.5e9, **kwargs)
+
+
+class TestStreamedReductions:
+    """Per-record reductions equal, bit for bit, the batched reductions of the (Q, N) samples."""
+
+    def test_hi_campaign_matches_batched_oracle(self):
+        cfg = make_hi_scenario()  # the configuration of get_hi_campaign()
+        tx = tx_symbols_of(cfg)
+        samples = sorted_samples(list(iter_sounding_records(cfg, hall_psi_27p5ghz(), tx)))
+        camp = get_hi_campaign()
+        assert np.array_equal(camp.h_raw, oracle_raw_subcarrier_response(samples, cfg.numerology, tx))
+        assert np.array_equal(camp.samples_matrix(), oracle_snapshot_matrix(samples, cfg.numerology).T)
+
+    def test_sys_response_campaign_matches_batched_oracle(self):
+        records, b, sys, _ = ripple_records()
+        # reversed capture order exercises the (y, x) sort
+        camp = SoundingCampaign(records=records[::-1], numerology=SMALL_NUM, tx_symbols=b,
+                                carrier_hz=27.5e9, sys_response=sys, max_snapshots=200)
+        samples = sorted_samples(records)
+        assert np.array_equal(camp.h_raw, oracle_raw_subcarrier_response(samples, SMALL_NUM, b))
+        assert np.array_equal(camp.samples_matrix(), oracle_snapshot_matrix(samples, SMALL_NUM, 200).T)
+        assert np.array_equal(camp.positions_array(), np.array([[r.position.x_m, r.position.y_m] for r in records]))
+
+    def test_preallocated_rows_match_collected_rows(self):
+        a = stream_campaign(stream_records())
+        b = stream_campaign(stream_records(), num_records=64)
+        assert np.array_equal(a.h_raw, b.h_raw)
+        assert np.array_equal(a.samples_matrix(), b.samples_matrix())
+
+    @pytest.mark.parametrize("announced", [63, 65])
+    def test_announced_count_must_match(self, announced):
+        with pytest.raises(ValueError, match="announced"):
+            stream_campaign(stream_records(), num_records=announced)
+
+    def test_rejects_zero_snapshots(self):
+        # 0 used to be accepted, leaving an all-zero PAS with no paths in it
+        with pytest.raises(ValueError, match="max_snapshots"):
+            stream_campaign(stream_records(count=2), max_snapshots=0)
+
+    def test_memory_bounded_by_a_few_records(self):
+        # keeping the 64 records would cost 64 records' bytes; the reductions
+        # are under 1 record's worth (1 KiB of h_raw, 2 KiB of snapshots each)
+        def traced_peak(consume):
+            tracemalloc.start()
+            try:
+                consume(stream_records())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        record_bytes = STREAM_NUM.frame_samples * 16
+        making = traced_peak(lambda records: all(records))  # synthesis of one record at a time
+        building = traced_peak(stream_campaign)
+        assert building - making < 4 * record_bytes, f"{(building - making) / record_bytes:.1f} records over synthesis"
 
 
 class TestDelayAmplitude:
@@ -369,17 +503,17 @@ class TestPds:
 
 class TestEstimatePsi:
     def test_record_order_irrelevant(self):
-        camp = small_campaign(one_path_psi(), noise_power=0.01, seed=13)
-        est1 = estimate_psi(camp)
-        rng = np.random.default_rng(0)
-        shuffled = list(camp.records)
-        rng.shuffle(shuffled)
+        cfg = small_config(noise_power=0.01, seed=13)
+        psi = one_path_psi()
+        tx = tx_symbols_of(cfg)
+        est1 = estimate_psi(build_sounding_campaign(cfg, psi))
+        shuffled = list(iter_sounding_records(cfg, psi, tx))
+        np.random.default_rng(0).shuffle(shuffled)
         camp2 = SoundingCampaign(
             records=shuffled,
-            numerology=camp.numerology,
-            tx_symbols=camp.tx_symbols,
-            carrier_hz=camp.carrier_hz,
-            tx_power=camp.tx_power,
+            numerology=cfg.numerology,
+            tx_symbols=tx,
+            carrier_hz=cfg.carrier_hz,
         )
         est2 = estimate_psi(camp2)
         assert est1 == est2
@@ -391,9 +525,7 @@ class TestEstimatePsi:
         assert est1 == est2
 
     def test_empty_spectrum_raises(self):
-        camp = noise_campaign(power=1e-12)
-        for rec in camp.records:
-            rec.samples[:] = 0.0
+        camp = noise_campaign(power=0.0)
         with pytest.raises(ValueError, match="no paths|noise floor"):
             estimate_psi(camp, AngleGrid(10.0, 10.0))
 

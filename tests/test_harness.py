@@ -196,8 +196,11 @@ class TestSoundingSynthesis:
     def test_noise_seeds_are_position_indexed(self):
         cfg = pipeline_config()
         psi = hall_psi_27p5ghz()
-        camp = build_sounding_campaign(cfg, psi)
-        for i, rec in enumerate(camp.records):
+        num = cfg.numerology
+        tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
+        positions = cfg.sounding_region.positions()
+        for i, rec in enumerate(iter_sounding_records(cfg, psi, tx)):
+            assert rec.position == positions[i]
             assert rec.seed == derive_seed(cfg.master_seed, "sound", i)
 
 
@@ -222,9 +225,12 @@ class TestCampaignFiles:
         assert manifest.mode == "ofdm"
         reference = build_sounding_campaign(cfg, psi)
         np.testing.assert_array_equal(campaign.tx_symbols, reference.tx_symbols)
-        np.testing.assert_allclose(
-            campaign.samples_matrix(), reference.samples_matrix(), atol=1e-12
-        )
+        _, records = load_campaign(cdir)
+        for got, expect in zip(records, iter_sounding_records(cfg, psi, reference.tx_symbols), strict=True):
+            np.testing.assert_allclose(got.samples, expect.samples, atol=1e-12)
+        np.testing.assert_array_equal(campaign.positions_array(), reference.positions_array())
+        np.testing.assert_array_equal(campaign.samples_matrix(), reference.samples_matrix())
+        np.testing.assert_array_equal(campaign.h_raw, reference.h_raw)
 
     def test_manifest_rejects_tampered_scenario(self, tmp_path):
         cfg = pipeline_config()
@@ -475,6 +481,22 @@ class TestCli:
         campaign = str(five_stage_run.artifacts["sounding_campaign"])
         assert cli_main(["estimate", "--campaign", campaign, "--max-paths=-1", "--out", str(out)]) == 2
         assert "max_paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_rejects_negative_prominence(self, five_stage_run, tmp_path, capsys):
+        # -5 used to exit 2 with the misleading "no paths found in the angular spectrum"
+        out = tmp_path / "est.json"
+        campaign = str(five_stage_run.artifacts["sounding_campaign"])
+        assert cli_main(["estimate", "--campaign", campaign, "--prominence-db=-5", "--out", str(out)]) == 2
+        assert "prominence_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_rejects_nan_angle_step(self, five_stage_run, tmp_path, capsys):
+        # nan used to exit 2 with "cannot convert float NaN to integer"
+        out = tmp_path / "est.json"
+        campaign = str(five_stage_run.artifacts["sounding_campaign"])
+        assert cli_main(["estimate", "--campaign", campaign, "--el-step=nan", "--out", str(out)]) == 2
+        assert "angle step" in capsys.readouterr().err
         assert not out.exists()
 
     def test_optimize_matches_stage(self, five_stage_run, tmp_path):
