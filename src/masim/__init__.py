@@ -14,7 +14,6 @@ from .channel import (
     Position,
     channel_response,
     gain_map,
-    small_scale_gain,
     to_db,
 )
 from .estimator import (
@@ -66,7 +65,6 @@ from .signals import (
     add_noise,
     apply_channel,
     derive_seed,
-    gen_ofdm,
     gen_tone,
     qpsk_symbols,
     read_iq_record,

@@ -11,7 +11,9 @@ and the narrowband channel seen at position r = (x, y) is
 
     h(r) = sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r)/lambda + fc*tau_l))
 
-The small-scale gain g(r) = |h(r)|^2 / beta is what the measurement campaign
+A subcarrier at offset f from the carrier sees fc + f in place of fc.
+channel_response evaluates this one formula for every caller. The
+small-scale gain g(r) = |h(r)|^2 / beta is what the measurement campaign
 maps over the region.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
@@ -98,18 +101,27 @@ class PathStateInfo:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT_M_PER_S / self.carrier_hz
 
-    @property
+    # the per-path arrays are built once per (immutable) path set and shared
+    # read-only, so a per-probe channel evaluation does not rebuild them
+
+    @cached_property
     def amplitudes(self) -> np.ndarray:
-        return np.array([p.amplitude for p in self.paths])
+        return _read_only([p.amplitude for p in self.paths])
 
-    @property
+    @cached_property
     def delays_s(self) -> np.ndarray:
-        return np.array([p.delay_s for p in self.paths])
+        return _read_only([p.delay_s for p in self.paths])
 
-    @property
+    @cached_property
     def directions(self) -> np.ndarray:
         """(L, 2) array of per-path direction coefficients (u, v)."""
-        return np.array([p.direction for p in self.paths])
+        return _read_only([p.direction for p in self.paths])
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -192,34 +204,26 @@ class MovementRegion(JsonCodec):
         )
 
 
-def path_distance_delta(path: PathComponent, position: Position) -> float:
-    """Propagation distance change d_l(r) of one path when the antenna sits at r."""
-    u, v = path.direction
-    return position.x_m * u + position.y_m * v
+def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.ndarray:
+    """The model's response h(r_q, fc + f_k) at Q positions and K frequency offsets, (Q, K).
 
-
-def field_response_vector(psi: PathStateInfo, position: Position) -> np.ndarray:
-    """Field response vector f(r), one unit-modulus entry exp(+j*2*pi*d_l(r)/lambda) per path."""
-    lam = psi.wavelength_m
-    d = psi.directions @ position.as_array()
-    return np.exp(2j * np.pi * d / lam)
-
-
-def path_coefficients(psi: PathStateInfo) -> np.ndarray:
-    """Per-path complex coefficients b_l = a_l * exp(-j*2*pi*fc*tau_l)."""
-    return psi.amplitudes * np.exp(-2j * np.pi * psi.carrier_hz * psi.delays_s)
-
-
-def channel_response(psi: PathStateInfo, position: Position) -> complex:
-    """Narrowband channel h(r) = sqrt(beta) * f(r)^H b."""
-    frv = field_response_vector(psi, position)
-    return complex(math.sqrt(psi.large_scale_gain) * np.vdot(frv, path_coefficients(psi)))
-
-
-def small_scale_gain(psi: PathStateInfo, position: Position) -> float:
-    """Small-scale gain g(r) = |h(r)|^2 / beta, in [0, (sum a_l)^2]."""
-    h = channel_response(psi, position)
-    return abs(h) ** 2 / psi.large_scale_gain
+    positions is anything reshapeable to (Q, 2) of (x, y) in meters. Entry
+    (q, k) is sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r_q)/lambda + (fc + f_k)*tau_l)),
+    evaluated as the (Q, L) steering phases times the (L, K) path
+    coefficients. This is the only place the model is evaluated: the tone
+    channel, the gain field and OFDM sounding all call it.
+    """
+    d = np.asarray(positions).reshape(-1, 2) @ psi.directions.T  # (Q, L) path distance deltas
+    steer = -2j * np.pi * d
+    steer /= psi.wavelength_m
+    np.exp(steer, out=steer)  # in place: on a gain map (Q, L) is the largest array
+    freqs = psi.carrier_hz + np.asarray(offsets_hz)[None, :]
+    coeff = (
+        math.sqrt(psi.large_scale_gain)
+        * psi.amplitudes[:, None]
+        * np.exp(-2j * np.pi * freqs * psi.delays_s[:, None])
+    )  # (L, K)
+    return steer @ coeff
 
 
 @dataclass(frozen=True)
@@ -262,36 +266,41 @@ def write_grid_csv(path, x_m, y_m, values, value_column: str) -> None:
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Read a gridded CSV back into (x_m, y_m, values, value_column)."""
+    """Read a gridded CSV back into (x_m, y_m, values, value_column).
+
+    Rows must be exactly what write_grid_csv writes: three columns, a
+    complete grid, row-major by y then x. Anything else is a ValueError.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["x_m", "y_m"] or len(header) != 3:
             raise ValueError(f"unexpected grid CSV header: {header}")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    xs = np.unique(rows[:, 0])
-    ys = np.unique(rows[:, 1])
-    if len(rows) != len(xs) * len(ys):
-        raise ValueError("grid CSV does not cover a complete grid")
-    values = rows[:, 2].reshape(len(ys), len(xs))
-    return xs, ys, values, header[2]
+        body = fh.read()
+    if not body.strip():
+        raise ValueError(f"grid CSV has no rows: {path}")
+    rows = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+    if rows.shape[1] != 3:
+        raise ValueError(f"grid CSV rows must have 3 columns, found {rows.shape[1]}: {path}")
+    xs, ys = row_major_axes(rows[:, 0], rows[:, 1], f"the rows of {path}")
+    return xs, ys, rows[:, 2].reshape(len(ys), len(xs)), header[2]
+
+
+def row_major_axes(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x values, y values) of the complete grid that points (x, y) list row-major by y then x.
+
+    Raises ValueError, naming the points as what, when they are not exactly
+    that grid in that order.
+    """
+    xs, ys = np.unique(x), np.unique(y)
+    if not (np.array_equal(x, np.tile(xs, len(ys))) and np.array_equal(y, np.repeat(ys, len(xs)))):
+        raise ValueError(f"{what} are not a complete grid listed row-major by y then x")
+    return xs, ys
 
 
 def gain_field(psi: PathStateInfo, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:
-    """Vectorized g(r) over the outer grid of x_m and y_m, returned as (n_y, n_x).
-
-    Equivalent to looping small_scale_gain over the grid; kept as one numpy
-    expression so large grids stay cheap and evaluation order deterministic.
-    """
-    lam = psi.wavelength_m
-    uv = psi.directions  # (L, 2)
-    taus = psi.delays_s
-    amps = psi.amplitudes
-    fc = psi.carrier_hz
-    # per-path phase in cycles: d_l(r)/lambda + fc*tau_l, shape (L, n_y, n_x)
-    d = uv[:, 0, None, None] * x_m[None, None, :] + uv[:, 1, None, None] * y_m[None, :, None]
-    cycles = d / lam + (fc * taus)[:, None, None]
-    field = np.sum(amps[:, None, None] * np.exp(-2j * np.pi * cycles), axis=0)
-    return np.abs(field) ** 2
+    """Small-scale gain g(r) = |h(r)|^2 / beta over the outer grid of x_m and y_m, (n_y, n_x)."""
+    h = channel_response(psi, np.stack(np.meshgrid(x_m, y_m), axis=-1))
+    return (np.abs(h) ** 2 / psi.large_scale_gain).reshape(len(y_m), len(x_m))
 
 
 def gain_map(psi: PathStateInfo, region: MovementRegion) -> GainMap:

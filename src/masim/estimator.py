@@ -32,9 +32,13 @@ import numpy as np
 from scipy import ndimage
 from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
-from .channel import PathComponent, PathStateInfo, Position, to_db
+from .channel import PathComponent, PathStateInfo, Position, row_major_axes, to_db
 from .codec import JsonCodec
 from .signals import IQRecord, OfdmNumerology
+
+
+PAS_TAPER_BETA = 2.8
+"""Kaiser window beta of the PAS aperture taper."""
 
 
 class DegenerateGeometryError(ValueError):
@@ -95,7 +99,8 @@ class SoundingCampaign:
     known transmit symbols and coherently averaged over the M symbols, the
     per-subcarrier response before system calibration. Rows are sorted
     stably into row-major (y, then x) order, so every estimate is
-    independent of the order records were captured or loaded in. When
+    independent of the order records were captured or loaded in; the
+    positions must then tile a complete grid, or ValueError is raised. When
     num_records is given, rows fill preallocated arrays and any other record
     count is an error. tx_symbols is the known (I, M) subcarrier grid;
     sys_response is the combined TX/RX system frequency response (None
@@ -163,6 +168,7 @@ class SoundingCampaign:
         order = np.lexsort((pos[:, 0], pos[:, 1]))  # stable, like sorted()
         if np.any(order != np.arange(len(order))):
             pos, h_raw = pos[order], h_raw[order]
+        self._axes = row_major_axes(pos[:, 0], pos[:, 1], "sounding positions")  # sorted rows
         self._positions = pos
         self.h_raw = h_raw  # (Q, I)
         self._snapshots, self._order = snaps, order
@@ -190,19 +196,9 @@ class SoundingCampaign:
             self._samples, self._snapshots = self._snapshots[self._order], None
         return self._samples
 
-    def grid_axes(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(x values, y values) when positions tile a complete grid, else None."""
-        pos = self._positions
-        xs = np.unique(pos[:, 0])
-        ys = np.unique(pos[:, 1])
-        if len(xs) * len(ys) != len(pos):
-            return None
-        # rows are (y, x) sorted, so a complete grid must match exactly
-        expect_x = np.tile(xs, len(ys))
-        expect_y = np.repeat(ys, len(xs))
-        if np.array_equal(pos[:, 0], expect_x) and np.array_equal(pos[:, 1], expect_y):
-            return xs, ys
-        return None
+    def grid_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x values, y values) of the complete grid the positions tile."""
+        return self._axes
 
 
 @dataclass(frozen=True)
@@ -301,20 +297,16 @@ class EstimatedPsi(JsonCodec):
         )
 
 
-def compute_pas(
-    campaign: SoundingCampaign,
-    grid: AngleGrid | None = None,
-    taper_beta: float | None = 2.8,
-) -> PasMatrix:
+def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> PasMatrix:
     """Power angular spectrum PAS(theta, phi) = f^H R f over the angle grid.
 
     R is the sample covariance of the campaign's retained snapshots: up to
     max_snapshots received time samples per position, evenly spread over the
-    frame, CP excluded. A separable Kaiser taper is applied across the
-    position grid before correlation; the rectangular aperture's -13 dB
-    sidelobes would otherwise masquerade as paths. Gridded campaigns use a
-    separable two-stage transform so large sweeps stay affordable; arbitrary
-    position sets fall back to a direct scan.
+    frame, CP excluded. A separable Kaiser taper (beta PAS_TAPER_BETA) is
+    applied across the position grid before correlation; the rectangular
+    aperture's -13 dB sidelobes would otherwise masquerade as paths. The scan
+    is a separable two-stage transform over the campaign's grid axes, so
+    large sweeps stay affordable.
     """
     grid = grid or AngleGrid()
     els = grid.elevations_deg()
@@ -323,36 +315,21 @@ def compute_pas(
     snaps = campaign.samples_matrix().T  # (n_snap, Q)
     n_snap = snaps.shape[0]
     el_rad = np.radians(els)
-    az_rad = np.radians(azs)
-    sin_az = np.sin(az_rad)
+    sin_az = np.sin(np.radians(azs))
 
-    axes = campaign.grid_axes()
+    xs, ys = campaign.grid_axes()
+    w2d = np.outer(np.kaiser(len(ys), PAS_TAPER_BETA), np.kaiser(len(xs), PAS_TAPER_BETA))
+    s3 = snaps.reshape(n_snap, len(ys), len(xs)) * w2d[None, :, :]
+    # stage 1: collapse y for every elevation, C[e, n, x]
+    e_y = np.exp(2j * np.pi * np.outer(np.sin(el_rad), ys) / lam)
+    c = np.tensordot(e_y, s3, axes=([1], [1]))
+    # stage 2: per elevation row, collapse x for every azimuth
     pas = np.empty((len(els), len(azs)))
-    if axes is not None:
-        xs, ys = axes
-        if taper_beta is not None:
-            w2d = np.outer(np.kaiser(len(ys), taper_beta), np.kaiser(len(xs), taper_beta))
-        else:
-            w2d = np.ones((len(ys), len(xs)))
-        s3 = snaps.reshape(n_snap, len(ys), len(xs)) * w2d[None, :, :]
-        # stage 1: collapse y for every elevation, C[e, n, x]
-        e_y = np.exp(2j * np.pi * np.outer(np.sin(el_rad), ys) / lam)
-        c = np.tensordot(e_y, s3, axes=([1], [1]))
-        # stage 2: per elevation row, collapse x for every azimuth
-        for ie in range(len(els)):
-            u_row = math.cos(el_rad[ie]) * sin_az
-            e_x = np.exp(2j * np.pi * np.outer(u_row, xs) / lam)
-            t = e_x @ c[ie].T  # (n_az, n_snap)
-            pas[ie] = np.sum(np.abs(t) ** 2, axis=1)
-    else:
-        pos = campaign.positions_array()
-        y = snaps.T  # (Q, n_snap)
-        for ie in range(len(els)):
-            u_row = math.cos(el_rad[ie]) * sin_az
-            d = np.outer(u_row, pos[:, 0]) + math.sin(el_rad[ie]) * pos[None, :, 1]
-            a = np.exp(2j * np.pi * d / lam)  # conj of the array response
-            t = a @ y
-            pas[ie] = np.sum(np.abs(t) ** 2, axis=1)
+    for ie in range(len(els)):
+        u_row = math.cos(el_rad[ie]) * sin_az
+        e_x = np.exp(2j * np.pi * np.outer(u_row, xs) / lam)
+        t = e_x @ c[ie].T  # (n_az, n_snap)
+        pas[ie] = np.sum(np.abs(t) ** 2, axis=1)
     return PasMatrix(values=pas, elevations_deg=els, azimuths_deg=azs)
 
 
@@ -561,7 +538,6 @@ def estimate_psi(
     grid: AngleGrid | None = None,
     max_paths: int = 8,
     prominence_db: float = 20.0,
-    taper_beta: float | None = 2.8,
     oversample: int = 8,
     pas: PasMatrix | None = None,
 ) -> EstimatedPsi:
@@ -572,7 +548,7 @@ def estimate_psi(
     """
     grid = grid or AngleGrid()
     if pas is None:
-        pas = compute_pas(campaign, grid, taper_beta=taper_beta)
+        pas = compute_pas(campaign, grid)
     peaks = find_paths(pas, max_paths=max_paths, prominence_db=prominence_db)
     if not peaks:
         raise ValueError("no paths found in the angular spectrum")

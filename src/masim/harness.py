@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import shutil
 from collections.abc import Callable, Iterator
@@ -34,6 +33,7 @@ from .channel import (
     MovementRegion,
     PathStateInfo,
     Position,
+    channel_response,
     gain_map,
     read_grid_csv,
 )
@@ -213,35 +213,25 @@ def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo):
     noise = NoiseSpec(cfg.noise_power, cfg.bandwidth_hz)
     for i, pos in enumerate(cfg.region.positions()):
         seed = derive_seed(cfg.master_seed, "tone", i)
-        rx = apply_channel(tone, psi, pos, t, mode="tone")
+        rx = apply_channel(tone, psi, pos)
         yield IQRecord(position=pos, samples=add_noise(rx, noise, seed), sample_interval_s=t, seed=seed)
 
 
-def _sounding_frames(psi, positions, numerology, tx_symbols, tx_power=1.0):
+def _sounding_frames(psi, positions, numerology, tx_symbols):
     """Noiseless received OFDM frames for a block of positions, (Q, frame_samples).
 
     Frequency-domain synthesis: the per-position channel response on the I
-    occupied bins is applied per symbol and inverted in one batched IFFT.
-    Matches apply_channel(mode="ofdm") at the numerology's native rate.
+    occupied subcarriers, from channel_response, multiplies each symbol's
+    subcarrier grid; one batched IFFT per symbol gives its payload, and the
+    last cp_samples of the payload are prepended as the cyclic prefix.
     """
-    lam = psi.wavelength_m
     n_sub = numerology.num_subcarriers
-    df = numerology.subcarrier_spacing_hz
-    d = positions @ psi.directions.T  # (Q, L) path distance deltas
-    steer = np.exp(-2j * np.pi * d / lam)
-    i_idx = np.arange(n_sub)
-    coeff = (
-        math.sqrt(psi.large_scale_gain)
-        * psi.amplitudes[:, None]
-        * np.exp(-2j * np.pi * (psi.carrier_hz + i_idx[None, :] * df) * psi.delays_s[:, None])
-    )  # (L, I)
-    h_freq = steer @ coeff  # (Q, I)
+    h_freq = channel_response(psi, positions, np.arange(n_sub) * numerology.subcarrier_spacing_hz)  # (Q, I)
     n_cp = numerology.cp_samples
     sym_len = n_sub + n_cp
-    scale = n_sub * math.sqrt(tx_power)
     frames = np.empty((len(positions), numerology.frame_samples), dtype=np.complex128)
     for m in range(numerology.num_symbols):
-        payload = np.fft.ifft(tx_symbols[:, m][None, :] * h_freq, axis=1) * scale
+        payload = np.fft.ifft(tx_symbols[:, m][None, :] * h_freq, axis=1) * n_sub
         frames[:, m * sym_len : m * sym_len + n_cp] = payload[:, n_sub - n_cp :]
         frames[:, m * sym_len + n_cp : (m + 1) * sym_len] = payload
     return frames
@@ -423,12 +413,12 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
 
 
 def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> PowerMap:
-    """Meter every record of an on-disk tone campaign with the single-bin DFT.
+    """Meter every record of an on-disk tone campaign with the single-bin DFT, one record file at a time.
 
     fft_size is the bin grid Ns (default: next power of two >= 8N); each
     record reads the tone's bin of that grid, as a zero-padded Ns-point FFT would.
     """
-    manifest, records = load_campaign(dir_path)
+    manifest, records = _open_campaign(dir_path)
     if manifest.mode != "tone":
         raise ConfigError(f"expected a tone campaign, found mode {manifest.mode!r}")
     f0 = manifest.scenario.tone_f0_hz if f0_hz is None else f0_hz

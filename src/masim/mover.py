@@ -105,7 +105,6 @@ class SimulatedSlideTrack:
         f0_hz: float,
         num_samples: int,
         master_seed: int,
-        tx_power: float = 1.0,
     ):
         self.psi = psi
         self.region = region
@@ -113,7 +112,6 @@ class SimulatedSlideTrack:
         self.f0_hz = f0_hz
         self.num_samples = num_samples
         self.master_seed = master_seed
-        self.tx_power = tx_power
         self.sample_interval_s = 1.0 / noise.bandwidth_hz
         self.events: list[tuple[str, Position]] = []
         self._position: Position | None = None
@@ -134,7 +132,7 @@ class SimulatedSlideTrack:
         self.events.append(("measure", self._position))
         seed = derive_seed(self.master_seed, "probe", self._probes)
         self._probes += 1
-        rx = apply_channel(self._tone, self.psi, self._position, self.sample_interval_s, tx_power=self.tx_power)
+        rx = apply_channel(self._tone, self.psi, self._position)
         rec = IQRecord(
             position=self._position,
             samples=add_noise(rx, self.noise, seed),

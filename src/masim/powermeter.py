@@ -16,6 +16,7 @@ integration over N samples buys ~10*log10(N) of SNR against white noise.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,30 +113,35 @@ class PowerMap:
         write_grid_csv(path, self.x_m, self.y_m, self.values_dbr, "power_dbr")
 
 
-def sweep_measure(records: list[IQRecord], f0_hz: float, fft_size: int | None = None) -> PowerMap:
-    """Measure every record of a tone campaign and assemble the grid power map.
+def sweep_measure(records: Iterable[IQRecord], f0_hz: float, fft_size: int | None = None) -> PowerMap:
+    """Meter every record of a tone campaign and assemble the grid power map.
 
-    All records must share the sample interval and length, and their
-    positions must tile a complete rectangular grid.
+    records is any iterable, consumed once, one record at a time; only each
+    record's position and power are kept. All records must share the sample
+    interval and length, and their positions must tile a complete
+    rectangular grid.
     """
-    if len(records) == 0:
-        raise ValueError("no records to measure")
-    t0 = records[0].sample_interval_s
-    n0 = records[0].num_samples
+    xy, powers = [], []
     for rec in records:
-        if rec.sample_interval_s != t0 or rec.num_samples != n0:
+        if not xy:
+            t0, n0 = rec.sample_interval_s, rec.num_samples
+        elif rec.sample_interval_s != t0 or rec.num_samples != n0:
             raise ValueError("records disagree on sample interval or length")
+        xy.append((rec.position.x_m, rec.position.y_m))
+        powers.append(measure_power(rec, f0_hz, fft_size).power_db)
+    if not xy:
+        raise ValueError("no records to measure")
 
-    xs = np.unique([rec.position.x_m for rec in records])
-    ys = np.unique([rec.position.y_m for rec in records])
-    if len(xs) * len(ys) != len(records):
+    pos = np.array(xy)
+    xs = np.unique(pos[:, 0])
+    ys = np.unique(pos[:, 1])
+    if len(xs) * len(ys) != len(pos):
         raise ValueError("record positions do not tile a complete grid")
     values = np.full((len(ys), len(xs)), np.nan)
-    for rec in records:
-        m = measure_power(rec, f0_hz, fft_size)
-        iy = int(np.searchsorted(ys, rec.position.y_m))
-        ix = int(np.searchsorted(xs, rec.position.x_m))
+    for (x, y), power in zip(xy, powers):
+        iy = int(np.searchsorted(ys, y))
+        ix = int(np.searchsorted(xs, x))
         if not np.isnan(values[iy, ix]):
-            raise ValueError(f"duplicate record position {rec.position}")
-        values[iy, ix] = m.power_db
+            raise ValueError(f"duplicate record position {Position(x, y)}")
+        values[iy, ix] = power
     return PowerMap(x_m=xs, y_m=ys, values_dbr=values)

@@ -1,14 +1,15 @@
-"""Transmit waveforms, channel application, noise and IQ record files.
+"""Transmit waveforms, the tone channel, noise and IQ record files.
 
-Two probing waveforms are supported: a single complex tone for power
-measurement sweeps and a cyclic-prefixed OFDM frame for channel sounding.
-Synthetic IQ captures are stored as little-endian binary records so a
-campaign (one record per grid position) can be replayed deterministically.
+The power meter probes with a single complex tone (gen_tone), passed
+through the narrowband channel by apply_channel. The sounder's
+cyclic-prefixed OFDM frames carry a seeded QPSK subcarrier grid
+(qpsk_symbols) and are synthesized in harness._sounding_frames. Synthetic
+IQ captures are stored as little-endian binary records so a campaign (one
+record per grid position) can be replayed deterministically.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -211,95 +212,14 @@ def qpsk_symbols(num_subcarriers: int, num_symbols: int, seed: int) -> np.ndarra
     return (re + 1j * im) / np.sqrt(2.0 * num_subcarriers)
 
 
-def gen_ofdm(numerology: OfdmNumerology, symbols, sample_rate_hz: float | None = None):
-    """Build a CP-OFDM frame.
+def apply_channel(tx: np.ndarray, psi: PathStateInfo, position: Position, tx_power: float = 1.0) -> np.ndarray:
+    """Narrowband flat fading at one position: y = h(r) * sqrt(pt) * tx.
 
-    symbols is either an int seed for QPSK or an explicit (I, M) complex
-    grid. Returns (samples, symbol_grid). Each symbol's first cp_samples
-    samples are an exact copy of its last cp_samples (circular extension).
+    Path delays act only through the carrier phase inside h(r). OFDM
+    sounding applies the per-subcarrier response in harness._sounding_frames.
     """
-    I = numerology.num_subcarriers
-    M = numerology.num_symbols
-    if isinstance(symbols, (int, np.integer)):
-        b = qpsk_symbols(I, M, int(symbols))
-    else:
-        b = np.asarray(symbols, dtype=np.complex128)
-        if b.shape != (I, M):
-            raise ValueError(f"symbol grid must be shape ({I}, {M}), got {b.shape}")
-    fs = numerology.sample_rate_hz if sample_rate_hz is None else float(sample_rate_hz)
-    p = fs / numerology.subcarrier_spacing_hz
-    if abs(p - round(p)) > 1e-6:
-        raise ValueError("sample rate must be an integer multiple of the subcarrier spacing")
-    p = int(round(p))
-    if p < I:
-        raise ValueError(f"sample rate {fs} cannot carry {I} subcarriers")
-    n_cp = numerology.cp_duration_s * fs
-    if abs(n_cp - round(n_cp)) > 1e-6:
-        raise ValueError("cp duration must be an integer number of samples at the chosen rate")
-    n_cp = int(round(n_cp))
-
-    spec = np.zeros((M, p), dtype=np.complex128)
-    spec[:, :I] = b.T
-    payload = np.fft.ifft(spec, axis=1) * p  # payload[m, k] = sum_i b[i,m] exp(j*2*pi*i*k/p)
-    frame = np.concatenate([payload[:, p - n_cp:], payload], axis=1)
-    return frame.reshape(-1), b
-
-
-def apply_channel(
-    tx: np.ndarray,
-    psi: PathStateInfo,
-    position: Position,
-    sample_interval_s: float,
-    mode: str = "tone",
-    numerology: OfdmNumerology | None = None,
-    tx_power: float = 1.0,
-) -> np.ndarray:
-    """Propagate a transmit buffer through the multipath channel at one position.
-
-    mode "tone": narrowband flat fading, y = h(r) * sqrt(pt) * tx. Path delays
-    act only through the carrier phase already inside h(r).
-
-    mode "ofdm": per-symbol circular convolution, realized as the per-
-    subcarrier phase exp(-j*2*pi*i*df*tau_l). Requires the numerology used to
-    build tx and delays shorter than the cyclic prefix.
-    """
-    tx = np.asarray(tx, dtype=np.complex128)
-    amp = np.sqrt(tx_power)
-    if mode == "tone":
-        return channel_response(psi, position) * amp * tx
-
-    lam = psi.wavelength_m
-    d = psi.directions @ position.as_array()
-    h_l = (
-        math.sqrt(psi.large_scale_gain)
-        * psi.amplitudes
-        * np.exp(-2j * np.pi * (d / lam + psi.carrier_hz * psi.delays_s))
-    )
-
-    if mode == "ofdm":
-        if numerology is None:
-            raise ValueError("ofdm mode requires the numerology used to build tx")
-        fs = 1.0 / sample_interval_s
-        p = int(round(fs / numerology.subcarrier_spacing_hz))
-        n_cp = int(round(numerology.cp_duration_s * fs))
-        sym_len = p + n_cp
-        if len(tx) % sym_len != 0:
-            raise ValueError("tx length is not a whole number of OFDM symbols")
-        cp_span = numerology.cp_duration_s
-        if np.any(psi.delays_s > cp_span):
-            raise ValueError("path delay exceeds the cyclic prefix")
-        df = numerology.subcarrier_spacing_hz
-        i_idx = np.arange(p)
-        # channel frequency response on the synthesis bins
-        resp = np.sum(h_l[:, None] * np.exp(-2j * np.pi * i_idx[None, :] * df * psi.delays_s[:, None]), axis=0)
-        frame = tx.reshape(-1, sym_len)
-        payload = frame[:, n_cp:]
-        spec = np.fft.fft(payload, axis=1) * resp[None, :]
-        out_payload = np.fft.ifft(spec, axis=1) * amp
-        out = np.concatenate([out_payload[:, p - n_cp:], out_payload], axis=1)
-        return out.reshape(-1)
-
-    raise ValueError(f"unknown apply_channel mode: {mode}")
+    h = channel_response(psi, position.as_array())[0, 0]
+    return h * np.sqrt(tx_power) * np.asarray(tx, dtype=np.complex128)
 
 
 def add_noise(samples: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:

@@ -12,13 +12,7 @@ import time
 
 import numpy as np
 
-from masim.channel import (
-    MovementRegion,
-    Position,
-    channel_response,
-    gain_map,
-    small_scale_gain,
-)
+from masim.channel import MovementRegion, Position, channel_response, gain_field, gain_map
 from masim.estimator import array_response, compute_pds, estimate_psi, zf_weights
 from masim.harness import ScenarioConfig, run_pipeline
 from masim.mover import SimulatedSlideTrack, brute_force_best, optimize
@@ -189,16 +183,16 @@ def test_05_tone_power_meter(capsys):
     best_pos, _ = brute_force_best(psi, MMWAVE_REGION)
     rel_err = 0.0
     for pos, pt in ((best_pos, 1.0), (Position(1e-3, 1e-3), 2.0)):
-        rx = apply_channel(tone, psi, pos, t, tx_power=pt)
+        rx = apply_channel(tone, psi, pos, tx_power=pt)
         rec = IQRecord(position=pos, samples=rx, sample_interval_s=t, seed=0)
-        expect = abs(channel_response(psi, pos)) ** 2 * pt
+        expect = abs(channel_response(psi, pos.as_array())[0, 0]) ** 2 * pt
         got = measure_power(rec, f0).power_linear
         rel_err = max(rel_err, abs(got - expect) / expect)
 
     # 20 dB SNR Monte Carlo: mean absolute dB error under 0.1 dB
     pos = Position(1e-3, 1e-3)
-    rx_clean = apply_channel(tone, psi, pos, t)
-    sig_power = abs(channel_response(psi, pos)) ** 2
+    rx_clean = apply_channel(tone, psi, pos)
+    sig_power = abs(channel_response(psi, pos.as_array())[0, 0]) ** 2
     spec = NoiseSpec(power=sig_power / 100.0, bandwidth_hz=1.0 / t)
     true_db = 10.0 * math.log10(sig_power)
     errors = np.empty(1000)
@@ -254,7 +248,7 @@ def test_07_power_map_matches_gain_map(capsys):
     f0, n, t = 50e6, 1024, 1.0 / 400e6
     tone = gen_tone(f0, n, t)
     records = [
-        IQRecord(position=pos, samples=apply_channel(tone, psi, pos, t, tx_power=pt), sample_interval_s=t, seed=0)
+        IQRecord(position=pos, samples=apply_channel(tone, psi, pos, tx_power=pt), sample_interval_s=t, seed=0)
         for pos in MMWAVE_REGION.positions()
     ]
     pm = sweep_measure(records, f0)
@@ -294,7 +288,8 @@ def test_08_two_stage_positioning(capsys):
     )
     result = optimize(psi, MMWAVE_REGION, track, refine_step_m=0.5e-3, budget=50)
     _, best_gain = brute_force_best(psi, MMWAVE_REGION)
-    achieved = small_scale_gain(psi, result.final_position)
+    final = result.final_position
+    achieved = float(gain_field(psi, np.array([final.x_m]), np.array([final.y_m]))[0, 0])
     gap_db = 10.0 * math.log10(best_gain / achieved)
     budget_frac = result.measurements_used / MMWAVE_REGION.num_points
     kinds = [k for k, _ in track.events]

@@ -18,13 +18,9 @@ from masim.channel import (
     PathStateInfo,
     Position,
     channel_response,
-    field_response_vector,
     gain_field,
     gain_map,
-    path_coefficients,
-    path_distance_delta,
     read_grid_csv,
-    small_scale_gain,
     to_db,
     write_grid_csv,
 )
@@ -43,6 +39,42 @@ def table3():
     )
 
 
+def h_at(psi, pos):
+    """Narrowband response h(r) at one position."""
+    return complex(channel_response(psi, [[pos.x_m, pos.y_m]])[0, 0])
+
+
+def gain_at(psi, pos):
+    """Small-scale gain g(r) = |h(r)|^2 / beta at one position."""
+    return float(gain_field(psi, np.array([pos.x_m]), np.array([pos.y_m]))[0, 0])
+
+
+def distance_delta(path, pos):
+    """d_l(r) of one path, as the model computes it: (x, y) against the direction (u, v)."""
+    psi = PathStateInfo(paths=(path,), carrier_hz=27.5e9)
+    return float((np.array([[pos.x_m, pos.y_m]]) @ psi.directions.T)[0, 0])
+
+
+def steering(psi, pos):
+    """Per-path steering phases exp(-j*2*pi*d_l(r)/lambda): each path alone, unit amplitude, zero delay."""
+    return np.array([
+        h_at(PathStateInfo(paths=(PathComponent(p.elevation_deg, p.azimuth_deg, 1.0, 0.0),),
+                           carrier_hz=psi.carrier_hz), pos)
+        for p in psi.paths
+    ])
+
+
+def loop_response(psi, x, y, offset_hz=0.0):
+    """sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r)/lambda + (fc + f)*tau_l)), one path at a time."""
+    h = 0j
+    for p in psi.paths:
+        el, az = math.radians(p.elevation_deg), math.radians(p.azimuth_deg)
+        d = x * math.cos(el) * math.sin(az) + y * math.sin(el)
+        cycles = d / psi.wavelength_m + (psi.carrier_hz + offset_hz) * p.delay_s
+        h += p.amplitude * complex(math.cos(2 * math.pi * cycles), -math.sin(2 * math.pi * cycles))
+    return math.sqrt(psi.large_scale_gain) * h
+
+
 def angles_strategy():
     return st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 
@@ -54,38 +86,38 @@ def finite(lo, hi):
 class TestGeometry:
     def test_distance_delta_reference(self):
         path = PathComponent(3.0, 2.0, 0.8886, 22.7e-9)
-        d = path_distance_delta(path, Position(0.005, -0.005))
+        d = distance_delta(path, Position(0.005, -0.005))
         assert d == pytest.approx(-8.7421440438782512e-05, abs=1e-18)
 
     def test_distance_delta_zero_at_reference_point(self):
         path = PathComponent(12.0, -31.0, 0.5, 10e-9)
-        assert path_distance_delta(path, Position(0.0, 0.0)) == 0.0
+        assert distance_delta(path, Position(0.0, 0.0)) == 0.0
 
     def test_broadside_path_ignores_x(self):
         # azimuth 0 and elevation 0: wavefront advances along neither axis
         path = PathComponent(0.0, 0.0, 1.0, 0.0)
-        assert path_distance_delta(path, Position(0.02, 0.0)) == 0.0
-        assert path_distance_delta(path, Position(0.0, 0.015)) == 0.0
+        assert distance_delta(path, Position(0.02, 0.0)) == 0.0
+        assert distance_delta(path, Position(0.0, 0.015)) == 0.0
 
     def test_wavelength(self):
         assert table3().wavelength_m == pytest.approx(LAMBDA_27P5, rel=1e-15)
 
 
 class TestFieldResponse:
+    """Field response f(r), entries exp(+j*2*pi*d_l(r)/lambda); the model steers with its conjugate."""
+
     def test_frozen_elements_at_1mm_1mm(self):
-        frv = field_response_vector(table3(), Position(0.001, 0.001))
-        expect = np.array(
+        frv = np.array(
             [
                 0.998737672566542641 + 0.0502300845745401737j,
                 0.918662514232639111 - 0.395043269710757309j,
                 0.894721618521262094 + 0.446624255219858327j,
             ]
         )
-        np.testing.assert_allclose(frv, expect, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(steering(table3(), Position(0.001, 0.001)), np.conj(frv), rtol=0, atol=1e-14)
 
     def test_reference_position_gives_ones(self):
-        frv = field_response_vector(table3(), Position(0.0, 0.0))
-        np.testing.assert_array_equal(frv, np.ones(3, dtype=complex))
+        np.testing.assert_array_equal(steering(table3(), Position(0.0, 0.0)), np.ones(3, dtype=complex))
 
     @settings(max_examples=60)
     @given(
@@ -96,8 +128,7 @@ class TestFieldResponse:
     )
     def test_unit_modulus(self, el, az, x, y):
         psi = PathStateInfo(paths=(PathComponent(el, az, 1.0, 0.0),), carrier_hz=27.5e9)
-        frv = field_response_vector(psi, Position(x, y))
-        assert abs(abs(frv[0]) - 1.0) < 1e-12
+        assert abs(abs(h_at(psi, Position(x, y))) - 1.0) < 1e-12
 
 
 class TestChannelResponse:
@@ -112,27 +143,28 @@ class TestChannelResponse:
             ),
             carrier_hz=3.5e9,
         )
-        h = channel_response(psi, Position(0.0, 0.0))
+        h = h_at(psi, Position(0.0, 0.0))
         # f_c*tau reaches ~140 cycles, so double evaluation of the phase
         # carries ~1e-13 of component error against the 40-digit reference
         assert h.real == pytest.approx(0.642226356996107206, abs=2e-12)
         assert h.imag == pytest.approx(0.744899248410220926, abs=2e-12)
 
     def test_frozen_27p5_at_1mm_1mm(self):
-        h = channel_response(table3(), Position(0.001, 0.001))
+        h = h_at(table3(), Position(0.001, 0.001))
         assert h.real == pytest.approx(0.093300745759612692, abs=2e-12)
         assert h.imag == pytest.approx(-0.709374502339420171, abs=2e-12)
 
     def test_origin_reduces_to_coefficient_sum(self):
         psi = table3()
-        h = channel_response(psi, Position(0.0, 0.0))
-        assert h == pytest.approx(np.sum(path_coefficients(psi)), abs=1e-15)
+        h = h_at(psi, Position(0.0, 0.0))
+        coefficients = psi.amplitudes * np.exp(-2j * np.pi * psi.carrier_hz * psi.delays_s)
+        assert h == pytest.approx(np.sum(coefficients), abs=1e-15)
 
     def test_large_scale_gain_scales_amplitude(self):
         psi = table3()
         psi4 = PathStateInfo(paths=psi.paths, carrier_hz=psi.carrier_hz, large_scale_gain=4.0)
         pos = Position(0.003, 0.007)
-        assert channel_response(psi4, pos) == pytest.approx(2.0 * channel_response(psi, pos), rel=1e-14)
+        assert h_at(psi4, pos) == pytest.approx(2.0 * h_at(psi, pos), rel=1e-14)
 
     @settings(max_examples=40)
     @given(shift_ns=finite(-22.0, 100.0), x=finite(0.0, 0.05), y=finite(0.0, 0.05))
@@ -148,8 +180,8 @@ class TestChannelResponse:
             carrier_hz=psi.carrier_hz,
         )
         pos = Position(x, y)
-        g0 = small_scale_gain(psi, pos)
-        g1 = small_scale_gain(shifted, pos)
+        g0 = gain_at(psi, pos)
+        g1 = gain_at(shifted, pos)
         assert g1 == pytest.approx(g0, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=60)
@@ -157,13 +189,35 @@ class TestChannelResponse:
     def test_gain_bounded_by_coherent_sum(self, x, y):
         psi = table3()
         bound = sum(p.amplitude for p in psi.paths) ** 2
-        assert small_scale_gain(psi, Position(x, y)) <= bound + 1e-9
+        assert gain_at(psi, Position(x, y)) <= bound + 1e-9
 
     def test_gain_excludes_large_scale_factor(self):
         psi = table3()
         psi9 = PathStateInfo(paths=psi.paths, carrier_hz=psi.carrier_hz, large_scale_gain=9.0)
         pos = Position(0.011, 0.002)
-        assert small_scale_gain(psi9, pos) == pytest.approx(small_scale_gain(psi, pos), rel=1e-12)
+        assert gain_at(psi9, pos) == pytest.approx(gain_at(psi, pos), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_path_loop(self, data):
+        # the (Q, L) x (L, K) kernel against the model written out one path,
+        # one position and one frequency offset at a time
+        n_paths = data.draw(st.integers(1, 4))
+        paths = tuple(
+            PathComponent(data.draw(angles_strategy()), data.draw(angles_strategy()),
+                          data.draw(finite(0.0, 2.0)), data.draw(finite(0.0, 100e-9)))
+            for _ in range(n_paths)
+        )
+        psi = PathStateInfo(paths=paths, carrier_hz=data.draw(finite(1e9, 60e9)),
+                            large_scale_gain=data.draw(finite(1.5, 10.0)))
+        xy = data.draw(st.lists(st.tuples(finite(-0.5, 0.5), finite(-0.5, 0.5)), min_size=1, max_size=4))
+        offsets = data.draw(st.lists(finite(-200e6, 200e6), min_size=1, max_size=4))
+        got = channel_response(psi, xy, offsets)
+        assert got.shape == (len(xy), len(offsets))
+        expect = np.array([[loop_response(psi, x, y, f) for f in offsets] for x, y in xy])
+        # phases reach ~6000 cycles, so the two evaluation orders part at ~1e-11
+        scale = math.sqrt(psi.large_scale_gain) * sum(p.amplitude for p in paths)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9 * scale)
 
 
 class TestPsiValidation:
@@ -237,7 +291,7 @@ class TestGainMaps:
         field = gain_field(psi, xs, ys)
         for iy, y in enumerate(ys):
             for ix, x in enumerate(xs):
-                assert field[iy, ix] == pytest.approx(small_scale_gain(psi, Position(x, y)), rel=1e-9)
+                assert field[iy, ix] == pytest.approx(abs(loop_response(psi, x, y)) ** 2, rel=1e-9)
 
     def test_map_argmax_matches_values(self):
         gm = gain_map(table3(), MovementRegion(0.05, 0.05, 2.5e-3, 2.5e-3))
@@ -260,6 +314,19 @@ class TestGainMaps:
         write_grid_csv(path, np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((2, 2)), "gain_db")
         text = path.read_text().splitlines()
         path.write_text("\n".join(text[:-1]) + "\n")  # drop one point
+        with pytest.raises(ValueError):
+            read_grid_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        "",  # header only
+        "0,0,1\n0,0.001,2\n0.001,0,3\n0.001,0.001,4\n",  # x-major: would be read transposed
+        "0,0,1\n0,0,2\n0.001,0.001,3\n0.001,0.001,4\n",  # duplicates posing as a 2 x 2 grid
+        "0,0\n0.001,0\n",  # two columns
+        "0,0,1,5\n0.001,0,2,6\n",  # four columns
+    ], ids=["header_only", "x_major", "duplicated", "two_columns", "four_columns"])
+    def test_grid_csv_rejects_malformed_maps(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("x_m,y_m,gain_db\n" + body)
         with pytest.raises(ValueError):
             read_grid_csv(path)
 

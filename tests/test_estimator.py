@@ -10,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position
+from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, channel_response
 from masim.estimator import (
+    PAS_TAPER_BETA,
     AngleGrid,
     DegenerateGeometryError,
     EstimatedPath,
@@ -147,6 +148,24 @@ def oracle_snapshot_matrix(samples, num, max_snapshots=128):
     return samples[:, payload_idx].T
 
 
+def oracle_direct_pas(campaign, grid):
+    """PAS by a direct scan: f^H R f at every grid angle over all Q positions, one elevation row at a time.
+
+    Uses the same separable Kaiser taper as compute_pas, applied per position.
+    """
+    xs, ys = campaign.grid_axes()
+    taper = np.outer(np.kaiser(len(ys), PAS_TAPER_BETA), np.kaiser(len(xs), PAS_TAPER_BETA)).ravel()
+    pos = campaign.positions_array()  # row-major (y, x), like the taper
+    y = campaign.samples_matrix() * taper[:, None]  # (Q, n_snap)
+    lam = campaign.wavelength_m
+    az = np.radians(grid.azimuths_deg())
+    pas = np.empty((len(grid.elevations_deg()), len(az)))
+    for ie, el in enumerate(np.radians(grid.elevations_deg())):
+        d = np.outer(math.cos(el) * np.sin(az), pos[:, 0]) + math.sin(el) * pos[None, :, 1]
+        pas[ie] = np.sum(np.abs(np.exp(2j * np.pi * d / lam) @ y) ** 2, axis=1)
+    return pas
+
+
 def sorted_samples(records):
     """(Q, N) samples of records in (y, x) order, the order a campaign sorts its rows into."""
     return np.vstack([r.samples for r in sorted(records, key=lambda r: (r.position.y_m, r.position.x_m))])
@@ -182,9 +201,8 @@ class TestArrayResponse:
         np.testing.assert_allclose(f, [1.0, -1.0], atol=1e-12)
 
     def test_conjugate_of_field_response(self):
-        # the estimator steers with the conjugate phase of the channel model
-        from masim.channel import field_response_vector
-
+        # the estimator steers with exp(-j*2*pi*d/lambda), the conjugate of the
+        # field response: the phase a unit, zero-delay path picks up in the model
         psi = PathStateInfo(
             paths=(
                 PathComponent(3.0, 2.0, 0.8886, 22.7e-9),
@@ -194,10 +212,11 @@ class TestArrayResponse:
             carrier_hz=27.5e9,
         )
         pos = np.array([[0.001, 0.001]])
-        frv = field_response_vector(psi, Position(0.001, 0.001))
-        for k, p in enumerate(psi.paths):
+        for p in psi.paths:
+            unit = PathStateInfo(paths=(PathComponent(p.elevation_deg, p.azimuth_deg, 1.0, 0.0),),
+                                 carrier_hz=psi.carrier_hz)
             f = array_response(p.elevation_deg, p.azimuth_deg, pos, psi.wavelength_m)
-            assert f[0] == pytest.approx(np.conj(frv[k]), abs=1e-13)
+            assert f[0] == pytest.approx(channel_response(unit, pos)[0, 0], abs=1e-13)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(2)
@@ -232,10 +251,17 @@ class TestPas:
     def test_gridded_matches_generic_scan(self):
         camp = small_campaign(one_path_psi(), extent=0.005)
         grid = AngleGrid(5.0, 5.0)
-        fast = compute_pas(camp, grid, taper_beta=None)
-        camp.grid_axes = lambda: None  # force the arbitrary-position fallback
-        slow = compute_pas(camp, grid, taper_beta=None)
-        np.testing.assert_allclose(fast.values, slow.values, rtol=1e-9)
+        np.testing.assert_allclose(compute_pas(camp, grid).values, oracle_direct_pas(camp, grid), rtol=1e-9)
+
+    def test_campaign_must_tile_a_grid(self):
+        # 8 of the 9 points of a 3 x 3 grid: the PAS scan runs over grid axes only
+        zeros = np.zeros(SMALL_NUM.frame_samples, dtype=complex)
+        records = [IQRecord(Position(ix * 1e-3, iy * 1e-3), zeros, SMALL_NUM.sample_interval_s, 3 * iy + ix)
+                   for iy in range(3) for ix in range(3)]
+        tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
+        SoundingCampaign(records=records, numerology=SMALL_NUM, tx_symbols=tx, carrier_hz=27.5e9)
+        with pytest.raises(ValueError, match="complete grid"):
+            SoundingCampaign(records=records[:-1], numerology=SMALL_NUM, tx_symbols=tx, carrier_hz=27.5e9)
 
     def test_csv_pins_max_at_zero_db(self, tmp_path):
         camp = small_campaign(one_path_psi(), extent=0.004)

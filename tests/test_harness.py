@@ -1,6 +1,8 @@
 """Campaign serialization, synthesis fidelity, pipeline caching, map comparison, CLI."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from masim.harness import (
     synthesize_campaign,
 )
 from masim.presets import hall_psi_27p5ghz
-from masim.signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_ofdm, gen_tone, qpsk_symbols
+from masim.signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone, qpsk_symbols
 
 from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario
 
@@ -172,25 +174,35 @@ class TestToneSynthesis:
             assert rec.position == pos
             seed = derive_seed(cfg.master_seed, "tone", i)
             assert rec.seed == seed
-            expect = add_noise(apply_channel(tone, psi, pos, 1.0 / cfg.bandwidth_hz), spec, seed)
+            expect = add_noise(apply_channel(tone, psi, pos), spec, seed)
             np.testing.assert_array_equal(rec.samples, expect)
 
 
 class TestSoundingSynthesis:
     def test_vectorized_matches_per_record_application(self):
+        # reference: per-path response H[i] at each position, then each
+        # symbol's payload as an explicit I-point inverse DFT with its CP
         cfg = pipeline_config(noise_power=0.0)
         psi = hall_psi_27p5ghz()
-        tx_symbols = qpsk_symbols(
-            TEST_NUMEROLOGY.num_subcarriers, TEST_NUMEROLOGY.num_symbols,
-            derive_seed(cfg.master_seed, "tx"),
-        )
-        tx, _ = gen_ofdm(TEST_NUMEROLOGY, tx_symbols)
-        t = TEST_NUMEROLOGY.sample_interval_s
+        num = TEST_NUMEROLOGY
+        tx_symbols = qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
+        i_idx = np.arange(num.num_subcarriers)
+        idft = np.exp(2j * np.pi * np.outer(i_idx, i_idx) / num.num_subcarriers)  # [k, i]
         positions = cfg.sounding_region.positions()
         for i, rec in enumerate(iter_sounding_records(cfg, psi, tx_symbols)):
             if i % 97 != 0:  # spot-check; the full sweep is 676 records
                 continue
-            expect = apply_channel(tx, psi, positions[i], t, mode="ofdm", numerology=TEST_NUMEROLOGY)
+            pos = positions[i]
+            h_i = np.zeros(num.num_subcarriers, dtype=complex)
+            for path in psi.paths:
+                el, az = math.radians(path.elevation_deg), math.radians(path.azimuth_deg)
+                d = pos.x_m * math.cos(el) * math.sin(az) + pos.y_m * math.sin(el)
+                h_i += path.amplitude * np.exp(
+                    -2j * np.pi * (d / psi.wavelength_m + (psi.carrier_hz + i_idx * num.subcarrier_spacing_hz)
+                                   * path.delay_s)
+                )
+            payload = idft @ (tx_symbols * h_i[:, None])  # (I, M)
+            expect = np.concatenate([payload[-num.cp_samples:], payload]).T.reshape(-1)
             np.testing.assert_allclose(rec.samples, expect, atol=1e-12)
 
     def test_noise_seeds_are_position_indexed(self):
@@ -268,6 +280,32 @@ class TestCampaignFiles:
         report = compare_maps(gm, pm)
         assert report.correlation >= 1.0 - 1e-9
         assert report.max_abs_residual_db < 1e-9
+
+    def test_measure_campaign_streams_records(self, tmp_path):
+        # 256 records of 256 KiB: holding them all would cost 256 records' bytes;
+        # streaming holds one record being read, its copy and the cached phasor
+        cfg = ScenarioConfig.from_json_dict({
+            **pipeline_config().to_json_dict(),
+            "region": {"x_extent_m": 0.015, "y_extent_m": 0.015, "x_step_m": 1e-3, "y_step_m": 1e-3},
+            "samples_per_measurement": 16384,
+        })
+        cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "tone", tmp_path / "camp")
+        record_bytes = cfg.samples_per_measurement * 16
+        tracemalloc.start()
+        try:
+            pm = measure_campaign(cdir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pm.values_dbr.shape == (16, 16)
+        assert peak < 6 * record_bytes, f"peak {peak / record_bytes:.1f} records"
+
+    def test_measure_campaign_checks_mode_first(self, tmp_path):
+        cfg = pipeline_config()
+        cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "ofdm", tmp_path / "camp")
+        (cdir / "rec_000000.maiq").unlink()  # a read would fail on this instead
+        with pytest.raises(ConfigError, match="expected a tone campaign"):
+            measure_campaign(cdir)
 
     def test_manifest_mode_validation(self):
         cfg = pipeline_config()
@@ -398,6 +436,19 @@ class TestCli:
         assert rc == 0 and out.exists()
         rc = cli_main(["compare", "--a", str(out), "--b", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("body", [
+        "",  # header only: was an IndexError traceback
+        "0,0,1\n0,0.001,2\n0.001,0,3\n0.001,0.001,4\n",  # x-major: was read transposed
+        "0,0,1\n0,0,2\n0.001,0.001,3\n0.001,0.001,4\n",  # duplicates: passed as a 2 x 2 grid
+    ], ids=["header_only", "x_major", "duplicated"])
+    def test_compare_rejects_malformed_map(self, tmp_path, capsys, body):
+        good = tmp_path / "good.csv"
+        gain_map(hall_psi_27p5ghz(), MovementRegion(0.001, 0.001, 1e-3, 1e-3)).to_csv(good)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x_m,y_m,gain_db\n" + body)
+        assert cli_main(["compare", "--a", str(good), "--b", str(bad)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, gain_map
+from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, gain_field, gain_map
 from masim.mover import (
     MoveAborted,
     MovePlan,
@@ -110,9 +110,7 @@ class TestCoarse:
 
 
 def _true_gain(psi, pos):
-    from masim.channel import small_scale_gain
-
-    return small_scale_gain(psi, pos)
+    return float(gain_field(psi, np.array([pos.x_m]), np.array([pos.y_m]))[0, 0])
 
 
 class TestRefine:
@@ -153,9 +151,7 @@ class TestRefine:
         track = make_track(psi, region, noise_power=0.0)
         start = Position(0.01, 0.01)
         result = refine(track, region, MovePlan(start, refine_step_m=1e-3, budget=60))
-        from masim.channel import small_scale_gain
-
-        assert small_scale_gain(psi, result.final_position) >= small_scale_gain(psi, start)
+        assert _true_gain(psi, result.final_position) >= _true_gain(psi, start)
         assert result.measurements_used <= 60
 
     def test_abort_preserves_partial_trace(self):
@@ -191,9 +187,7 @@ class TestOptimize:
         result = optimize(psi, region, track, refine_step_m=0.5e-3, budget=50)
         _, best_gain = brute_force_best(psi, region)
         best_db = 10 * np.log10(best_gain)
-        from masim.channel import small_scale_gain
-
-        true_db = 10 * np.log10(small_scale_gain(psi, result.final_position))
+        true_db = 10 * np.log10(_true_gain(psi, result.final_position))
         assert true_db >= best_db - 0.5
         assert result.measurements_used <= 0.1 * region.num_points
 

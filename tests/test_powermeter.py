@@ -138,7 +138,7 @@ class TestSweep:
         spec = NoiseSpec(noise_power, FS) if noise_power > 0 else None
         records = []
         for i, pos in enumerate(region.positions()):
-            rx = apply_channel(tone, psi, pos, T, tx_power=tx_power)
+            rx = apply_channel(tone, psi, pos, tx_power=tx_power)
             if spec is not None:
                 rx = add_noise(rx, spec, derive_seed(4, "tone", i))
             records.append(IQRecord(pos, rx, T, i))
@@ -181,6 +181,20 @@ class TestSweep:
         gm = gain_map(psi, region)
         dev = np.abs(pm.values_dbr - gm.values_db)
         assert np.mean(dev < 0.5) >= 0.99
+
+    def test_one_pass_over_a_generator(self):
+        # a campaign on disk is streamed in, so any one-pass iterable must do
+        psi, region, records = self.sweep_records(noise_power=0.01)
+        expect = sweep_measure(records, 50e6)
+        got = sweep_measure((rec for rec in records), 50e6)
+        np.testing.assert_array_equal(got.values_dbr, expect.values_dbr)
+
+    def test_rejects_empty_and_mixed_records(self):
+        with pytest.raises(ValueError, match="no records"):
+            sweep_measure(iter([]), 50e6)
+        recs = [tone_record(1.0, num_samples=64), tone_record(1.0, num_samples=32, pos=Position(1e-3, 0.0))]
+        with pytest.raises(ValueError, match="disagree"):
+            sweep_measure(iter(recs), 50e6)
 
     def test_map_shape_and_argmax(self):
         psi, region, records = self.sweep_records()

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masim.channel import PathComponent, PathStateInfo, Position
+from masim.channel import PathComponent, PathStateInfo, Position, channel_response, gain_field
+from masim.codec import ConfigError
+from masim.estimator import SoundingCampaign
+from masim.harness import _sounding_frames, iter_sounding_records
 from masim.signals import (
     IQRecord,
     NoiseSpec,
@@ -13,18 +16,22 @@ from masim.signals import (
     add_noise,
     apply_channel,
     derive_seed,
-    gen_ofdm,
     gen_tone,
     qpsk_symbols,
     read_iq_record,
     write_iq_record,
 )
 
-from conftest import TEST_NUMEROLOGY, forge_sample_count
+from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario
 
 
 def single_path(el=0.0, az=0.0, amp=1.0, delay=0.0, fc=27.5e9, beta=1.0):
     return PathStateInfo(paths=(PathComponent(el, az, amp, delay),), carrier_hz=fc, large_scale_gain=beta)
+
+
+def transmitted_frame(num, symbols):
+    """The CP-OFDM frame of an (I, M) symbol grid: sounding synthesis through a unit channel (h = 1)."""
+    return _sounding_frames(single_path(), np.zeros((1, 2)), num, symbols)[0]
 
 
 class TestSeeds:
@@ -83,46 +90,47 @@ class TestQpsk:
 
 
 class TestGenOfdm:
+    """CP-OFDM frame generation, through the sounder's synthesis with a unit channel."""
+
     def test_four_subcarrier_idft_by_hand(self):
         num = OfdmNumerology(subcarrier_spacing_hz=1e6, num_subcarriers=4, num_symbols=1, cp_duration_s=0.0)
         b = np.array([[1.0], [1j], [-1.0], [0.5]], dtype=complex)
-        frame, grid = gen_ofdm(num, b)
-        np.testing.assert_array_equal(grid, b)
+        frame = transmitted_frame(num, b)
         k = np.arange(4)
         expect = sum(b[i, 0] * np.exp(2j * np.pi * i * k / 4) for i in range(4))
         np.testing.assert_allclose(frame, expect, atol=1e-12)
 
     def test_cyclic_prefix_is_exact_copy(self):
-        frame, _ = gen_ofdm(TEST_NUMEROLOGY, 3)
-        n_cp = TEST_NUMEROLOGY.cp_samples
-        per = TEST_NUMEROLOGY.samples_per_symbol
-        for m in range(TEST_NUMEROLOGY.num_symbols):
+        num = TEST_NUMEROLOGY
+        frame = transmitted_frame(num, qpsk_symbols(num.num_subcarriers, num.num_symbols, 3))
+        n_cp = num.cp_samples
+        per = num.samples_per_symbol
+        for m in range(num.num_symbols):
             sym = frame[m * per : (m + 1) * per]
             np.testing.assert_array_equal(sym[:n_cp], sym[per - n_cp :])
 
     def test_qpsk_frame_mean_power_near_unity(self):
-        frame, _ = gen_ofdm(TEST_NUMEROLOGY, 7)
+        num = TEST_NUMEROLOGY
+        frame = transmitted_frame(num, qpsk_symbols(num.num_subcarriers, num.num_symbols, 7))
         # payload power is exactly sum|b|^2 = 1; the CP resamples a random
         # subset of payload samples, so the frame mean moves by < 1%
         assert np.mean(np.abs(frame) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_payload_power_exact(self):
-        frame, grid = gen_ofdm(TEST_NUMEROLOGY, 11)
-        per = TEST_NUMEROLOGY.samples_per_symbol
-        n_cp = TEST_NUMEROLOGY.cp_samples
-        payload = frame.reshape(TEST_NUMEROLOGY.num_symbols, per)[:, n_cp:]
-        for m in range(TEST_NUMEROLOGY.num_symbols):
+        num = TEST_NUMEROLOGY
+        grid = qpsk_symbols(num.num_subcarriers, num.num_symbols, 11)
+        frame = transmitted_frame(num, grid)
+        payload = frame.reshape(num.num_symbols, num.samples_per_symbol)[:, num.cp_samples:]
+        for m in range(num.num_symbols):
             assert np.mean(np.abs(payload[m]) ** 2) == pytest.approx(
                 np.sum(np.abs(grid[:, m]) ** 2), rel=1e-12
             )
 
     def test_rejects_wrong_grid_shape(self):
-        with pytest.raises(ValueError, match="symbol grid"):
-            gen_ofdm(TEST_NUMEROLOGY, np.ones((4, 4), dtype=complex))
-
-    def test_rejects_incommensurate_rate(self):
-        with pytest.raises(ValueError, match="integer multiple"):
-            gen_ofdm(TEST_NUMEROLOGY, 1, sample_rate_hz=TEST_NUMEROLOGY.sample_rate_hz * 1.1)
+        # the sounder checks the known symbol grid where it equalizes with it
+        with pytest.raises(ValueError, match="tx_symbols"):
+            SoundingCampaign(records=[], numerology=TEST_NUMEROLOGY, tx_symbols=np.ones((4, 4), dtype=complex),
+                             carrier_hz=27.5e9)
 
     def test_numerology_rejects_fractional_cp(self):
         with pytest.raises(ValueError, match="cp_duration_s"):
@@ -137,15 +145,15 @@ class TestGenOfdm:
 
 class TestApplyChannel:
     def test_tone_mode_is_flat_fading(self):
-        from masim.channel import channel_response
-
         psi = single_path(3.0, 2.0, 0.7, 20e-9)
         pos = Position(0.004, 0.009)
         tx = gen_tone(50e6, 64, 1 / 400e6)
-        rx = apply_channel(tx, psi, pos, 1 / 400e6, tx_power=2.0)
-        np.testing.assert_allclose(rx, channel_response(psi, pos) * np.sqrt(2.0) * tx, atol=1e-14)
+        rx = apply_channel(tx, psi, pos, tx_power=2.0)
+        h = channel_response(psi, pos.as_array())[0, 0]
+        np.testing.assert_allclose(rx, h * np.sqrt(2.0) * tx, atol=1e-14)
 
     def test_ofdm_mode_matches_subcarrier_oracle(self):
+        # sounding synthesis, demodulated, gives b[i, m] * H[i] with H from a per-path loop
         num = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=64, num_symbols=2,
                              cp_duration_s=4.0 / (64 * 480e3))
         psi = PathStateInfo(
@@ -153,12 +161,11 @@ class TestApplyChannel:
             carrier_hz=27.5e9,
         )
         pos = Position(0.003, 0.004)
-        tx, b = gen_ofdm(num, 21)
-        rx = apply_channel(tx, psi, pos, num.sample_interval_s, mode="ofdm", numerology=num, tx_power=1.0)
+        b = qpsk_symbols(num.num_subcarriers, num.num_symbols, 21)
+        rx = _sounding_frames(psi, np.array([[pos.x_m, pos.y_m]]), num, b)[0]
 
         lam = psi.wavelength_m
         p = num.samples_per_symbol
-        fs = num.sample_rate_hz
         i_idx = np.arange(num.num_subcarriers)
         h_i = np.zeros(num.num_subcarriers, dtype=complex)
         for path in psi.paths:
@@ -170,23 +177,14 @@ class TestApplyChannel:
             payload = rx[m * p + num.cp_samples : (m + 1) * p]
             demod = np.fft.fft(payload)[: num.num_subcarriers] / num.num_subcarriers
             np.testing.assert_allclose(demod, b[:, m] * h_i, atol=1e-12)
-        assert fs == num.occupied_bandwidth_hz
 
     def test_ofdm_mode_rejects_delay_beyond_cp(self):
-        num = OfdmNumerology(480e3, 64, 1, cp_duration_s=4.0 / (64 * 480e3))
+        cfg = make_hi_scenario()
+        num = cfg.numerology
         psi = single_path(delay=2 * num.cp_duration_s)
-        tx, _ = gen_ofdm(num, 1)
-        with pytest.raises(ValueError, match="cyclic prefix"):
-            apply_channel(tx, psi, Position(0, 0), num.sample_interval_s, mode="ofdm", numerology=num)
-
-    def test_ofdm_mode_requires_numerology(self):
-        psi = single_path()
-        with pytest.raises(ValueError):
-            apply_channel(np.ones(8, dtype=complex), psi, Position(0, 0), 1e-9, mode="ofdm")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            apply_channel(np.ones(8, dtype=complex), single_path(), Position(0, 0), 1e-9, mode="nope")
+        tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, 1)
+        with pytest.raises(ConfigError, match="cyclic prefix"):
+            next(iter_sounding_records(cfg, psi, tx))
 
     @settings(max_examples=25)
     @given(
@@ -196,25 +194,23 @@ class TestApplyChannel:
     def test_linearity_in_tx(self, a_re, a_im, b_re, b_im):
         psi = single_path(5.0, -20.0, 0.9, 30e-9)
         pos = Position(0.006, 0.002)
-        t = 1 / 400e6
         rng = np.random.default_rng(3)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         z = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         a = a_re + 1j * a_im
         b = b_re + 1j * b_im
-        lhs = apply_channel(a * x + b * z, psi, pos, t)
-        rhs = a * apply_channel(x, psi, pos, t) + b * apply_channel(z, psi, pos, t)
+        lhs = apply_channel(a * x + b * z, psi, pos)
+        rhs = a * apply_channel(x, psi, pos) + b * apply_channel(z, psi, pos)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_tone_power_accounting(self):
-        from masim.channel import small_scale_gain
-
         psi = single_path(3.0, 2.0, 0.6, 25e-9, beta=2.5)
         pos = Position(0.01, 0.003)
         tx = gen_tone(50e6, 256, 1 / 400e6)
-        rx = apply_channel(tx, psi, pos, 1 / 400e6, tx_power=3.0)
+        rx = apply_channel(tx, psi, pos, tx_power=3.0)
         got = np.mean(np.abs(rx) ** 2)
-        assert got == pytest.approx(small_scale_gain(psi, pos) * 2.5 * 3.0, rel=1e-12)
+        gain = gain_field(psi, np.array([pos.x_m]), np.array([pos.y_m]))[0, 0]
+        assert got == pytest.approx(gain * 2.5 * 3.0, rel=1e-12)
 
 
 class TestAddNoise:
