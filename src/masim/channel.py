@@ -268,8 +268,9 @@ def write_grid_csv(path, x_m, y_m, values, value_column: str) -> None:
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Read a gridded CSV back into (x_m, y_m, values, value_column).
 
-    Rows must be exactly what write_grid_csv writes: three columns, a
-    complete grid, row-major by y then x. Anything else is a ValueError.
+    Rows must be exactly what write_grid_csv writes: three columns of finite
+    numbers, a complete grid, row-major by y then x. Anything else is a
+    ValueError.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -281,6 +282,8 @@ def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     rows = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
     if rows.shape[1] != 3:
         raise ValueError(f"grid CSV rows must have 3 columns, found {rows.shape[1]}: {path}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"grid CSV holds a non-finite value: {path}")
     xs, ys = row_major_axes(rows[:, 0], rows[:, 1], f"the rows of {path}")
     return xs, ys, rows[:, 2].reshape(len(ys), len(xs)), header[2]
 

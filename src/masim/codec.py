@@ -1,11 +1,10 @@
 """One strict JSON codec for the dataclasses masim writes to disk.
 
-encode() walks dataclass fields: nested dataclasses become objects, tuples
-become lists and complex numbers [re, im] pairs. decode() rebuilds a
-dataclass from the field type hints. It requires every field, rejects
-unknown ones and type-checks each leaf, so malformed input ends in a
-ConfigError that names the offending field instead of a TypeError deep
-inside a constructor.
+encode() walks dataclass fields: nested dataclasses become objects and
+tuples become lists. decode() rebuilds a dataclass from the field type
+hints. It requires every field, rejects unknown ones and type-checks each
+leaf, so malformed input ends in a ConfigError that names the offending
+field instead of a TypeError deep inside a constructor.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ class ConfigError(ValueError):
 
 
 def encode(obj):
-    """Plain JSON value of a dataclass, tuple, complex number or scalar."""
+    """Plain JSON value of a dataclass, tuple or scalar."""
     if dataclasses.is_dataclass(obj):
         return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, (tuple, list)):
         return [encode(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     return obj
 
 
@@ -92,10 +89,6 @@ def decode(tp, data, where: str):
         return tuple(decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, data)))
     if tp is float:
         return _number(data, where)
-    if tp is complex:
-        if not (isinstance(data, list) and len(data) == 2):
-            raise ConfigError(f"{where}: expected an [re, im] pair")
-        return complex(_number(data[0], where), _number(data[1], where))
     if tp in (int, bool, str):
         if type(data) is not tp:
             raise ConfigError(f"{where}: expected {tp.__name__}, got {_kind(data)}")

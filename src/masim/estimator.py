@@ -8,10 +8,11 @@ large virtual array. Processing follows the measurement chain:
      virtual-array response at the scanned angle,
   2. peak picking on the PAS to count paths and read their angles,
   3. per-path zero-forcing weights that null every other found path,
-  4. symbol averaging of the equalized per-subcarrier response, done per
-     record as the campaign is built (SoundingCampaign keeps this h_raw and
-     the PAS snapshots, never the records), then system-response
-     calibration, giving one channel frequency response per position,
+  4. symbol averaging of the equalized per-subcarrier response, then
+     system-response calibration, both done per record as the campaign is
+     built: SoundingCampaign keeps this calibrated h_freq, one channel
+     frequency response per position, and the PAS snapshots, never the
+     records,
   5. per-path delay and amplitude from the beamformed delay profile, and a
      power delay spectrum (PDS) per position as a by-product.
 
@@ -39,6 +40,15 @@ from .signals import IQRecord, OfdmNumerology
 
 PAS_TAPER_BETA = 2.8
 """Kaiser window beta of the PAS aperture taper."""
+
+CALIBRATION_FLOOR = 1e-6
+"""Subcarriers whose |system response| is at or below this are unusable."""
+
+DELAY_OVERSAMPLE = 8
+"""Zero-padding factor of the beamformed delay profile."""
+
+MIN_PEAK_TO_MEDIAN_DB = 12.0
+"""A path's delay profile must peak this far over its median to be kept."""
 
 
 class DegenerateGeometryError(ValueError):
@@ -92,19 +102,18 @@ def _snapshot_indices(numerology: OfdmNumerology, max_snapshots: int) -> np.ndar
 class SoundingCampaign:
     """A full OFDM sounding sweep, reduced record by record to what the estimator reads.
 
-    records is any iterable of IQRecord, one per grid position, consumed
-    once; no record is kept. Each is checked against the numerology and
-    reduced to its position, up to max_snapshots payload time samples for
-    the PAS, and h_raw: the FFT of each symbol's payload, equalized by the
-    known transmit symbols and coherently averaged over the M symbols, the
-    per-subcarrier response before system calibration. Rows are sorted
-    stably into row-major (y, then x) order, so every estimate is
-    independent of the order records were captured or loaded in; the
-    positions must then tile a complete grid, or ValueError is raised. When
-    num_records is given, rows fill preallocated arrays and any other record
-    count is an error. tx_symbols is the known (I, M) subcarrier grid;
-    sys_response is the combined TX/RX system frequency response (None
-    means flat).
+    records is any iterable of exactly num_records IQRecord, one per grid
+    position, consumed once; no record is kept. Each is checked against the
+    numerology and reduced to its position, up to max_snapshots payload
+    time samples for the PAS, and its row of h_freq: the FFT of each
+    symbol's payload, equalized by the known transmit symbols, coherently
+    averaged over the M symbols and calibrated against sys_response, the
+    combined TX/RX system frequency response (None means flat). usable
+    flags the subcarriers calibration kept. Rows are sorted stably into
+    row-major (y, then x) order, so every estimate is independent of the
+    order records were captured or loaded in; the positions must then tile
+    a complete grid, or ValueError is raised. tx_symbols is the known
+    (I, M) subcarrier grid.
     """
 
     def __init__(
@@ -113,10 +122,10 @@ class SoundingCampaign:
         numerology: OfdmNumerology,
         tx_symbols: np.ndarray,
         carrier_hz: float,
+        *,
+        num_records: int,
         sys_response: np.ndarray | None = None,
-        tx_power: float = 1.0,
         max_snapshots: int = 128,
-        num_records: int | None = None,
     ):
         i, m = numerology.num_subcarriers, numerology.num_symbols
         if tx_symbols.shape != (i, m):
@@ -125,20 +134,20 @@ class SoundingCampaign:
             raise ValueError("sys_response length must match the subcarrier count")
         if carrier_hz <= 0.0:
             raise ValueError("carrier_hz must be > 0")
-        if tx_power <= 0.0:
-            raise ValueError("tx_power must be > 0")
         if max_snapshots < 1:
             raise ValueError(f"max_snapshots must be >= 1: {max_snapshots}")
+        if num_records < 2:
+            raise ValueError("a sounding campaign needs at least 2 positions")
         self.numerology = numerology
         self.tx_symbols = tx_symbols
         self.carrier_hz = carrier_hz
-        self.sys_response = sys_response
-        self.tx_power = tx_power
 
         snap_idx = _snapshot_indices(numerology, max_snapshots)
         expect, t = numerology.frame_samples, numerology.sample_interval_s
         sym, cp = numerology.samples_per_symbol, numerology.cp_samples
-        den = i * math.sqrt(tx_power) * tx_symbols.T  # (M, I)
+        den = i * tx_symbols.T  # (M, I)
+        sys = np.ones(i, dtype=np.complex128) if sys_response is None else np.asarray(sys_response, np.complex128)
+        usable = np.abs(sys) > CALIBRATION_FLOOR
 
         def reduce_record(rec: IQRecord):
             if rec.num_samples != expect:
@@ -149,28 +158,26 @@ class SoundingCampaign:
             h_raw = np.mean(np.fft.fft(payload, axis=1) / den, axis=0)
             return (rec.position.x_m, rec.position.y_m), h_raw, rec.samples[snap_idx]
 
-        rows = map(reduce_record, records)
-        if num_records is None:
-            rows = list(rows)  # the reductions only; each record is dropped once reduced
-            num_records = len(rows)
-        if num_records < 2:
-            raise ValueError("a sounding campaign needs at least 2 positions")
         pos = np.empty((num_records, 2))
-        h_raw = np.empty((num_records, i), dtype=np.complex128)
+        h_freq = np.zeros((num_records, i), dtype=np.complex128)
         snaps = np.empty((num_records, len(snap_idx)), dtype=np.complex128)
         q = 0
-        for q, (xy, h, snap) in enumerate(rows, 1):
+        # each record is dropped once reduced, before the next one is made
+        for q, (xy, h_raw, snap) in enumerate(map(reduce_record, records), 1):
             if q > num_records:
                 raise ValueError(f"more records than the {num_records} announced")
-            pos[q - 1], h_raw[q - 1], snaps[q - 1] = xy, h, snap
+            pos[q - 1], snaps[q - 1] = xy, snap
+            np.divide(h_raw, sys, out=h_freq[q - 1], where=usable)  # unusable subcarriers stay 0
         if q != num_records:
             raise ValueError(f"{q} records, {num_records} announced")
         order = np.lexsort((pos[:, 0], pos[:, 1]))  # stable, like sorted()
         if np.any(order != np.arange(len(order))):
-            pos, h_raw = pos[order], h_raw[order]
+            pos, h_freq = pos[order], h_freq[order]
         self._axes = row_major_axes(pos[:, 0], pos[:, 1], "sounding positions")  # sorted rows
         self._positions = pos
-        self.h_raw = h_raw  # (Q, I)
+        h_freq.flags.writeable = False
+        usable.flags.writeable = False
+        self.h_freq, self.usable = h_freq, usable  # (Q, I), (I,)
         self._snapshots, self._order = snaps, order
         self._samples: np.ndarray | None = None
 
@@ -184,11 +191,6 @@ class SoundingCampaign:
 
     def positions_array(self) -> np.ndarray:
         return self._positions.copy()
-
-    def resolved_sys_response(self) -> np.ndarray:
-        if self.sys_response is None:
-            return np.ones(self.numerology.num_subcarriers, dtype=np.complex128)
-        return np.asarray(self.sys_response, dtype=np.complex128)
 
     def samples_matrix(self) -> np.ndarray:
         """(Q, n_snap) block of the retained payload snapshots in (y, x) order, assembled on first use."""
@@ -399,31 +401,18 @@ def zf_weights(
     return w / math.sqrt(q)
 
 
-def calibrate(raw: np.ndarray, sys_response: np.ndarray, floor: float = 1e-6):
-    """Divide out the system response; subcarriers with |H_sys| <= floor are flagged unusable.
-
-    Returns (calibrated, usable_mask). Unusable subcarriers are zeroed, not
-    divided, so downstream sums can skip them.
-    """
-    sys_response = np.asarray(sys_response, dtype=np.complex128)
-    usable = np.abs(sys_response) > floor
-    cal = np.zeros_like(raw)
-    np.divide(raw, sys_response, out=cal, where=usable)
-    return cal, usable
+def frequency_response(campaign: SoundingCampaign):
+    """Calibrated channel frequency response per position, (Q, I), plus usable mask; both read-only."""
+    return campaign.h_freq, campaign.usable
 
 
-def frequency_response(campaign: SoundingCampaign, floor: float = 1e-6):
-    """Calibrated channel frequency response per position, (Q, I), plus usable mask."""
-    return calibrate(campaign.h_raw, campaign.resolved_sys_response(), floor)
-
-
-def compute_pds(campaign: SoundingCampaign, floor: float = 1e-6) -> PdsMatrix:
+def compute_pds(campaign: SoundingCampaign) -> PdsMatrix:
     """Power delay spectrum per position from the I-point IDFT of the frequency response.
 
     Each position's spectrum is normalized by its own peak, so the maximum
     of every row is exactly 1.
     """
-    h_freq, _ = frequency_response(campaign, floor)
+    h_freq, _ = frequency_response(campaign)
     h_delay = np.fft.ifft(h_freq, axis=1)
     pds = np.abs(h_delay) ** 2
     peaks = np.max(pds, axis=1)
@@ -446,9 +435,6 @@ def estimate_delay_amplitude(
     angles: list[tuple[float, float]],
     peaks_rel_db: list[float] | None = None,
     grid_step_deg: float = 0.5,
-    oversample: int = 8,
-    min_peak_to_median_db: float = 12.0,
-    floor: float = 1e-6,
 ) -> EstimatedPsi:
     """Per-path delays and amplitudes from the beamformed frequency responses.
 
@@ -467,13 +453,13 @@ def estimate_delay_amplitude(
     i_n = num.num_subcarriers
     df = num.subcarrier_spacing_hz
     fc = campaign.carrier_hz
-    h_freq, usable = frequency_response(campaign, floor)
+    h_freq, usable = frequency_response(campaign)
     if not np.any(usable):
         raise ValueError("no usable subcarriers after calibration")
     positions = campaign.positions_array()
     lam = campaign.wavelength_m
     idx = np.arange(i_n)
-    n_fft = oversample * i_n
+    n_fft = DELAY_OVERSAMPLE * i_n
 
     # total channel power per subcarrier, noise-debiased from the upper half
     # of the delay range where no physical path can sit
@@ -493,7 +479,7 @@ def estimate_delay_amplitude(
         peak = int(np.argmax(profile))
         med = float(np.median(profile))
         peak_db = 10.0 * math.log10(profile[peak] / med) if med > 0.0 else np.inf
-        if peak_db < min_peak_to_median_db:
+        if peak_db < MIN_PEAK_TO_MEDIAN_DB:
             warnings.warn(
                 f"path {k} at ({el}, {az}) deg has no dominant delay peak "
                 f"({peak_db:.1f} dB over median), dropping it"
@@ -501,7 +487,7 @@ def estimate_delay_amplitude(
             continue
         y3 = profile.take([peak - 1, peak, peak + 1], mode="wrap")
         delta = _parabolic_offset(*y3)
-        tau0 = (peak + delta) * num.delay_step_s / oversample
+        tau0 = (peak + delta) * num.delay_step_s / DELAY_OVERSAMPLE
         # measured carrier phase of the path, then phase-consistent snap
         rot = np.exp(2j * np.pi * idx * df * tau0)
         m0 = np.mean(g[usable] * rot[usable])
@@ -538,7 +524,6 @@ def estimate_psi(
     grid: AngleGrid | None = None,
     max_paths: int = 8,
     prominence_db: float = 20.0,
-    oversample: int = 8,
     pas: PasMatrix | None = None,
 ) -> EstimatedPsi:
     """Full estimation chain: PAS, peak picking, ZF beamforming, delay/amplitude.
@@ -562,5 +547,4 @@ def estimate_psi(
         angles,
         peaks_rel_db=[p.rel_max_db for p in peaks],
         grid_step_deg=grid.elevation_step_deg,
-        oversample=oversample,
     )

@@ -2,9 +2,9 @@
 
 A campaign directory holds one .maiq record per grid position plus a JSON
 manifest pinning down how the records were produced: the full scenario
-config, per-record noise seeds, and (for sounding) the transmit symbol
-seed. The manifest is enough to re-derive everything the estimator needs
-without touching the channel model that produced the data.
+config, per-record noise seeds and payload digests, and (for sounding) the
+transmit symbol seed. The manifest is enough to re-derive everything the
+estimator needs without touching the channel model that produced the data.
 
 run_pipeline() chains sound -> estimate -> measure -> optimize -> export
 through content-addressed stage directories: each stage directory name
@@ -64,7 +64,7 @@ from .signals import (
 MAX_RECORD_SAMPLES = 2**24
 """Largest record a ScenarioConfig may ask for (the paper's OFDM frame is 336,600 samples)."""
 
-MANIFEST_FORMAT = "maiq-campaign/1"
+MANIFEST_FORMAT = "maiq-campaign/2"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -164,6 +164,8 @@ def _load_json(path) -> dict:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ConfigError(f"{p} nests too deeply to parse") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{p} must hold a JSON object")
     return data
@@ -277,22 +279,23 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
 
 @dataclass(frozen=True)
 class RecordEntry(JsonCodec):
+    """One record file of a campaign; sha256 is the hex digest of its payload bytes as written (<c16)."""
+
     file: str
     x_m: float
     y_m: float
     seed: int
+    sha256: str
 
 
 @dataclass(frozen=True)
 class CampaignManifest(JsonCodec):
-    """Index of an on-disk campaign: scenario, mode, and per-record seeds."""
+    """Index of an on-disk campaign: scenario, mode, and per-record seeds and digests."""
 
     mode: str
     scenario: ScenarioConfig
     records: tuple[RecordEntry, ...]
-    tx_power: float = 1.0
     tx_symbol_seed: int | None = None
-    sys_response: tuple[complex, ...] | None = None
 
     def __post_init__(self):
         if self.mode not in ("tone", "ofdm"):
@@ -301,10 +304,6 @@ class CampaignManifest(JsonCodec):
             raise ConfigError("a campaign manifest needs at least one record")
         if self.mode == "ofdm" and self.tx_symbol_seed is None:
             raise ConfigError("an ofdm manifest must carry tx_symbol_seed")
-        if self.tx_power <= 0.0:
-            raise ConfigError(f"tx_power must be > 0: {self.tx_power}")
-        if self.sys_response is not None and len(self.sys_response) != self.scenario.numerology.num_subcarriers:
-            raise ConfigError("sys_response length must match the subcarrier count")
 
     @property
     def region(self) -> MovementRegion:
@@ -356,7 +355,8 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
         tmp = out / (fname + ".tmp")
         write_iq_record(tmp, rec)
         os.replace(tmp, out / fname)
-        entries.append(RecordEntry(fname, rec.position.x_m, rec.position.y_m, rec.seed))
+        digest = hashlib.sha256(np.ascontiguousarray(rec.samples, dtype="<c16")).hexdigest()
+        entries.append(RecordEntry(fname, rec.position.x_m, rec.position.y_m, rec.seed, digest))
     CampaignManifest(mode=mode, scenario=cfg, records=tuple(entries), tx_symbol_seed=tx_seed).save(out)
     return out
 
@@ -364,8 +364,8 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
 def _open_campaign(dir_path) -> tuple[CampaignManifest, Iterator[IQRecord]]:
     """A campaign's manifest, checked to tile its region, and a one-pass reader of its records.
 
-    The reader loads one record at a time and checks each against its
-    manifest entry.
+    The reader loads one record at a time and checks its position, seed
+    and payload digest against its manifest entry.
     """
     manifest = CampaignManifest.load(dir_path)
     if [Position(e.x_m, e.y_m) for e in manifest.records] != manifest.region.positions():
@@ -383,6 +383,8 @@ def _read_records(base: Path, entries):
             raise ConfigError(f"{entry.file}: position disagrees with the manifest")
         if rec.seed != entry.seed:
             raise ConfigError(f"{entry.file}: seed disagrees with the manifest")
+        if hashlib.sha256(rec.samples).hexdigest() != entry.sha256:  # samples are the <c16 payload
+            raise ConfigError(f"{entry.file}: payload sha256 disagrees with the manifest")
         yield rec
 
 
@@ -399,14 +401,11 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
         raise ConfigError(f"expected an ofdm campaign, found mode {manifest.mode!r}")
     num = manifest.scenario.numerology
     tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, manifest.tx_symbol_seed)
-    sys_resp = None if manifest.sys_response is None else np.array(manifest.sys_response)
     campaign = SoundingCampaign(
         records=records,
         numerology=num,
         tx_symbols=tx,
         carrier_hz=manifest.scenario.carrier_hz,
-        sys_response=sys_resp,
-        tx_power=manifest.tx_power,
         num_records=len(manifest.records),
     )
     return manifest, campaign

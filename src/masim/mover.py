@@ -49,7 +49,6 @@ class MovePlan:
 
     coarse_position: Position
     refine_step_m: float = 1e-3
-    refine_pattern: tuple[tuple[float, float], ...] = COMPASS_PATTERN
     budget: int = 50
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class MovePlan:
             raise ValueError("refine_step_m must be > 0")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if len(self.refine_pattern) == 0:
-            raise ValueError("refine_pattern must not be empty")
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,7 @@ def refine(channel: MeasurementChannel, region: MovementRegion, plan: MovePlan) 
     step = plan.refine_step_m
     while step >= POSITIONING_ACCURACY_M and len(trace) < plan.budget:
         candidates = []
-        for dx, dy in plan.refine_pattern:
+        for dx, dy in COMPASS_PATTERN:
             cand = region.clamp(incumbent.x_m + step * dx, incumbent.y_m + step * dy)
             if cand != incumbent and cand not in candidates:
                 candidates.append(cand)

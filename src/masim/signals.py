@@ -183,8 +183,9 @@ def read_iq_record(path) -> IQRecord:
             what = "truncated" if size < 16 * n else "oversized"
             raise ValueError(f"{what} IQ record payload: header declares {n} samples, "
                              f"file holds {size} bytes: {path}")
-        data = fh.read(size)
-    samples = np.frombuffer(data, dtype="<c16").astype(np.complex128)
+        samples = np.empty(n, dtype="<c16")  # read in place: the payload is held once
+        if fh.readinto(samples) != size:
+            raise ValueError(f"short read of IQ record payload: {path}")
     return IQRecord(position=Position(x, y), samples=samples, sample_interval_s=t, seed=seed)
 
 

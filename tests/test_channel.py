@@ -323,7 +323,12 @@ class TestGainMaps:
         "0,0,1\n0,0,2\n0.001,0.001,3\n0.001,0.001,4\n",  # duplicates posing as a 2 x 2 grid
         "0,0\n0.001,0\n",  # two columns
         "0,0,1,5\n0.001,0,2,6\n",  # four columns
-    ], ids=["header_only", "x_major", "duplicated", "two_columns", "four_columns"])
+        "0,0,1\n0.001,0,nan\n",  # a NaN gain
+        "0,0,1\n0.001,0,-inf\n",  # an infinite gain
+        "nan,0,1\n0.001,0,2\n",  # a NaN coordinate
+        "0,inf,1\n0.001,inf,2\n",  # an infinite coordinate
+    ], ids=["header_only", "x_major", "duplicated", "two_columns", "four_columns",
+            "nan_value", "inf_value", "nan_x", "inf_y"])
     def test_grid_csv_rejects_malformed_maps(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_text("x_m,y_m,gain_db\n" + body)

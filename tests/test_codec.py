@@ -1,8 +1,8 @@
 """The strict JSON codec: field-driven decoding, malformed inputs, format pinning."""
 
+import hashlib
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,20 +19,19 @@ from masim.harness import (
     psi_from_json_dict,
 )
 from masim.presets import hall_psi_27p5ghz
-from masim.signals import OfdmNumerology
 
 from conftest import make_hi_scenario
 
 
 def valid_manifest() -> dict:
-    # four subcarriers keep the per-subcarrier sys_response short enough to sweep
-    cfg = replace(make_hi_scenario(), numerology=OfdmNumerology(480e3, 4, 1, cp_duration_s=1.0 / (4 * 480e3)))
     return CampaignManifest(
         mode="ofdm",
-        scenario=cfg,
-        records=(RecordEntry("rec_000000.maiq", 0.0, 0.0, 7), RecordEntry("rec_000001.maiq", 1e-3, 0.0, 8)),
+        scenario=make_hi_scenario(),
+        records=(
+            RecordEntry("rec_000000.maiq", 0.0, 0.0, 7, hashlib.sha256(b"a").hexdigest()),
+            RecordEntry("rec_000001.maiq", 1e-3, 0.0, 8, hashlib.sha256(b"b").hexdigest()),
+        ),
         tx_symbol_seed=5,
-        sys_response=tuple(complex(1.0, 0.1 * i) for i in range(cfg.numerology.num_subcarriers)),
     ).to_json_dict()
 
 
@@ -101,7 +100,6 @@ class TestRoundTrip:
         report = CompareReport(1.0, 0.5, 0.0, 0.0, (1, -2))
         assert report.to_json_dict()["argmax_shift_steps"] == [1, -2]
         assert CompareReport.from_json_dict(report.to_json_dict()) == report
-        assert encode((1j, 2.0)) == [[0.0, 1.0], 2.0]
 
     def test_ints_widen_to_float_fields(self):
         data = make_hi_scenario().to_json_dict()
@@ -143,17 +141,19 @@ class TestStrictness:
 
     def test_manifest_format_checked(self):
         data = valid_manifest()
-        data["format"] = "maiq-campaign/0"
-        with pytest.raises(ConfigError, match="format"):
-            CampaignManifest.from_json_dict(data)
+        assert data["format"] == "maiq-campaign/2"
+        for old in ("maiq-campaign/0", "maiq-campaign/1"):
+            data["format"] = old
+            with pytest.raises(ConfigError, match="unsupported manifest format"):
+                CampaignManifest.from_json_dict(data)
         del data["format"]
         with pytest.raises(ConfigError, match="format"):
             CampaignManifest.from_json_dict(data)
 
     def test_manifest_optional_fields_still_required(self):
         data = valid_manifest()
-        del data["sys_response"]
-        with pytest.raises(ConfigError, match="sys_response"):
+        del data["tx_symbol_seed"]
+        with pytest.raises(ConfigError, match="tx_symbol_seed"):
             CampaignManifest.from_json_dict(data)
 
     def test_unsupported_type_is_a_programming_error(self):

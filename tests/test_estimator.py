@@ -12,6 +12,7 @@ import pytest
 
 from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, channel_response
 from masim.estimator import (
+    CALIBRATION_FLOOR,
     PAS_TAPER_BETA,
     AngleGrid,
     DegenerateGeometryError,
@@ -19,7 +20,6 @@ from masim.estimator import (
     EstimatedPsi,
     SoundingCampaign,
     array_response,
-    calibrate,
     compute_pas,
     compute_pds,
     estimate_delay_amplitude,
@@ -87,11 +87,18 @@ def noise_campaign(q_side=10, seed=3, power=0.5, max_snapshots=128):
         tx_symbols=qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1),
         carrier_hz=27.5e9,
         max_snapshots=max_snapshots,
+        num_records=len(records),
     )
 
 
-def ripple_records():
-    """Records of a 4x4 sweep through a rippled system response, with the true responses.
+def ripple_response():
+    """A rippled system response over the SMALL_NUM subcarriers."""
+    idx = np.arange(SMALL_NUM.num_subcarriers)
+    return (1.0 + 0.3 * np.cos(2 * np.pi * idx / len(idx))) * np.exp(1j * 0.4 * np.sin(2 * np.pi * idx / len(idx)))
+
+
+def ripple_records(sys=None):
+    """Records of a 4x4 sweep through the system response sys (default: ripple_response()).
 
     Returns (records, tx_symbols, sys_response, truth), truth being the
     (Q, I) channel frequency response before the system response.
@@ -103,7 +110,7 @@ def ripple_records():
         carrier_hz=27.5e9,
     )
     idx = np.arange(i_n)
-    sys = (1.0 + 0.3 * np.cos(2 * np.pi * idx / i_n)) * np.exp(1j * 0.4 * np.sin(2 * np.pi * idx / i_n))
+    sys = ripple_response() if sys is None else sys
     b = qpsk_symbols(i_n, m_n, seed=6)
     lam = psi.wavelength_m
     region = MovementRegion(0.003, 0.003, 1e-3, 1e-3)
@@ -123,8 +130,9 @@ def ripple_records():
     return records, b, sys, np.array(truth)
 
 
-def oracle_raw_subcarrier_response(samples, num, tx_symbols, tx_power=1.0):
-    """The batched (Q, M, I) form of h_raw: per-symbol payload FFTs, equalized, symbol-averaged.
+def oracle_raw_subcarrier_response(samples, num, tx_symbols):
+    """The batched (Q, M, I) form of the campaign's response before calibration: per-symbol
+    payload FFTs, equalized, symbol-averaged.
 
     samples is the (Q, N) matrix of all record samples in (y, x) order.
     """
@@ -132,7 +140,7 @@ def oracle_raw_subcarrier_response(samples, num, tx_symbols, tx_power=1.0):
     y = samples.reshape(len(samples), m_n, num.samples_per_symbol)
     payload = y[:, :, num.cp_samples:]
     spec = np.fft.fft(payload, axis=2)  # (Q, M, I)
-    eq = spec / (i_n * math.sqrt(tx_power) * tx_symbols.T[None, :, :])
+    eq = spec / (i_n * tx_symbols.T[None, :, :])
     return np.mean(eq, axis=1)
 
 
@@ -259,9 +267,10 @@ class TestPas:
         records = [IQRecord(Position(ix * 1e-3, iy * 1e-3), zeros, SMALL_NUM.sample_interval_s, 3 * iy + ix)
                    for iy in range(3) for ix in range(3)]
         tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
-        SoundingCampaign(records=records, numerology=SMALL_NUM, tx_symbols=tx, carrier_hz=27.5e9)
+        SoundingCampaign(records=records, numerology=SMALL_NUM, tx_symbols=tx, carrier_hz=27.5e9, num_records=9)
         with pytest.raises(ValueError, match="complete grid"):
-            SoundingCampaign(records=records[:-1], numerology=SMALL_NUM, tx_symbols=tx, carrier_hz=27.5e9)
+            SoundingCampaign(records=records[:-1], numerology=SMALL_NUM, tx_symbols=tx, carrier_hz=27.5e9,
+                             num_records=8)
 
     def test_csv_pins_max_at_zero_db(self, tmp_path):
         camp = small_campaign(one_path_psi(), extent=0.004)
@@ -380,27 +389,34 @@ class TestZeroForcing:
             zf_weights([(0.0, 0.0)], 1, np.zeros((4, 2)), 0.01)
 
 
+def ripple_campaign(records, b, sys_response=None, **kwargs):
+    return SoundingCampaign(records=records, numerology=SMALL_NUM, tx_symbols=b, carrier_hz=27.5e9,
+                            num_records=len(records), sys_response=sys_response, **kwargs)
+
+
 class TestCalibration:
     def test_flat_response_divides_out(self):
-        rng = np.random.default_rng(4)
-        raw = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-        sys = 2.0 * np.exp(1j * np.pi / 4) * np.ones(16)
-        cal, usable = calibrate(raw, sys)
-        assert usable.all()
-        np.testing.assert_allclose(cal, raw * 0.5 * np.exp(-1j * np.pi / 4), atol=1e-12)
+        records, b, _, _ = ripple_records(sys=np.ones(SMALL_NUM.num_subcarriers))
+        sys = 2.0 * np.exp(1j * np.pi / 4) * np.ones(SMALL_NUM.num_subcarriers)
+        raw = ripple_campaign(records, b).h_freq
+        cal = ripple_campaign(records, b, sys)
+        assert cal.usable.all()
+        np.testing.assert_allclose(cal.h_freq, raw * 0.5 * np.exp(-1j * np.pi / 4), atol=1e-12)
 
     def test_floor_flags_dead_subcarriers(self):
-        raw = np.ones((2, 4), dtype=complex)
-        sys = np.array([1.0, 1e-9, 2.0, 1.0], dtype=complex)
-        cal, usable = calibrate(raw, sys)
-        assert usable.tolist() == [True, False, True, True]
-        assert cal[0, 1] == 0.0
+        # |H_sys| at or below the floor is dead; just above it is divided
+        sys = np.ones(SMALL_NUM.num_subcarriers, dtype=complex)
+        sys[1], sys[2], sys[3] = 1e-9, CALIBRATION_FLOOR, 2.0 * CALIBRATION_FLOOR
+        records, b, _, _ = ripple_records(sys=np.ones(SMALL_NUM.num_subcarriers))
+        camp = ripple_campaign(records, b, sys)
+        assert np.flatnonzero(~camp.usable).tolist() == [1, 2]
+        assert np.all(camp.h_freq[:, 1:3] == 0.0)
+        assert np.all(camp.h_freq[:, 3] != 0.0)
 
     def test_ripple_round_trip(self):
         # synthesize through a rippled system response, then calibrate it out
         records, b, sys, truth = ripple_records()
-        camp = SoundingCampaign(records=records, numerology=SMALL_NUM, tx_symbols=b,
-                                carrier_hz=27.5e9, sys_response=sys)
+        camp = ripple_campaign(records, b, sys)
         h_freq, usable = frequency_response(camp)
         assert usable.all()
         np.testing.assert_allclose(h_freq, truth, atol=1e-9)
@@ -419,9 +435,10 @@ def stream_records(count=64, seed=0):
         yield IQRecord(pos, add_noise(zeros, spec, seed + k), STREAM_NUM.sample_interval_s, k)
 
 
-def stream_campaign(records, **kwargs):
+def stream_campaign(records, num_records=64, **kwargs):
     tx = qpsk_symbols(STREAM_NUM.num_subcarriers, STREAM_NUM.num_symbols, 1)
-    return SoundingCampaign(records=records, numerology=STREAM_NUM, tx_symbols=tx, carrier_hz=27.5e9, **kwargs)
+    return SoundingCampaign(records=records, numerology=STREAM_NUM, tx_symbols=tx, carrier_hz=27.5e9,
+                            num_records=num_records, **kwargs)
 
 
 class TestStreamedReductions:
@@ -432,24 +449,17 @@ class TestStreamedReductions:
         tx = tx_symbols_of(cfg)
         samples = sorted_samples(list(iter_sounding_records(cfg, hall_psi_27p5ghz(), tx)))
         camp = get_hi_campaign()
-        assert np.array_equal(camp.h_raw, oracle_raw_subcarrier_response(samples, cfg.numerology, tx))
+        assert np.array_equal(camp.h_freq, oracle_raw_subcarrier_response(samples, cfg.numerology, tx))
         assert np.array_equal(camp.samples_matrix(), oracle_snapshot_matrix(samples, cfg.numerology).T)
 
     def test_sys_response_campaign_matches_batched_oracle(self):
         records, b, sys, _ = ripple_records()
         # reversed capture order exercises the (y, x) sort
-        camp = SoundingCampaign(records=records[::-1], numerology=SMALL_NUM, tx_symbols=b,
-                                carrier_hz=27.5e9, sys_response=sys, max_snapshots=200)
+        camp = ripple_campaign(records[::-1], b, sys, max_snapshots=200)
         samples = sorted_samples(records)
-        assert np.array_equal(camp.h_raw, oracle_raw_subcarrier_response(samples, SMALL_NUM, b))
+        assert np.array_equal(camp.h_freq, oracle_raw_subcarrier_response(samples, SMALL_NUM, b) / sys)
         assert np.array_equal(camp.samples_matrix(), oracle_snapshot_matrix(samples, SMALL_NUM, 200).T)
         assert np.array_equal(camp.positions_array(), np.array([[r.position.x_m, r.position.y_m] for r in records]))
-
-    def test_preallocated_rows_match_collected_rows(self):
-        a = stream_campaign(stream_records())
-        b = stream_campaign(stream_records(), num_records=64)
-        assert np.array_equal(a.h_raw, b.h_raw)
-        assert np.array_equal(a.samples_matrix(), b.samples_matrix())
 
     @pytest.mark.parametrize("announced", [63, 65])
     def test_announced_count_must_match(self, announced):
@@ -463,7 +473,7 @@ class TestStreamedReductions:
 
     def test_memory_bounded_by_a_few_records(self):
         # keeping the 64 records would cost 64 records' bytes; the reductions
-        # are under 1 record's worth (1 KiB of h_raw, 2 KiB of snapshots each)
+        # are under 1 record's worth (1 KiB of h_freq, 2 KiB of snapshots each)
         def traced_peak(consume):
             tracemalloc.start()
             try:
@@ -540,6 +550,7 @@ class TestEstimatePsi:
             numerology=cfg.numerology,
             tx_symbols=tx,
             carrier_hz=cfg.carrier_hz,
+            num_records=len(shuffled),
         )
         est2 = estimate_psi(camp2)
         assert est1 == est2

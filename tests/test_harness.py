@@ -242,7 +242,7 @@ class TestCampaignFiles:
             np.testing.assert_allclose(got.samples, expect.samples, atol=1e-12)
         np.testing.assert_array_equal(campaign.positions_array(), reference.positions_array())
         np.testing.assert_array_equal(campaign.samples_matrix(), reference.samples_matrix())
-        np.testing.assert_array_equal(campaign.h_raw, reference.h_raw)
+        np.testing.assert_array_equal(campaign.h_freq, reference.h_freq)
 
     def test_manifest_rejects_tampered_scenario(self, tmp_path):
         cfg = pipeline_config()
@@ -441,7 +441,9 @@ class TestCli:
         "",  # header only: was an IndexError traceback
         "0,0,1\n0,0.001,2\n0.001,0,3\n0.001,0.001,4\n",  # x-major: was read transposed
         "0,0,1\n0,0,2\n0.001,0.001,3\n0.001,0.001,4\n",  # duplicates: passed as a 2 x 2 grid
-    ], ids=["header_only", "x_major", "duplicated"])
+        "0,0,1\n0.001,0,2\n0,0.001,nan\n0.001,0.001,4\n",  # NaN: was exit 0 with a non-JSON report
+        "0,0,1\n0.001,0,2\n0,0.001,inf\n0.001,0.001,4\n",  # inf: was exit 0, "offset_db": Infinity
+    ], ids=["header_only", "x_major", "duplicated", "nan_value", "inf_value"])
     def test_compare_rejects_malformed_map(self, tmp_path, capsys, body):
         good = tmp_path / "good.csv"
         gain_map(hall_psi_27p5ghz(), MovementRegion(0.001, 0.001, 1e-3, 1e-3)).to_csv(good)
@@ -456,12 +458,34 @@ class TestCli:
         rc = cli_main(["simulate", "--config", str(bad), "--psi", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        # used to exit 1 with a RecursionError traceback from the JSON parser
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200_000)
+        rc = cli_main(["simulate", "--config", str(bad), "--psi", str(bad), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "nests too deeply" in capsys.readouterr().err
+
     def test_forged_record_header_exits_2(self, tmp_path, capsys):
         cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
         forge_sample_count(cdir / "rec_000004.maiq", 2**62)
         rc = cli_main(["measure", "--campaign", str(cdir), "--out", str(tmp_path / "pm.csv")])
         assert rc == 2
         assert "rec_000004.maiq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, command", [("ofdm", "estimate"), ("tone", "measure")])
+    def test_flipped_payload_byte_exits_2(self, tmp_path, capsys, mode, command):
+        # position and seed still match the manifest; only the payload digest catches this
+        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), mode, tmp_path / "camp")
+        path = cdir / "rec_000005.maiq"
+        blob = bytearray(path.read_bytes())
+        blob[-3] ^= 0x01
+        path.write_bytes(bytes(blob))
+        rc = cli_main([command, "--campaign", str(cdir), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "rec_000005.maiq" in err and "sha256" in err
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_record_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.json"

@@ -46,10 +46,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             MovePlan(Position(0, 0), budget=0)
 
-    def test_rejects_empty_pattern(self):
-        with pytest.raises(ValueError):
-            MovePlan(Position(0, 0), refine_pattern=())
-
 
 class TestCoarse:
     def test_matches_brute_force_for_planted_psi(self):

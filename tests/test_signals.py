@@ -1,5 +1,9 @@
 """Waveform synthesis, channel application, noise, and IQ file format tests."""
 
+import os
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,7 +134,7 @@ class TestGenOfdm:
         # the sounder checks the known symbol grid where it equalizes with it
         with pytest.raises(ValueError, match="tx_symbols"):
             SoundingCampaign(records=[], numerology=TEST_NUMEROLOGY, tx_symbols=np.ones((4, 4), dtype=complex),
-                             carrier_hz=27.5e9)
+                             carrier_hz=27.5e9, num_records=2)
 
     def test_numerology_rejects_fractional_cp(self):
         with pytest.raises(ValueError, match="cp_duration_s"):
@@ -299,3 +303,30 @@ class TestIqRecordFile:
             fh.write(bytes(16))
         with pytest.raises(ValueError, match="oversized"):
             read_iq_record(path)
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # a file that shrinks between the size check and the read
+        path = tmp_path / "rec.maiq"
+        write_iq_record(path, IQRecord(Position(0, 0), np.ones(16, dtype=complex), 1e-9, 0))
+        full_size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-64])
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=full_size))
+        with pytest.raises(ValueError, match="short read"):
+            read_iq_record(path)
+
+    def test_payload_read_holds_one_copy(self, tmp_path):
+        # reading into the sample array directly: no bytes object, no astype copy
+        n = 1 << 16  # a 1 MiB payload
+        rng = np.random.default_rng(2)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        path = tmp_path / "rec.maiq"
+        write_iq_record(path, IQRecord(Position(0, 0), samples, 1e-9, 0))
+        tracemalloc.start()
+        try:
+            back = read_iq_record(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 16 * n, f"{peak / (16 * n):.2f} payloads' bytes"
+        assert back.samples.tobytes() == samples.tobytes()
+        assert back.samples.flags.writeable and back.samples.dtype == np.complex128
