@@ -7,6 +7,7 @@ scheme.
 """
 
 from .channel import (
+    DbMap,
     GainMap,
     MovementRegion,
     PathComponent,
@@ -56,7 +57,7 @@ from .mover import (
     optimize,
     refine,
 )
-from .powermeter import PowerMap, PowerMeasurement, measure_power, sweep_measure
+from .powermeter import PowerMeasurement, measure_power, sweep_measure
 from .presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_3p5ghz, scenario_27p5ghz
 from .signals import (
     IQRecord,

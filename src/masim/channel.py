@@ -33,6 +33,10 @@ MAX_GRID_POINTS = 10**6
 """Largest sampling grid a MovementRegion accepts (the paper's largest is 101 x 101)."""
 
 
+CSV_BLOCK_ROWS = 2**16
+"""Rows write_csv formats per write."""
+
+
 def to_db(values, floor: float = 1e-30):
     """10*log10 with a floor so exact nulls do not produce -inf."""
     return 10.0 * np.log10(np.maximum(values, floor))
@@ -226,6 +230,12 @@ def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.nda
     return steer @ coeff
 
 
+def _argmax_position(x_m, y_m, values) -> Position:
+    """Grid position of the maximum of values (n_y, n_x), ties broken by smallest (y, then x)."""
+    iy, ix = np.unravel_index(int(np.argmax(values)), values.shape)
+    return Position(float(x_m[ix]), float(y_m[iy]))
+
+
 @dataclass(frozen=True)
 class GainMap:
     """Simulated small-scale gain sampled on a region grid.
@@ -248,21 +258,53 @@ class GainMap:
 
     def argmax_position(self) -> Position:
         """Grid position of the maximum, ties broken by smallest (y, then x)."""
-        iy, ix = np.unravel_index(int(np.argmax(self.values)), self.values.shape)
-        return Position(float(self.x_m[ix]), float(self.y_m[iy]))
+        return _argmax_position(self.x_m, self.y_m, self.values)
 
     def to_csv(self, path) -> None:
         write_grid_csv(path, self.x_m, self.y_m, self.values_db, "gain_db")
 
 
-def write_grid_csv(path, x_m, y_m, values, value_column: str) -> None:
-    """Write a gridded scalar field as x_m,y_m,<value> rows, 9 significant digits."""
-    lines = [f"x_m,y_m,{value_column}"]
-    for iy, y in enumerate(y_m):
-        for ix, x in enumerate(x_m):
-            lines.append(f"{x:.9g},{y:.9g},{values[iy, ix]:.9g}")
+@dataclass(frozen=True)
+class DbMap:
+    """A dB-valued map on a grid: a metered power map, or any map read back from CSV.
+
+    values_db is (n_y, n_x), row i holds y_m[i]; column names the CSV value
+    column (e.g. power_dbr, gain_db).
+    """
+
+    x_m: np.ndarray
+    y_m: np.ndarray
+    values_db: np.ndarray
+    column: str
+
+    def __post_init__(self):
+        if self.values_db.shape != (len(self.y_m), len(self.x_m)):
+            raise ValueError("values shape must be (len(y_m), len(x_m))")
+
+    def argmax_position(self) -> Position:
+        """Grid position of the maximum, ties broken by smallest (y, then x)."""
+        return _argmax_position(self.x_m, self.y_m, self.values_db)
+
+    def to_csv(self, path) -> None:
+        write_grid_csv(path, self.x_m, self.y_m, self.values_db, self.column)
+
+
+def write_csv(path, names, *columns) -> None:
+    """Write equal-length columns under a header of names, one row per entry, 9 significant digits."""
+    row = ",".join(["{:.9g}"] * len(columns)) + "\n"
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(names) + "\n")
+        # Python scalars format fastest; converting a block at a time bounds their memory
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+            fh.write("".join(map(row.format, *block)))
+
+
+def write_grid_csv(path, x_m, y_m, values, value_column: str) -> None:
+    """Write a gridded scalar field (n_y, n_x) as x_m,y_m,<value> rows, row-major by y then x."""
+    write_csv(path, ["x_m", "y_m", value_column],
+              np.tile(x_m, len(y_m)), np.repeat(y_m, len(x_m)), np.ravel(values))
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
@@ -292,12 +334,30 @@ def row_major_axes(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray,
     """(x values, y values) of the complete grid that points (x, y) list row-major by y then x.
 
     Raises ValueError, naming the points as what, when they are not exactly
-    that grid in that order.
+    that grid in that order: the message gives the first duplicated point,
+    else the number of missing points, else says the order is wrong.
     """
     xs, ys = np.unique(x), np.unique(y)
     if not (np.array_equal(x, np.tile(xs, len(ys))) and np.array_equal(y, np.repeat(ys, len(xs)))):
-        raise ValueError(f"{what} are not a complete grid listed row-major by y then x")
+        _, inverse, counts = np.unique(np.column_stack([x, y]), axis=0, return_inverse=True, return_counts=True)
+        if len(counts) < len(x):
+            i = int(np.argmax(counts[inverse.ravel()] > 1))
+            raise ValueError(f"{what} are not a complete grid: duplicated point ({float(x[i])!r}, {float(y[i])!r})")
+        if len(counts) < len(xs) * len(ys):
+            raise ValueError(f"{what} are not a complete grid: {len(xs) * len(ys) - len(counts)} "
+                             f"of {len(xs) * len(ys)} points missing")
+        raise ValueError(f"{what} are not listed row-major by y then x")
     return xs, ys
+
+
+def grid_order(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(order, (x values, y values)): the stable row-major (y, then x) order of points (x, y) and their grid's axes.
+
+    x[order], y[order] list the complete grid row-major; points that do not
+    tile one raise row_major_axes' ValueError, naming them as what.
+    """
+    order = np.lexsort((x, y))  # stable, like sorted()
+    return order, row_major_axes(x[order], y[order], what)
 
 
 def gain_field(psi: PathStateInfo, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:

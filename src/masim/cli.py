@@ -61,7 +61,7 @@ def _cmd_measure(args) -> int:
     pm = measure_campaign(args.campaign, f0_hz=args.f0, fft_size=args.fft_size)
     pm.to_csv(args.out)
     peak = pm.argmax_position()
-    print(f"wrote {args.out}: peak {float(pm.values_dbr.max()):.2f} dBr at "
+    print(f"wrote {args.out}: peak {float(pm.values_db.max()):.2f} dBr at "
           f"({peak.x_m * 1e3:.3f}, {peak.y_m * 1e3:.3f}) mm")
     return 0
 

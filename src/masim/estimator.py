@@ -33,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
-from .channel import PathComponent, PathStateInfo, Position, row_major_axes, to_db
+from .channel import PathComponent, PathStateInfo, grid_order, to_db, write_csv
 from .codec import JsonCodec
 from .signals import IQRecord, OfdmNumerology
 
@@ -170,10 +170,9 @@ class SoundingCampaign:
             np.divide(h_raw, sys, out=h_freq[q - 1], where=usable)  # unusable subcarriers stay 0
         if q != num_records:
             raise ValueError(f"{q} records, {num_records} announced")
-        order = np.lexsort((pos[:, 0], pos[:, 1]))  # stable, like sorted()
+        order, self._axes = grid_order(pos[:, 0], pos[:, 1], "sounding positions")
         if np.any(order != np.arange(len(order))):
             pos, h_freq = pos[order], h_freq[order]
-        self._axes = row_major_axes(pos[:, 0], pos[:, 1], "sounding positions")  # sorted rows
         self._positions = pos
         h_freq.flags.writeable = False
         usable.flags.writeable = False
@@ -217,13 +216,9 @@ class PasMatrix:
 
     def to_csv(self, path) -> None:
         """Rows of elevation_deg,azimuth_deg,pas_db with the max pinned at 0 dB."""
-        vdb = self.values_db_rel_max
-        lines = ["elevation_deg,azimuth_deg,pas_db"]
-        for ie, el in enumerate(self.elevations_deg):
-            for ia, az in enumerate(self.azimuths_deg):
-                lines.append(f"{el:.9g},{az:.9g},{vdb[ie, ia]:.9g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        n_el, n_az = self.values.shape
+        write_csv(path, ["elevation_deg", "azimuth_deg", "pas_db"], np.repeat(self.elevations_deg, n_az),
+                  np.tile(self.azimuths_deg, n_el), self.values_db_rel_max.ravel())
 
 
 @dataclass(frozen=True)
@@ -245,14 +240,10 @@ class PdsMatrix:
         return self.delay_step_s * np.arange(self.values.shape[1])
 
     def to_csv(self, path) -> None:
-        vdb = to_db(self.values)
-        delays_ns = self.delays_s() * 1e9
-        lines = ["position_index,delay_ns,pds_db"]
-        for q in range(self.values.shape[0]):
-            for n, dns in enumerate(delays_ns):
-                lines.append(f"{q},{dns:.9g},{vdb[q, n]:.9g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Rows of position_index,delay_ns,pds_db, positions in (y, x) order."""
+        q, n = self.values.shape
+        write_csv(path, ["position_index", "delay_ns", "pds_db"], np.repeat(np.arange(q), n),
+                  np.tile(self.delays_s() * 1e9, q), to_db(self.values).ravel())
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
+    DbMap,
+    GainMap,
     MovementRegion,
     PathStateInfo,
     Position,
@@ -47,7 +49,7 @@ from .estimator import (
     estimate_psi,
 )
 from .mover import MoveResult, SimulatedSlideTrack, optimize
-from .powermeter import PowerMap, sweep_measure
+from .powermeter import sweep_measure
 from .signals import (
     IQRecord,
     NoiseSpec,
@@ -411,7 +413,7 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
     return manifest, campaign
 
 
-def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> PowerMap:
+def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> DbMap:
     """Meter every record of an on-disk tone campaign with the single-bin DFT, one record file at a time.
 
     fft_size is the bin grid Ns (default: next power of two >= 8N); each
@@ -614,30 +616,11 @@ def run_pipeline(
 # map comparison
 
 
-@dataclass(frozen=True)
-class DbMap:
-    """A bare dB-valued grid, e.g. one read back from CSV."""
-
-    x_m: np.ndarray
-    y_m: np.ndarray
-    db: np.ndarray
-
-
 def load_map_csv(path) -> DbMap:
     x, y, values, column = read_grid_csv(path)
     if not (column.endswith("_db") or column.endswith("_dbr")):
         raise ConfigError(f"{path}: column {column!r} is not a dB quantity")
-    return DbMap(x_m=x, y_m=y, db=values)
-
-
-def _map_db(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(m, DbMap):
-        return m.x_m, m.y_m, m.db
-    if hasattr(m, "values_db"):
-        return m.x_m, m.y_m, np.asarray(m.values_db)
-    if hasattr(m, "values_dbr"):
-        return m.x_m, m.y_m, np.asarray(m.values_dbr)
-    raise TypeError(f"not a map type: {type(m).__name__}")
+    return DbMap(x_m=x, y_m=y, values_db=values, column=column)
 
 
 @dataclass(frozen=True)
@@ -651,15 +634,15 @@ class CompareReport(JsonCodec):
     argmax_shift_steps: tuple[int, int]
 
 
-def compare_maps(a, b) -> CompareReport:
+def compare_maps(a: GainMap | DbMap, b: GainMap | DbMap) -> CompareReport:
     """Compare two maps point by point. Grids must be identical.
 
     offset_db is mean(b - a); residuals are what remains after removing it.
     A power map and the gain map it measures should correlate to 1 with the
     offset equal to the link budget terms the gain map leaves out.
     """
-    ax, ay, adb = _map_db(a)
-    bx, by, bdb = _map_db(b)
+    ax, ay, adb = a.x_m, a.y_m, a.values_db
+    bx, by, bdb = b.x_m, b.y_m, b.values_db
     if not (np.array_equal(ax, bx) and np.array_equal(ay, by)):
         raise ValueError("maps are on different grids")
     if adb.shape != bdb.shape:

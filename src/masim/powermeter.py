@@ -12,6 +12,9 @@ FFT'd, without computing the other Ns - 1 bins (Goertzel 1958 is the
 streaming form of the same sum). For an on-bin tone it is exact; off-bin
 tones see the usual sinc^2 scalloping of the rectangular window. Coherent
 integration over N samples buys ~10*log10(N) of SNR against white noise.
+
+sweep_measure meters a whole tone campaign into a channel.DbMap of power_dbr
+on the grid its record positions tile.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import Position, to_db, write_grid_csv
+from .channel import DbMap, Position, grid_order, to_db
 from .signals import IQRecord
 
 
@@ -89,37 +92,16 @@ def measure_power(record: IQRecord, f0_hz: float, fft_size: int | None = None) -
     )
 
 
-@dataclass(frozen=True)
-class PowerMap:
-    """Measured power over a campaign grid, in dB relative to unit transmit scale (dBr).
-
-    No absolute power calibration is applied: values differ from the
-    simulated gain map by the constant 10*log10(beta*pt).
-    """
-
-    x_m: np.ndarray
-    y_m: np.ndarray
-    values_dbr: np.ndarray
-
-    def __post_init__(self):
-        if self.values_dbr.shape != (len(self.y_m), len(self.x_m)):
-            raise ValueError("values shape must be (len(y_m), len(x_m))")
-
-    def argmax_position(self) -> Position:
-        iy, ix = np.unravel_index(int(np.argmax(self.values_dbr)), self.values_dbr.shape)
-        return Position(float(self.x_m[ix]), float(self.y_m[iy]))
-
-    def to_csv(self, path) -> None:
-        write_grid_csv(path, self.x_m, self.y_m, self.values_dbr, "power_dbr")
-
-
-def sweep_measure(records: Iterable[IQRecord], f0_hz: float, fft_size: int | None = None) -> PowerMap:
+def sweep_measure(records: Iterable[IQRecord], f0_hz: float, fft_size: int | None = None) -> DbMap:
     """Meter every record of a tone campaign and assemble the grid power map.
 
     records is any iterable, consumed once, one record at a time; only each
     record's position and power are kept. All records must share the sample
     interval and length, and their positions must tile a complete
-    rectangular grid.
+    rectangular grid, in any order. The map's column is power_dbr: dB
+    relative to unit transmit scale, with no absolute power calibration, so
+    its values differ from the simulated gain map by the constant
+    10*log10(beta*pt).
     """
     xy, powers = [], []
     for rec in records:
@@ -131,17 +113,6 @@ def sweep_measure(records: Iterable[IQRecord], f0_hz: float, fft_size: int | Non
         powers.append(measure_power(rec, f0_hz, fft_size).power_db)
     if not xy:
         raise ValueError("no records to measure")
-
     pos = np.array(xy)
-    xs = np.unique(pos[:, 0])
-    ys = np.unique(pos[:, 1])
-    if len(xs) * len(ys) != len(pos):
-        raise ValueError("record positions do not tile a complete grid")
-    values = np.full((len(ys), len(xs)), np.nan)
-    for (x, y), power in zip(xy, powers):
-        iy = int(np.searchsorted(ys, y))
-        ix = int(np.searchsorted(xs, x))
-        if not np.isnan(values[iy, ix]):
-            raise ValueError(f"duplicate record position {Position(x, y)}")
-        values[iy, ix] = power
-    return PowerMap(x_m=xs, y_m=ys, values_dbr=values)
+    order, (xs, ys) = grid_order(pos[:, 0], pos[:, 1], "record positions")
+    return DbMap(x_m=xs, y_m=ys, values_db=np.array(powers)[order].reshape(len(ys), len(xs)), column="power_dbr")

@@ -58,10 +58,6 @@ class NoiseSpec:
         if self.bandwidth_hz <= 0.0:
             raise ValueError(f"noise bandwidth must be > 0: {self.bandwidth_hz}")
 
-    @staticmethod
-    def from_snr_db(snr_db: float, bandwidth_hz: float, tx_power: float = 1.0) -> "NoiseSpec":
-        return NoiseSpec(power=tx_power * 10.0 ** (-snr_db / 10.0), bandwidth_hz=bandwidth_hz)
-
 
 @dataclass(frozen=True)
 class OfdmNumerology(JsonCodec):
@@ -112,14 +108,6 @@ class OfdmNumerology(JsonCodec):
         return 1.0 / self.sample_rate_hz
 
     @property
-    def useful_duration_s(self) -> float:
-        return 1.0 / self.subcarrier_spacing_hz
-
-    @property
-    def symbol_duration_s(self) -> float:
-        return self.useful_duration_s + self.cp_duration_s
-
-    @property
     def cp_samples(self) -> int:
         return int(round(self.cp_duration_s * self.sample_rate_hz))
 
@@ -161,7 +149,7 @@ def write_iq_record(path, record: IQRecord) -> None:
         record.num_samples,
         record.seed,
     )
-    payload = np.ascontiguousarray(record.samples, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(record.samples, dtype="<c16")  # written from its buffer, not copied
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

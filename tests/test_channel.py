@@ -20,6 +20,7 @@ from masim.channel import (
     channel_response,
     gain_field,
     gain_map,
+    grid_order,
     read_grid_csv,
     to_db,
     write_grid_csv,
@@ -334,6 +335,24 @@ class TestGainMaps:
         path.write_text("x_m,y_m,gain_db\n" + body)
         with pytest.raises(ValueError):
             read_grid_csv(path)
+
+    def test_grid_order_restores_row_major(self):
+        xs, ys = np.array([0.0, 1e-3, 2e-3, 3e-3]), np.array([-1e-3, 0.0, 5e-4])
+        x, y = np.tile(xs, len(ys)), np.repeat(ys, len(xs))
+        perm = np.random.default_rng(7).permutation(len(x))
+        order, (gx, gy) = grid_order(x[perm], y[perm], "points")
+        np.testing.assert_array_equal(gx, xs)
+        np.testing.assert_array_equal(gy, ys)
+        np.testing.assert_array_equal(x[perm][order], x)
+        np.testing.assert_array_equal(y[perm][order], y)
+        np.testing.assert_array_equal(perm[order], np.arange(len(x)))
+
+    def test_grid_order_names_the_flaw(self):
+        # sorted points can only be duplicated or missing, never out of order
+        with pytest.raises(ValueError, match=r"duplicated point \(0\.001, 0\.0\)"):
+            grid_order(np.array([1e-3, 0.0, 1e-3, 0.0]), np.array([0.0, 1e-3, 0.0, 0.0]), "points")
+        with pytest.raises(ValueError, match="1 of 4 points missing"):
+            grid_order(np.array([1e-3, 0.0, 0.0]), np.array([0.0, 1e-3, 0.0]), "points")
 
     def test_to_db_floor(self):
         assert to_db(0.0) == to_db(1e-300)

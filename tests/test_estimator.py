@@ -485,7 +485,7 @@ class TestStreamedReductions:
         record_bytes = STREAM_NUM.frame_samples * 16
         making = traced_peak(lambda records: all(records))  # synthesis of one record at a time
         building = traced_peak(stream_campaign)
-        assert building - making < 4 * record_bytes, f"{(building - making) / record_bytes:.1f} records over synthesis"
+        assert building - making < 3 * record_bytes, f"{(building - making) / record_bytes:.2f} records over synthesis"
 
 
 class TestDelayAmplitude:

@@ -297,7 +297,7 @@ class TestCampaignFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pm.values_dbr.shape == (16, 16)
+        assert pm.values_db.shape == (16, 16)
         assert peak < 6 * record_bytes, f"peak {peak / record_bytes:.1f} records"
 
     def test_measure_campaign_checks_mode_first(self, tmp_path):
@@ -387,10 +387,10 @@ class TestCompareMaps:
         assert report.argmax_shift_steps == (0, 0)
 
     def test_constant_offset_absorbed(self):
-        from masim.harness import DbMap
+        from masim.channel import DbMap
 
         gm = gain_map(hall_psi_27p5ghz(), MovementRegion(0.01, 0.01, 1e-3, 1e-3))
-        shifted = DbMap(x_m=gm.x_m, y_m=gm.y_m, db=gm.values_db + 3.0)
+        shifted = DbMap(x_m=gm.x_m, y_m=gm.y_m, values_db=gm.values_db + 3.0, column="gain_db")
         report = compare_maps(gm, shifted)
         assert report.offset_db == pytest.approx(3.0, abs=1e-12)
         assert report.max_abs_residual_db < 1e-12
@@ -421,7 +421,7 @@ class TestCompareMaps:
         path = tmp_path / "gain.csv"
         gm.to_csv(path)
         loaded = load_map_csv(path)
-        np.testing.assert_allclose(loaded.db, gm.values_db, atol=1e-6)
+        np.testing.assert_allclose(loaded.values_db, gm.values_db, atol=1e-6)
 
 
 class TestCli:
@@ -507,7 +507,7 @@ class TestCli:
             out = tmp_path / f"{name}.csv"
             assert cli_main(["measure", "--campaign", str(cdir), "--out", str(out), *extra]) == 0
             maps[name] = load_map_csv(out)
-        np.testing.assert_allclose(maps["huge"].db, maps["default"].db, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(maps["huge"].values_db, maps["default"].values_db, rtol=0, atol=1e-9)
 
     def test_fft_size_past_exact_bin_index_exits_2(self, tmp_path, capsys):
         # 10**400 used to die converting Ns*T*f0 to float (OverflowError, exit 1)

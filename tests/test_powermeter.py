@@ -131,9 +131,9 @@ class TestMeasurePower:
 
 
 class TestSweep:
-    def sweep_records(self, noise_power=0.0, tx_power=1.0):
+    def sweep_records(self, noise_power=0.0, tx_power=1.0, region=MovementRegion(0.5, 0.0, 5e-3, 5e-3)):
+        # the default 101-point line keeps this quick
         psi = hall_psi_3p5ghz()
-        region = MovementRegion(0.5, 0.0, 5e-3, 5e-3)  # 101-point line keeps this quick
         tone = gen_tone(50e6, 4096, T)
         spec = NoiseSpec(noise_power, FS) if noise_power > 0 else None
         records = []
@@ -145,8 +145,8 @@ class TestSweep:
         return psi, region, records
 
     def test_rejects_duplicate_positions(self):
-        # a duplicate paired with a hole passes the grid-count check, so the
-        # per-cell collision test has to catch it
+        # a duplicate paired with a hole has the grid's point count, so the
+        # error has to name the duplicate rather than a missing point
         recs = [
             tone_record(1.0, num_samples=64, pos=Position(0.0, 0.0)),
             tone_record(1.0, num_samples=64, pos=Position(0.0, 0.0)),
@@ -179,7 +179,7 @@ class TestSweep:
         psi, region, records = self.sweep_records(noise_power=0.01)
         pm = sweep_measure(records, 50e6)
         gm = gain_map(psi, region)
-        dev = np.abs(pm.values_dbr - gm.values_db)
+        dev = np.abs(pm.values_db - gm.values_db)
         assert np.mean(dev < 0.5) >= 0.99
 
     def test_one_pass_over_a_generator(self):
@@ -187,7 +187,20 @@ class TestSweep:
         psi, region, records = self.sweep_records(noise_power=0.01)
         expect = sweep_measure(records, 50e6)
         got = sweep_measure((rec for rec in records), 50e6)
-        np.testing.assert_array_equal(got.values_dbr, expect.values_dbr)
+        np.testing.assert_array_equal(got.values_db, expect.values_db)
+
+    def test_shuffled_records_give_the_same_map(self):
+        # records may arrive in any order: each power lands on its own grid cell
+        psi, region, records = self.sweep_records(noise_power=0.01, region=MovementRegion(0.02, 0.015, 5e-3, 5e-3))
+        expect = sweep_measure(records, 50e6)
+        assert expect.values_db.shape == region.shape == (4, 5)
+        shuffled = [records[i] for i in np.random.default_rng(5).permutation(len(records))]
+        got = sweep_measure((rec for rec in shuffled), 50e6)
+        np.testing.assert_array_equal(got.values_db, expect.values_db)
+        np.testing.assert_array_equal(got.x_m, region.grid_x())
+        np.testing.assert_array_equal(got.y_m, region.grid_y())
+        rec = records[7]  # row-major: y index 1, x index 2
+        assert got.values_db[1, 2] == measure_power(rec, 50e6).power_db
 
     def test_rejects_empty_and_mixed_records(self):
         with pytest.raises(ValueError, match="no records"):
@@ -199,9 +212,9 @@ class TestSweep:
     def test_map_shape_and_argmax(self):
         psi, region, records = self.sweep_records()
         pm = sweep_measure(records, 50e6)
-        assert pm.values_dbr.shape == region.shape
+        assert pm.values_db.shape == region.shape
         best = pm.argmax_position()
-        iy, ix = np.unravel_index(np.argmax(pm.values_dbr), pm.values_dbr.shape)
+        iy, ix = np.unravel_index(np.argmax(pm.values_db), pm.values_db.shape)
         assert best == Position(float(pm.x_m[ix]), float(pm.y_m[iy]))
 
     def test_csv_round_trip(self, tmp_path):
@@ -213,4 +226,4 @@ class TestSweep:
         pm.to_csv(path)
         xs, ys, values, column = read_grid_csv(path)
         assert column == "power_dbr"
-        np.testing.assert_allclose(values, pm.values_dbr, atol=1e-6)
+        np.testing.assert_allclose(values, pm.values_db, atol=1e-6)

@@ -242,10 +242,6 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             NoiseSpec(-1e-3, 400e6)
 
-    def test_from_snr(self):
-        spec = NoiseSpec.from_snr_db(20.0, 400e6)
-        assert spec.power == pytest.approx(0.01)
-
 
 class TestIqRecordFile:
     def test_round_trip(self, tmp_path):
@@ -313,6 +309,21 @@ class TestIqRecordFile:
         monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=full_size))
         with pytest.raises(ValueError, match="short read"):
             read_iq_record(path)
+
+    def test_payload_write_holds_no_copy(self, tmp_path):
+        # the payload is written from the sample array's own buffer, not a bytes copy
+        n = 1 << 16  # a 1 MiB payload
+        rng = np.random.default_rng(3)
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        path = tmp_path / "rec.maiq"
+        tracemalloc.start()
+        try:
+            write_iq_record(path, IQRecord(Position(0, 0), samples, 1e-9, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 16 * n, f"{peak / (16 * n):.2f} payloads' bytes"
+        np.testing.assert_array_equal(read_iq_record(path).samples, samples)
 
     def test_payload_read_holds_one_copy(self, tmp_path):
         # reading into the sample array directly: no bytes object, no astype copy
