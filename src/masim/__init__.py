@@ -49,7 +49,6 @@ from .harness import (
 )
 from .mover import (
     MoveAborted,
-    MovePlan,
     MoveResult,
     SimulatedSlideTrack,
     brute_force_best,

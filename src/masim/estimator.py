@@ -33,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
-from .channel import PathComponent, PathStateInfo, grid_order, to_db, write_csv
+from .channel import grid_order, to_db, write_csv
 from .codec import JsonCodec
 from .signals import IQRecord, OfdmNumerology
 
@@ -280,15 +280,6 @@ class EstimatedPsi(JsonCodec):
     def num_paths(self) -> int:
         return len(self.paths)
 
-    def as_path_state_info(self, large_scale_gain: float = 1.0) -> PathStateInfo:
-        return PathStateInfo(
-            paths=tuple(
-                PathComponent(p.elevation_deg, p.azimuth_deg, p.amplitude, p.delay_s) for p in self.paths
-            ),
-            carrier_hz=self.carrier_hz,
-            large_scale_gain=large_scale_gain,
-        )
-
 
 def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> PasMatrix:
     """Power angular spectrum PAS(theta, phi) = f^H R f over the angle grid.
@@ -424,8 +415,8 @@ def estimate_delay_amplitude(
     campaign: SoundingCampaign,
     weights: list[np.ndarray],
     angles: list[tuple[float, float]],
-    peaks_rel_db: list[float] | None = None,
-    grid_step_deg: float = 0.5,
+    peaks_rel_db: list[float],
+    grid_step_deg: float,
 ) -> EstimatedPsi:
     """Per-path delays and amplitudes from the beamformed frequency responses.
 
@@ -438,8 +429,8 @@ def estimate_delay_amplitude(
     convention of estimated PSI. Paths without a dominant delay peak are
     dropped with a warning.
     """
-    if len(weights) != len(angles):
-        raise ValueError("weights and angles must pair up")
+    if not len(weights) == len(angles) == len(peaks_rel_db):
+        raise ValueError("weights, angles and peaks_rel_db must pair up")
     num = campaign.numerology
     i_n = num.num_subcarriers
     df = num.subcarrier_spacing_hz
@@ -489,8 +480,7 @@ def estimate_delay_amplitude(
             tau_hat += 1.0 / fc
         rot = np.exp(2j * np.pi * idx * df * tau_hat)
         amp_raw = abs(np.mean(g[usable] * rot[usable]))
-        rel_db = peaks_rel_db[k] if peaks_rel_db is not None else 0.0
-        found.append((el, az, amp_raw, tau_hat, rel_db))
+        found.append((el, az, amp_raw, tau_hat, peaks_rel_db[k]))
 
     amps = np.array([f[2] for f in found]) / math.sqrt(p_total)
     total = float(np.sum(amps**2))
@@ -532,10 +522,4 @@ def estimate_psi(
     positions = campaign.positions_array()
     lam = campaign.wavelength_m
     weights = [zf_weights(angles, i, positions, lam) for i in range(len(angles))]
-    return estimate_delay_amplitude(
-        campaign,
-        weights,
-        angles,
-        peaks_rel_db=[p.rel_max_db for p in peaks],
-        grid_step_deg=grid.elevation_step_deg,
-    )
+    return estimate_delay_amplitude(campaign, weights, angles, [p.rel_max_db for p in peaks], grid.elevation_step_deg)

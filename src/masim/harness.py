@@ -265,18 +265,27 @@ def iter_sounding_records(cfg: ScenarioConfig, psi: PathStateInfo, tx_symbols: n
             )
 
 
-def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
-    """Synthesize a sounding campaign in memory (no files), one record at a time."""
-    tx_seed = derive_seed(cfg.master_seed, "tx")
+def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
+    """The QPSK grid every sounding record of cfg carries, seeded by derive_seed(master_seed, "tx")."""
     num = cfg.numerology
-    tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, tx_seed)
+    return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
+
+
+def _sounding_campaign(cfg: ScenarioConfig, records, tx: np.ndarray) -> SoundingCampaign:
+    """A SoundingCampaign over records, one per point of cfg.sounding_region."""
     return SoundingCampaign(
-        records=iter_sounding_records(cfg, psi, tx),
-        numerology=num,
+        records=records,
+        numerology=cfg.numerology,
         tx_symbols=tx,
         carrier_hz=cfg.carrier_hz,
         num_records=cfg.sounding_region.num_points,
     )
+
+
+def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
+    """Synthesize a sounding campaign in memory (no files), one record at a time."""
+    tx = _tx_symbols(cfg)
+    return _sounding_campaign(cfg, iter_sounding_records(cfg, psi, tx), tx)
 
 
 @dataclass(frozen=True)
@@ -345,9 +354,7 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
         records = iter_tone_records(cfg, psi)
     elif mode == "ofdm":
         tx_seed = derive_seed(cfg.master_seed, "tx")
-        num = cfg.numerology
-        tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, tx_seed)
-        records = iter_sounding_records(cfg, psi, tx)
+        records = iter_sounding_records(cfg, psi, _tx_symbols(cfg))
     else:
         raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {mode!r}")
 
@@ -401,16 +408,10 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
     manifest, records = _open_campaign(dir_path)
     if manifest.mode != "ofdm":
         raise ConfigError(f"expected an ofdm campaign, found mode {manifest.mode!r}")
-    num = manifest.scenario.numerology
-    tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, manifest.tx_symbol_seed)
-    campaign = SoundingCampaign(
-        records=records,
-        numerology=num,
-        tx_symbols=tx,
-        carrier_hz=manifest.scenario.carrier_hz,
-        num_records=len(manifest.records),
-    )
-    return manifest, campaign
+    cfg = manifest.scenario
+    if manifest.tx_symbol_seed != derive_seed(cfg.master_seed, "tx"):
+        raise ConfigError("manifest tx_symbol_seed is not the transmit seed of its scenario's master_seed")
+    return manifest, _sounding_campaign(cfg, records, _tx_symbols(cfg))
 
 
 def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> DbMap:
@@ -429,15 +430,15 @@ def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None 
 def optimize_on_slide_track(
     cfg: ScenarioConfig,
     psi: PathStateInfo,
-    est: EstimatedPsi | PathStateInfo,
-    budget: int = 50,
-    refine_step_m: float | None = None,
+    est: PathStateInfo,
+    budget: int,
+    refine_step_m: float | None,
 ) -> MoveResult:
     """Two-stage placement over cfg.region on a simulated slide track.
 
     The track measures the true channel psi with the scenario's tone and
     noise, seeded from its master seed; est drives the coarse stage. The
-    refinement starts at refine_step_m, by default the coarser grid step.
+    refinement starts at refine_step_m, or at the coarser grid step when it is None.
     """
     track = SimulatedSlideTrack(
         psi=psi,
@@ -645,8 +646,6 @@ def compare_maps(a: GainMap | DbMap, b: GainMap | DbMap) -> CompareReport:
     bx, by, bdb = b.x_m, b.y_m, b.values_db
     if not (np.array_equal(ax, bx) and np.array_equal(ay, by)):
         raise ValueError("maps are on different grids")
-    if adb.shape != bdb.shape:
-        raise ValueError("maps have different shapes")
     diff = bdb - adb
     offset = float(diff.mean())
     resid = diff - offset

@@ -13,14 +13,14 @@ the search with the partial trace preserved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .channel import MovementRegion, PathStateInfo, Position, gain_map
-from .estimator import EstimatedPsi
-from .powermeter import default_fft_size, measure_power
+from .powermeter import measure_power
 from .signals import IQRecord, NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
 # slide track positioning accuracy; steps below this are not executable
@@ -41,21 +41,6 @@ class MeasurementChannel(Protocol):
     def measure(self) -> float:
         """One power measurement (dBr) at the current position."""
         ...
-
-
-@dataclass(frozen=True)
-class MovePlan:
-    """Refinement plan around a coarse position."""
-
-    coarse_position: Position
-    refine_step_m: float = 1e-3
-    budget: int = 50
-
-    def __post_init__(self):
-        if self.refine_step_m <= 0.0:
-            raise ValueError("refine_step_m must be > 0")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,15 +121,14 @@ class SimulatedSlideTrack:
             sample_interval_s=self.sample_interval_s,
             seed=seed,
         )
-        return measure_power(rec, self.f0_hz, default_fft_size(self.num_samples)).power_db
+        return measure_power(rec, self.f0_hz).power_db
 
 
-def coarse_position(est: EstimatedPsi | PathStateInfo, region: MovementRegion) -> Position:
+def coarse_position(psi: PathStateInfo, region: MovementRegion) -> Position:
     """Argmax of the gain field simulated from estimated PSI over the region grid.
 
     Ties go to the smallest (y, then x) grid point. Costs no measurements.
     """
-    psi = est.as_path_state_info() if isinstance(est, EstimatedPsi) else est
     return gain_map(psi, region).argmax_position()
 
 
@@ -169,19 +153,25 @@ def _result_from_trace(trace: list) -> MoveResult:
     )
 
 
-def refine(channel: MeasurementChannel, region: MovementRegion, plan: MovePlan) -> MoveResult:
-    """Measurement-driven compass search from the coarse position.
+def refine(
+    channel: MeasurementChannel, region: MovementRegion, start: Position, refine_step_m: float, budget: int
+) -> MoveResult:
+    """Measurement-driven compass search from the coarse position start.
 
     Probes the pattern around the incumbent at the current step (clamped to
     the region); moves the incumbent on improvement, halves the step
     otherwise, and stops when the budget is exhausted or the step drops
     below the slide track positioning accuracy.
     """
+    if not (math.isfinite(refine_step_m) and refine_step_m > 0.0):
+        raise ValueError(f"refine_step_m must be finite and > 0: {refine_step_m}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1: {budget}")
     trace: list[tuple[Position, float]] = []
-    incumbent = region.clamp(plan.coarse_position.x_m, plan.coarse_position.y_m)
+    incumbent = region.clamp(start.x_m, start.y_m)
     best_power = _probe(channel, incumbent, trace)
-    step = plan.refine_step_m
-    while step >= POSITIONING_ACCURACY_M and len(trace) < plan.budget:
+    step = refine_step_m
+    while step >= POSITIONING_ACCURACY_M and len(trace) < budget:
         candidates = []
         for dx, dy in COMPASS_PATTERN:
             cand = region.clamp(incumbent.x_m + step * dx, incumbent.y_m + step * dy)
@@ -189,7 +179,7 @@ def refine(channel: MeasurementChannel, region: MovementRegion, plan: MovePlan) 
                 candidates.append(cand)
         improved = False
         for cand in candidates:
-            if len(trace) >= plan.budget:
+            if len(trace) >= budget:
                 break
             power = _probe(channel, cand, trace)
             if power > best_power:
@@ -209,13 +199,7 @@ def brute_force_best(psi: PathStateInfo, region: MovementRegion) -> tuple[Positi
 
 
 def optimize(
-    est: EstimatedPsi | PathStateInfo,
-    region: MovementRegion,
-    channel: MeasurementChannel,
-    refine_step_m: float = 1e-3,
-    budget: int = 50,
+    psi: PathStateInfo, region: MovementRegion, channel: MeasurementChannel, refine_step_m: float, budget: int
 ) -> MoveResult:
     """Two-stage optimization: simulated coarse placement, then measured refinement."""
-    coarse = coarse_position(est, region)
-    plan = MovePlan(coarse_position=coarse, refine_step_m=refine_step_m, budget=budget)
-    return refine(channel, region, plan)
+    return refine(channel, region, coarse_position(psi, region), refine_step_m, budget)

@@ -15,7 +15,6 @@ from .harness import ScenarioConfig
 from .signals import OfdmNumerology
 
 TX_POSITION_MAIN_M = (0.0, 1.3, 6.8)
-TX_POSITION_ALT_M = (-0.8, 1.3, 6.8)
 
 
 def hall_psi_3p5ghz() -> PathStateInfo:

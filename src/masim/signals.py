@@ -201,14 +201,14 @@ def qpsk_symbols(num_subcarriers: int, num_symbols: int, seed: int) -> np.ndarra
     return (re + 1j * im) / np.sqrt(2.0 * num_subcarriers)
 
 
-def apply_channel(tx: np.ndarray, psi: PathStateInfo, position: Position, tx_power: float = 1.0) -> np.ndarray:
-    """Narrowband flat fading at one position: y = h(r) * sqrt(pt) * tx.
+def apply_channel(tx: np.ndarray, psi: PathStateInfo, position: Position) -> np.ndarray:
+    """Narrowband flat fading at one position: y = h(r) * tx.
 
     Path delays act only through the carrier phase inside h(r). OFDM
     sounding applies the per-subcarrier response in harness._sounding_frames.
     """
     h = channel_response(psi, position.as_array())[0, 0]
-    return h * np.sqrt(tx_power) * np.asarray(tx, dtype=np.complex128)
+    return h * np.asarray(tx, dtype=np.complex128)
 
 
 def add_noise(samples: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:

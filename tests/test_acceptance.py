@@ -183,7 +183,7 @@ def test_05_tone_power_meter(capsys):
     best_pos, _ = brute_force_best(psi, MMWAVE_REGION)
     rel_err = 0.0
     for pos, pt in ((best_pos, 1.0), (Position(1e-3, 1e-3), 2.0)):
-        rx = apply_channel(tone, psi, pos, tx_power=pt)
+        rx = apply_channel(math.sqrt(pt) * tone, psi, pos)
         rec = IQRecord(position=pos, samples=rx, sample_interval_s=t, seed=0)
         expect = abs(channel_response(psi, pos.as_array())[0, 0]) ** 2 * pt
         got = measure_power(rec, f0).power_linear
@@ -248,7 +248,7 @@ def test_07_power_map_matches_gain_map(capsys):
     f0, n, t = 50e6, 1024, 1.0 / 400e6
     tone = gen_tone(f0, n, t)
     records = [
-        IQRecord(position=pos, samples=apply_channel(tone, psi, pos, tx_power=pt), sample_interval_s=t, seed=0)
+        IQRecord(position=pos, samples=apply_channel(math.sqrt(pt) * tone, psi, pos), sample_interval_s=t, seed=0)
         for pos in MMWAVE_REGION.positions()
     ]
     pm = sweep_measure(records, f0)

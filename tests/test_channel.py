@@ -76,6 +76,17 @@ def loop_response(psi, x, y, offset_hz=0.0):
     return math.sqrt(psi.large_scale_gain) * h
 
 
+def assert_matches_loop(psi, xy, offsets):
+    """channel_response's (Q, L) x (L, K) kernel against loop_response at every position and offset."""
+    got = channel_response(psi, xy, offsets)
+    assert got.shape == (len(xy), len(offsets))
+    expect = np.array([[loop_response(psi, x, y, f) for f in offsets] for x, y in xy])
+    # phases reach ~6000 cycles, so the two evaluation orders part at ~1e-11;
+    # the floor, below every normal float, covers a one-step subnormal split
+    scale = math.sqrt(psi.large_scale_gain) * sum(p.amplitude for p in psi.paths)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9 * scale + np.finfo(float).tiny)
+
+
 def angles_strategy():
     return st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 
@@ -213,12 +224,14 @@ class TestChannelResponse:
                             large_scale_gain=data.draw(finite(1.5, 10.0)))
         xy = data.draw(st.lists(st.tuples(finite(-0.5, 0.5), finite(-0.5, 0.5)), min_size=1, max_size=4))
         offsets = data.draw(st.lists(finite(-200e6, 200e6), min_size=1, max_size=4))
-        got = channel_response(psi, xy, offsets)
-        assert got.shape == (len(xy), len(offsets))
-        expect = np.array([[loop_response(psi, x, y, f) for f in offsets] for x, y in xy])
-        # phases reach ~6000 cycles, so the two evaluation orders part at ~1e-11
-        scale = math.sqrt(psi.large_scale_gain) * sum(p.amplitude for p in paths)
-        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9 * scale)
+        assert_matches_loop(psi, xy, offsets)
+
+    def test_subnormal_amplitude_matches_per_path_loop(self):
+        # the kernel gives 5e-324+1e-323j here and the loop 0+1e-323j; the
+        # amplitude-scaled bound alone underflows to 0
+        psi = PathStateInfo(paths=(PathComponent(30.0, 0.0, 5e-324, 0.0),), carrier_hz=27.5e9,
+                            large_scale_gain=3.7)
+        assert_matches_loop(psi, [(0.0, -0.2)], [0.0])
 
 
 class TestPsiValidation:

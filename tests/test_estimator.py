@@ -505,14 +505,16 @@ class TestDelayAmplitude:
         angles = [(3.0, 2.0), (-40.0, -70.0)]
         weights = [zf_weights(angles, i, positions, lam) for i in range(2)]
         with pytest.warns(UserWarning, match="dropping"):
-            est = estimate_delay_amplitude(camp, weights, angles)
+            est = estimate_delay_amplitude(camp, weights, angles, [0.0, 0.0], 0.5)
         assert est.num_paths == 1
         assert est.paths[0].elevation_deg == 3.0
 
     def test_weights_angles_must_pair(self):
         camp = small_campaign(one_path_psi(), extent=0.004)
         with pytest.raises(ValueError, match="pair"):
-            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)], [])
+            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)], [], [], 0.5)
+        with pytest.raises(ValueError, match="pair"):
+            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)], [(3.0, 2.0)], [], 0.5)
 
 
 class TestPds:
@@ -606,9 +608,3 @@ class TestEstimatedPsiModel:
                 carrier_hz=1e9,
                 grid_step_deg=0.5,
             )
-
-    def test_as_path_state_info(self):
-        psi = self.make().as_path_state_info(large_scale_gain=2.0)
-        assert psi.large_scale_gain == 2.0
-        assert psi.carrier_hz == 27.5e9
-        assert [p.amplitude for p in psi.paths] == [0.9, 0.3]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,17 @@ ALL_STAGES = ["sound", "estimate", "measure", "optimize", "export"]
 def five_stage_run(tmp_path_factory):
     """Every stage of pipeline_config() at the default stage parameters."""
     return run_pipeline(pipeline_config(), hall_psi_27p5ghz(), ALL_STAGES, tmp_path_factory.mktemp("pipeline"))
+
+
+def tamper_tx_seed(five_stage_run, tmp_path):
+    """A copy of the pipeline's sounding campaign whose manifest tx_symbol_seed is off by one bit."""
+    cdir = tmp_path / "camp"
+    shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
+    mpath = cdir / "manifest.json"
+    data = json.loads(mpath.read_text())
+    data["tx_symbol_seed"] ^= 1  # scenario_hash does not cover the seed
+    mpath.write_text(json.dumps(data))
+    return cdir
 
 
 def input_files(tmp_path, cfg=None):
@@ -263,6 +275,11 @@ class TestCampaignFiles:
         mpath.write_text(json.dumps(data))
         with pytest.raises(ConfigError):
             load_campaign(cdir)
+
+    def test_manifest_rejects_foreign_tx_seed(self, five_stage_run, tmp_path):
+        # used to load, then fail in estimation as "channel power does not rise above the noise floor"
+        with pytest.raises(ConfigError, match="tx_symbol_seed"):
+            load_sounding_campaign(tamper_tx_seed(five_stage_run, tmp_path))
 
     def test_missing_record_file(self, tmp_path):
         cfg = pipeline_config()
@@ -572,6 +589,23 @@ class TestCli:
         campaign = str(five_stage_run.artifacts["sounding_campaign"])
         assert cli_main(["estimate", "--campaign", campaign, "--el-step=nan", "--out", str(out)]) == 2
         assert "angle step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_rejects_foreign_tx_seed(self, five_stage_run, tmp_path, capsys):
+        out = tmp_path / "est.json"
+        campaign = str(tamper_tx_seed(five_stage_run, tmp_path))
+        assert cli_main(["estimate", "--campaign", campaign, "--out", str(out)]) == 2
+        assert "tx_symbol_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_optimize_rejects_non_finite_refine_step(self, tmp_path, capsys, step):
+        # nan used to exit 0 after one measurement, inf to exit 3 on a move to (0.02, nan)
+        cfg_path, psi_path = input_files(tmp_path)
+        out = tmp_path / "move_result.json"
+        assert cli_main(["optimize", "--psi", psi_path, "--region", cfg_path, f"--refine-step={step}",
+                         "--out", str(out)]) == 2
+        assert "refine_step_m" in capsys.readouterr().err
         assert not out.exists()
 
     def test_optimize_matches_stage(self, five_stage_run, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, gain_field, gain_map
 from masim.mover import (
     MoveAborted,
-    MovePlan,
     MoveResult,
     SimulatedSlideTrack,
     brute_force_best,
@@ -38,13 +37,18 @@ def make_track(psi, region, noise_power=0.01, seed=42):
 
 
 class TestPlanValidation:
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            MovePlan(Position(0, 0), refine_step_m=0.0)
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_rejects_bad_step(self, step):
+        track = make_track(table3(), hi_region())
+        with pytest.raises(ValueError, match="refine_step_m"):
+            refine(track, hi_region(), Position(0, 0), step, 50)
+        assert track.events == []
 
     def test_rejects_zero_budget(self):
-        with pytest.raises(ValueError):
-            MovePlan(Position(0, 0), budget=0)
+        track = make_track(table3(), hi_region())
+        with pytest.raises(ValueError, match="budget"):
+            refine(track, hi_region(), Position(0, 0), 1e-3, 0)
+        assert track.events == []
 
 
 class TestCoarse:
@@ -114,8 +118,7 @@ class TestRefine:
         psi = table3()
         region = hi_region()
         track = make_track(psi, region)
-        plan = MovePlan(Position(0.02, 0.02), refine_step_m=0.5e-3, budget=5)
-        result = refine(track, region, plan)
+        result = refine(track, region, Position(0.02, 0.02), 0.5e-3, 5)
         assert result.measurements_used == 5
         assert len(result.trace) == 5
 
@@ -123,15 +126,14 @@ class TestRefine:
         psi = table3()
         region = hi_region()
         track = make_track(psi, region)
-        plan = MovePlan(Position(0.01, 0.015), budget=1)
-        result = refine(track, region, plan)
+        result = refine(track, region, Position(0.01, 0.015), 1e-3, 1)
         assert result.measurements_used == 1
         assert result.final_position == Position(0.01, 0.015)
 
     def test_final_is_best_of_trace(self):
         psi = table3()
         region = hi_region()
-        result = refine(make_track(psi, region), region, MovePlan(Position(0.02, 0.02), budget=30))
+        result = refine(make_track(psi, region), region, Position(0.02, 0.02), 1e-3, 30)
         powers = [p for _, p in result.trace]
         assert result.final_power_dbr == max(powers)
         best_pos = result.trace[int(np.argmax(powers))][0]
@@ -146,7 +148,7 @@ class TestRefine:
         region = MovementRegion(0.02, 0.02, 0.5e-3, 0.5e-3)
         track = make_track(psi, region, noise_power=0.0)
         start = Position(0.01, 0.01)
-        result = refine(track, region, MovePlan(start, refine_step_m=1e-3, budget=60))
+        result = refine(track, region, start, 1e-3, 60)
         assert _true_gain(psi, result.final_position) >= _true_gain(psi, start)
         assert result.measurements_used <= 60
 
@@ -155,9 +157,8 @@ class TestRefine:
         inner = MovementRegion(0.01, 0.01, 0.5e-3, 0.5e-3)
         outer = MovementRegion(0.05, 0.05, 0.5e-3, 0.5e-3)
         track = make_track(psi, inner)  # track cannot reach most of outer
-        plan = MovePlan(Position(0.03, 0.03), refine_step_m=1e-3, budget=20)
         with pytest.raises(MoveAborted) as err:
-            refine(track, outer, plan)
+            refine(track, outer, Position(0.03, 0.03), 1e-3, 20)
         assert isinstance(err.value.partial, MoveResult)
         assert err.value.partial.measurements_used == 0
 
@@ -165,7 +166,7 @@ class TestRefine:
         psi = table3()
         region = hi_region()
         track = make_track(psi, region)
-        result = refine(track, region, MovePlan(Position(0.02, 0.02), budget=15))
+        result = refine(track, region, Position(0.02, 0.02), 1e-3, 15)
         kinds = [kind for kind, _ in track.events]
         assert kinds == ["move", "ack", "measure"] * result.measurements_used
 
@@ -190,7 +191,7 @@ class TestOptimize:
     def test_json_trace_shape(self):
         psi = table3()
         region = hi_region()
-        result = optimize(psi, region, make_track(psi, region), budget=8)
+        result = optimize(psi, region, make_track(psi, region), refine_step_m=1e-3, budget=8)
         data = result.to_json_dict()
         assert set(data) == {"final_position_m", "final_power_dbr", "measurements_used", "trace"}
         assert len(data["trace"]) == result.measurements_used

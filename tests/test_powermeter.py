@@ -138,7 +138,7 @@ class TestSweep:
         spec = NoiseSpec(noise_power, FS) if noise_power > 0 else None
         records = []
         for i, pos in enumerate(region.positions()):
-            rx = apply_channel(tone, psi, pos, tx_power=tx_power)
+            rx = apply_channel(np.sqrt(tx_power) * tone, psi, pos)
             if spec is not None:
                 rx = add_noise(rx, spec, derive_seed(4, "tone", i))
             records.append(IQRecord(pos, rx, T, i))

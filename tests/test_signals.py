@@ -152,7 +152,7 @@ class TestApplyChannel:
         psi = single_path(3.0, 2.0, 0.7, 20e-9)
         pos = Position(0.004, 0.009)
         tx = gen_tone(50e6, 64, 1 / 400e6)
-        rx = apply_channel(tx, psi, pos, tx_power=2.0)
+        rx = apply_channel(np.sqrt(2.0) * tx, psi, pos)
         h = channel_response(psi, pos.as_array())[0, 0]
         np.testing.assert_allclose(rx, h * np.sqrt(2.0) * tx, atol=1e-14)
 
@@ -211,7 +211,7 @@ class TestApplyChannel:
         psi = single_path(3.0, 2.0, 0.6, 25e-9, beta=2.5)
         pos = Position(0.01, 0.003)
         tx = gen_tone(50e6, 256, 1 / 400e6)
-        rx = apply_channel(tx, psi, pos, tx_power=3.0)
+        rx = apply_channel(np.sqrt(3.0) * tx, psi, pos)
         got = np.mean(np.abs(rx) ** 2)
         gain = gain_field(psi, np.array([pos.x_m]), np.array([pos.y_m]))[0, 0]
         assert got == pytest.approx(gain * 2.5 * 3.0, rel=1e-12)
