@@ -12,9 +12,11 @@ large virtual array. Processing follows the measurement chain:
      system-response calibration, both done per record as the campaign is
      built: SoundingCampaign keeps this calibrated h_freq, one channel
      frequency response per position, and the PAS snapshots, never the
-     records,
+     records (the in-memory builder, harness.build_sounding_campaign,
+     draws these two statistics directly and makes no records at all),
   5. per-path delay and amplitude from the beamformed delay profile, and a
-     power delay spectrum (PDS) per position as a by-product.
+     power delay spectrum (PDS) per position as a by-product; both read
+     the delay domain a block of positions at a time.
 
 Delay estimates carry the carrier phase: after locating the delay-domain
 peak, tau_hat is snapped to the nearest value whose carrier rotation
@@ -49,6 +51,9 @@ DELAY_OVERSAMPLE = 8
 
 MIN_PEAK_TO_MEDIAN_DB = 12.0
 """A path's delay profile must peak this far over its median to be kept."""
+
+MAX_SNAPSHOTS = 128
+"""Payload snapshots a campaign keeps per position for the PAS, unless told otherwise."""
 
 
 class DegenerateGeometryError(ValueError):
@@ -114,6 +119,9 @@ class SoundingCampaign:
     order records were captured or loaded in; the positions must then tile
     a complete grid, or ValueError is raised. tx_symbols is the known
     (I, M) subcarrier grid.
+
+    harness.build_sounding_campaign draws the same statistics directly,
+    without records, and hands them to _from_statistics.
     """
 
     def __init__(
@@ -125,7 +133,7 @@ class SoundingCampaign:
         *,
         num_records: int,
         sys_response: np.ndarray | None = None,
-        max_snapshots: int = 128,
+        max_snapshots: int = MAX_SNAPSHOTS,
     ):
         i, m = numerology.num_subcarriers, numerology.num_symbols
         if tx_symbols.shape != (i, m):
@@ -136,11 +144,6 @@ class SoundingCampaign:
             raise ValueError("carrier_hz must be > 0")
         if max_snapshots < 1:
             raise ValueError(f"max_snapshots must be >= 1: {max_snapshots}")
-        if num_records < 2:
-            raise ValueError("a sounding campaign needs at least 2 positions")
-        self.numerology = numerology
-        self.tx_symbols = tx_symbols
-        self.carrier_hz = carrier_hz
 
         snap_idx = _snapshot_indices(numerology, max_snapshots)
         expect, t = numerology.frame_samples, numerology.sample_interval_s
@@ -170,14 +173,36 @@ class SoundingCampaign:
             np.divide(h_raw, sys, out=h_freq[q - 1], where=usable)  # unusable subcarriers stay 0
         if q != num_records:
             raise ValueError(f"{q} records, {num_records} announced")
-        order, self._axes = grid_order(pos[:, 0], pos[:, 1], "sounding positions")
+        self._adopt(numerology, tx_symbols, carrier_hz, pos, h_freq, usable, snaps)
+
+    @classmethod
+    def _from_statistics(cls, numerology, tx_symbols, carrier_hz, positions, h_freq, usable, snapshots):
+        """A campaign over statistics synthesized directly, with no records (see _adopt for the arguments)."""
+        campaign = cls.__new__(cls)
+        campaign._adopt(numerology, tx_symbols, carrier_hz, positions, h_freq, usable, snapshots)
+        return campaign
+
+    def _adopt(self, numerology, tx_symbols, carrier_hz, positions, h_freq, usable, snapshots):
+        """Take per-position statistics as the campaign's, both constructors' common tail.
+
+        Row q of positions (Q, 2), h_freq (Q, I) and snapshots (Q, n_snap)
+        belongs to one position, in any order; usable is the (I,) mask. The
+        arrays are kept, not copied. Rows are sorted stably into row-major
+        (y, then x) order, the snapshots lazily by samples_matrix, so every
+        estimate is independent of the order they came in; the positions
+        must tile a complete grid of at least 2 points, or ValueError is raised.
+        """
+        if len(positions) < 2:
+            raise ValueError("a sounding campaign needs at least 2 positions")
+        order, self._axes = grid_order(positions[:, 0], positions[:, 1], "sounding positions")
         if np.any(order != np.arange(len(order))):
-            pos, h_freq = pos[order], h_freq[order]
-        self._positions = pos
+            positions, h_freq = positions[order], h_freq[order]
         h_freq.flags.writeable = False
         usable.flags.writeable = False
+        self.numerology, self.tx_symbols, self.carrier_hz = numerology, tx_symbols, carrier_hz
         self.h_freq, self.usable = h_freq, usable  # (Q, I), (I,)
-        self._snapshots, self._order = snaps, order
+        self._positions = positions
+        self._snapshots, self._order = snapshots, order
         self._samples: np.ndarray | None = None
 
     @property
@@ -388,6 +413,21 @@ def frequency_response(campaign: SoundingCampaign):
     return campaign.h_freq, campaign.usable
 
 
+def _delay_power(h_freq: np.ndarray, first_bin: int = 0) -> np.ndarray:
+    """|I-point IDFT|^2 of each row of h_freq at delay bins first_bin..I-1, (Q, I - first_bin).
+
+    Rows are transformed a block at a time, so no (Q, I) complex delay
+    response is ever held; each row's values do not depend on the blocking.
+    """
+    q, i_n = h_freq.shape
+    power = np.empty((q, i_n - first_bin))
+    block = max(1, (1 << 20) // i_n)  # about 16 MiB of delay response per block
+    for start in range(0, q, block):
+        rows = slice(start, start + block)
+        power[rows] = np.abs(np.fft.ifft(h_freq[rows], axis=1)[:, first_bin:]) ** 2
+    return power
+
+
 def compute_pds(campaign: SoundingCampaign) -> PdsMatrix:
     """Power delay spectrum per position from the I-point IDFT of the frequency response.
 
@@ -395,12 +435,12 @@ def compute_pds(campaign: SoundingCampaign) -> PdsMatrix:
     of every row is exactly 1.
     """
     h_freq, _ = frequency_response(campaign)
-    h_delay = np.fft.ifft(h_freq, axis=1)
-    pds = np.abs(h_delay) ** 2
+    pds = _delay_power(h_freq)
     peaks = np.max(pds, axis=1)
     if np.any(peaks == 0.0):
         raise ValueError("all-zero delay response at some position")
-    return PdsMatrix(values=pds / peaks[:, None], delay_step_s=campaign.numerology.delay_step_s)
+    pds /= peaks[:, None]
+    return PdsMatrix(values=pds, delay_step_s=campaign.numerology.delay_step_s)
 
 
 def _parabolic_offset(y_m1: float, y_0: float, y_p1: float) -> float:
@@ -445,9 +485,9 @@ def estimate_delay_amplitude(
 
     # total channel power per subcarrier, noise-debiased from the upper half
     # of the delay range where no physical path can sit
-    h_delay = np.fft.ifft(h_freq, axis=1)
-    noise_per_bin = float(np.mean(np.abs(h_delay[:, i_n // 2:]) ** 2))
-    p_total = float(np.mean(np.abs(h_freq[:, usable]) ** 2)) - i_n * noise_per_bin
+    noise_per_bin = float(np.mean(_delay_power(h_freq, i_n // 2)))
+    h_used = h_freq if usable.all() else h_freq[:, usable]
+    p_total = float(np.mean(np.abs(h_used) ** 2)) - i_n * noise_per_bin
     if p_total <= 0.0:
         raise ValueError("measured channel power does not rise above the noise floor")
 

@@ -5,6 +5,10 @@ manifest pinning down how the records were produced: the full scenario
 config, per-record noise seeds and payload digests, and (for sounding) the
 transmit symbol seed. The manifest is enough to re-derive everything the
 estimator needs without touching the channel model that produced the data.
+Such on-disk campaigns hold real time-domain records; the in-memory
+build_sounding_campaign makes none and draws the statistics a
+SoundingCampaign keeps (h_freq and the payload snapshots) directly, with
+the joint noise law the records would give them.
 
 run_pipeline() chains sound -> estimate -> measure -> optimize -> export
 through content-addressed stage directories: each stage directory name
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 from collections.abc import Callable, Iterator
@@ -41,9 +46,11 @@ from .channel import (
 )
 from .codec import ConfigError, JsonCodec, decode, encode
 from .estimator import (
+    MAX_SNAPSHOTS,
     AngleGrid,
     EstimatedPsi,
     SoundingCampaign,
+    _snapshot_indices,
     compute_pas,
     compute_pds,
     estimate_psi,
@@ -241,12 +248,16 @@ def _sounding_frames(psi, positions, numerology, tx_symbols):
     return frames
 
 
+def _check_sounding(cfg: ScenarioConfig, psi: PathStateInfo) -> None:
+    _check_carrier(cfg, psi)
+    if np.any(psi.delays_s > cfg.numerology.cp_duration_s):
+        raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
+
+
 def iter_sounding_records(cfg: ScenarioConfig, psi: PathStateInfo, tx_symbols: np.ndarray):
     """Yield one noisy OFDM capture per point of cfg.sounding_region, row-major."""
-    _check_carrier(cfg, psi)
+    _check_sounding(cfg, psi)
     num = cfg.numerology
-    if np.any(psi.delays_s > num.cp_duration_s):
-        raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
     noise = NoiseSpec(cfg.noise_power, num.sample_rate_hz)
     positions = cfg.sounding_region.positions()
     # block the batched IFFTs to keep peak memory around 64 MiB of samples
@@ -271,21 +282,66 @@ def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
     return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
 
 
-def _sounding_campaign(cfg: ScenarioConfig, records, tx: np.ndarray) -> SoundingCampaign:
-    """A SoundingCampaign over records, one per point of cfg.sounding_region."""
-    return SoundingCampaign(
-        records=records,
-        numerology=cfg.numerology,
-        tx_symbols=tx,
-        carrier_hz=cfg.carrier_hz,
-        num_records=cfg.sounding_region.num_points,
-    )
-
-
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
-    """Synthesize a sounding campaign in memory (no files), one record at a time."""
+    """Synthesize a sounding campaign in memory: its statistics directly, no records.
+
+    The campaign keeps per position only h_freq and MAX_SNAPSHOTS payload
+    snapshots, and both are linear in the channel response H (Q, I) plus
+    the records' white noise of variance s2 = cfg.noise_power. So they are
+    drawn with that noise's exact joint law (Gaussian conditioning; Kay,
+    Fundamentals of Statistical Signal Processing vol. 1, ch. 10):
+
+      snapshots = H T + z,   z ~ CN(0, s2), the noise of the snapshot samples
+      h_freq    = H + A z + w,   w ~ CN(0, s2 (I/M - A A^H)), independent of z
+
+    T[i, s] = tx[i, m_s] exp(j 2 pi i k_s / I) makes payload sample k_s of
+    symbol m_s from the subcarriers, and A[i, s] = exp(-j 2 pi i k_s / I) /
+    (M I tx[i, m_s]) is the cross-covariance of h_freq's noise with z over
+    s2. w is drawn from I white normals through an eigendecomposition of
+    the (n_snap, n_snap) Gram matrix A^H A, one per campaign. Position
+    q draws z, then those I normals, from derive_seed(master_seed, "sound",
+    q), so its statistics do not depend on the sweep's size or order.
+    Noiseless, the result equals SoundingCampaign over iter_sounding_records
+    up to rounding; the on-disk campaign of synthesize_campaign still holds
+    the time-domain records.
+    """
+    _check_sounding(cfg, psi)
+    num = cfg.numerology
+    i_n, m_n = num.num_subcarriers, num.num_symbols
     tx = _tx_symbols(cfg)
-    return _sounding_campaign(cfg, iter_sounding_records(cfg, psi, tx), tx)
+    sym, k = np.divmod(_snapshot_indices(num, MAX_SNAPSHOTS), num.samples_per_symbol)
+    k -= num.cp_samples
+    subcarrier = np.arange(i_n)
+    twiddle = np.exp(2j * np.pi * (np.outer(subcarrier, k) % i_n) / i_n)  # (I, n_snap)
+    tx_snap = tx[:, sym]
+    synth = tx_snap * twiddle  # T
+    a = twiddle.conj() / (m_n * i_n * tx_snap)  # A
+    lam, v = np.linalg.eigh(a.conj().T @ a)  # A^H A = V diag(lam) V^H, lam in [0, 1/M]
+    # w = g / sqrt(M) + A V diag(c) V^H A^H g has covariance I/M - A A^H for white g
+    # when lam c^2 + 2 c / sqrt(M) = -1; this root stays finite as lam -> 0
+    c = -1.0 / (np.sqrt(np.maximum(1.0 / m_n - lam, 0.0)) + 1.0 / math.sqrt(m_n))
+    av = a @ v
+    scale = math.sqrt(cfg.noise_power / 2.0)
+
+    positions = np.array([[p.x_m, p.y_m] for p in cfg.sounding_region.positions()])
+    q_n, n_snap = len(positions), len(k)
+    h_freq = np.empty((q_n, i_n), dtype=np.complex128)
+    snaps = np.empty((q_n, n_snap), dtype=np.complex128)
+    # equal blocks of about 16 MiB of noise each; none has a single row, which
+    # numpy would multiply by another kernel, so rows do not depend on blocking
+    n_blocks = min(-(-q_n * (n_snap + i_n) // (1 << 20)), q_n // 2)
+    bounds = np.linspace(0, q_n, max(n_blocks, 1) + 1).astype(int)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        noise = np.empty((stop - start, n_snap + i_n), dtype=np.complex128)
+        for q, row in enumerate(noise, start):
+            np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
+        noise *= scale
+        z, g = noise[:, :n_snap], noise[:, n_snap:]
+        h = channel_response(psi, positions[start:stop], subcarrier * num.subcarrier_spacing_hz)
+        snaps[start:stop] = h @ synth + z
+        h_freq[start:stop] = h + g / math.sqrt(m_n) + (z + ((g @ av.conj()) * c) @ v.T) @ a.T
+    usable = np.ones(i_n, dtype=bool)
+    return SoundingCampaign._from_statistics(num, tx, cfg.carrier_hz, positions, h_freq, usable, snaps)
 
 
 @dataclass(frozen=True)
@@ -347,16 +403,19 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     Record files land first and the manifest last, each via rename, so a
     directory with a manifest is always a complete campaign.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # the record generators check lazily; a refused campaign must leave no directory
     tx_seed = None
     if mode == "tone":
+        _check_carrier(cfg, psi)
         records = iter_tone_records(cfg, psi)
     elif mode == "ofdm":
+        _check_sounding(cfg, psi)
         tx_seed = derive_seed(cfg.master_seed, "tx")
         records = iter_sounding_records(cfg, psi, _tx_symbols(cfg))
     else:
         raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {mode!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     entries = []
     for i, rec in enumerate(records):
@@ -411,7 +470,9 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
     cfg = manifest.scenario
     if manifest.tx_symbol_seed != derive_seed(cfg.master_seed, "tx"):
         raise ConfigError("manifest tx_symbol_seed is not the transmit seed of its scenario's master_seed")
-    return manifest, _sounding_campaign(cfg, records, _tx_symbols(cfg))
+    campaign = SoundingCampaign(records, cfg.numerology, _tx_symbols(cfg), cfg.carrier_hz,
+                                num_records=cfg.sounding_region.num_points)
+    return manifest, campaign
 
 
 def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> DbMap:

@@ -15,7 +15,8 @@ from masim import (
     hall_psi_27p5ghz,
 )
 from masim.channel import MovementRegion
-from masim.harness import ScenarioConfig
+from masim.estimator import SoundingCampaign
+from masim.harness import ScenarioConfig, _tx_symbols, iter_sounding_records
 from masim.signals import OfdmNumerology
 
 # 832 x 480 kHz = 399.36 MHz occupied, 52-sample CP: same bandwidth class as
@@ -68,10 +69,23 @@ def forge_sample_count(path, n: int) -> None:
     path.write_bytes(bytes(blob))
 
 
-# Campaign builds cost tens of seconds, so they are memoized at module level
-# rather than only fixture-scoped: the acceptance tests call the get_* forms
-# directly inside their timed sections (paying the cost exactly once per
-# process) and the fixtures below resolve to the same objects.
+def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
+    """cfg's sounding campaign reduced from its time-domain records, as a loaded campaign is.
+
+    build_sounding_campaign draws the same statistics directly; its noise
+    follows the same law but not the same draws, so tests that pin the
+    record path bit for bit compare against this one.
+    """
+    tx = _tx_symbols(cfg)
+    return SoundingCampaign(iter_sounding_records(cfg, psi, tx), cfg.numerology, tx, cfg.carrier_hz,
+                            num_records=cfg.sounding_region.num_points)
+
+
+# Campaign builds and estimates take a second or more each, so they are
+# memoized at module level rather than only fixture-scoped: the acceptance
+# tests call the get_* forms directly inside their timed sections (paying
+# the cost exactly once per process) and the fixtures below resolve to the
+# same objects.
 _cache: dict = {}
 
 

@@ -32,7 +32,7 @@ from masim.harness import build_sounding_campaign, iter_sounding_records
 from masim.presets import hall_psi_27p5ghz
 from masim.signals import IQRecord, NoiseSpec, OfdmNumerology, add_noise, derive_seed, qpsk_symbols
 
-from conftest import get_hi_campaign, make_hi_scenario
+from conftest import make_hi_scenario, records_campaign
 
 SMALL_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=64, num_symbols=16,
                            cp_duration_s=4.0 / (64 * 480e3))
@@ -445,10 +445,10 @@ class TestStreamedReductions:
     """Per-record reductions equal, bit for bit, the batched reductions of the (Q, N) samples."""
 
     def test_hi_campaign_matches_batched_oracle(self):
-        cfg = make_hi_scenario()  # the configuration of get_hi_campaign()
+        cfg = make_hi_scenario()
         tx = tx_symbols_of(cfg)
         samples = sorted_samples(list(iter_sounding_records(cfg, hall_psi_27p5ghz(), tx)))
-        camp = get_hi_campaign()
+        camp = records_campaign(cfg, hall_psi_27p5ghz())
         assert np.array_equal(camp.h_freq, oracle_raw_subcarrier_response(samples, cfg.numerology, tx))
         assert np.array_equal(camp.samples_matrix(), oracle_snapshot_matrix(samples, cfg.numerology).T)
 
@@ -544,7 +544,7 @@ class TestEstimatePsi:
         cfg = small_config(noise_power=0.01, seed=13)
         psi = one_path_psi()
         tx = tx_symbols_of(cfg)
-        est1 = estimate_psi(build_sounding_campaign(cfg, psi))
+        est1 = estimate_psi(records_campaign(cfg, psi))
         shuffled = list(iter_sounding_records(cfg, psi, tx))
         np.random.default_rng(0).shuffle(shuffled)
         camp2 = SoundingCampaign(

@@ -1,5 +1,6 @@
 """Campaign serialization, synthesis fidelity, pipeline caching, map comparison, CLI."""
 
+import dataclasses
 import json
 import math
 import shutil
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masim.channel import MovementRegion, Position, gain_map
+from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, gain_map
 from masim.codec import encode
 from masim.cli import main as cli_main
 from masim.harness import (
@@ -30,10 +31,11 @@ from masim.harness import (
     save_psi,
     synthesize_campaign,
 )
-from masim.presets import hall_psi_27p5ghz
-from masim.signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone, qpsk_symbols
+from masim.estimator import estimate_psi
+from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_27p5ghz
+from masim.signals import NoiseSpec, OfdmNumerology, add_noise, apply_channel, derive_seed, gen_tone, qpsk_symbols
 
-from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario
+from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario, records_campaign
 
 
 def pipeline_config(master_seed=21, noise_power=0.01):
@@ -228,6 +230,92 @@ class TestSoundingSynthesis:
             assert rec.seed == derive_seed(cfg.master_seed, "sound", i)
 
 
+def sounding_config(numerology, extent=(0.005, 0.005), step=1e-3, master_seed=21, noise_power=0.0):
+    """pipeline_config() sounding an extent (x, y) at step with the given numerology."""
+    cfg = pipeline_config(master_seed=master_seed, noise_power=noise_power)
+    return dataclasses.replace(cfg, numerology=numerology,
+                               sounding_region=MovementRegion(extent[0], extent[1], step, step))
+
+
+# M >= 3 symbols; 16 x 12 = 192 payload samples, 128 of them kept as snapshots
+TINY_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=16, num_symbols=12,
+                          cp_duration_s=2.0 / (16 * 480e3))
+
+
+class TestInMemoryCampaign:
+    """build_sounding_campaign draws the statistics the record reduction would give."""
+
+    @pytest.mark.parametrize("numerology", [TEST_NUMEROLOGY, TINY_NUM], ids=["test", "tiny"])
+    def test_noiseless_matches_record_reduction(self, numerology):
+        cfg = sounding_config(numerology)
+        psi = hall_psi_27p5ghz()
+        direct, reduced = build_sounding_campaign(cfg, psi), records_campaign(cfg, psi)
+        np.testing.assert_array_equal(direct.positions_array(), reduced.positions_array())
+        np.testing.assert_array_equal(direct.tx_symbols, reduced.tx_symbols)
+        np.testing.assert_allclose(direct.h_freq, reduced.h_freq, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(direct.samples_matrix(), reduced.samples_matrix(), rtol=0, atol=1e-12)
+        assert direct.usable.all() and not direct.h_freq.flags.writeable
+
+    def test_noise_follows_the_record_law(self):
+        # 60 x 60 positions, each its own noise seed: h_freq noise CN(0, s2/M) white
+        # across subcarriers, white snapshot noise CN(0, s2), cross-covariance s2 * A with
+        # A[i, s] = exp(-j 2 pi i k_s / I) / (M I tx[i, m_s]) for snapshot s at sample k_s of symbol m_s
+        s2, num = 0.3, TINY_NUM
+        i_n, m_n = num.num_subcarriers, num.num_symbols
+        cfg = sounding_config(num, extent=(0.059, 0.059), noise_power=s2)
+        psi = hall_psi_27p5ghz()
+        noisy = build_sounding_campaign(cfg, psi)
+        clean = build_sounding_campaign(dataclasses.replace(cfg, noise_power=0.0), psi)
+        h = noisy.h_freq - clean.h_freq  # (N, I)
+        z = noisy.samples_matrix() - clean.samples_matrix()  # (N, n_snap)
+        n = len(h)
+        assert n == 3600 and z.shape[1] == 128
+        # 5 standard errors of each estimate, from the sample count
+        tol = 5.0 / math.sqrt(n)
+        np.testing.assert_allclose(np.mean(np.abs(h) ** 2, axis=0), s2 / m_n, rtol=tol)
+        np.testing.assert_allclose(np.mean(np.abs(z) ** 2, axis=0), s2, rtol=tol)
+        cov_h, cov_z = h.T @ h.conj() / n, z.T @ z.conj() / n
+        assert np.max(np.abs(cov_h - np.diag(np.diag(cov_h)))) < tol * s2 / m_n
+        assert np.max(np.abs(cov_z - np.diag(np.diag(cov_z)))) < tol * s2
+        assert np.max(np.abs(np.mean(h, axis=0))) < tol * math.sqrt(s2 / m_n)
+        frame = np.concatenate([m * num.samples_per_symbol + num.cp_samples + np.arange(i_n) for m in range(m_n)])
+        kept = frame[np.unique(np.round(np.linspace(0, len(frame) - 1, 128)).astype(int))]
+        sym, k = kept // num.samples_per_symbol, kept % num.samples_per_symbol - num.cp_samples
+        idx = np.arange(i_n)[:, None]
+        a = np.exp(-2j * np.pi * idx * k / i_n) / (m_n * i_n * noisy.tx_symbols[:, sym])
+        cross = h.T @ z.conj() / n  # (I, n_snap)
+        assert np.max(np.abs(cross - s2 * a)) < tol * s2 / math.sqrt(m_n)
+
+    def test_positions_keep_their_draws_when_the_sweep_grows(self):
+        # rows added to the end of the sweep leave the earlier positions' statistics
+        # bit-identical, across a change of the position blocks too
+        psi = hall_psi_27p5ghz()
+        small = build_sounding_campaign(sounding_config(TEST_NUMEROLOGY, (0.05, 0.03), noise_power=0.01), psi)
+        large = build_sounding_campaign(sounding_config(TEST_NUMEROLOGY, (0.05, 0.04), noise_power=0.01), psi)
+        q = small.num_positions
+        assert (q, large.num_positions) == (51 * 31, 51 * 41)
+        np.testing.assert_array_equal(large.positions_array()[:q], small.positions_array())
+        np.testing.assert_array_equal(large.h_freq[:q], small.h_freq)
+        np.testing.assert_array_equal(large.samples_matrix()[:q], small.samples_matrix())
+
+    def test_refuses_delay_beyond_cyclic_prefix(self):
+        num = TINY_NUM
+        psi = PathStateInfo(paths=(PathComponent(3.0, 2.0, 1.0, 2 * num.cp_duration_s),), carrier_hz=27.5e9)
+        with pytest.raises(ConfigError, match="cyclic prefix"):
+            build_sounding_campaign(sounding_config(num), psi)
+
+    def test_paper_numerology_preset_recovers_paths(self):
+        # the 27.5 GHz preset's 51 x 51 sweep at 3168 x 100, built in memory
+        cfg = scenario_27p5ghz(noise_power=0.01)
+        truth = hall_psi_27p5ghz()
+        est = estimate_psi(build_sounding_campaign(cfg, truth))
+        assert est.num_paths == truth.num_paths
+        for p in truth.paths:
+            err = min(max(abs(e.elevation_deg - p.elevation_deg), abs(e.azimuth_deg - p.azimuth_deg))
+                      for e in est.paths)
+            assert err <= est.grid_step_deg + 1e-9
+
+
 class TestCampaignFiles:
     def test_tone_round_trip(self, tmp_path):
         cfg = pipeline_config()
@@ -247,14 +335,21 @@ class TestCampaignFiles:
         cdir = synthesize_campaign(cfg, psi, "ofdm", tmp_path / "camp")
         manifest, campaign = load_sounding_campaign(cdir)
         assert manifest.mode == "ofdm"
-        reference = build_sounding_campaign(cfg, psi)
+        # the in-memory builder makes no records; the reference reduces them as the loader does
+        reference = records_campaign(cfg, psi)
         np.testing.assert_array_equal(campaign.tx_symbols, reference.tx_symbols)
+        np.testing.assert_array_equal(campaign.tx_symbols, build_sounding_campaign(cfg, psi).tx_symbols)
         _, records = load_campaign(cdir)
         for got, expect in zip(records, iter_sounding_records(cfg, psi, reference.tx_symbols), strict=True):
             np.testing.assert_allclose(got.samples, expect.samples, atol=1e-12)
         np.testing.assert_array_equal(campaign.positions_array(), reference.positions_array())
         np.testing.assert_array_equal(campaign.samples_matrix(), reference.samples_matrix())
         np.testing.assert_array_equal(campaign.h_freq, reference.h_freq)
+
+    def test_unknown_mode_leaves_no_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match="mode"):
+            synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "radar", tmp_path / "camp")
+        assert not (tmp_path / "camp").exists()
 
     def test_manifest_rejects_tampered_scenario(self, tmp_path):
         cfg = pipeline_config()
@@ -503,6 +598,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "rec_000005.maiq" in err and "sha256" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, psi, message", [
+        ("ofdm", PathStateInfo(paths=(PathComponent(3.0, 2.0, 1.0, 1e-6),), carrier_hz=27.5e9), "cyclic prefix"),
+        ("ofdm", hall_psi_3p5ghz(), "carrier"),
+        ("tone", hall_psi_3p5ghz(), "carrier"),
+    ], ids=["ofdm-delay_past_cp", "ofdm-carrier", "tone-carrier"])
+    def test_refused_sound_leaves_no_directory(self, tmp_path, capsys, mode, psi, message):
+        # the out directory used to be made before the lazy record generator
+        # ran its checks, so a refused campaign left it behind, empty
+        cfg_path, psi_path = input_files(tmp_path)
+        save_psi(psi_path, psi)
+        rc = cli_main(["sound", "--config", cfg_path, "--psi", psi_path, "--mode", mode,
+                       "--out-dir", str(tmp_path / "camp")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "camp").exists()
 
     def test_oversized_record_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.json"
