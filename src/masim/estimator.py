@@ -8,12 +8,11 @@ large virtual array. Processing follows the measurement chain:
      virtual-array response at the scanned angle,
   2. peak picking on the PAS to count paths and read their angles,
   3. per-path zero-forcing weights that null every other found path,
-  4. symbol averaging of the equalized per-subcarrier response, then
-     system-response calibration, both done per record as the campaign is
-     built: SoundingCampaign keeps this calibrated h_freq, one channel
-     frequency response per position, and the PAS snapshots, never the
-     records (the in-memory builder, harness.build_sounding_campaign,
-     draws these two statistics directly and makes no records at all),
+  4. symbol averaging of the equalized per-subcarrier response: a
+     SoundingCampaign keeps this h_freq, one channel frequency response per
+     position, and the PAS snapshots, never time-domain records
+     (harness.build_sounding_campaign draws the two statistics directly, and
+     an on-disk campaign holds them),
   5. per-path delay and amplitude from the beamformed delay profile, and a
      power delay spectrum (PDS) per position as a by-product; both read
      the delay domain a block of positions at a time.
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +35,11 @@ from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
 from .channel import grid_order, to_db, write_csv
 from .codec import JsonCodec
-from .signals import IQRecord, OfdmNumerology
+from .signals import OfdmNumerology
 
 
 PAS_TAPER_BETA = 2.8
 """Kaiser window beta of the PAS aperture taper."""
-
-CALIBRATION_FLOOR = 1e-6
-"""Subcarriers whose |system response| is at or below this are unusable."""
 
 DELAY_OVERSAMPLE = 8
 """Zero-padding factor of the beamformed delay profile."""
@@ -53,11 +48,12 @@ MIN_PEAK_TO_MEDIAN_DB = 12.0
 """A path's delay profile must peak this far over its median to be kept."""
 
 MAX_SNAPSHOTS = 128
-"""Payload snapshots a campaign keeps per position for the PAS, unless told otherwise."""
+"""Payload snapshots a campaign keeps per position for the PAS."""
 
 
 class DegenerateGeometryError(ValueError):
-    """Raised when found angles are too close for the aperture to separate."""
+    """Raised when the sounding geometry cannot resolve the paths: found angles too
+    close for the aperture to separate, or a grid step above lambda/2, which aliases."""
 
 
 @dataclass(frozen=True)
@@ -105,102 +101,46 @@ def _snapshot_indices(numerology: OfdmNumerology, max_snapshots: int) -> np.ndar
 
 
 class SoundingCampaign:
-    """A full OFDM sounding sweep, reduced record by record to what the estimator reads.
+    """A full OFDM sounding sweep, as the per-position statistics the estimator reads.
 
-    records is any iterable of exactly num_records IQRecord, one per grid
-    position, consumed once; no record is kept. Each is checked against the
-    numerology and reduced to its position, up to max_snapshots payload
-    time samples for the PAS, and its row of h_freq: the FFT of each
-    symbol's payload, equalized by the known transmit symbols, coherently
-    averaged over the M symbols and calibrated against sys_response, the
-    combined TX/RX system frequency response (None means flat). usable
-    flags the subcarriers calibration kept. Rows are sorted stably into
-    row-major (y, then x) order, so every estimate is independent of the
-    order records were captured or loaded in; the positions must then tile
-    a complete grid, or ValueError is raised. tx_symbols is the known
-    (I, M) subcarrier grid.
+    Row q of positions (Q, 2), h_freq (Q, I) and snapshots (Q, n_snap)
+    belongs to one position, in any order. h_freq is its channel frequency
+    response on the I subcarriers: the FFT of each symbol's payload,
+    equalized by the known (I, M) tx_symbols grid and coherently averaged
+    over the M symbols. snapshots are n_snap received payload time samples,
+    CP excluded, for the PAS. The arrays are kept, not copied. Rows are
+    sorted stably into row-major (y, then x) order, the snapshots lazily by
+    samples_matrix, so every estimate is independent of the order they came
+    in; the positions must tile a complete grid of at least 2 points, or
+    ValueError is raised.
 
-    harness.build_sounding_campaign draws the same statistics directly,
-    without records, and hands them to _from_statistics.
+    harness.build_sounding_campaign draws these statistics with the noise
+    law of the time-domain records they summarize; harness.load_sounding_campaign
+    reads them back from an on-disk campaign.
     """
 
-    def __init__(
-        self,
-        records: Iterable[IQRecord],
-        numerology: OfdmNumerology,
-        tx_symbols: np.ndarray,
-        carrier_hz: float,
-        *,
-        num_records: int,
-        sys_response: np.ndarray | None = None,
-        max_snapshots: int = MAX_SNAPSHOTS,
-    ):
+    def __init__(self, numerology: OfdmNumerology, tx_symbols: np.ndarray, carrier_hz: float,
+                 positions: np.ndarray, h_freq: np.ndarray, snapshots: np.ndarray):
         i, m = numerology.num_subcarriers, numerology.num_symbols
         if tx_symbols.shape != (i, m):
             raise ValueError(f"tx_symbols must be ({i}, {m}), got {tx_symbols.shape}")
-        if sys_response is not None and len(sys_response) != i:
-            raise ValueError("sys_response length must match the subcarrier count")
         if carrier_hz <= 0.0:
             raise ValueError("carrier_hz must be > 0")
-        if max_snapshots < 1:
-            raise ValueError(f"max_snapshots must be >= 1: {max_snapshots}")
-
-        snap_idx = _snapshot_indices(numerology, max_snapshots)
-        expect, t = numerology.frame_samples, numerology.sample_interval_s
-        sym, cp = numerology.samples_per_symbol, numerology.cp_samples
-        den = i * tx_symbols.T  # (M, I)
-        sys = np.ones(i, dtype=np.complex128) if sys_response is None else np.asarray(sys_response, np.complex128)
-        usable = np.abs(sys) > CALIBRATION_FLOOR
-
-        def reduce_record(rec: IQRecord):
-            if rec.num_samples != expect:
-                raise ValueError(f"record has {rec.num_samples} samples, numerology expects {expect}")
-            if abs(rec.sample_interval_s - t) > 1e-15:
-                raise ValueError("record sample interval disagrees with the numerology")
-            payload = rec.samples.reshape(m, sym)[:, cp:]
-            h_raw = np.mean(np.fft.fft(payload, axis=1) / den, axis=0)
-            return (rec.position.x_m, rec.position.y_m), h_raw, rec.samples[snap_idx]
-
-        pos = np.empty((num_records, 2))
-        h_freq = np.zeros((num_records, i), dtype=np.complex128)
-        snaps = np.empty((num_records, len(snap_idx)), dtype=np.complex128)
-        q = 0
-        # each record is dropped once reduced, before the next one is made
-        for q, (xy, h_raw, snap) in enumerate(map(reduce_record, records), 1):
-            if q > num_records:
-                raise ValueError(f"more records than the {num_records} announced")
-            pos[q - 1], snaps[q - 1] = xy, snap
-            np.divide(h_raw, sys, out=h_freq[q - 1], where=usable)  # unusable subcarriers stay 0
-        if q != num_records:
-            raise ValueError(f"{q} records, {num_records} announced")
-        self._adopt(numerology, tx_symbols, carrier_hz, pos, h_freq, usable, snaps)
-
-    @classmethod
-    def _from_statistics(cls, numerology, tx_symbols, carrier_hz, positions, h_freq, usable, snapshots):
-        """A campaign over statistics synthesized directly, with no records (see _adopt for the arguments)."""
-        campaign = cls.__new__(cls)
-        campaign._adopt(numerology, tx_symbols, carrier_hz, positions, h_freq, usable, snapshots)
-        return campaign
-
-    def _adopt(self, numerology, tx_symbols, carrier_hz, positions, h_freq, usable, snapshots):
-        """Take per-position statistics as the campaign's, both constructors' common tail.
-
-        Row q of positions (Q, 2), h_freq (Q, I) and snapshots (Q, n_snap)
-        belongs to one position, in any order; usable is the (I,) mask. The
-        arrays are kept, not copied. Rows are sorted stably into row-major
-        (y, then x) order, the snapshots lazily by samples_matrix, so every
-        estimate is independent of the order they came in; the positions
-        must tile a complete grid of at least 2 points, or ValueError is raised.
-        """
-        if len(positions) < 2:
+        q = len(positions)
+        if q < 2:
             raise ValueError("a sounding campaign needs at least 2 positions")
+        if h_freq.shape != (q, i):
+            raise ValueError(f"h_freq must be ({q}, {i}) for {q} positions, got {h_freq.shape}")
+        if snapshots.ndim != 2 or len(snapshots) != q or snapshots.shape[1] < 1:
+            raise ValueError(f"snapshots must be ({q}, n_snap >= 1) for {q} positions, got {snapshots.shape}")
         order, self._axes = grid_order(positions[:, 0], positions[:, 1], "sounding positions")
-        if np.any(order != np.arange(len(order))):
+        if np.any(order != np.arange(q)):
             positions, h_freq = positions[order], h_freq[order]
+        else:
+            order = None
         h_freq.flags.writeable = False
-        usable.flags.writeable = False
         self.numerology, self.tx_symbols, self.carrier_hz = numerology, tx_symbols, carrier_hz
-        self.h_freq, self.usable = h_freq, usable  # (Q, I), (I,)
+        self.h_freq = h_freq  # (Q, I)
         self._positions = positions
         self._snapshots, self._order = snapshots, order
         self._samples: np.ndarray | None = None
@@ -217,9 +157,13 @@ class SoundingCampaign:
         return self._positions.copy()
 
     def samples_matrix(self) -> np.ndarray:
-        """(Q, n_snap) block of the retained payload snapshots in (y, x) order, assembled on first use."""
+        """(Q, n_snap) block of the retained payload snapshots in (y, x) order, sorted on first use.
+
+        Snapshots that came in (y, x) order are returned as they are, not copied.
+        """
         if self._samples is None:
-            self._samples, self._snapshots = self._snapshots[self._order], None
+            snaps = self._snapshots if self._order is None else self._snapshots[self._order]
+            self._samples, self._snapshots = snaps, None
         return self._samples
 
     def grid_axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +254,7 @@ def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> Pa
     """Power angular spectrum PAS(theta, phi) = f^H R f over the angle grid.
 
     R is the sample covariance of the campaign's retained snapshots: up to
-    max_snapshots received time samples per position, evenly spread over the
+    MAX_SNAPSHOTS received time samples per position, evenly spread over the
     frame, CP excluded. A separable Kaiser taper (beta PAS_TAPER_BETA) is
     applied across the position grid before correlation; the rectangular
     aperture's -13 dB sidelobes would otherwise masquerade as paths. The scan
@@ -408,9 +352,9 @@ def zf_weights(
     return w / math.sqrt(q)
 
 
-def frequency_response(campaign: SoundingCampaign):
-    """Calibrated channel frequency response per position, (Q, I), plus usable mask; both read-only."""
-    return campaign.h_freq, campaign.usable
+def frequency_response(campaign: SoundingCampaign) -> np.ndarray:
+    """Channel frequency response per position, (Q, I), read-only."""
+    return campaign.h_freq
 
 
 def _delay_power(h_freq: np.ndarray, first_bin: int = 0) -> np.ndarray:
@@ -434,8 +378,7 @@ def compute_pds(campaign: SoundingCampaign) -> PdsMatrix:
     Each position's spectrum is normalized by its own peak, so the maximum
     of every row is exactly 1.
     """
-    h_freq, _ = frequency_response(campaign)
-    pds = _delay_power(h_freq)
+    pds = _delay_power(frequency_response(campaign))
     peaks = np.max(pds, axis=1)
     if np.any(peaks == 0.0):
         raise ValueError("all-zero delay response at some position")
@@ -475,9 +418,7 @@ def estimate_delay_amplitude(
     i_n = num.num_subcarriers
     df = num.subcarrier_spacing_hz
     fc = campaign.carrier_hz
-    h_freq, usable = frequency_response(campaign)
-    if not np.any(usable):
-        raise ValueError("no usable subcarriers after calibration")
+    h_freq = frequency_response(campaign)
     positions = campaign.positions_array()
     lam = campaign.wavelength_m
     idx = np.arange(i_n)
@@ -486,8 +427,7 @@ def estimate_delay_amplitude(
     # total channel power per subcarrier, noise-debiased from the upper half
     # of the delay range where no physical path can sit
     noise_per_bin = float(np.mean(_delay_power(h_freq, i_n // 2)))
-    h_used = h_freq if usable.all() else h_freq[:, usable]
-    p_total = float(np.mean(np.abs(h_used) ** 2)) - i_n * noise_per_bin
+    p_total = float(np.mean(np.abs(h_freq) ** 2)) - i_n * noise_per_bin
     if p_total <= 0.0:
         raise ValueError("measured channel power does not rise above the noise floor")
 
@@ -496,7 +436,6 @@ def estimate_delay_amplitude(
         f_hat = array_response(el, az, positions, lam)
         denom = np.vdot(w, f_hat)
         g = (w.conj() @ h_freq) / denom
-        g[~usable] = 0.0
         profile = np.abs(np.fft.ifft(g, n=n_fft)) ** 2
         peak = int(np.argmax(profile))
         med = float(np.median(profile))
@@ -512,14 +451,14 @@ def estimate_delay_amplitude(
         tau0 = (peak + delta) * num.delay_step_s / DELAY_OVERSAMPLE
         # measured carrier phase of the path, then phase-consistent snap
         rot = np.exp(2j * np.pi * idx * df * tau0)
-        m0 = np.mean(g[usable] * rot[usable])
+        m0 = np.mean(g * rot)
         psi_ph = math.atan2(m0.imag, m0.real)
         cycles = round(tau0 * fc + psi_ph / (2.0 * math.pi))
         tau_hat = (cycles - psi_ph / (2.0 * math.pi)) / fc
         while tau_hat < 0.0:
             tau_hat += 1.0 / fc
         rot = np.exp(2j * np.pi * idx * df * tau_hat)
-        amp_raw = abs(np.mean(g[usable] * rot[usable]))
+        amp_raw = abs(np.mean(g * rot))
         found.append((el, az, amp_raw, tau_hat, peaks_rel_db[k]))
 
     amps = np.array([f[2] for f in found]) / math.sqrt(p_total)
@@ -550,9 +489,18 @@ def estimate_psi(
     """Full estimation chain: PAS, peak picking, ZF beamforming, delay/amplitude.
 
     Pass a precomputed pas (from compute_pas on the same campaign and grid)
-    to skip the spectrum scan.
+    to skip the spectrum scan. A grid step above lambda/2 along either axis
+    lets grating lobes into the |u|, |v| <= 1 scan (Van Trees, Optimum Array
+    Processing, ch. 2), so it raises DegenerateGeometryError.
     """
     grid = grid or AngleGrid()
+    lam = campaign.wavelength_m
+    for axis in campaign.grid_axes():
+        step = float(np.max(np.diff(axis), initial=0.0))
+        if step > lam / 2.0 * (1.0 + 1e-9):
+            raise DegenerateGeometryError(
+                f"sounding step {step * 1e3:.4g} mm exceeds lambda/2 = {lam * 500.0:.4g} mm; the angles would alias"
+            )
     if pas is None:
         pas = compute_pas(campaign, grid)
     peaks = find_paths(pas, max_paths=max_paths, prominence_db=prominence_db)
@@ -560,6 +508,5 @@ def estimate_psi(
         raise ValueError("no paths found in the angular spectrum")
     angles = [(p.elevation_deg, p.azimuth_deg) for p in peaks]
     positions = campaign.positions_array()
-    lam = campaign.wavelength_m
     weights = [zf_weights(angles, i, positions, lam) for i in range(len(angles))]
     return estimate_delay_amplitude(campaign, weights, angles, [p.rel_max_db for p in peaks], grid.elevation_step_deg)

@@ -5,10 +5,11 @@ manifest pinning down how the records were produced: the full scenario
 config, per-record noise seeds and payload digests, and (for sounding) the
 transmit symbol seed. The manifest is enough to re-derive everything the
 estimator needs without touching the channel model that produced the data.
-Such on-disk campaigns hold real time-domain records; the in-memory
-build_sounding_campaign makes none and draws the statistics a
+A tone record is a time-domain capture. A sounding record holds no
+time-domain frame: build_sounding_campaign draws the statistics a
 SoundingCampaign keeps (h_freq and the payload snapshots) directly, with
-the joint noise law the records would give them.
+the joint noise law the frames would give them, and each sounding record
+holds one position's h_freq row followed by its snapshot row.
 
 run_pipeline() chains sound -> estimate -> measure -> optimize -> export
 through content-addressed stage directories: each stage directory name
@@ -71,9 +72,15 @@ from .signals import (
 )
 
 MAX_RECORD_SAMPLES = 2**24
-"""Largest record a ScenarioConfig may ask for (the paper's OFDM frame is 336,600 samples)."""
+"""Largest tone record or OFDM frame a ScenarioConfig may ask for (the paper's frame is 336,600 samples)."""
 
-MANIFEST_FORMAT = "maiq-campaign/2"
+MAX_CAMPAIGN_BYTES = 2**31
+"""Largest sounding campaign a ScenarioConfig may ask for: Q x (I + MAX_SNAPSHOTS) complex128 statistics.
+
+The paper's largest, 10,201 positions at 3168 subcarriers, is 538 MB.
+"""
+
+MANIFEST_FORMAT = "maiq-campaign/3"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -148,6 +155,11 @@ class ScenarioConfig(JsonCodec):
         ):
             if count > MAX_RECORD_SAMPLES:
                 raise ConfigError(f"{name} {count} exceeds the {MAX_RECORD_SAMPLES}-sample cap per record")
+        ny, nx = self.sounding_region.shape
+        size = ny * nx * (self.numerology.num_subcarriers + MAX_SNAPSHOTS) * 16
+        if size > MAX_CAMPAIGN_BYTES:
+            raise ConfigError(f"a {ny} x {nx} sounding_region holds {size} bytes of statistics, "
+                              f"over the {MAX_CAMPAIGN_BYTES}-byte cap per campaign")
         if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) or self.master_seed < 0:
             raise ConfigError(f"master_seed must be a non-negative integer: {self.master_seed!r}")
 
@@ -228,66 +240,18 @@ def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo):
         yield IQRecord(position=pos, samples=add_noise(rx, noise, seed), sample_interval_s=t, seed=seed)
 
 
-def _sounding_frames(psi, positions, numerology, tx_symbols):
-    """Noiseless received OFDM frames for a block of positions, (Q, frame_samples).
-
-    Frequency-domain synthesis: the per-position channel response on the I
-    occupied subcarriers, from channel_response, multiplies each symbol's
-    subcarrier grid; one batched IFFT per symbol gives its payload, and the
-    last cp_samples of the payload are prepended as the cyclic prefix.
-    """
-    n_sub = numerology.num_subcarriers
-    h_freq = channel_response(psi, positions, np.arange(n_sub) * numerology.subcarrier_spacing_hz)  # (Q, I)
-    n_cp = numerology.cp_samples
-    sym_len = n_sub + n_cp
-    frames = np.empty((len(positions), numerology.frame_samples), dtype=np.complex128)
-    for m in range(numerology.num_symbols):
-        payload = np.fft.ifft(tx_symbols[:, m][None, :] * h_freq, axis=1) * n_sub
-        frames[:, m * sym_len : m * sym_len + n_cp] = payload[:, n_sub - n_cp :]
-        frames[:, m * sym_len + n_cp : (m + 1) * sym_len] = payload
-    return frames
-
-
-def _check_sounding(cfg: ScenarioConfig, psi: PathStateInfo) -> None:
-    _check_carrier(cfg, psi)
-    if np.any(psi.delays_s > cfg.numerology.cp_duration_s):
-        raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
-
-
-def iter_sounding_records(cfg: ScenarioConfig, psi: PathStateInfo, tx_symbols: np.ndarray):
-    """Yield one noisy OFDM capture per point of cfg.sounding_region, row-major."""
-    _check_sounding(cfg, psi)
-    num = cfg.numerology
-    noise = NoiseSpec(cfg.noise_power, num.sample_rate_hz)
-    positions = cfg.sounding_region.positions()
-    # block the batched IFFTs to keep peak memory around 64 MiB of samples
-    block = max(1, (1 << 22) // num.frame_samples)
-    for start in range(0, len(positions), block):
-        chunk = positions[start : start + block]
-        pos_arr = np.array([[p.x_m, p.y_m] for p in chunk])
-        frames = _sounding_frames(psi, pos_arr, num, tx_symbols)
-        for k, pos in enumerate(chunk):
-            seed = derive_seed(cfg.master_seed, "sound", start + k)
-            yield IQRecord(
-                position=pos,
-                samples=add_noise(frames[k], noise, seed),
-                sample_interval_s=num.sample_interval_s,
-                seed=seed,
-            )
-
-
 def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
-    """The QPSK grid every sounding record of cfg carries, seeded by derive_seed(master_seed, "tx")."""
+    """The QPSK grid every sounding frame of cfg carries, seeded by derive_seed(master_seed, "tx")."""
     num = cfg.numerology
     return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
 
 
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
-    """Synthesize a sounding campaign in memory: its statistics directly, no records.
+    """Synthesize a sounding campaign in memory: its statistics directly, no time-domain frames.
 
     The campaign keeps per position only h_freq and MAX_SNAPSHOTS payload
     snapshots, and both are linear in the channel response H (Q, I) plus
-    the records' white noise of variance s2 = cfg.noise_power. So they are
+    the frames' white noise of variance s2 = cfg.noise_power. So they are
     drawn with that noise's exact joint law (Gaussian conditioning; Kay,
     Fundamentals of Statistical Signal Processing vol. 1, ch. 10):
 
@@ -301,11 +265,11 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     the (n_snap, n_snap) Gram matrix A^H A, one per campaign. Position
     q draws z, then those I normals, from derive_seed(master_seed, "sound",
     q), so its statistics do not depend on the sweep's size or order.
-    Noiseless, the result equals SoundingCampaign over iter_sounding_records
-    up to rounding; the on-disk campaign of synthesize_campaign still holds
-    the time-domain records.
+    synthesize_campaign writes exactly these statistics to disk.
     """
-    _check_sounding(cfg, psi)
+    _check_carrier(cfg, psi)
+    if np.any(psi.delays_s > cfg.numerology.cp_duration_s):
+        raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
     tx = _tx_symbols(cfg)
@@ -340,8 +304,15 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         h = channel_response(psi, positions[start:stop], subcarrier * num.subcarrier_spacing_hz)
         snaps[start:stop] = h @ synth + z
         h_freq[start:stop] = h + g / math.sqrt(m_n) + (z + ((g @ av.conj()) * c) @ v.T) @ a.T
-    usable = np.ones(i_n, dtype=bool)
-    return SoundingCampaign._from_statistics(num, tx, cfg.carrier_hz, positions, h_freq, usable, snaps)
+    return SoundingCampaign(num, tx, cfg.carrier_hz, positions, h_freq, snaps)
+
+
+def _statistics_records(cfg: ScenarioConfig, campaign: SoundingCampaign):
+    """One record per position of a built campaign, row-major: its h_freq row, then its snapshot row."""
+    t = cfg.numerology.sample_interval_s
+    rows = zip(cfg.sounding_region.positions(), campaign.h_freq, campaign.samples_matrix())
+    for q, (pos, h, snap) in enumerate(rows):
+        yield IQRecord(pos, np.concatenate([h, snap]), t, derive_seed(cfg.master_seed, "sound", q))
 
 
 @dataclass(frozen=True)
@@ -400,18 +371,19 @@ class CampaignManifest(JsonCodec):
 def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_dir) -> Path:
     """Write a full campaign (records plus manifest) under out_dir.
 
-    Record files land first and the manifest last, each via rename, so a
-    directory with a manifest is always a complete campaign.
+    A tone campaign holds the time-domain captures; an ofdm campaign holds
+    the statistics of build_sounding_campaign(cfg, psi), one position per
+    record. Record files land first and the manifest last, each via rename,
+    so a directory with a manifest is always a complete campaign.
     """
-    # the record generators check lazily; a refused campaign must leave no directory
+    # the tone generator checks lazily; a refused campaign must leave no directory
     tx_seed = None
     if mode == "tone":
         _check_carrier(cfg, psi)
         records = iter_tone_records(cfg, psi)
     elif mode == "ofdm":
-        _check_sounding(cfg, psi)
         tx_seed = derive_seed(cfg.master_seed, "tx")
-        records = iter_sounding_records(cfg, psi, _tx_symbols(cfg))
+        records = _statistics_records(cfg, build_sounding_campaign(cfg, psi))
     else:
         raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {mode!r}")
     out = Path(out_dir)
@@ -463,16 +435,30 @@ def load_campaign(dir_path) -> tuple[CampaignManifest, list[IQRecord]]:
 
 
 def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign]:
-    """Stream an on-disk ofdm campaign into a SoundingCampaign, one record file at a time."""
+    """Stream an on-disk ofdm campaign into a SoundingCampaign, one record file at a time.
+
+    Each record must hold the numerology's I + n_snap statistics; the
+    campaign equals the build_sounding_campaign one that was written.
+    """
     manifest, records = _open_campaign(dir_path)
     if manifest.mode != "ofdm":
         raise ConfigError(f"expected an ofdm campaign, found mode {manifest.mode!r}")
     cfg = manifest.scenario
     if manifest.tx_symbol_seed != derive_seed(cfg.master_seed, "tx"):
         raise ConfigError("manifest tx_symbol_seed is not the transmit seed of its scenario's master_seed")
-    campaign = SoundingCampaign(records, cfg.numerology, _tx_symbols(cfg), cfg.carrier_hz,
-                                num_records=cfg.sounding_region.num_points)
-    return manifest, campaign
+    num = cfg.numerology
+    i_n, n_snap = num.num_subcarriers, len(_snapshot_indices(num, MAX_SNAPSHOTS))
+    q_n = len(manifest.records)
+    positions = np.empty((q_n, 2))
+    h_freq = np.empty((q_n, i_n), dtype=np.complex128)
+    snaps = np.empty((q_n, n_snap), dtype=np.complex128)
+    for q, (entry, rec) in enumerate(zip(manifest.records, records)):
+        if rec.num_samples != i_n + n_snap:
+            raise ConfigError(f"{entry.file}: holds {rec.num_samples} values, "
+                              f"the numerology's statistics are {i_n} + {n_snap}")
+        positions[q] = rec.position.x_m, rec.position.y_m
+        h_freq[q], snaps[q] = rec.samples[:i_n], rec.samples[i_n:]
+    return manifest, SoundingCampaign(num, _tx_symbols(cfg), cfg.carrier_hz, positions, h_freq, snaps)
 
 
 def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> DbMap:
@@ -614,8 +600,8 @@ def run_pipeline(
     """Run the requested stages (upstream stages pulled in automatically) under out_dir.
 
     Stage directories are content-addressed: <stage>-<hash> where the hash
-    covers the scenario, the path state, the stage parameters, and the
-    hashes of upstream stages. A directory holding a .complete marker is
+    covers the campaign format, the scenario, the path state, the stage
+    parameters, and the hashes of upstream stages. A directory holding a .complete marker is
     trusted as a cache hit and not recomputed.
     """
     requested = set(stages)
@@ -650,6 +636,7 @@ def run_pipeline(
         parents = _upstream(name, requested)
         payload = {
             "stage": name,
+            "format": MANIFEST_FORMAT,
             "scenario": cfg.to_json_dict(),
             "psi": encode(psi),
             "params": params[name],

@@ -3,8 +3,9 @@
 The power meter probes with a single complex tone (gen_tone), passed
 through the narrowband channel by apply_channel. The sounder's
 cyclic-prefixed OFDM frames carry a seeded QPSK subcarrier grid
-(qpsk_symbols) and are synthesized in harness._sounding_frames. Synthetic
-IQ captures are stored as little-endian binary records so a campaign (one
+(qpsk_symbols); harness.build_sounding_campaign draws the statistics the
+estimator reads from those frames without synthesizing them. Synthetic
+IQ samples are stored as little-endian binary records so a campaign (one
 record per grid position) can be replayed deterministically.
 """
 
@@ -205,7 +206,7 @@ def apply_channel(tx: np.ndarray, psi: PathStateInfo, position: Position) -> np.
     """Narrowband flat fading at one position: y = h(r) * tx.
 
     Path delays act only through the carrier phase inside h(r). OFDM
-    sounding applies the per-subcarrier response in harness._sounding_frames.
+    sounding applies the per-subcarrier response in harness.build_sounding_campaign.
     """
     h = channel_response(psi, position.as_array())[0, 0]
     return h * np.asarray(tx, dtype=np.complex128)

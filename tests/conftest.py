@@ -2,10 +2,13 @@
 
 The heavyweight pieces (sounding campaigns, the full estimation chain) are
 session-scoped; everything downstream reuses them instead of re-synthesizing.
+The time-domain OFDM frames, and their reduction to the statistics a
+SoundingCampaign keeps, live here as the oracle of build_sounding_campaign.
 """
 
 import struct
 
+import numpy as np
 import pytest
 
 from masim import (
@@ -14,10 +17,10 @@ from masim import (
     hall_psi_3p5ghz,
     hall_psi_27p5ghz,
 )
-from masim.channel import MovementRegion
-from masim.estimator import SoundingCampaign
-from masim.harness import ScenarioConfig, _tx_symbols, iter_sounding_records
-from masim.signals import OfdmNumerology
+from masim.channel import MovementRegion, channel_response
+from masim.estimator import MAX_SNAPSHOTS, SoundingCampaign, _snapshot_indices
+from masim.harness import ScenarioConfig, _tx_symbols
+from masim.signals import IQRecord, NoiseSpec, OfdmNumerology, add_noise, derive_seed
 
 # 832 x 480 kHz = 399.36 MHz occupied, 52-sample CP: same bandwidth class as
 # the default numerology but ~200x fewer samples per frame, so campaign
@@ -69,16 +72,63 @@ def forge_sample_count(path, n: int) -> None:
     path.write_bytes(bytes(blob))
 
 
-def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
-    """cfg's sounding campaign reduced from its time-domain records, as a loaded campaign is.
+def sounding_frames(psi, positions, numerology, tx_symbols) -> np.ndarray:
+    """Noiseless received OFDM frames for a block of positions, (Q, frame_samples).
 
-    build_sounding_campaign draws the same statistics directly; its noise
-    follows the same law but not the same draws, so tests that pin the
-    record path bit for bit compare against this one.
+    Frequency-domain synthesis: the per-position channel response on the I
+    occupied subcarriers multiplies each symbol's subcarrier grid; one
+    batched IFFT per symbol gives its payload, and the last cp_samples of
+    the payload are prepended as the cyclic prefix.
     """
+    n_sub = numerology.num_subcarriers
+    h_freq = channel_response(psi, positions, np.arange(n_sub) * numerology.subcarrier_spacing_hz)  # (Q, I)
+    n_cp = numerology.cp_samples
+    sym_len = n_sub + n_cp
+    frames = np.empty((len(positions), numerology.frame_samples), dtype=np.complex128)
+    for m in range(numerology.num_symbols):
+        payload = np.fft.ifft(tx_symbols[:, m][None, :] * h_freq, axis=1) * n_sub
+        frames[:, m * sym_len : m * sym_len + n_cp] = payload[:, n_sub - n_cp :]
+        frames[:, m * sym_len + n_cp : (m + 1) * sym_len] = payload
+    return frames
+
+
+def sounding_records(cfg: ScenarioConfig, psi, tx_symbols):
+    """Yield one noisy time-domain OFDM capture per point of cfg.sounding_region, row-major.
+
+    Position q's noise is seeded by derive_seed(master_seed, "sound", q).
+    """
+    num = cfg.numerology
+    noise = NoiseSpec(cfg.noise_power, num.sample_rate_hz)
+    positions = cfg.sounding_region.positions()
+    block = max(1, (1 << 22) // num.frame_samples)  # about 64 MiB of frames at a time
+    for start in range(0, len(positions), block):
+        chunk = positions[start : start + block]
+        frames = sounding_frames(psi, np.array([[p.x_m, p.y_m] for p in chunk]), num, tx_symbols)
+        for k, pos in enumerate(chunk):
+            seed = derive_seed(cfg.master_seed, "sound", start + k)
+            yield IQRecord(pos, add_noise(frames[k], noise, seed), num.sample_interval_s, seed)
+
+
+def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
+    """cfg's sounding campaign reduced from time-domain records: the oracle of build_sounding_campaign.
+
+    Each record is reduced, one at a time, to its position, its payload
+    samples at _snapshot_indices, and its h_freq row: the FFT of each
+    symbol's payload equalized by the transmit symbols and averaged over the
+    M symbols. build_sounding_campaign draws the same statistics directly;
+    its noise follows the same law but not the same draws.
+    """
+    num = cfg.numerology
     tx = _tx_symbols(cfg)
-    return SoundingCampaign(iter_sounding_records(cfg, psi, tx), cfg.numerology, tx, cfg.carrier_hz,
-                            num_records=cfg.sounding_region.num_points)
+    snap_idx = _snapshot_indices(num, MAX_SNAPSHOTS)
+    den = num.num_subcarriers * tx.T  # (M, I)
+    pos, h_freq, snaps = [], [], []
+    for rec in sounding_records(cfg, psi, tx):
+        payload = rec.samples.reshape(num.num_symbols, num.samples_per_symbol)[:, num.cp_samples :]
+        pos.append((rec.position.x_m, rec.position.y_m))
+        h_freq.append(np.mean(np.fft.fft(payload, axis=1) / den, axis=0))
+        snaps.append(rec.samples[snap_idx])
+    return SoundingCampaign(num, tx, cfg.carrier_hz, np.array(pos), np.array(h_freq), np.array(snaps))
 
 
 # Campaign builds and estimates take a second or more each, so they are

@@ -141,8 +141,8 @@ class TestStrictness:
 
     def test_manifest_format_checked(self):
         data = valid_manifest()
-        assert data["format"] == "maiq-campaign/2"
-        for old in ("maiq-campaign/0", "maiq-campaign/1"):
+        assert data["format"] == "maiq-campaign/3"
+        for old in ("maiq-campaign/0", "maiq-campaign/1", "maiq-campaign/2"):
             data["format"] = old
             with pytest.raises(ConfigError, match="unsupported manifest format"):
                 CampaignManifest.from_json_dict(data)

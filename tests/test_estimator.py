@@ -4,15 +4,15 @@ The heavyweight campaign fixtures come from conftest: a noisy 27.5 GHz
 51x51 sweep and a noiseless 3.5 GHz 101x101 sweep of the hall path sets.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, channel_response
+from masim.channel import MovementRegion, PathComponent, PathStateInfo, channel_response
 from masim.estimator import (
-    CALIBRATION_FLOOR,
     PAS_TAPER_BETA,
     AngleGrid,
     DegenerateGeometryError,
@@ -25,14 +25,13 @@ from masim.estimator import (
     estimate_delay_amplitude,
     estimate_psi,
     find_paths,
-    frequency_response,
     zf_weights,
 )
-from masim.harness import build_sounding_campaign, iter_sounding_records
+from masim.harness import build_sounding_campaign, load_sounding_campaign, synthesize_campaign
 from masim.presets import hall_psi_27p5ghz
-from masim.signals import IQRecord, NoiseSpec, OfdmNumerology, add_noise, derive_seed, qpsk_symbols
+from masim.signals import OfdmNumerology, derive_seed, qpsk_symbols
 
-from conftest import make_hi_scenario, records_campaign
+from conftest import make_hi_scenario, records_campaign, sounding_records
 
 SMALL_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=64, num_symbols=16,
                            cp_duration_s=4.0 / (64 * 480e3))
@@ -69,65 +68,17 @@ def one_path_psi(el=3.0, az=2.0, delay=22.7e-9):
     return PathStateInfo(paths=(PathComponent(el, az, 1.0, delay),), carrier_hz=27.5e9)
 
 
-def noise_campaign(q_side=10, seed=3, power=0.5, max_snapshots=128):
-    """Noise-only records on a q_side x q_side grid; power 0 gives all-zero samples."""
-    spec = NoiseSpec(power, SMALL_NUM.sample_rate_hz)
-    t = SMALL_NUM.sample_interval_s
-    n = SMALL_NUM.frame_samples
-    records = []
-    k = 0
-    for iy in range(q_side):
-        for ix in range(q_side):
-            samples = add_noise(np.zeros(n, dtype=complex), spec, seed * 10000 + k)
-            records.append(IQRecord(Position(ix * 1e-3, iy * 1e-3), samples, t, k))
-            k += 1
-    return SoundingCampaign(
-        records=records,
-        numerology=SMALL_NUM,
-        tx_symbols=qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1),
-        carrier_hz=27.5e9,
-        max_snapshots=max_snapshots,
-        num_records=len(records),
-    )
+def noise_campaign(q_side=10, seed=3, power=0.5, n_snap=128):
+    """Noise-only statistics on a q_side x q_side grid; power 0 gives all-zero ones."""
+    rng = np.random.default_rng(seed)
+    q = q_side * q_side
 
+    def noise(cols):
+        return math.sqrt(power / 2.0) * (rng.standard_normal((q, cols)) + 1j * rng.standard_normal((q, cols)))
 
-def ripple_response():
-    """A rippled system response over the SMALL_NUM subcarriers."""
-    idx = np.arange(SMALL_NUM.num_subcarriers)
-    return (1.0 + 0.3 * np.cos(2 * np.pi * idx / len(idx))) * np.exp(1j * 0.4 * np.sin(2 * np.pi * idx / len(idx)))
-
-
-def ripple_records(sys=None):
-    """Records of a 4x4 sweep through the system response sys (default: ripple_response()).
-
-    Returns (records, tx_symbols, sys_response, truth), truth being the
-    (Q, I) channel frequency response before the system response.
-    """
-    num = SMALL_NUM
-    i_n, m_n = num.num_subcarriers, num.num_symbols
-    psi = PathStateInfo(
-        paths=(PathComponent(3.0, 2.0, 0.8, 22.7e-9), PathComponent(-5.0, 30.0, 0.5, 60e-9)),
-        carrier_hz=27.5e9,
-    )
-    idx = np.arange(i_n)
-    sys = ripple_response() if sys is None else sys
-    b = qpsk_symbols(i_n, m_n, seed=6)
-    lam = psi.wavelength_m
-    region = MovementRegion(0.003, 0.003, 1e-3, 1e-3)
-    records = []
-    truth = []
-    for k, pos in enumerate(region.positions()):
-        h_i = np.zeros(i_n, dtype=complex)
-        for p in psi.paths:
-            d = (pos.x_m * np.cos(np.radians(p.elevation_deg)) * np.sin(np.radians(p.azimuth_deg))
-                 + pos.y_m * np.sin(np.radians(p.elevation_deg)))
-            h_l = p.amplitude * np.exp(-2j * np.pi * (d / lam + psi.carrier_hz * p.delay_s))
-            h_i += h_l * np.exp(-2j * np.pi * idx * num.subcarrier_spacing_hz * p.delay_s)
-        truth.append(h_i)
-        payload = np.fft.ifft(b * sys[:, None] * h_i[:, None], axis=0) * i_n
-        frame = np.concatenate([payload[-num.cp_samples :, :], payload], axis=0)
-        records.append(IQRecord(pos, frame.T.reshape(-1), num.sample_interval_s, k))
-    return records, b, sys, np.array(truth)
+    positions = np.array([(ix * 1e-3, iy * 1e-3) for iy in range(q_side) for ix in range(q_side)])
+    tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
+    return SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions, noise(SMALL_NUM.num_subcarriers), noise(n_snap))
 
 
 def oracle_raw_subcarrier_response(samples, num, tx_symbols):
@@ -242,7 +193,7 @@ class TestPas:
         assert pas.azimuths_deg[ia] == 2.0
 
     def test_noise_only_is_flat(self):
-        pas = compute_pas(noise_campaign(max_snapshots=1024), AngleGrid(2.0, 2.0))
+        pas = compute_pas(noise_campaign(n_snap=1024), AngleGrid(2.0, 2.0))
         ratio = float(np.max(pas.values) / np.min(pas.values))
         assert ratio < 2.0
 
@@ -263,14 +214,13 @@ class TestPas:
 
     def test_campaign_must_tile_a_grid(self):
         # 8 of the 9 points of a 3 x 3 grid: the PAS scan runs over grid axes only
-        zeros = np.zeros(SMALL_NUM.frame_samples, dtype=complex)
-        records = [IQRecord(Position(ix * 1e-3, iy * 1e-3), zeros, SMALL_NUM.sample_interval_s, 3 * iy + ix)
-                   for iy in range(3) for ix in range(3)]
+        positions = np.array([(ix * 1e-3, iy * 1e-3) for iy in range(3) for ix in range(3)])
+        h_freq = np.zeros((9, SMALL_NUM.num_subcarriers), dtype=complex)
+        snaps = np.zeros((9, 128), dtype=complex)
         tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
-        SoundingCampaign(records=records, numerology=SMALL_NUM, tx_symbols=tx, carrier_hz=27.5e9, num_records=9)
+        SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions, h_freq, snaps)
         with pytest.raises(ValueError, match="complete grid"):
-            SoundingCampaign(records=records[:-1], numerology=SMALL_NUM, tx_symbols=tx, carrier_hz=27.5e9,
-                             num_records=8)
+            SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions[:-1], h_freq[:-1], snaps[:-1])
 
     def test_csv_pins_max_at_zero_db(self, tmp_path):
         camp = small_campaign(one_path_psi(), extent=0.004)
@@ -389,103 +339,65 @@ class TestZeroForcing:
             zf_weights([(0.0, 0.0)], 1, np.zeros((4, 2)), 0.01)
 
 
-def ripple_campaign(records, b, sys_response=None, **kwargs):
-    return SoundingCampaign(records=records, numerology=SMALL_NUM, tx_symbols=b, carrier_hz=27.5e9,
-                            num_records=len(records), sys_response=sys_response, **kwargs)
-
-
-class TestCalibration:
-    def test_flat_response_divides_out(self):
-        records, b, _, _ = ripple_records(sys=np.ones(SMALL_NUM.num_subcarriers))
-        sys = 2.0 * np.exp(1j * np.pi / 4) * np.ones(SMALL_NUM.num_subcarriers)
-        raw = ripple_campaign(records, b).h_freq
-        cal = ripple_campaign(records, b, sys)
-        assert cal.usable.all()
-        np.testing.assert_allclose(cal.h_freq, raw * 0.5 * np.exp(-1j * np.pi / 4), atol=1e-12)
-
-    def test_floor_flags_dead_subcarriers(self):
-        # |H_sys| at or below the floor is dead; just above it is divided
-        sys = np.ones(SMALL_NUM.num_subcarriers, dtype=complex)
-        sys[1], sys[2], sys[3] = 1e-9, CALIBRATION_FLOOR, 2.0 * CALIBRATION_FLOOR
-        records, b, _, _ = ripple_records(sys=np.ones(SMALL_NUM.num_subcarriers))
-        camp = ripple_campaign(records, b, sys)
-        assert np.flatnonzero(~camp.usable).tolist() == [1, 2]
-        assert np.all(camp.h_freq[:, 1:3] == 0.0)
-        assert np.all(camp.h_freq[:, 3] != 0.0)
-
-    def test_ripple_round_trip(self):
-        # synthesize through a rippled system response, then calibrate it out
-        records, b, sys, truth = ripple_records()
-        camp = ripple_campaign(records, b, sys)
-        h_freq, usable = frequency_response(camp)
-        assert usable.all()
-        np.testing.assert_allclose(h_freq, truth, atol=1e-9)
-
-
-STREAM_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=64, num_symbols=256,
-                             cp_duration_s=4.0 / (64 * 480e3))
-
-
-def stream_records(count=64, seed=0):
-    """Noisy records of STREAM_NUM on an 8-wide grid, made one at a time."""
-    spec = NoiseSpec(0.5, STREAM_NUM.sample_rate_hz)
-    zeros = np.zeros(STREAM_NUM.frame_samples, dtype=complex)
-    for k in range(count):
-        pos = Position((k % 8) * 1e-3, (k // 8) * 1e-3)
-        yield IQRecord(pos, add_noise(zeros, spec, seed + k), STREAM_NUM.sample_interval_s, k)
-
-
-def stream_campaign(records, num_records=64, **kwargs):
-    tx = qpsk_symbols(STREAM_NUM.num_subcarriers, STREAM_NUM.num_symbols, 1)
-    return SoundingCampaign(records=records, numerology=STREAM_NUM, tx_symbols=tx, carrier_hz=27.5e9,
-                            num_records=num_records, **kwargs)
+# 2048 subcarriers and 2 symbols: each statistics record is I + 128 = 2176 values
+STREAM_NUM = OfdmNumerology(subcarrier_spacing_hz=120e3, num_subcarriers=2048, num_symbols=2,
+                             cp_duration_s=128.0 / (2048 * 120e3))
 
 
 class TestStreamedReductions:
-    """Per-record reductions equal, bit for bit, the batched reductions of the (Q, N) samples."""
+    """The record oracle's per-record reductions equal, bit for bit, the batched reductions of the
+    (Q, N) samples; a campaign takes one statistics row per position and loads one record at a time."""
 
     def test_hi_campaign_matches_batched_oracle(self):
         cfg = make_hi_scenario()
         tx = tx_symbols_of(cfg)
-        samples = sorted_samples(list(iter_sounding_records(cfg, hall_psi_27p5ghz(), tx)))
+        samples = sorted_samples(list(sounding_records(cfg, hall_psi_27p5ghz(), tx)))
         camp = records_campaign(cfg, hall_psi_27p5ghz())
         assert np.array_equal(camp.h_freq, oracle_raw_subcarrier_response(samples, cfg.numerology, tx))
         assert np.array_equal(camp.samples_matrix(), oracle_snapshot_matrix(samples, cfg.numerology).T)
 
-    def test_sys_response_campaign_matches_batched_oracle(self):
-        records, b, sys, _ = ripple_records()
-        # reversed capture order exercises the (y, x) sort
-        camp = ripple_campaign(records[::-1], b, sys, max_snapshots=200)
-        samples = sorted_samples(records)
-        assert np.array_equal(camp.h_freq, oracle_raw_subcarrier_response(samples, SMALL_NUM, b) / sys)
-        assert np.array_equal(camp.samples_matrix(), oracle_snapshot_matrix(samples, SMALL_NUM, 200).T)
-        assert np.array_equal(camp.positions_array(), np.array([[r.position.x_m, r.position.y_m] for r in records]))
-
     @pytest.mark.parametrize("announced", [63, 65])
     def test_announced_count_must_match(self, announced):
-        with pytest.raises(ValueError, match="announced"):
-            stream_campaign(stream_records(), num_records=announced)
+        # 64 positions and their snapshots, with one h_freq row too few or too many
+        camp = noise_campaign(q_side=8)
+        h_freq = np.zeros((announced, SMALL_NUM.num_subcarriers), dtype=complex)
+        with pytest.raises(ValueError, match="h_freq must be"):
+            SoundingCampaign(SMALL_NUM, camp.tx_symbols, 27.5e9, camp.positions_array(), h_freq,
+                             camp.samples_matrix())
 
     def test_rejects_zero_snapshots(self):
-        # 0 used to be accepted, leaving an all-zero PAS with no paths in it
-        with pytest.raises(ValueError, match="max_snapshots"):
-            stream_campaign(stream_records(count=2), max_snapshots=0)
+        # 0 snapshots would leave an all-zero PAS with no paths in it
+        camp = noise_campaign(q_side=2)
+        with pytest.raises(ValueError, match="snapshots"):
+            SoundingCampaign(SMALL_NUM, camp.tx_symbols, 27.5e9, camp.positions_array(), camp.h_freq.copy(),
+                             np.zeros((4, 0), dtype=complex))
 
-    def test_memory_bounded_by_a_few_records(self):
-        # keeping the 64 records would cost 64 records' bytes; the reductions
-        # are under 1 record's worth (1 KiB of h_freq, 2 KiB of snapshots each)
-        def traced_peak(consume):
-            tracemalloc.start()
-            try:
-                consume(stream_records())
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_memory_bounded_by_a_few_records(self, tmp_path):
+        # loading keeps the statistics and about one record file being read;
+        # reading every record first would hold the statistics twice
+        cfg = small_config(extent=0.015, numerology=STREAM_NUM)  # 16 x 16 positions
+        cdir = synthesize_campaign(cfg, one_path_psi(), "ofdm", tmp_path / "camp")
+        record_bytes = (cdir / "rec_000000.maiq").stat().st_size
+        tracemalloc.start()
+        try:
+            _, camp = load_sounding_campaign(cdir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = camp.h_freq.nbytes + camp.samples_matrix().nbytes
+        assert camp.num_positions == 256 and held > 250 * record_bytes
+        assert peak - held < 16 * record_bytes, f"{(peak - held) / record_bytes:.2f} records over the statistics"
 
-        record_bytes = STREAM_NUM.frame_samples * 16
-        making = traced_peak(lambda records: all(records))  # synthesis of one record at a time
-        building = traced_peak(stream_campaign)
-        assert building - making < 3 * record_bytes, f"{(building - making) / record_bytes:.2f} records over synthesis"
+    def test_samples_matrix_copies_only_to_sort(self):
+        positions = np.array([(ix * 1e-3, iy * 1e-3) for iy in range(2) for ix in range(2)])
+        h_freq = np.zeros((4, SMALL_NUM.num_subcarriers), dtype=complex)
+        snaps = np.arange(8.0).reshape(4, 2).astype(complex)
+        tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
+        in_order = SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions, h_freq, snaps)
+        assert np.shares_memory(in_order.samples_matrix(), snaps)
+        reversed_ = SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions[::-1], h_freq[::-1], snaps[::-1])
+        assert np.array_equal(reversed_.samples_matrix(), snaps)
+        assert not np.shares_memory(reversed_.samples_matrix(), snaps)
 
 
 class TestDelayAmplitude:
@@ -542,20 +454,30 @@ class TestPds:
 class TestEstimatePsi:
     def test_record_order_irrelevant(self):
         cfg = small_config(noise_power=0.01, seed=13)
-        psi = one_path_psi()
-        tx = tx_symbols_of(cfg)
-        est1 = estimate_psi(records_campaign(cfg, psi))
-        shuffled = list(iter_sounding_records(cfg, psi, tx))
-        np.random.default_rng(0).shuffle(shuffled)
-        camp2 = SoundingCampaign(
-            records=shuffled,
-            numerology=cfg.numerology,
-            tx_symbols=tx,
-            carrier_hz=cfg.carrier_hz,
-            num_records=len(shuffled),
-        )
-        est2 = estimate_psi(camp2)
-        assert est1 == est2
+        camp = build_sounding_campaign(cfg, one_path_psi())
+        perm = np.random.default_rng(0).permutation(camp.num_positions)
+        shuffled = SoundingCampaign(cfg.numerology, camp.tx_symbols, cfg.carrier_hz, camp.positions_array()[perm],
+                                    camp.h_freq[perm], camp.samples_matrix()[perm])
+        assert estimate_psi(shuffled) == estimate_psi(camp)
+
+    def test_step_above_half_wavelength_raises(self):
+        # lambda/2 = 5.45 mm at 27.5 GHz; at 6.25 mm the estimate returned phantom
+        # paths at azimuth -90 and 90 deg and raised nothing
+        cfg = dataclasses.replace(make_hi_scenario(noise_power=0.01),
+                                  sounding_region=MovementRegion(0.05, 0.05, 6.25e-3, 6.25e-3))
+        with pytest.raises(DegenerateGeometryError, match="lambda/2"):
+            estimate_psi(build_sounding_campaign(cfg, hall_psi_27p5ghz()))
+
+    def test_step_below_half_wavelength_recovers_planted_paths(self):
+        cfg = dataclasses.replace(make_hi_scenario(noise_power=0.01),
+                                  sounding_region=MovementRegion(0.05, 0.05, 5e-3, 5e-3))
+        truth = hall_psi_27p5ghz()
+        est = estimate_psi(build_sounding_campaign(cfg, truth))
+        assert est.num_paths == truth.num_paths
+        for p in truth.paths:
+            err = min(max(abs(e.elevation_deg - p.elevation_deg), abs(e.azimuth_deg - p.azimuth_deg))
+                      for e in est.paths)
+            assert err <= est.grid_step_deg + 1e-9
 
     def test_precomputed_pas_matches_internal(self, hi_campaign):
         pas = compute_pas(hi_campaign)

@@ -1,6 +1,7 @@
 """Campaign serialization, synthesis fidelity, pipeline caching, map comparison, CLI."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import shutil
@@ -19,7 +20,6 @@ from masim.harness import (
     StageError,
     build_sounding_campaign,
     compare_maps,
-    iter_sounding_records,
     iter_tone_records,
     load_campaign,
     load_map_csv,
@@ -33,9 +33,19 @@ from masim.harness import (
 )
 from masim.estimator import estimate_psi
 from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_27p5ghz
-from masim.signals import NoiseSpec, OfdmNumerology, add_noise, apply_channel, derive_seed, gen_tone, qpsk_symbols
+from masim.signals import (
+    IQRecord,
+    NoiseSpec,
+    OfdmNumerology,
+    add_noise,
+    apply_channel,
+    derive_seed,
+    gen_tone,
+    qpsk_symbols,
+    write_iq_record,
+)
 
-from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario, records_campaign
+from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario, records_campaign, sounding_records
 
 
 def pipeline_config(master_seed=21, noise_power=0.01):
@@ -194,8 +204,9 @@ class TestToneSynthesis:
 
 class TestSoundingSynthesis:
     def test_vectorized_matches_per_record_application(self):
-        # reference: per-path response H[i] at each position, then each
-        # symbol's payload as an explicit I-point inverse DFT with its CP
+        # the frame oracle of the tests against a reference: per-path response H[i]
+        # at each position, then each symbol's payload as an explicit I-point
+        # inverse DFT with its CP
         cfg = pipeline_config(noise_power=0.0)
         psi = hall_psi_27p5ghz()
         num = TEST_NUMEROLOGY
@@ -203,7 +214,7 @@ class TestSoundingSynthesis:
         i_idx = np.arange(num.num_subcarriers)
         idft = np.exp(2j * np.pi * np.outer(i_idx, i_idx) / num.num_subcarriers)  # [k, i]
         positions = cfg.sounding_region.positions()
-        for i, rec in enumerate(iter_sounding_records(cfg, psi, tx_symbols)):
+        for i, rec in enumerate(sounding_records(cfg, psi, tx_symbols)):
             if i % 97 != 0:  # spot-check; the full sweep is 676 records
                 continue
             pos = positions[i]
@@ -219,15 +230,14 @@ class TestSoundingSynthesis:
             expect = np.concatenate([payload[-num.cp_samples:], payload]).T.reshape(-1)
             np.testing.assert_allclose(rec.samples, expect, atol=1e-12)
 
-    def test_noise_seeds_are_position_indexed(self):
+    def test_noise_seeds_are_position_indexed(self, five_stage_run):
         cfg = pipeline_config()
-        psi = hall_psi_27p5ghz()
-        num = cfg.numerology
-        tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
+        manifest, records = load_campaign(five_stage_run.artifacts["sounding_campaign"])
         positions = cfg.sounding_region.positions()
-        for i, rec in enumerate(iter_sounding_records(cfg, psi, tx)):
+        assert len(records) == len(positions) == len(manifest.records)
+        for i, (entry, rec) in enumerate(zip(manifest.records, records)):
             assert rec.position == positions[i]
-            assert rec.seed == derive_seed(cfg.master_seed, "sound", i)
+            assert rec.seed == entry.seed == derive_seed(cfg.master_seed, "sound", i)
 
 
 def sounding_config(numerology, extent=(0.005, 0.005), step=1e-3, master_seed=21, noise_power=0.0):
@@ -254,7 +264,7 @@ class TestInMemoryCampaign:
         np.testing.assert_array_equal(direct.tx_symbols, reduced.tx_symbols)
         np.testing.assert_allclose(direct.h_freq, reduced.h_freq, rtol=0, atol=1e-12)
         np.testing.assert_allclose(direct.samples_matrix(), reduced.samples_matrix(), rtol=0, atol=1e-12)
-        assert direct.usable.all() and not direct.h_freq.flags.writeable
+        assert not direct.h_freq.flags.writeable
 
     def test_noise_follows_the_record_law(self):
         # 60 x 60 positions, each its own noise seed: h_freq noise CN(0, s2/M) white
@@ -330,21 +340,43 @@ class TestCampaignFiles:
             np.testing.assert_array_equal(got.samples, expect.samples)
 
     def test_ofdm_round_trip_rebuilds_tx_grid(self, tmp_path):
-        cfg = pipeline_config(noise_power=0.0)
+        # each record holds its position's h_freq row, then its snapshot row; the
+        # loaded campaign is the built one, bit for bit
+        cfg = pipeline_config()
         psi = hall_psi_27p5ghz()
         cdir = synthesize_campaign(cfg, psi, "ofdm", tmp_path / "camp")
         manifest, campaign = load_sounding_campaign(cdir)
         assert manifest.mode == "ofdm"
-        # the in-memory builder makes no records; the reference reduces them as the loader does
-        reference = records_campaign(cfg, psi)
-        np.testing.assert_array_equal(campaign.tx_symbols, reference.tx_symbols)
-        np.testing.assert_array_equal(campaign.tx_symbols, build_sounding_campaign(cfg, psi).tx_symbols)
+        built = build_sounding_campaign(cfg, psi)
+        np.testing.assert_array_equal(campaign.tx_symbols, built.tx_symbols)
+        np.testing.assert_array_equal(campaign.positions_array(), built.positions_array())
+        np.testing.assert_array_equal(campaign.h_freq, built.h_freq)
+        np.testing.assert_array_equal(campaign.samples_matrix(), built.samples_matrix())
         _, records = load_campaign(cdir)
-        for got, expect in zip(records, iter_sounding_records(cfg, psi, reference.tx_symbols), strict=True):
-            np.testing.assert_allclose(got.samples, expect.samples, atol=1e-12)
-        np.testing.assert_array_equal(campaign.positions_array(), reference.positions_array())
-        np.testing.assert_array_equal(campaign.samples_matrix(), reference.samples_matrix())
-        np.testing.assert_array_equal(campaign.h_freq, reference.h_freq)
+        i_n = cfg.numerology.num_subcarriers
+        assert len(records) == cfg.sounding_region.num_points
+        for q in (0, 17, len(records) - 1):
+            np.testing.assert_array_equal(records[q].samples[:i_n], built.h_freq[q])
+            np.testing.assert_array_equal(records[q].samples[i_n:], built.samples_matrix()[q])
+
+    def test_on_disk_estimate_equals_in_memory(self, five_stage_run):
+        _, campaign = load_sounding_campaign(five_stage_run.artifacts["sounding_campaign"])
+        assert estimate_psi(campaign) == estimate_psi(build_sounding_campaign(pipeline_config(), hall_psi_27p5ghz()))
+
+    def test_statistics_record_of_wrong_length_is_refused(self, five_stage_run, tmp_path):
+        # a record one snapshot short, with its header and manifest digest made consistent
+        cdir = tmp_path / "camp"
+        shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
+        _, records = load_campaign(cdir)
+        rec = records[7]
+        short = IQRecord(rec.position, rec.samples[:-1], rec.sample_interval_s, rec.seed)
+        write_iq_record(cdir / "rec_000007.maiq", short)
+        mpath = cdir / "manifest.json"
+        data = json.loads(mpath.read_text())
+        data["records"][7]["sha256"] = hashlib.sha256(short.samples).hexdigest()
+        mpath.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="rec_000007.maiq: holds 959 values"):
+            load_sounding_campaign(cdir)
 
     def test_unknown_mode_leaves_no_directory(self, tmp_path):
         with pytest.raises(ConfigError, match="mode"):
@@ -477,11 +509,11 @@ class TestPipeline:
     def test_stage_directory_names_pinned(self, five_stage_run):
         # each name hashes the stage's payload: a change here orphans every cached tree
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
-            "sound": "sound-64b9ab2ea05c",
-            "estimate": "estimate-0235900051f0",
-            "measure": "measure-266441cf3c85",
-            "optimize": "optimize-8ec159f667be",
-            "export": "export-96891978ae82",
+            "sound": "sound-bc62e4a611e4",
+            "estimate": "estimate-c4e48d132f89",
+            "measure": "measure-38e7478501a2",
+            "optimize": "optimize-5d04cbd949ec",
+            "export": "export-de8226110f56",
         }
 
     def test_unknown_stage_rejected(self, tmp_path):
@@ -625,6 +657,31 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "samples_per_measurement" in err and err.count("\n") == 1
+
+    def test_forged_statistics_record_exits_2(self, five_stage_run, tmp_path, capsys):
+        cdir = tmp_path / "camp"
+        shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
+        forge_sample_count(cdir / "rec_000009.maiq", TEST_NUMEROLOGY.num_subcarriers)  # h_freq only
+        rc = cli_main(["estimate", "--campaign", str(cdir), "--out", str(tmp_path / "est.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "rec_000009.maiq" in err and err.count("\n") == 1
+
+    def test_oversized_sounding_campaign_exits_2(self, tmp_path, capsys):
+        # 1000 x 1000 positions at the paper numerology: about 52.7 GB of statistics,
+        # refused as the config is read, before anything is allocated
+        data = {**pipeline_config().to_json_dict(), "numerology": OfdmNumerology.default().to_json_dict(),
+                "bandwidth_hz": 400e6,
+                "sounding_region": {"x_extent_m": 0.999, "y_extent_m": 0.999, "x_step_m": 1e-3, "y_step_m": 1e-3}}
+        cfg_path, psi_path = tmp_path / "scenario.json", tmp_path / "psi.json"
+        cfg_path.write_text(json.dumps(data))
+        save_psi(psi_path, hall_psi_27p5ghz())
+        rc = cli_main(["sound", "--config", str(cfg_path), "--psi", str(psi_path),
+                       "--mode", "ofdm", "--out-dir", str(tmp_path / "camp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "1000 x 1000 sounding_region" in err and "cap per campaign" in err and err.count("\n") == 1
+        assert not (tmp_path / "camp").exists()
 
     def test_huge_fft_size_meters_one_bin(self, tmp_path):
         # f0 = fs/8 lies on a bin of both the default 32,768-point grid and a

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from masim.channel import PathComponent, PathStateInfo, Position, channel_response, gain_field
 from masim.codec import ConfigError
 from masim.estimator import SoundingCampaign
-from masim.harness import _sounding_frames, iter_sounding_records
+from masim.harness import build_sounding_campaign
 from masim.signals import (
     IQRecord,
     NoiseSpec,
@@ -26,7 +26,7 @@ from masim.signals import (
     write_iq_record,
 )
 
-from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario
+from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario, sounding_frames
 
 
 def single_path(el=0.0, az=0.0, amp=1.0, delay=0.0, fc=27.5e9, beta=1.0):
@@ -35,7 +35,7 @@ def single_path(el=0.0, az=0.0, amp=1.0, delay=0.0, fc=27.5e9, beta=1.0):
 
 def transmitted_frame(num, symbols):
     """The CP-OFDM frame of an (I, M) symbol grid: sounding synthesis through a unit channel (h = 1)."""
-    return _sounding_frames(single_path(), np.zeros((1, 2)), num, symbols)[0]
+    return sounding_frames(single_path(), np.zeros((1, 2)), num, symbols)[0]
 
 
 class TestSeeds:
@@ -133,8 +133,9 @@ class TestGenOfdm:
     def test_rejects_wrong_grid_shape(self):
         # the sounder checks the known symbol grid where it equalizes with it
         with pytest.raises(ValueError, match="tx_symbols"):
-            SoundingCampaign(records=[], numerology=TEST_NUMEROLOGY, tx_symbols=np.ones((4, 4), dtype=complex),
-                             carrier_hz=27.5e9, num_records=2)
+            SoundingCampaign(TEST_NUMEROLOGY, np.ones((4, 4), dtype=complex), 27.5e9, np.zeros((2, 2)),
+                             np.zeros((2, TEST_NUMEROLOGY.num_subcarriers), dtype=complex),
+                             np.zeros((2, 128), dtype=complex))
 
     def test_numerology_rejects_fractional_cp(self):
         with pytest.raises(ValueError, match="cp_duration_s"):
@@ -166,7 +167,7 @@ class TestApplyChannel:
         )
         pos = Position(0.003, 0.004)
         b = qpsk_symbols(num.num_subcarriers, num.num_symbols, 21)
-        rx = _sounding_frames(psi, np.array([[pos.x_m, pos.y_m]]), num, b)[0]
+        rx = sounding_frames(psi, np.array([[pos.x_m, pos.y_m]]), num, b)[0]
 
         lam = psi.wavelength_m
         p = num.samples_per_symbol
@@ -186,9 +187,8 @@ class TestApplyChannel:
         cfg = make_hi_scenario()
         num = cfg.numerology
         psi = single_path(delay=2 * num.cp_duration_s)
-        tx = qpsk_symbols(num.num_subcarriers, num.num_symbols, 1)
         with pytest.raises(ConfigError, match="cyclic prefix"):
-            next(iter_sounding_records(cfg, psi, tx))
+            build_sounding_campaign(cfg, psi)
 
     @settings(max_examples=25)
     @given(
