@@ -290,21 +290,27 @@ class DbMap:
 
 
 def write_csv(path, names, *columns) -> None:
-    """Write equal-length columns under a header of names, one row per entry, 9 significant digits."""
+    """Write columns that broadcast to one 2-D shape under a header of names, 9 significant digits.
+
+    One CSV row per element of that shape, row-major: an axis passed as a
+    [:, None] or [None, :] view is never repeated out to the full shape.
+    """
     row = ",".join(["{:.9g}"] * len(columns)) + "\n"
-    columns = [np.asarray(c) for c in columns]
+    columns = np.broadcast_arrays(*columns)
+    n_rows, n_cols = columns[0].shape
+    step = max(1, CSV_BLOCK_ROWS // n_cols)
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        # Python scalars format fastest; converting a block at a time bounds their memory
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+        # Python scalars format fastest; converting a block of leading rows at a time bounds their memory
+        for start in range(0, n_rows, step):
+            block = [c[start:start + step].ravel().tolist() for c in columns]
             fh.write("".join(map(row.format, *block)))
 
 
 def write_grid_csv(path, x_m, y_m, values, value_column: str) -> None:
     """Write a gridded scalar field (n_y, n_x) as x_m,y_m,<value> rows, row-major by y then x."""
     write_csv(path, ["x_m", "y_m", value_column],
-              np.tile(x_m, len(y_m)), np.repeat(y_m, len(x_m)), np.ravel(values))
+              x_m[None, :], y_m[:, None], values)
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:

@@ -14,6 +14,7 @@ from dataclasses import replace
 from .channel import gain_map
 from .estimator import AngleGrid
 from .harness import (
+    ESTIMATE_PARAMS,
     ConfigError,
     ScenarioConfig,
     StageError,
@@ -146,11 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("estimate", help="estimate path state from a sounding campaign")
+    el_step, az_step = ESTIMATE_PARAMS["angle_grid"]
     p.add_argument("--campaign", required=True, help="ofdm campaign directory")
-    p.add_argument("--el-step", type=float, default=0.5, help="elevation grid step in degrees")
-    p.add_argument("--az-step", type=float, default=0.5, help="azimuth grid step in degrees")
-    p.add_argument("--max-paths", type=int, default=8)
-    p.add_argument("--prominence-db", type=float, default=20.0)
+    p.add_argument("--el-step", type=float, default=el_step, help="elevation grid step in degrees")
+    p.add_argument("--az-step", type=float, default=az_step, help="azimuth grid step in degrees")
+    p.add_argument("--max-paths", type=int, default=ESTIMATE_PARAMS["max_paths"])
+    p.add_argument("--prominence-db", type=float, default=ESTIMATE_PARAMS["prominence_db"])
     p.add_argument("--out", default="estimated_psi.json")
     p.add_argument("--pas", default=None, help="also write the angular spectrum CSV here")
     p.add_argument("--pds", default=None, help="also write the delay spectrum CSV here")

@@ -185,9 +185,8 @@ class PasMatrix:
 
     def to_csv(self, path) -> None:
         """Rows of elevation_deg,azimuth_deg,pas_db with the max pinned at 0 dB."""
-        n_el, n_az = self.values.shape
-        write_csv(path, ["elevation_deg", "azimuth_deg", "pas_db"], np.repeat(self.elevations_deg, n_az),
-                  np.tile(self.azimuths_deg, n_el), self.values_db_rel_max.ravel())
+        write_csv(path, ["elevation_deg", "azimuth_deg", "pas_db"], self.elevations_deg[:, None],
+                  self.azimuths_deg[None, :], self.values_db_rel_max)
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,8 @@ class PdsMatrix:
 
     def to_csv(self, path) -> None:
         """Rows of position_index,delay_ns,pds_db, positions in (y, x) order."""
-        q, n = self.values.shape
-        write_csv(path, ["position_index", "delay_ns", "pds_db"], np.repeat(np.arange(q), n),
-                  np.tile(self.delays_s() * 1e9, q), to_db(self.values).ravel())
+        write_csv(path, ["position_index", "delay_ns", "pds_db"], np.arange(self.values.shape[0])[:, None],
+                  (self.delays_s() * 1e9)[None, :], to_db(self.values))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Scenario configs, on-disk campaigns, and the staged processing pipeline.
 
-A campaign directory holds one .maiq record per grid position plus a JSON
-manifest pinning down how the records were produced: the full scenario
-config, per-record noise seeds and payload digests, and (for sounding) the
-transmit symbol seed. The manifest is enough to re-derive everything the
+A campaign directory holds one .maiq record file per grid position, raw
+samples only, plus a JSON manifest: the full scenario config and the
+sha256 of every record file. The scenario and a record's index derive the
+rest of its metadata (file name, position, noise seed, length and sample
+interval), so the manifest is enough to re-derive everything the
 estimator needs without touching the channel model that produced the data.
 A tone record is a time-domain capture. A sounding record holds no
 time-domain frame: build_sounding_campaign draws the statistics a
@@ -40,7 +41,6 @@ from .channel import (
     GainMap,
     MovementRegion,
     PathStateInfo,
-    Position,
     channel_response,
     gain_map,
     read_grid_csv,
@@ -80,7 +80,7 @@ MAX_CAMPAIGN_BYTES = 2**31
 The paper's largest, 10,201 positions at 3168 subcarriers, is 538 MB.
 """
 
-MANIFEST_FORMAT = "maiq-campaign/3"
+MANIFEST_FORMAT = "maiq-campaign/4"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -307,41 +307,28 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     return SoundingCampaign(num, tx, cfg.carrier_hz, positions, h_freq, snaps)
 
 
-def _statistics_records(cfg: ScenarioConfig, campaign: SoundingCampaign):
-    """One record per position of a built campaign, row-major: its h_freq row, then its snapshot row."""
-    t = cfg.numerology.sample_interval_s
-    rows = zip(cfg.sounding_region.positions(), campaign.h_freq, campaign.samples_matrix())
-    for q, (pos, h, snap) in enumerate(rows):
-        yield IQRecord(pos, np.concatenate([h, snap]), t, derive_seed(cfg.master_seed, "sound", q))
-
-
-@dataclass(frozen=True)
-class RecordEntry(JsonCodec):
-    """One record file of a campaign; sha256 is the hex digest of its payload bytes as written (<c16)."""
-
-    file: str
-    x_m: float
-    y_m: float
-    seed: int
-    sha256: str
+def _record_name(q: int) -> str:
+    return f"rec_{q:06d}.maiq"
 
 
 @dataclass(frozen=True)
 class CampaignManifest(JsonCodec):
-    """Index of an on-disk campaign: scenario, mode, and per-record seeds and digests."""
+    """Index of an on-disk campaign: its mode, its scenario, and the sha256 of every record file.
+
+    Record q sits at point q of the region, row-major; sha256[q] is the hex
+    digest of its whole file.
+    """
 
     mode: str
     scenario: ScenarioConfig
-    records: tuple[RecordEntry, ...]
-    tx_symbol_seed: int | None = None
+    sha256: tuple[str, ...]
 
     def __post_init__(self):
         if self.mode not in ("tone", "ofdm"):
             raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {self.mode!r}")
-        if not self.records:
-            raise ConfigError("a campaign manifest needs at least one record")
-        if self.mode == "ofdm" and self.tx_symbol_seed is None:
-            raise ConfigError("an ofdm manifest must carry tx_symbol_seed")
+        if len(self.sha256) != self.region.num_points:
+            raise ConfigError(f"manifest holds {len(self.sha256)} record digests, "
+                              f"its region has {self.region.num_points} points")
 
     @property
     def region(self) -> MovementRegion:
@@ -377,85 +364,74 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     so a directory with a manifest is always a complete campaign.
     """
     # the tone generator checks lazily; a refused campaign must leave no directory
-    tx_seed = None
     if mode == "tone":
         _check_carrier(cfg, psi)
-        records = iter_tone_records(cfg, psi)
+        payloads = (rec.samples for rec in iter_tone_records(cfg, psi))
     elif mode == "ofdm":
-        tx_seed = derive_seed(cfg.master_seed, "tx")
-        records = _statistics_records(cfg, build_sounding_campaign(cfg, psi))
+        campaign = build_sounding_campaign(cfg, psi)
+        payloads = (np.concatenate([h, snap]) for h, snap in zip(campaign.h_freq, campaign.samples_matrix()))
     else:
         raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {mode!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    entries = []
-    for i, rec in enumerate(records):
-        fname = f"rec_{i:06d}.maiq"
-        tmp = out / (fname + ".tmp")
-        write_iq_record(tmp, rec)
-        os.replace(tmp, out / fname)
-        digest = hashlib.sha256(np.ascontiguousarray(rec.samples, dtype="<c16")).hexdigest()
-        entries.append(RecordEntry(fname, rec.position.x_m, rec.position.y_m, rec.seed, digest))
-    CampaignManifest(mode=mode, scenario=cfg, records=tuple(entries), tx_symbol_seed=tx_seed).save(out)
+    digests = []
+    for q, samples in enumerate(payloads):
+        tmp = out / (_record_name(q) + ".tmp")
+        write_iq_record(tmp, samples)
+        os.replace(tmp, out / _record_name(q))
+        digests.append(hashlib.sha256(np.ascontiguousarray(samples, dtype="<c16")).hexdigest())
+    CampaignManifest(mode=mode, scenario=cfg, sha256=tuple(digests)).save(out)
     return out
 
 
-def _open_campaign(dir_path) -> tuple[CampaignManifest, Iterator[IQRecord]]:
-    """A campaign's manifest, checked to tile its region, and a one-pass reader of its records.
+def _read_records(dir_path, manifest: CampaignManifest) -> Iterator[IQRecord]:
+    """Load the campaign's records one at a time, checking each file against its digest.
 
-    The reader loads one record at a time and checks its position, seed
-    and payload digest against its manifest entry.
+    The scenario and the index q give everything else: the file name, the
+    position (point q of the region), the seed, the length and the sample
+    interval. An ofdm record holds I + n_snap statistics, not time samples.
     """
-    manifest = CampaignManifest.load(dir_path)
-    if [Position(e.x_m, e.y_m) for e in manifest.records] != manifest.region.positions():
-        raise ConfigError("campaign records do not tile the region declared in the manifest")
-    return manifest, _read_records(Path(dir_path), manifest.records)
-
-
-def _read_records(base: Path, entries):
-    for entry in entries:
-        path = base / entry.file
+    cfg = manifest.scenario
+    if manifest.mode == "tone":
+        label, n, t = "tone", cfg.samples_per_measurement, 1.0 / cfg.bandwidth_hz
+    else:
+        num = cfg.numerology
+        label, t = "sound", num.sample_interval_s
+        n = num.num_subcarriers + len(_snapshot_indices(num, MAX_SNAPSHOTS))
+    for q, (pos, digest) in enumerate(zip(manifest.region.positions(), manifest.sha256)):
+        path = Path(dir_path) / _record_name(q)
         if not path.exists():
-            raise ConfigError(f"manifest lists {entry.file} but the file is missing")
-        rec = read_iq_record(path)
-        if (rec.position.x_m, rec.position.y_m) != (entry.x_m, entry.y_m):
-            raise ConfigError(f"{entry.file}: position disagrees with the manifest")
-        if rec.seed != entry.seed:
-            raise ConfigError(f"{entry.file}: seed disagrees with the manifest")
-        if hashlib.sha256(rec.samples).hexdigest() != entry.sha256:  # samples are the <c16 payload
-            raise ConfigError(f"{entry.file}: payload sha256 disagrees with the manifest")
-        yield rec
+            raise ConfigError(f"manifest lists {path.name} but the file is missing")
+        samples = read_iq_record(path, n)
+        if hashlib.sha256(samples).hexdigest() != digest:  # the file is exactly the <c16 samples
+            raise ConfigError(f"{path.name}: sha256 disagrees with the manifest")
+        yield IQRecord(pos, samples, t, derive_seed(cfg.master_seed, label, q))
 
 
 def load_campaign(dir_path) -> tuple[CampaignManifest, list[IQRecord]]:
     """Load a campaign directory, checking every record against the manifest."""
-    manifest, records = _open_campaign(dir_path)
-    return manifest, list(records)
+    manifest = CampaignManifest.load(dir_path)
+    return manifest, list(_read_records(dir_path, manifest))
 
 
 def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign]:
     """Stream an on-disk ofdm campaign into a SoundingCampaign, one record file at a time.
 
-    Each record must hold the numerology's I + n_snap statistics; the
+    Each record holds its position's h_freq row, then its snapshot row; the
     campaign equals the build_sounding_campaign one that was written.
     """
-    manifest, records = _open_campaign(dir_path)
+    manifest = CampaignManifest.load(dir_path)
     if manifest.mode != "ofdm":
         raise ConfigError(f"expected an ofdm campaign, found mode {manifest.mode!r}")
     cfg = manifest.scenario
-    if manifest.tx_symbol_seed != derive_seed(cfg.master_seed, "tx"):
-        raise ConfigError("manifest tx_symbol_seed is not the transmit seed of its scenario's master_seed")
     num = cfg.numerology
     i_n, n_snap = num.num_subcarriers, len(_snapshot_indices(num, MAX_SNAPSHOTS))
-    q_n = len(manifest.records)
+    q_n = len(manifest.sha256)
     positions = np.empty((q_n, 2))
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
     snaps = np.empty((q_n, n_snap), dtype=np.complex128)
-    for q, (entry, rec) in enumerate(zip(manifest.records, records)):
-        if rec.num_samples != i_n + n_snap:
-            raise ConfigError(f"{entry.file}: holds {rec.num_samples} values, "
-                              f"the numerology's statistics are {i_n} + {n_snap}")
+    for q, rec in enumerate(_read_records(dir_path, manifest)):
         positions[q] = rec.position.x_m, rec.position.y_m
         h_freq[q], snaps[q] = rec.samples[:i_n], rec.samples[i_n:]
     return manifest, SoundingCampaign(num, _tx_symbols(cfg), cfg.carrier_hz, positions, h_freq, snaps)
@@ -467,11 +443,11 @@ def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None 
     fft_size is the bin grid Ns (default: next power of two >= 8N); each
     record reads the tone's bin of that grid, as a zero-padded Ns-point FFT would.
     """
-    manifest, records = _open_campaign(dir_path)
+    manifest = CampaignManifest.load(dir_path)
     if manifest.mode != "tone":
         raise ConfigError(f"expected a tone campaign, found mode {manifest.mode!r}")
     f0 = manifest.scenario.tone_f0_hz if f0_hz is None else f0_hz
-    return sweep_measure(records, f0, fft_size)
+    return sweep_measure(_read_records(dir_path, manifest), f0, fft_size)
 
 
 def optimize_on_slide_track(
@@ -549,6 +525,10 @@ def _export(sdir, cfg, psi, inputs):
             shutil.copyfile(src, sdir / src.name)
 
 
+ESTIMATE_PARAMS = {"angle_grid": [0.5, 0.5], "max_paths": 8, "prominence_db": 20.0}
+"""The estimate stage's fixed settings, hashed with its other inputs; also `masim estimate`'s defaults."""
+
+
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage. upstream None means every other requested stage;
@@ -590,12 +570,8 @@ def run_pipeline(
     psi: PathStateInfo,
     stages,
     out_dir,
-    angle_grid: AngleGrid | None = None,
-    max_paths: int = 8,
-    prominence_db: float = 20.0,
     fft_size: int | None = None,
     optimize_budget: int = 50,
-    refine_step_m: float | None = None,
 ) -> PipelineResult:
     """Run the requested stages (upstream stages pulled in automatically) under out_dir.
 
@@ -613,16 +589,11 @@ def run_pipeline(
         if name in requested:
             requested.update(_upstream(name, requested))
 
-    grid = angle_grid or AngleGrid()
     params = {
         "sound": {},
         "measure": {"fft_size": fft_size},
-        "estimate": {
-            "angle_grid": [grid.elevation_step_deg, grid.azimuth_step_deg],
-            "max_paths": max_paths,
-            "prominence_db": prominence_db,
-        },
-        "optimize": {"budget": optimize_budget, "refine_step_m": refine_step_m},
+        "estimate": ESTIMATE_PARAMS,
+        "optimize": {"budget": optimize_budget, "refine_step_m": None},
         "export": {},
     }
 

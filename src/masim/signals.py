@@ -5,26 +5,20 @@ through the narrowband channel by apply_channel. The sounder's
 cyclic-prefixed OFDM frames carry a seeded QPSK subcarrier grid
 (qpsk_symbols); harness.build_sounding_campaign draws the statistics the
 estimator reads from those frames without synthesizing them. Synthetic
-IQ samples are stored as little-endian binary records so a campaign (one
-record per grid position) can be replayed deterministically.
+IQ samples are stored as raw little-endian complex128 record files, one
+per grid position of a campaign; the campaign's manifest holds everything
+else about them, so a campaign can be replayed deterministically.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PathStateInfo, Position, channel_response
 from .codec import JsonCodec
-
-MAIQ_MAGIC = b"MAIQ"
-MAIQ_VERSION = 1
-# magic, version u32, x f64, y f64, T f64, N u64, seed u64
-_HEADER = struct.Struct("<4sIdddQQ")
-
 
 def derive_seed(master_seed: int, *labels) -> int:
     """Stable uint64 stream seed from a master seed and any hashable labels.
@@ -140,42 +134,26 @@ class IQRecord:
         return len(self.samples)
 
 
-def write_iq_record(path, record: IQRecord) -> None:
-    header = _HEADER.pack(
-        MAIQ_MAGIC,
-        MAIQ_VERSION,
-        record.position.x_m,
-        record.position.y_m,
-        record.sample_interval_s,
-        record.num_samples,
-        record.seed,
-    )
-    payload = np.ascontiguousarray(record.samples, dtype="<c16")  # written from its buffer, not copied
+def write_iq_record(path, samples: np.ndarray) -> None:
+    """Write samples as a record file: N little-endian complex128 values and nothing else."""
+    payload = np.ascontiguousarray(samples, dtype="<c16")  # written from its buffer, not copied
     with open(path, "wb") as fh:
-        fh.write(header)
         fh.write(payload)
 
 
-def read_iq_record(path) -> IQRecord:
+def read_iq_record(path, num_samples: int) -> np.ndarray:
+    """Read the num_samples values of a record file, refusing a file of any other size."""
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise ValueError(f"truncated IQ record header: {path}")
-        magic, version, x, y, t, n, seed = _HEADER.unpack(raw)
-        if magic != MAIQ_MAGIC:
-            raise ValueError(f"bad IQ record magic {magic!r}: {path}")
-        if version != MAIQ_VERSION:
-            raise ValueError(f"unsupported IQ record version {version}: {path}")
-        # check the declared count against the file before trusting it with a read
-        size = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if size != 16 * n:
-            what = "truncated" if size < 16 * n else "oversized"
-            raise ValueError(f"{what} IQ record payload: header declares {n} samples, "
-                             f"file holds {size} bytes: {path}")
-        samples = np.empty(n, dtype="<c16")  # read in place: the payload is held once
+        # check the size before the read, so a wrong count never sizes an allocation
+        size = os.fstat(fh.fileno()).st_size
+        if size != 16 * num_samples:
+            what = "truncated" if size < 16 * num_samples else "oversized"
+            raise ValueError(f"{what} IQ record {path}: {size} bytes, not the "
+                             f"{16 * num_samples} of {num_samples} samples")
+        samples = np.empty(num_samples, dtype="<c16")  # read in place: the payload is held once
         if fh.readinto(samples) != size:
-            raise ValueError(f"short read of IQ record payload: {path}")
-    return IQRecord(position=Position(x, y), samples=samples, sample_interval_s=t, seed=seed)
+            raise ValueError(f"short read of IQ record {path}")
+    return samples
 
 
 def gen_tone(f0_hz: float, num_samples: int, sample_interval_s: float) -> np.ndarray:

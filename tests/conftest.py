@@ -6,8 +6,6 @@ The time-domain OFDM frames, and their reduction to the statistics a
 SoundingCampaign keeps, live here as the oracle of build_sounding_campaign.
 """
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -63,13 +61,6 @@ def make_lo_scenario(master_seed: int = 11, noise_power: float = 0.0) -> Scenari
         samples_per_measurement=4096,
         master_seed=master_seed,
     )
-
-
-def forge_sample_count(path, n: int) -> None:
-    """Overwrite the sample count N in a .maiq record header (bytes 32..40)."""
-    blob = bytearray(path.read_bytes())
-    struct.pack_into("<Q", blob, 32, n)
-    path.write_bytes(bytes(blob))
 
 
 def sounding_frames(psi, positions, numerology, tx_symbols) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The strict JSON codec: field-driven decoding, malformed inputs, format pinning."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masim.channel import MovementRegion, PathStateInfo
 from masim.cli import main as cli_main
 from masim.codec import ConfigError, decode, encode
 from masim.estimator import EstimatedPath, EstimatedPsi
 from masim.harness import (
     CampaignManifest,
     CompareReport,
-    RecordEntry,
     ScenarioConfig,
     psi_from_json_dict,
 )
@@ -24,14 +25,12 @@ from conftest import make_hi_scenario
 
 
 def valid_manifest() -> dict:
+    # a two-point sounding line: one digest per point
+    scenario = dataclasses.replace(make_hi_scenario(), sounding_region=MovementRegion(1e-3, 0.0, 1e-3, 1e-3))
     return CampaignManifest(
         mode="ofdm",
-        scenario=make_hi_scenario(),
-        records=(
-            RecordEntry("rec_000000.maiq", 0.0, 0.0, 7, hashlib.sha256(b"a").hexdigest()),
-            RecordEntry("rec_000001.maiq", 1e-3, 0.0, 8, hashlib.sha256(b"b").hexdigest()),
-        ),
-        tx_symbol_seed=5,
+        scenario=scenario,
+        sha256=(hashlib.sha256(b"a").hexdigest(), hashlib.sha256(b"b").hexdigest()),
     ).to_json_dict()
 
 
@@ -141,8 +140,8 @@ class TestStrictness:
 
     def test_manifest_format_checked(self):
         data = valid_manifest()
-        assert data["format"] == "maiq-campaign/3"
-        for old in ("maiq-campaign/0", "maiq-campaign/1", "maiq-campaign/2"):
+        assert data["format"] == "maiq-campaign/4"
+        for old in ("maiq-campaign/0", "maiq-campaign/1", "maiq-campaign/2", "maiq-campaign/3"):
             data["format"] = old
             with pytest.raises(ConfigError, match="unsupported manifest format"):
                 CampaignManifest.from_json_dict(data)
@@ -150,11 +149,12 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="format"):
             CampaignManifest.from_json_dict(data)
 
-    def test_manifest_optional_fields_still_required(self):
-        data = valid_manifest()
-        del data["tx_symbol_seed"]
-        with pytest.raises(ConfigError, match="tx_symbol_seed"):
-            CampaignManifest.from_json_dict(data)
+    def test_optional_fields_still_required(self):
+        # a dataclass default does not make a field optional on disk
+        data = encode(hall_psi_27p5ghz())
+        del data["large_scale_gain"]
+        with pytest.raises(ConfigError, match="missing fields \\['large_scale_gain'\\]"):
+            decode(PathStateInfo, data, "PathStateInfo")
 
     def test_unsupported_type_is_a_programming_error(self):
         with pytest.raises(TypeError):

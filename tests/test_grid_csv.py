@@ -2,10 +2,13 @@
 
 The oracles are the nested-loop formatters the gain map, PAS and PDS writers
 used before they shared write_csv: one f-string per row, 9 significant
-digits, position indices as plain integers.
+digits, position indices as plain integers. The writers pass their axes as
+broadcasting views; the flat-column oracle builds the full-length columns
+with np.repeat and np.tile, as the writers once did.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -39,6 +42,12 @@ def oracle_pds_csv(pds):
         for n, dns in enumerate(delays_ns):
             lines.append(f"{q},{dns:.9g},{vdb[q, n]:.9g}")
     return "\n".join(lines) + "\n"
+
+
+def oracle_flat_columns_csv(names, *columns):
+    """Rows of full-length columns, one entry each, formatted 9 significant digits."""
+    lists = [np.asarray(c).tolist() for c in columns]
+    return ",".join(names) + "\n" + "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in zip(*lists))
 
 
 # -0.0, the 1e-30 floor of to_db, tiny and huge magnitudes all format differently
@@ -95,3 +104,44 @@ class TestWriteCsv:
         path = tmp_path / "map.csv"
         write_grid_csv(path, x, y, values, "gain_db")
         assert path.read_text() == oracle_grid_csv(x, y, values, "gain_db")
+
+
+# one row, one column, and more than one block of rows whose length does not divide CSV_BLOCK_ROWS
+SHAPES = [(1, 7), (7, 1), (250, 300)]
+
+
+class TestBroadcastColumns:
+    @pytest.fixture(params=SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    def matrix(self, request):
+        rows, cols = request.param
+        if rows * cols > CSV_BLOCK_ROWS:
+            assert CSV_BLOCK_ROWS % cols != 0
+        return np.random.default_rng(rows * 1000 + cols).uniform(1e-6, 1.0, (rows, cols))
+
+    def test_grid_matches_repeated_columns(self, tmp_path, matrix):
+        ny, nx = matrix.shape
+        x, y = np.linspace(-0.02, 0.03, nx), np.linspace(0.0, 5e-3, ny)
+        values = 10.0 * np.log10(matrix)
+        path = tmp_path / "map.csv"
+        write_grid_csv(path, x, y, values, "gain_db")
+        assert path.read_text() == oracle_flat_columns_csv(
+            ["x_m", "y_m", "gain_db"], np.tile(x, ny), np.repeat(y, nx), values.ravel())
+
+    def test_pas_matches_repeated_columns(self, tmp_path, matrix):
+        n_el, n_az = matrix.shape
+        pas = PasMatrix(values=matrix, elevations_deg=np.linspace(-90.0, 90.0, n_el),
+                        azimuths_deg=np.linspace(-90.0, 90.0, n_az))
+        path = tmp_path / "pas.csv"
+        pas.to_csv(path)
+        assert path.read_text() == oracle_flat_columns_csv(
+            ["elevation_deg", "azimuth_deg", "pas_db"], np.repeat(pas.elevations_deg, n_az),
+            np.tile(pas.azimuths_deg, n_el), pas.values_db_rel_max.ravel())
+
+    def test_pds_matches_repeated_columns(self, tmp_path, matrix):
+        q, n = matrix.shape
+        pds = PdsMatrix(values=matrix, delay_step_s=1.0 / 399.36e6)
+        path = tmp_path / "pds.csv"
+        pds.to_csv(path)
+        assert path.read_text() == oracle_flat_columns_csv(
+            ["position_index", "delay_ns", "pds_db"], np.repeat(np.arange(q), n),
+            np.tile(pds.delays_s() * 1e9, q), to_db(pds.values).ravel())

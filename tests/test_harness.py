@@ -34,7 +34,6 @@ from masim.harness import (
 from masim.estimator import estimate_psi
 from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_27p5ghz
 from masim.signals import (
-    IQRecord,
     NoiseSpec,
     OfdmNumerology,
     add_noise,
@@ -45,7 +44,7 @@ from masim.signals import (
     write_iq_record,
 )
 
-from conftest import TEST_NUMEROLOGY, forge_sample_count, make_hi_scenario, records_campaign, sounding_records
+from conftest import TEST_NUMEROLOGY, make_hi_scenario, records_campaign, sounding_records
 
 
 def pipeline_config(master_seed=21, noise_power=0.01):
@@ -69,17 +68,6 @@ ALL_STAGES = ["sound", "estimate", "measure", "optimize", "export"]
 def five_stage_run(tmp_path_factory):
     """Every stage of pipeline_config() at the default stage parameters."""
     return run_pipeline(pipeline_config(), hall_psi_27p5ghz(), ALL_STAGES, tmp_path_factory.mktemp("pipeline"))
-
-
-def tamper_tx_seed(five_stage_run, tmp_path):
-    """A copy of the pipeline's sounding campaign whose manifest tx_symbol_seed is off by one bit."""
-    cdir = tmp_path / "camp"
-    shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
-    mpath = cdir / "manifest.json"
-    data = json.loads(mpath.read_text())
-    data["tx_symbol_seed"] ^= 1  # scenario_hash does not cover the seed
-    mpath.write_text(json.dumps(data))
-    return cdir
 
 
 def input_files(tmp_path, cfg=None):
@@ -234,10 +222,10 @@ class TestSoundingSynthesis:
         cfg = pipeline_config()
         manifest, records = load_campaign(five_stage_run.artifacts["sounding_campaign"])
         positions = cfg.sounding_region.positions()
-        assert len(records) == len(positions) == len(manifest.records)
-        for i, (entry, rec) in enumerate(zip(manifest.records, records)):
+        assert len(records) == len(positions) == len(manifest.sha256)
+        for i, rec in enumerate(records):
             assert rec.position == positions[i]
-            assert rec.seed == entry.seed == derive_seed(cfg.master_seed, "sound", i)
+            assert rec.seed == derive_seed(cfg.master_seed, "sound", i)
 
 
 def sounding_config(numerology, extent=(0.005, 0.005), step=1e-3, master_seed=21, noise_power=0.0):
@@ -364,18 +352,17 @@ class TestCampaignFiles:
         assert estimate_psi(campaign) == estimate_psi(build_sounding_campaign(pipeline_config(), hall_psi_27p5ghz()))
 
     def test_statistics_record_of_wrong_length_is_refused(self, five_stage_run, tmp_path):
-        # a record one snapshot short, with its header and manifest digest made consistent
+        # a record one snapshot short, with its manifest digest made consistent
         cdir = tmp_path / "camp"
         shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
         _, records = load_campaign(cdir)
-        rec = records[7]
-        short = IQRecord(rec.position, rec.samples[:-1], rec.sample_interval_s, rec.seed)
+        short = records[7].samples[:-1]
         write_iq_record(cdir / "rec_000007.maiq", short)
         mpath = cdir / "manifest.json"
         data = json.loads(mpath.read_text())
-        data["records"][7]["sha256"] = hashlib.sha256(short.samples).hexdigest()
+        data["sha256"][7] = hashlib.sha256(short).hexdigest()
         mpath.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match="rec_000007.maiq: holds 959 values"):
+        with pytest.raises(ValueError, match=r"truncated IQ record .*rec_000007\.maiq: 15344 bytes, not the 15360 of 960"):
             load_sounding_campaign(cdir)
 
     def test_unknown_mode_leaves_no_directory(self, tmp_path):
@@ -394,19 +381,25 @@ class TestCampaignFiles:
             load_campaign(cdir)
 
     def test_manifest_rejects_moved_record(self, tmp_path):
+        # a file's name is its position: two swapped record files fail their digests
         cfg = pipeline_config()
         cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        mpath = cdir / "manifest.json"
-        data = json.loads(mpath.read_text())
-        data["records"][0]["x_m"] += 1e-3
-        mpath.write_text(json.dumps(data))
-        with pytest.raises(ConfigError):
+        a, b = cdir / "rec_000000.maiq", cdir / "rec_000001.maiq"
+        blob_a, blob_b = a.read_bytes(), b.read_bytes()
+        a.write_bytes(blob_b)
+        b.write_bytes(blob_a)
+        with pytest.raises(ConfigError, match="rec_000000.maiq: sha256"):
             load_campaign(cdir)
 
-    def test_manifest_rejects_foreign_tx_seed(self, five_stage_run, tmp_path):
-        # used to load, then fail in estimation as "channel power does not rise above the noise floor"
-        with pytest.raises(ConfigError, match="tx_symbol_seed"):
-            load_sounding_campaign(tamper_tx_seed(five_stage_run, tmp_path))
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_manifest_digest_count_must_match_region(self, tmp_path, delta):
+        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
+        mpath = cdir / "manifest.json"
+        data = json.loads(mpath.read_text())
+        data["sha256"] = data["sha256"][:-1] if delta < 0 else data["sha256"] + [data["sha256"][0]]
+        mpath.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"holds {21 + delta} record digests, its region has 21 points"):
+            load_campaign(cdir)
 
     def test_missing_record_file(self, tmp_path):
         cfg = pipeline_config()
@@ -454,7 +447,7 @@ class TestCampaignFiles:
     def test_manifest_mode_validation(self):
         cfg = pipeline_config()
         with pytest.raises(ConfigError, match="mode"):
-            CampaignManifest(mode="chirp", scenario=cfg, records=[])
+            CampaignManifest(mode="chirp", scenario=cfg, sha256=())
 
 
 class TestPipeline:
@@ -474,9 +467,9 @@ class TestPipeline:
     def test_parameter_change_invalidates_dependents_only(self, tmp_path):
         cfg = pipeline_config()
         psi = hall_psi_27p5ghz()
-        run_pipeline(cfg, psi, ["estimate"], tmp_path / "run")
-        res = run_pipeline(cfg, psi, ["estimate"], tmp_path / "run", prominence_db=18.0)
-        assert res.cached == {"sound"}  # sounding inputs unchanged, estimate params differ
+        run_pipeline(cfg, psi, ["optimize"], tmp_path / "run")
+        res = run_pipeline(cfg, psi, ["optimize"], tmp_path / "run", optimize_budget=40)
+        assert res.cached == {"sound", "estimate"}  # upstream inputs unchanged, optimize params differ
 
     def test_byte_identical_across_roots(self, tmp_path):
         cfg = pipeline_config()
@@ -509,11 +502,11 @@ class TestPipeline:
     def test_stage_directory_names_pinned(self, five_stage_run):
         # each name hashes the stage's payload: a change here orphans every cached tree
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
-            "sound": "sound-bc62e4a611e4",
-            "estimate": "estimate-c4e48d132f89",
-            "measure": "measure-38e7478501a2",
-            "optimize": "optimize-5d04cbd949ec",
-            "export": "export-de8226110f56",
+            "sound": "sound-4c6ae7bf6777",
+            "estimate": "estimate-9c23dbc8ef3b",
+            "measure": "measure-4c2f9a381edb",
+            "optimize": "optimize-4c3e19686067",
+            "export": "export-e484fe4b9dfd",
         }
 
     def test_unknown_stage_rejected(self, tmp_path):
@@ -611,11 +604,28 @@ class TestCli:
         assert "nests too deeply" in capsys.readouterr().err
 
     def test_forged_record_header_exits_2(self, tmp_path, capsys):
+        # a record file holds samples only; one carrying a 48-byte header is the wrong size
         cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        forge_sample_count(cdir / "rec_000004.maiq", 2**62)
+        path = cdir / "rec_000004.maiq"
+        path.write_bytes(b"MAIQ" + bytes(44) + path.read_bytes())
         rc = cli_main(["measure", "--campaign", str(cdir), "--out", str(tmp_path / "pm.csv")])
         assert rc == 2
         assert "rec_000004.maiq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset", [0, 24, -1])
+    def test_rewritten_record_byte_exits_2(self, tmp_path, capsys, offset):
+        # the digest covers every byte of the file; byte 24 once held the sample
+        # interval, outside every check, and a rewrite of it metered a wrong map
+        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
+        path = cdir / "rec_000006.maiq"
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= 0x40
+        path.write_bytes(bytes(blob))
+        out = tmp_path / "pm.csv"
+        assert cli_main(["measure", "--campaign", str(cdir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "rec_000006.maiq" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode, command", [("ofdm", "estimate"), ("tone", "measure")])
     def test_flipped_payload_byte_exits_2(self, tmp_path, capsys, mode, command):
@@ -661,7 +671,8 @@ class TestCli:
     def test_forged_statistics_record_exits_2(self, five_stage_run, tmp_path, capsys):
         cdir = tmp_path / "camp"
         shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
-        forge_sample_count(cdir / "rec_000009.maiq", TEST_NUMEROLOGY.num_subcarriers)  # h_freq only
+        path = cdir / "rec_000009.maiq"
+        path.write_bytes(path.read_bytes()[: 16 * TEST_NUMEROLOGY.num_subcarriers])  # h_freq only
         rc = cli_main(["estimate", "--campaign", str(cdir), "--out", str(tmp_path / "est.json")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -757,13 +768,6 @@ class TestCli:
         campaign = str(five_stage_run.artifacts["sounding_campaign"])
         assert cli_main(["estimate", "--campaign", campaign, "--el-step=nan", "--out", str(out)]) == 2
         assert "angle step" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_estimate_rejects_foreign_tx_seed(self, five_stage_run, tmp_path, capsys):
-        out = tmp_path / "est.json"
-        campaign = str(tamper_tx_seed(five_stage_run, tmp_path))
-        assert cli_main(["estimate", "--campaign", campaign, "--out", str(out)]) == 2
-        assert "tx_symbol_seed" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["nan", "inf"])
