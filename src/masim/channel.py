@@ -295,16 +295,25 @@ def write_csv(path, names, *columns) -> None:
     One CSV row per element of that shape, row-major: an axis passed as a
     [:, None] or [None, :] view is never repeated out to the full shape.
     """
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        write_csv_rows(fh, *columns)
+
+
+def write_csv_rows(fh, *columns) -> None:
+    """Append write_csv's rows of columns to the open text file fh, with no header.
+
+    A writer that derives a column a block of leading rows at a time calls
+    this once per block; the rows come out as one write_csv call would write them.
+    """
     row = ",".join(["{:.9g}"] * len(columns)) + "\n"
     columns = np.broadcast_arrays(*columns)
     n_rows, n_cols = columns[0].shape
     step = max(1, CSV_BLOCK_ROWS // n_cols)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        # Python scalars format fastest; converting a block of leading rows at a time bounds their memory
-        for start in range(0, n_rows, step):
-            block = [c[start:start + step].ravel().tolist() for c in columns]
-            fh.write("".join(map(row.format, *block)))
+    # Python scalars format fastest; converting a block of leading rows at a time bounds their memory
+    for start in range(0, n_rows, step):
+        block = [c[start:start + step].ravel().tolist() for c in columns]
+        fh.write("".join(map(row.format, *block)))
 
 
 def write_grid_csv(path, x_m, y_m, values, value_column: str) -> None:

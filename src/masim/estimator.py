@@ -33,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
-from .channel import grid_order, to_db, write_csv
+from .channel import CSV_BLOCK_ROWS, grid_order, to_db, write_csv, write_csv_rows
 from .codec import JsonCodec
 from .signals import OfdmNumerology
 
@@ -111,8 +111,10 @@ class SoundingCampaign:
     CP excluded, for the PAS. The arrays are kept, not copied. Rows are
     sorted stably into row-major (y, then x) order, the snapshots lazily by
     samples_matrix, so every estimate is independent of the order they came
-    in; the positions must tile a complete grid of at least 2 points, or
-    ValueError is raised.
+    in. The positions must tile a complete grid of at least 2 points, with
+    a uniform x axis and a uniform y axis (steps within 1e-9 of their mean),
+    or ValueError is raised: compute_pas's lag sums and its aperture taper
+    both rest on uniform steps. Every MovementRegion grid has them.
 
     harness.build_sounding_campaign draws these statistics with the noise
     law of the time-domain records they summarize; harness.load_sounding_campaign
@@ -134,6 +136,11 @@ class SoundingCampaign:
         if snapshots.ndim != 2 or len(snapshots) != q or snapshots.shape[1] < 1:
             raise ValueError(f"snapshots must be ({q}, n_snap >= 1) for {q} positions, got {snapshots.shape}")
         order, self._axes = grid_order(positions[:, 0], positions[:, 1], "sounding positions")
+        for name, axis in zip("xy", self._axes):
+            steps = np.diff(axis)
+            if steps.size and np.ptp(steps) > 1e-9 * np.mean(steps):
+                raise ValueError(f"sounding positions are not a uniform grid: "
+                                 f"{name} steps run {steps.min():.9g} to {steps.max():.9g} m")
         if np.any(order != np.arange(q)):
             positions, h_freq = positions[order], h_freq[order]
         else:
@@ -208,9 +215,19 @@ class PdsMatrix:
         return self.delay_step_s * np.arange(self.values.shape[1])
 
     def to_csv(self, path) -> None:
-        """Rows of position_index,delay_ns,pds_db, positions in (y, x) order."""
-        write_csv(path, ["position_index", "delay_ns", "pds_db"], np.arange(self.values.shape[0])[:, None],
-                  (self.delays_s() * 1e9)[None, :], to_db(self.values))
+        """Rows of position_index,delay_ns,pds_db, positions in (y, x) order.
+
+        Values are converted to dB a block of positions at a time, so no
+        (Q, num_delay_bins) dB matrix is ever held.
+        """
+        q, n_bins = self.values.shape
+        index, delays_ns = np.arange(q)[:, None], (self.delays_s() * 1e9)[None, :]
+        step = max(1, CSV_BLOCK_ROWS // n_bins)
+        with open(path, "w") as fh:
+            fh.write("position_index,delay_ns,pds_db\n")
+            for start in range(0, q, step):
+                rows = slice(start, start + step)
+                write_csv_rows(fh, index[rows], delays_ns, to_db(self.values[rows]))
 
 
 @dataclass(frozen=True)
@@ -255,9 +272,19 @@ def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> Pa
     MAX_SNAPSHOTS received time samples per position, evenly spread over the
     frame, CP excluded. A separable Kaiser taper (beta PAS_TAPER_BETA) is
     applied across the position grid before correlation; the rectangular
-    aperture's -13 dB sidelobes would otherwise masquerade as paths. The scan
-    is a separable two-stage transform over the campaign's grid axes, so
-    large sweeps stay affordable.
+    aperture's -13 dB sidelobes would otherwise masquerade as paths.
+
+    The scan runs in two stages over the campaign's grid axes. Stage 1
+    collapses y for every elevation e into C[e, n, k], snapshot n at the
+    k-th x position. On the uniform x axis (step dx) f^H R f of that
+    elevation is then a trig polynomial in one phasor z = exp(j 2 pi u dx /
+    lambda), u = cos(el) sin(az) (Van Trees, Optimum Array Processing, ch. 2):
+
+      PAS = s_0 + 2 Re sum_{d >= 1} s_d z^d,  s_d = sum_n sum_k C[e, n, k+d] conj(C[e, n, k])
+
+    The lag sums s_d are diagonal sums of C's x Gram matrix, formed a block
+    of elevations at a time, and stage 2 evaluates the polynomial by
+    Horner's rule. Round-off negatives are clipped to 0.
     """
     grid = grid or AngleGrid()
     els = grid.elevations_deg()
@@ -266,21 +293,30 @@ def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> Pa
     snaps = campaign.samples_matrix().T  # (n_snap, Q)
     n_snap = snaps.shape[0]
     el_rad = np.radians(els)
-    sin_az = np.sin(np.radians(azs))
 
     xs, ys = campaign.grid_axes()
-    w2d = np.outer(np.kaiser(len(ys), PAS_TAPER_BETA), np.kaiser(len(xs), PAS_TAPER_BETA))
-    s3 = snaps.reshape(n_snap, len(ys), len(xs)) * w2d[None, :, :]
-    # stage 1: collapse y for every elevation, C[e, n, x]
+    nx = len(xs)
+    w2d = np.outer(np.kaiser(len(ys), PAS_TAPER_BETA), np.kaiser(nx, PAS_TAPER_BETA))
+    s3 = snaps.reshape(n_snap, len(ys), nx) * w2d[None, :, :]
     e_y = np.exp(2j * np.pi * np.outer(np.sin(el_rad), ys) / lam)
-    c = np.tensordot(e_y, s3, axes=([1], [1]))
-    # stage 2: per elevation row, collapse x for every azimuth
-    pas = np.empty((len(els), len(azs)))
-    for ie in range(len(els)):
-        u_row = math.cos(el_rad[ie]) * sin_az
-        e_x = np.exp(2j * np.pi * np.outer(u_row, xs) / lam)
-        t = e_x @ c[ie].T  # (n_az, n_snap)
-        pas[ie] = np.sum(np.abs(t) ** 2, axis=1)
+    lag = np.empty((len(els), nx), dtype=np.complex128)
+    block = max(1, (1 << 18) // (n_snap * nx))  # about 4 MiB of C per block of elevations
+    for start in range(0, len(els), block):
+        rows = slice(start, start + block)
+        # stage 1: collapse y for these elevations, C[e, n, k]
+        c = np.tensordot(e_y[rows], s3, axes=([1], [1]))
+        gram = np.matmul(c.transpose(0, 2, 1), c.conj())  # gram[e, k, k'] = sum_n C[e, n, k] conj(C[e, n, k'])
+        for d in range(nx):
+            lag[rows, d] = np.trace(gram, offset=-d, axis1=1, axis2=2)
+    # stage 2: the lag polynomial in z at every (elevation, azimuth)
+    dx = (xs[-1] - xs[0]) / max(nx - 1, 1)
+    z = np.exp(2j * np.pi * dx / lam * np.outer(np.cos(el_rad), np.sin(np.radians(azs))))
+    acc = np.zeros_like(z)
+    for d in range(nx - 1, 0, -1):
+        acc += lag[:, d, None]
+        acc *= z
+    pas = lag[:, :1].real + 2.0 * acc.real
+    np.maximum(pas, 0.0, out=pas)
     return PasMatrix(values=pas, elevations_deg=els, azimuths_deg=azs)
 
 

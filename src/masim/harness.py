@@ -276,7 +276,8 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     sym, k = np.divmod(_snapshot_indices(num, MAX_SNAPSHOTS), num.samples_per_symbol)
     k -= num.cp_samples
     subcarrier = np.arange(i_n)
-    twiddle = np.exp(2j * np.pi * (np.outer(subcarrier, k) % i_n) / i_n)  # (I, n_snap)
+    # (I, n_snap) exp(j 2 pi (i k mod I) / I), looked up in the table of the I roots of unity
+    twiddle = np.exp(2j * np.pi * subcarrier / i_n)[np.outer(subcarrier, k) % i_n]
     tx_snap = tx[:, sym]
     synth = tx_snap * twiddle  # T
     a = twiddle.conj() / (m_n * i_n * tx_snap)  # A

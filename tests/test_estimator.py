@@ -11,13 +11,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masim.channel import MovementRegion, PathComponent, PathStateInfo, channel_response
+from masim import estimator
+from masim.channel import CSV_BLOCK_ROWS, MovementRegion, PathComponent, PathStateInfo, channel_response, to_db
 from masim.estimator import (
     PAS_TAPER_BETA,
     AngleGrid,
     DegenerateGeometryError,
     EstimatedPath,
     EstimatedPsi,
+    PdsMatrix,
     SoundingCampaign,
     array_response,
     compute_pas,
@@ -37,13 +39,14 @@ SMALL_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=64, num_
                            cp_duration_s=4.0 / (64 * 480e3))
 
 
-def small_config(extent=0.02, step=1e-3, noise_power=0.0, seed=5, numerology=SMALL_NUM):
+def small_config(extent=0.02, step=1e-3, noise_power=0.0, seed=5, numerology=SMALL_NUM, y_extent=None):
     cfg = make_hi_scenario(master_seed=seed, noise_power=noise_power)
+    y_extent = extent if y_extent is None else y_extent
     return type(cfg).from_json_dict(
         {
             **cfg.to_json_dict(),
             "sounding_region": {
-                "x_extent_m": extent, "y_extent_m": extent, "x_step_m": step, "y_step_m": step,
+                "x_extent_m": extent, "y_extent_m": y_extent, "x_step_m": step, "y_step_m": step,
             },
             "numerology": {
                 "subcarrier_spacing_hz": numerology.subcarrier_spacing_hz,
@@ -211,6 +214,30 @@ class TestPas:
         camp = small_campaign(one_path_psi(), extent=0.005)
         grid = AngleGrid(5.0, 5.0)
         np.testing.assert_allclose(compute_pas(camp, grid).values, oracle_direct_pas(camp, grid), rtol=1e-9)
+
+    @pytest.mark.parametrize("extent, y_extent, shape", [
+        (6e-3, 3e-3, (4, 7)),  # non-square
+        (6e-3, 0.0, (1, 7)),  # a track along x
+        (0.0, 6e-3, (7, 1)),  # a single x column: no lags beyond 0
+        (0.032, 1e-3, (2, 33)),  # a wide x axis: degree 32, over more than one block of elevations
+    ], ids=["7x4", "x_track", "x_column", "33x2"])
+    def test_lag_sums_match_generic_scan(self, extent, y_extent, shape):
+        camp = small_campaign(hall_psi_27p5ghz(), extent=extent, y_extent=y_extent)
+        xs, ys = camp.grid_axes()
+        assert (len(ys), len(xs)) == shape
+        grid = AngleGrid(2.5, 2.5)
+        np.testing.assert_allclose(compute_pas(camp, grid).values, oracle_direct_pas(camp, grid), rtol=1e-9)
+
+    def test_campaign_must_have_uniform_axes(self):
+        # a complete 3 x 2 grid whose x steps are 1 mm and 2 mm
+        positions = np.array([(x, y) for y in (0.0, 1e-3) for x in (0.0, 1e-3, 3e-3)])
+        h_freq = np.zeros((6, SMALL_NUM.num_subcarriers), dtype=complex)
+        snaps = np.zeros((6, 128), dtype=complex)
+        tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
+        with pytest.raises(ValueError, match="not a uniform grid: x steps"):
+            SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions, h_freq, snaps)
+        with pytest.raises(ValueError, match="not a uniform grid: y steps"):
+            SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions[:, ::-1].copy(), h_freq, snaps)
 
     def test_campaign_must_tile_a_grid(self):
         # 8 of the 9 points of a 3 x 3 grid: the PAS scan runs over grid axes only
@@ -449,6 +476,19 @@ class TestPds:
         step = 1.0 / SMALL_NUM.occupied_bandwidth_hz
         assert pds.delay_step_s == pytest.approx(step, rel=1e-12)
         np.testing.assert_allclose(pds.delays_s()[:3], [0.0, step, 2 * step], rtol=1e-12)
+
+    def test_csv_converts_to_db_a_block_at_a_time(self, tmp_path, monkeypatch):
+        # no (Q, num_delay_bins) dB matrix is held next to the values while the rows are written
+        sizes = []
+
+        def recording_to_db(values):
+            sizes.append(values.size)
+            return to_db(values)
+
+        monkeypatch.setattr(estimator, "to_db", recording_to_db)
+        pds = PdsMatrix(values=np.random.default_rng(2).uniform(1e-6, 1.0, (100, 2000)), delay_step_s=1e-9)
+        pds.to_csv(tmp_path / "pds.csv")
+        assert sum(sizes) == pds.values.size and max(sizes) <= CSV_BLOCK_ROWS
 
 
 class TestEstimatePsi:
