@@ -59,7 +59,6 @@ from .mover import (
 from .powermeter import PowerMeasurement, measure_power, sweep_measure
 from .presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_3p5ghz, scenario_27p5ghz
 from .signals import (
-    IQRecord,
     NoiseSpec,
     OfdmNumerology,
     add_noise,

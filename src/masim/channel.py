@@ -198,6 +198,10 @@ class MovementRegion(JsonCodec):
         ys = self.grid_y()
         return [Position(float(x), float(y)) for y in ys for x in xs]
 
+    def positions_array(self) -> np.ndarray:
+        """(Q, 2) array of the grid's (x, y) points, in the row-major order of positions()."""
+        return np.stack(np.meshgrid(self.grid_x(), self.grid_y()), axis=-1).reshape(-1, 2)
+
     def contains(self, pos: Position, tol: float = 1e-12) -> bool:
         return (-tol <= pos.x_m <= self.x_extent_m + tol) and (-tol <= pos.y_m <= self.y_extent_m + tol)
 
@@ -363,16 +367,6 @@ def row_major_axes(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray,
                              f"of {len(xs) * len(ys)} points missing")
         raise ValueError(f"{what} are not listed row-major by y then x")
     return xs, ys
-
-
-def grid_order(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(order, (x values, y values)): the stable row-major (y, then x) order of points (x, y) and their grid's axes.
-
-    x[order], y[order] list the complete grid row-major; points that do not
-    tile one raise row_major_axes' ValueError, naming them as what.
-    """
-    order = np.lexsort((x, y))  # stable, like sorted()
-    return order, row_major_axes(x[order], y[order], what)
 
 
 def gain_field(psi: PathStateInfo, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:

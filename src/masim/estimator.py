@@ -33,7 +33,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
-from .channel import CSV_BLOCK_ROWS, grid_order, to_db, write_csv, write_csv_rows
+from .channel import CSV_BLOCK_ROWS, MovementRegion, to_db, write_csv, write_csv_rows
 from .codec import JsonCodec
 from .signals import OfdmNumerology
 
@@ -47,8 +47,8 @@ DELAY_OVERSAMPLE = 8
 MIN_PEAK_TO_MEDIAN_DB = 12.0
 """A path's delay profile must peak this far over its median to be kept."""
 
-MAX_SNAPSHOTS = 128
-"""Payload snapshots a campaign keeps per position for the PAS."""
+MAX_ANGLE_CELLS = 2**24
+"""Largest elevation x azimuth search grid an AngleGrid accepts (0.05 degree steps give 3601 x 3601)."""
 
 
 class DegenerateGeometryError(ValueError):
@@ -64,9 +64,15 @@ class AngleGrid:
     azimuth_step_deg: float = 0.5
 
     def __post_init__(self):
-        for step in (self.elevation_step_deg, self.azimuth_step_deg):
+        steps = (self.elevation_step_deg, self.azimuth_step_deg)
+        for step in steps:
             if not (math.isfinite(step) and step > 0.0):
                 raise ValueError(f"angle steps must be finite and > 0: {step}")
+        # counted from the steps, so an oversized grid is refused before its axes exist
+        n_el, n_az = (180.0 / step + 1.0 for step in steps)
+        if not n_el * n_az <= MAX_ANGLE_CELLS:  # also refuses an inf count
+            raise ValueError(f"a {n_el:.0f} x {n_az:.0f} angle grid exceeds {MAX_ANGLE_CELLS} cells")
+        for step in steps:
             if abs(180.0 / step - round(180.0 / step)) > 1e-9:
                 raise ValueError(f"angle step {step} does not divide the 180 degree range")
 
@@ -87,95 +93,62 @@ def array_response(elevation_deg: float, azimuth_deg: float, positions: np.ndarr
     return np.exp(-2j * np.pi * d / wavelength_m)
 
 
-def _snapshot_indices(numerology: OfdmNumerology, max_snapshots: int) -> np.ndarray:
-    """Frame indices of up to max_snapshots payload samples, evenly spread, CP samples excluded."""
-    num = numerology
-    sym = num.samples_per_symbol
-    payload_idx = np.concatenate(
-        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
-    )
-    if max_snapshots < len(payload_idx):
-        sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, max_snapshots)).astype(int))
-        payload_idx = payload_idx[sel]
-    return payload_idx
-
-
 class SoundingCampaign:
     """A full OFDM sounding sweep, as the per-position statistics the estimator reads.
 
-    Row q of positions (Q, 2), h_freq (Q, I) and snapshots (Q, n_snap)
-    belongs to one position, in any order. h_freq is its channel frequency
-    response on the I subcarriers: the FFT of each symbol's payload,
-    equalized by the known (I, M) tx_symbols grid and coherently averaged
-    over the M symbols. snapshots are n_snap received payload time samples,
-    CP excluded, for the PAS. The arrays are kept, not copied. Rows are
-    sorted stably into row-major (y, then x) order, the snapshots lazily by
-    samples_matrix, so every estimate is independent of the order they came
-    in. The positions must tile a complete grid of at least 2 points, with
-    a uniform x axis and a uniform y axis (steps within 1e-9 of their mean),
-    or ValueError is raised: compute_pas's lag sums and its aperture taper
-    both rest on uniform steps. Every MovementRegion grid has them.
+    Row q of h_freq (Q, I) and snapshots (Q, n_snap) belongs to point q of
+    region, row-major (y, then x) as region.positions() lists them. h_freq
+    is that position's channel frequency response on the I subcarriers: the
+    FFT of each symbol's payload, equalized by the known transmit symbols
+    and coherently averaged over the M symbols. snapshots are n_snap
+    received payload time samples, CP excluded, for the PAS. The arrays are
+    kept, not copied. The region's axes are uniform, which compute_pas's lag
+    sums and its aperture taper both rest on.
 
     harness.build_sounding_campaign draws these statistics with the noise
     law of the time-domain records they summarize; harness.load_sounding_campaign
     reads them back from an on-disk campaign.
     """
 
-    def __init__(self, numerology: OfdmNumerology, tx_symbols: np.ndarray, carrier_hz: float,
-                 positions: np.ndarray, h_freq: np.ndarray, snapshots: np.ndarray):
-        i, m = numerology.num_subcarriers, numerology.num_symbols
-        if tx_symbols.shape != (i, m):
-            raise ValueError(f"tx_symbols must be ({i}, {m}), got {tx_symbols.shape}")
+    def __init__(self, region: MovementRegion, numerology: OfdmNumerology, carrier_hz: float,
+                 h_freq: np.ndarray, snapshots: np.ndarray):
         if carrier_hz <= 0.0:
             raise ValueError("carrier_hz must be > 0")
-        q = len(positions)
+        q, i = region.num_points, numerology.num_subcarriers
         if q < 2:
             raise ValueError("a sounding campaign needs at least 2 positions")
         if h_freq.shape != (q, i):
             raise ValueError(f"h_freq must be ({q}, {i}) for {q} positions, got {h_freq.shape}")
         if snapshots.ndim != 2 or len(snapshots) != q or snapshots.shape[1] < 1:
             raise ValueError(f"snapshots must be ({q}, n_snap >= 1) for {q} positions, got {snapshots.shape}")
-        order, self._axes = grid_order(positions[:, 0], positions[:, 1], "sounding positions")
-        for name, axis in zip("xy", self._axes):
-            steps = np.diff(axis)
-            if steps.size and np.ptp(steps) > 1e-9 * np.mean(steps):
-                raise ValueError(f"sounding positions are not a uniform grid: "
-                                 f"{name} steps run {steps.min():.9g} to {steps.max():.9g} m")
-        if np.any(order != np.arange(q)):
-            positions, h_freq = positions[order], h_freq[order]
-        else:
-            order = None
         h_freq.flags.writeable = False
-        self.numerology, self.tx_symbols, self.carrier_hz = numerology, tx_symbols, carrier_hz
+        self.region, self.numerology, self.carrier_hz = region, numerology, carrier_hz
         self.h_freq = h_freq  # (Q, I)
-        self._positions = positions
-        self._snapshots, self._order = snapshots, order
+        # samples_matrix takes the snapshots over on its first call, the call
+        # whose bytes perfbench/worker.py counts
+        self._snapshots = snapshots
         self._samples: np.ndarray | None = None
 
     @property
     def num_positions(self) -> int:
-        return len(self._positions)
+        return self.region.num_points
 
     @property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT_M_PER_S / self.carrier_hz
 
     def positions_array(self) -> np.ndarray:
-        return self._positions.copy()
+        return self.region.positions_array()
 
     def samples_matrix(self) -> np.ndarray:
-        """(Q, n_snap) block of the retained payload snapshots in (y, x) order, sorted on first use.
-
-        Snapshots that came in (y, x) order are returned as they are, not copied.
-        """
+        """(Q, n_snap) block of the retained payload snapshots, row-major like the region's points, not copied."""
         if self._samples is None:
-            snaps = self._snapshots if self._order is None else self._snapshots[self._order]
-            self._samples, self._snapshots = snaps, None
+            self._samples, self._snapshots = self._snapshots, None
         return self._samples
 
     def grid_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x values, y values) of the complete grid the positions tile."""
-        return self._axes
+        """(x values, y values) of the region's grid."""
+        return self.region.grid_x(), self.region.grid_y()
 
 
 @dataclass(frozen=True)
@@ -269,10 +242,11 @@ def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> Pa
     """Power angular spectrum PAS(theta, phi) = f^H R f over the angle grid.
 
     R is the sample covariance of the campaign's retained snapshots: up to
-    MAX_SNAPSHOTS received time samples per position, evenly spread over the
-    frame, CP excluded. A separable Kaiser taper (beta PAS_TAPER_BETA) is
-    applied across the position grid before correlation; the rectangular
-    aperture's -13 dB sidelobes would otherwise masquerade as paths.
+    harness.MAX_SNAPSHOTS received time samples per position, evenly spread
+    over the frame, CP excluded. A separable Kaiser taper (beta
+    PAS_TAPER_BETA) is applied across the position grid before correlation;
+    the rectangular aperture's -13 dB sidelobes would otherwise masquerade
+    as paths.
 
     The scan runs in two stages over the campaign's grid axes. Stage 1
     collapses y for every elevation e into C[e, n, k], snapshot n at the

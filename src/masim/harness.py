@@ -47,11 +47,9 @@ from .channel import (
 )
 from .codec import ConfigError, JsonCodec, decode, encode
 from .estimator import (
-    MAX_SNAPSHOTS,
     AngleGrid,
     EstimatedPsi,
     SoundingCampaign,
-    _snapshot_indices,
     compute_pas,
     compute_pds,
     estimate_psi,
@@ -59,7 +57,6 @@ from .estimator import (
 from .mover import MoveResult, SimulatedSlideTrack, optimize
 from .powermeter import sweep_measure
 from .signals import (
-    IQRecord,
     NoiseSpec,
     OfdmNumerology,
     add_noise,
@@ -73,6 +70,9 @@ from .signals import (
 
 MAX_RECORD_SAMPLES = 2**24
 """Largest tone record or OFDM frame a ScenarioConfig may ask for (the paper's frame is 336,600 samples)."""
+
+MAX_SNAPSHOTS = 128
+"""Payload snapshots a sounding campaign keeps per position for the PAS."""
 
 MAX_CAMPAIGN_BYTES = 2**31
 """Largest sounding campaign a ScenarioConfig may ask for: Q x (I + MAX_SNAPSHOTS) complex128 statistics.
@@ -228,22 +228,35 @@ def _check_carrier(cfg: ScenarioConfig, psi: PathStateInfo) -> None:
         )
 
 
-def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo):
-    """Yield one noisy tone capture per point of cfg.region, row-major."""
+def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo) -> Iterator[np.ndarray]:
+    """Yield one noisy tone capture per point of cfg.region, row-major.
+
+    Point q's noise is seeded by derive_seed(master_seed, "tone", q).
+    """
     _check_carrier(cfg, psi)
-    t = 1.0 / cfg.bandwidth_hz
-    tone = gen_tone(cfg.tone_f0_hz, cfg.samples_per_measurement, t)
+    tone = gen_tone(cfg.tone_f0_hz, cfg.samples_per_measurement, 1.0 / cfg.bandwidth_hz)
     noise = NoiseSpec(cfg.noise_power, cfg.bandwidth_hz)
     for i, pos in enumerate(cfg.region.positions()):
-        seed = derive_seed(cfg.master_seed, "tone", i)
-        rx = apply_channel(tone, psi, pos)
-        yield IQRecord(position=pos, samples=add_noise(rx, noise, seed), sample_interval_s=t, seed=seed)
+        yield add_noise(apply_channel(tone, psi, pos), noise, derive_seed(cfg.master_seed, "tone", i))
 
 
 def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
     """The QPSK grid every sounding frame of cfg carries, seeded by derive_seed(master_seed, "tx")."""
     num = cfg.numerology
     return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
+
+
+def _snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
+    """Frame indices of up to MAX_SNAPSHOTS payload samples, evenly spread, CP samples excluded."""
+    num = numerology
+    sym = num.samples_per_symbol
+    payload_idx = np.concatenate(
+        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
+    )
+    if MAX_SNAPSHOTS < len(payload_idx):
+        sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, MAX_SNAPSHOTS)).astype(int))
+        payload_idx = payload_idx[sel]
+    return payload_idx
 
 
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
@@ -273,7 +286,7 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
     tx = _tx_symbols(cfg)
-    sym, k = np.divmod(_snapshot_indices(num, MAX_SNAPSHOTS), num.samples_per_symbol)
+    sym, k = np.divmod(_snapshot_indices(num), num.samples_per_symbol)
     k -= num.cp_samples
     subcarrier = np.arange(i_n)
     # (I, n_snap) exp(j 2 pi (i k mod I) / I), looked up in the table of the I roots of unity
@@ -288,7 +301,7 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     av = a @ v
     scale = math.sqrt(cfg.noise_power / 2.0)
 
-    positions = np.array([[p.x_m, p.y_m] for p in cfg.sounding_region.positions()])
+    positions = cfg.sounding_region.positions_array()
     q_n, n_snap = len(positions), len(k)
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
     snaps = np.empty((q_n, n_snap), dtype=np.complex128)
@@ -305,7 +318,7 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         h = channel_response(psi, positions[start:stop], subcarrier * num.subcarrier_spacing_hz)
         snaps[start:stop] = h @ synth + z
         h_freq[start:stop] = h + g / math.sqrt(m_n) + (z + ((g @ av.conj()) * c) @ v.T) @ a.T
-    return SoundingCampaign(num, tx, cfg.carrier_hz, positions, h_freq, snaps)
+    return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
 
 
 def _record_name(q: int) -> str:
@@ -367,7 +380,7 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     # the tone generator checks lazily; a refused campaign must leave no directory
     if mode == "tone":
         _check_carrier(cfg, psi)
-        payloads = (rec.samples for rec in iter_tone_records(cfg, psi))
+        payloads = iter_tone_records(cfg, psi)
     elif mode == "ofdm":
         campaign = build_sounding_campaign(cfg, psi)
         payloads = (np.concatenate([h, snap]) for h, snap in zip(campaign.h_freq, campaign.samples_matrix()))
@@ -386,32 +399,32 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     return out
 
 
-def _read_records(dir_path, manifest: CampaignManifest) -> Iterator[IQRecord]:
-    """Load the campaign's records one at a time, checking each file against its digest.
+def _record_samples(cfg: ScenarioConfig, mode: str) -> int:
+    """Values in each record file of a campaign of cfg: a tone capture, or one position's I + n_snap statistics."""
+    if mode == "tone":
+        return cfg.samples_per_measurement
+    return cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology))
 
-    The scenario and the index q give everything else: the file name, the
-    position (point q of the region), the seed, the length and the sample
-    interval. An ofdm record holds I + n_snap statistics, not time samples.
+
+def _read_records(dir_path, manifest: CampaignManifest) -> Iterator[np.ndarray]:
+    """Load the campaign's record payloads one at a time, checking each file against its digest.
+
+    Record q belongs to point q of the manifest's region, row-major; the
+    scenario gives its file name and length (_record_samples).
     """
-    cfg = manifest.scenario
-    if manifest.mode == "tone":
-        label, n, t = "tone", cfg.samples_per_measurement, 1.0 / cfg.bandwidth_hz
-    else:
-        num = cfg.numerology
-        label, t = "sound", num.sample_interval_s
-        n = num.num_subcarriers + len(_snapshot_indices(num, MAX_SNAPSHOTS))
-    for q, (pos, digest) in enumerate(zip(manifest.region.positions(), manifest.sha256)):
+    n = _record_samples(manifest.scenario, manifest.mode)
+    for q, digest in enumerate(manifest.sha256):
         path = Path(dir_path) / _record_name(q)
         if not path.exists():
             raise ConfigError(f"manifest lists {path.name} but the file is missing")
         samples = read_iq_record(path, n)
         if hashlib.sha256(samples).hexdigest() != digest:  # the file is exactly the <c16 samples
             raise ConfigError(f"{path.name}: sha256 disagrees with the manifest")
-        yield IQRecord(pos, samples, t, derive_seed(cfg.master_seed, label, q))
+        yield samples
 
 
-def load_campaign(dir_path) -> tuple[CampaignManifest, list[IQRecord]]:
-    """Load a campaign directory, checking every record against the manifest."""
+def load_campaign(dir_path) -> tuple[CampaignManifest, list[np.ndarray]]:
+    """Load a campaign directory's record payloads, row-major over its region, checking every one against the manifest."""
     manifest = CampaignManifest.load(dir_path)
     return manifest, list(_read_records(dir_path, manifest))
 
@@ -427,15 +440,12 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
         raise ConfigError(f"expected an ofdm campaign, found mode {manifest.mode!r}")
     cfg = manifest.scenario
     num = cfg.numerology
-    i_n, n_snap = num.num_subcarriers, len(_snapshot_indices(num, MAX_SNAPSHOTS))
-    q_n = len(manifest.sha256)
-    positions = np.empty((q_n, 2))
+    i_n, q_n = num.num_subcarriers, manifest.region.num_points
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
-    snaps = np.empty((q_n, n_snap), dtype=np.complex128)
-    for q, rec in enumerate(_read_records(dir_path, manifest)):
-        positions[q] = rec.position.x_m, rec.position.y_m
-        h_freq[q], snaps[q] = rec.samples[:i_n], rec.samples[i_n:]
-    return manifest, SoundingCampaign(num, _tx_symbols(cfg), cfg.carrier_hz, positions, h_freq, snaps)
+    snaps = np.empty((q_n, _record_samples(cfg, "ofdm") - i_n), dtype=np.complex128)
+    for q, samples in enumerate(_read_records(dir_path, manifest)):
+        h_freq[q], snaps[q] = samples[:i_n], samples[i_n:]
+    return manifest, SoundingCampaign(manifest.region, num, cfg.carrier_hz, h_freq, snaps)
 
 
 def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> DbMap:
@@ -447,8 +457,9 @@ def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None 
     manifest = CampaignManifest.load(dir_path)
     if manifest.mode != "tone":
         raise ConfigError(f"expected a tone campaign, found mode {manifest.mode!r}")
-    f0 = manifest.scenario.tone_f0_hz if f0_hz is None else f0_hz
-    return sweep_measure(_read_records(dir_path, manifest), f0, fft_size)
+    cfg = manifest.scenario
+    f0 = cfg.tone_f0_hz if f0_hz is None else f0_hz
+    return sweep_measure(manifest.region, _read_records(dir_path, manifest), 1.0 / cfg.bandwidth_hz, f0, fft_size)
 
 
 def optimize_on_slide_track(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import MovementRegion, PathStateInfo, Position, gain_map
 from .powermeter import measure_power
-from .signals import IQRecord, NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
+from .signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
 # slide track positioning accuracy; steps below this are not executable
 POSITIONING_ACCURACY_M = 0.05e-3
@@ -115,13 +115,7 @@ class SimulatedSlideTrack:
         seed = derive_seed(self.master_seed, "probe", self._probes)
         self._probes += 1
         rx = apply_channel(self._tone, self.psi, self._position)
-        rec = IQRecord(
-            position=self._position,
-            samples=add_noise(rx, self.noise, seed),
-            sample_interval_s=self.sample_interval_s,
-            seed=seed,
-        )
-        return measure_power(rec, self.f0_hz).power_db
+        return measure_power(add_noise(rx, self.noise, seed), self.sample_interval_s, self.f0_hz).power_db
 
 
 def coarse_position(psi: PathStateInfo, region: MovementRegion) -> Position:

@@ -13,8 +13,8 @@ streaming form of the same sum). For an on-bin tone it is exact; off-bin
 tones see the usual sinc^2 scalloping of the rectangular window. Coherent
 integration over N samples buys ~10*log10(N) of SNR against white noise.
 
-sweep_measure meters a whole tone campaign into a channel.DbMap of power_dbr
-on the grid its record positions tile.
+sweep_measure meters a whole tone sweep into a channel.DbMap of power_dbr
+on the grid of the movement region it was captured over.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import DbMap, Position, grid_order, to_db
-from .signals import IQRecord
+from .channel import DbMap, MovementRegion, to_db
 
 
 MAX_FFT_SIZE = 2**53
@@ -49,7 +48,7 @@ def _bin_phasor(num_samples: int, fft_size: int, k_hat: int) -> np.ndarray:
 
     The phase is reduced modulo one cycle in floating point before scaling by
     2*pi: exact on power-of-two grids, and free of integer overflow at any Ns.
-    Cached because a sweep or a placement meters every record on one key.
+    Cached because a sweep or a placement meters every capture on one key.
     """
     cycles = np.mod(np.arange(num_samples) * (k_hat / fft_size), 1.0)
     phasor = np.exp(-2j * np.pi * cycles)
@@ -59,9 +58,8 @@ def _bin_phasor(num_samples: int, fft_size: int, k_hat: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerMeasurement:
-    """One metered record; fft_size is the bin grid Ns and peak_bin the bin read on it."""
+    """One metered capture; fft_size is the bin grid Ns and peak_bin the bin read on it."""
 
-    position: Position
     power_linear: float
     power_db: float
     fft_size: int
@@ -69,21 +67,21 @@ class PowerMeasurement:
     peak_bin: int
 
 
-def measure_power(record: IQRecord, f0_hz: float, fft_size: int | None = None) -> PowerMeasurement:
+def measure_power(samples: np.ndarray, sample_interval_s: float, f0_hz: float,
+                  fft_size: int | None = None) -> PowerMeasurement:
     """Estimate receive power of a tone capture at the known tone frequency."""
-    n = record.num_samples
-    t = record.sample_interval_s
+    n = len(samples)
+    t = sample_interval_s
     if abs(f0_hz) >= 0.5 / t:
         raise ValueError(f"tone frequency {f0_hz} Hz outside the Nyquist band")
     ns = default_fft_size(n) if fft_size is None else int(fft_size)
     if ns < n:
-        raise ValueError(f"fft_size {ns} is smaller than the record ({n} samples)")
+        raise ValueError(f"fft_size {ns} is smaller than the capture ({n} samples)")
     if ns > MAX_FFT_SIZE:
         raise ValueError(f"fft_size {ns} exceeds {MAX_FFT_SIZE}, past which the tone bin index is not exact")
     k_hat = int(round(ns * t * f0_hz)) % ns
-    p_lin = float(np.abs(record.samples @ _bin_phasor(n, ns, k_hat)) ** 2) / n**2
+    p_lin = float(np.abs(samples @ _bin_phasor(n, ns, k_hat)) ** 2) / n**2
     return PowerMeasurement(
-        position=record.position,
         power_linear=p_lin,
         power_db=float(to_db(p_lin)),
         fft_size=ns,
@@ -92,27 +90,26 @@ def measure_power(record: IQRecord, f0_hz: float, fft_size: int | None = None) -
     )
 
 
-def sweep_measure(records: Iterable[IQRecord], f0_hz: float, fft_size: int | None = None) -> DbMap:
-    """Meter every record of a tone campaign and assemble the grid power map.
+def sweep_measure(region: MovementRegion, captures: Iterable[np.ndarray], sample_interval_s: float, f0_hz: float,
+                  fft_size: int | None = None) -> DbMap:
+    """Meter every capture of a tone sweep over region and assemble the grid power map.
 
-    records is any iterable, consumed once, one record at a time; only each
-    record's position and power are kept. All records must share the sample
-    interval and length, and their positions must tile a complete
-    rectangular grid, in any order. The map's column is power_dbr: dB
-    relative to unit transmit scale, with no absolute power calibration, so
-    its values differ from the simulated gain map by the constant
-    10*log10(beta*pt).
+    Capture q was taken at point q of the region, row-major (y, then x) as
+    region.positions() lists them. captures is any iterable of sample
+    arrays, consumed once, one capture at a time; only each capture's power
+    is kept. The captures must share one length, and there must be exactly
+    region.num_points of them, or ValueError is raised. The map's column is
+    power_dbr: dB relative to unit transmit scale, with no absolute power
+    calibration, so its values differ from the simulated gain map by the
+    constant 10*log10(beta*pt).
     """
-    xy, powers = [], []
-    for rec in records:
-        if not xy:
-            t0, n0 = rec.sample_interval_s, rec.num_samples
-        elif rec.sample_interval_s != t0 or rec.num_samples != n0:
-            raise ValueError("records disagree on sample interval or length")
-        xy.append((rec.position.x_m, rec.position.y_m))
-        powers.append(measure_power(rec, f0_hz, fft_size).power_db)
-    if not xy:
-        raise ValueError("no records to measure")
-    pos = np.array(xy)
-    order, (xs, ys) = grid_order(pos[:, 0], pos[:, 1], "record positions")
-    return DbMap(x_m=xs, y_m=ys, values_db=np.array(powers)[order].reshape(len(ys), len(xs)), column="power_dbr")
+    powers = []
+    for samples in captures:
+        if powers and len(samples) != n0:
+            raise ValueError("captures disagree on length")
+        n0 = len(samples)
+        powers.append(measure_power(samples, sample_interval_s, f0_hz, fft_size).power_db)
+    if len(powers) != region.num_points:
+        raise ValueError(f"{len(powers)} captures for the {region.num_points} points of the region")
+    return DbMap(x_m=region.grid_x(), y_m=region.grid_y(), values_db=np.array(powers).reshape(region.shape),
+                 column="power_dbr")

@@ -120,20 +120,6 @@ class OfdmNumerology(JsonCodec):
         return 1.0 / self.occupied_bandwidth_hz
 
 
-@dataclass
-class IQRecord:
-    """One synthetic IQ capture at a fixed antenna position."""
-
-    position: Position
-    samples: np.ndarray
-    sample_interval_s: float
-    seed: int
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.samples)
-
-
 def write_iq_record(path, samples: np.ndarray) -> None:
     """Write samples as a record file: N little-endian complex128 values and nothing else."""
     payload = np.ascontiguousarray(samples, dtype="<c16")  # written from its buffer, not copied

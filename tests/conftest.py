@@ -16,9 +16,9 @@ from masim import (
     hall_psi_27p5ghz,
 )
 from masim.channel import MovementRegion, channel_response
-from masim.estimator import MAX_SNAPSHOTS, SoundingCampaign, _snapshot_indices
-from masim.harness import ScenarioConfig, _tx_symbols
-from masim.signals import IQRecord, NoiseSpec, OfdmNumerology, add_noise, derive_seed
+from masim.estimator import SoundingCampaign
+from masim.harness import ScenarioConfig, _snapshot_indices, _tx_symbols
+from masim.signals import NoiseSpec, OfdmNumerology, add_noise, derive_seed
 
 # 832 x 480 kHz = 399.36 MHz occupied, 52-sample CP: same bandwidth class as
 # the default numerology but ~200x fewer samples per frame, so campaign
@@ -90,36 +90,33 @@ def sounding_records(cfg: ScenarioConfig, psi, tx_symbols):
     """
     num = cfg.numerology
     noise = NoiseSpec(cfg.noise_power, num.sample_rate_hz)
-    positions = cfg.sounding_region.positions()
+    positions = cfg.sounding_region.positions_array()
     block = max(1, (1 << 22) // num.frame_samples)  # about 64 MiB of frames at a time
     for start in range(0, len(positions), block):
-        chunk = positions[start : start + block]
-        frames = sounding_frames(psi, np.array([[p.x_m, p.y_m] for p in chunk]), num, tx_symbols)
-        for k, pos in enumerate(chunk):
-            seed = derive_seed(cfg.master_seed, "sound", start + k)
-            yield IQRecord(pos, add_noise(frames[k], noise, seed), num.sample_interval_s, seed)
+        frames = sounding_frames(psi, positions[start : start + block], num, tx_symbols)
+        for k, frame in enumerate(frames):
+            yield add_noise(frame, noise, derive_seed(cfg.master_seed, "sound", start + k))
 
 
 def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
     """cfg's sounding campaign reduced from time-domain records: the oracle of build_sounding_campaign.
 
-    Each record is reduced, one at a time, to its position, its payload
-    samples at _snapshot_indices, and its h_freq row: the FFT of each
-    symbol's payload equalized by the transmit symbols and averaged over the
-    M symbols. build_sounding_campaign draws the same statistics directly;
+    Each record is reduced, one at a time, to its payload samples at
+    _snapshot_indices and its h_freq row: the FFT of each symbol's payload
+    equalized by the transmit symbols and averaged over the M symbols.
+    build_sounding_campaign draws the same statistics directly;
     its noise follows the same law but not the same draws.
     """
     num = cfg.numerology
     tx = _tx_symbols(cfg)
-    snap_idx = _snapshot_indices(num, MAX_SNAPSHOTS)
+    snap_idx = _snapshot_indices(num)
     den = num.num_subcarriers * tx.T  # (M, I)
-    pos, h_freq, snaps = [], [], []
-    for rec in sounding_records(cfg, psi, tx):
-        payload = rec.samples.reshape(num.num_symbols, num.samples_per_symbol)[:, num.cp_samples :]
-        pos.append((rec.position.x_m, rec.position.y_m))
+    h_freq, snaps = [], []
+    for samples in sounding_records(cfg, psi, tx):
+        payload = samples.reshape(num.num_symbols, num.samples_per_symbol)[:, num.cp_samples :]
         h_freq.append(np.mean(np.fft.fft(payload, axis=1) / den, axis=0))
-        snaps.append(rec.samples[snap_idx])
-    return SoundingCampaign(num, tx, cfg.carrier_hz, np.array(pos), np.array(h_freq), np.array(snaps))
+        snaps.append(samples[snap_idx])
+    return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, np.array(h_freq), np.array(snaps))
 
 
 # Campaign builds and estimates take a second or more each, so they are

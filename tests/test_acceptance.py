@@ -18,7 +18,7 @@ from masim.harness import ScenarioConfig, run_pipeline
 from masim.mover import SimulatedSlideTrack, brute_force_best, optimize
 from masim.powermeter import measure_power, sweep_measure
 from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz
-from masim.signals import IQRecord, NoiseSpec, OfdmNumerology, add_noise, apply_channel, gen_tone
+from masim.signals import NoiseSpec, OfdmNumerology, add_noise, apply_channel, gen_tone
 
 from conftest import TEST_NUMEROLOGY, get_hi_campaign, get_hi_estimate, get_lo_campaign
 
@@ -184,9 +184,8 @@ def test_05_tone_power_meter(capsys):
     rel_err = 0.0
     for pos, pt in ((best_pos, 1.0), (Position(1e-3, 1e-3), 2.0)):
         rx = apply_channel(math.sqrt(pt) * tone, psi, pos)
-        rec = IQRecord(position=pos, samples=rx, sample_interval_s=t, seed=0)
         expect = abs(channel_response(psi, pos.as_array())[0, 0]) ** 2 * pt
-        got = measure_power(rec, f0).power_linear
+        got = measure_power(rx, t, f0).power_linear
         rel_err = max(rel_err, abs(got - expect) / expect)
 
     # 20 dB SNR Monte Carlo: mean absolute dB error under 0.1 dB
@@ -197,8 +196,7 @@ def test_05_tone_power_meter(capsys):
     true_db = 10.0 * math.log10(sig_power)
     errors = np.empty(1000)
     for i in range(1000):
-        rec = IQRecord(position=pos, samples=add_noise(rx_clean, spec, i), sample_interval_s=t, seed=i)
-        errors[i] = measure_power(rec, f0).power_db - true_db
+        errors[i] = measure_power(add_noise(rx_clean, spec, i), t, f0).power_db - true_db
     mae_db = float(np.mean(np.abs(errors)))
     elapsed = time.perf_counter() - t0
 
@@ -247,11 +245,8 @@ def test_07_power_map_matches_gain_map(capsys):
     pt = 2.0
     f0, n, t = 50e6, 1024, 1.0 / 400e6
     tone = gen_tone(f0, n, t)
-    records = [
-        IQRecord(position=pos, samples=apply_channel(math.sqrt(pt) * tone, psi, pos), sample_interval_s=t, seed=0)
-        for pos in MMWAVE_REGION.positions()
-    ]
-    pm = sweep_measure(records, f0)
+    captures = [apply_channel(math.sqrt(pt) * tone, psi, pos) for pos in MMWAVE_REGION.positions()]
+    pm = sweep_measure(MMWAVE_REGION, captures, t, f0)
     gm = gain_map(psi, MMWAVE_REGION)
     report = compare_maps(gm, pm)
     expected_offset = 10.0 * math.log10(psi.large_scale_gain * pt)

@@ -20,8 +20,8 @@ from masim.channel import (
     channel_response,
     gain_field,
     gain_map,
-    grid_order,
     read_grid_csv,
+    row_major_axes,
     to_db,
     write_grid_csv,
 )
@@ -266,6 +266,7 @@ class TestMovementRegion:
         region = MovementRegion(0.002, 0.001, 1e-3, 1e-3)
         pts = [(p.x_m, p.y_m) for p in region.positions()]
         assert pts == [(0.0, 0.0), (0.001, 0.0), (0.002, 0.0), (0.0, 0.001), (0.001, 0.001), (0.002, 0.001)]
+        assert region.positions_array().tolist() == [list(p) for p in pts]
 
     def test_contains_boundary_and_outside(self):
         region = MovementRegion(0.01, 0.01, 1e-3, 1e-3)
@@ -349,23 +350,16 @@ class TestGainMaps:
         with pytest.raises(ValueError):
             read_grid_csv(path)
 
-    def test_grid_order_restores_row_major(self):
-        xs, ys = np.array([0.0, 1e-3, 2e-3, 3e-3]), np.array([-1e-3, 0.0, 5e-4])
-        x, y = np.tile(xs, len(ys)), np.repeat(ys, len(xs))
-        perm = np.random.default_rng(7).permutation(len(x))
-        order, (gx, gy) = grid_order(x[perm], y[perm], "points")
-        np.testing.assert_array_equal(gx, xs)
-        np.testing.assert_array_equal(gy, ys)
-        np.testing.assert_array_equal(x[perm][order], x)
-        np.testing.assert_array_equal(y[perm][order], y)
-        np.testing.assert_array_equal(perm[order], np.arange(len(x)))
-
-    def test_grid_order_names_the_flaw(self):
-        # sorted points can only be duplicated or missing, never out of order
-        with pytest.raises(ValueError, match=r"duplicated point \(0\.001, 0\.0\)"):
-            grid_order(np.array([1e-3, 0.0, 1e-3, 0.0]), np.array([0.0, 1e-3, 0.0, 0.0]), "points")
+    def test_row_major_axes_names_the_flaw(self):
+        with pytest.raises(ValueError, match=r"points are not a complete grid: duplicated point \(0\.001, 0\.0\)"):
+            row_major_axes(np.array([1e-3, 0.0, 1e-3, 0.0]), np.array([0.0, 1e-3, 0.0, 0.0]), "points")
         with pytest.raises(ValueError, match="1 of 4 points missing"):
-            grid_order(np.array([1e-3, 0.0, 0.0]), np.array([0.0, 1e-3, 0.0]), "points")
+            row_major_axes(np.array([1e-3, 0.0, 0.0]), np.array([0.0, 1e-3, 0.0]), "points")
+        with pytest.raises(ValueError, match="points are not listed row-major by y then x"):
+            row_major_axes(np.array([1e-3, 0.0]), np.array([0.0, 0.0]), "points")
+        xs, ys = row_major_axes(np.array([0.0, 1e-3, 0.0, 1e-3]), np.array([0.0, 0.0, 5e-4, 5e-4]), "points")
+        np.testing.assert_array_equal(xs, [0.0, 1e-3])
+        np.testing.assert_array_equal(ys, [0.0, 5e-4])
 
     def test_to_db_floor(self):
         assert to_db(0.0) == to_db(1e-300)

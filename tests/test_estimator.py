@@ -14,6 +14,7 @@ import pytest
 from masim import estimator
 from masim.channel import CSV_BLOCK_ROWS, MovementRegion, PathComponent, PathStateInfo, channel_response, to_db
 from masim.estimator import (
+    MAX_ANGLE_CELLS,
     PAS_TAPER_BETA,
     AngleGrid,
     DegenerateGeometryError,
@@ -79,16 +80,16 @@ def noise_campaign(q_side=10, seed=3, power=0.5, n_snap=128):
     def noise(cols):
         return math.sqrt(power / 2.0) * (rng.standard_normal((q, cols)) + 1j * rng.standard_normal((q, cols)))
 
-    positions = np.array([(ix * 1e-3, iy * 1e-3) for iy in range(q_side) for ix in range(q_side)])
-    tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
-    return SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions, noise(SMALL_NUM.num_subcarriers), noise(n_snap))
+    side = (q_side - 1) * 1e-3
+    region = MovementRegion(side, side, 1e-3, 1e-3)
+    return SoundingCampaign(region, SMALL_NUM, 27.5e9, noise(SMALL_NUM.num_subcarriers), noise(n_snap))
 
 
 def oracle_raw_subcarrier_response(samples, num, tx_symbols):
     """The batched (Q, M, I) form of the campaign's response before calibration: per-symbol
     payload FFTs, equalized, symbol-averaged.
 
-    samples is the (Q, N) matrix of all record samples in (y, x) order.
+    samples is the (Q, N) matrix of all record samples, row-major like the region's points.
     """
     i_n, m_n = num.num_subcarriers, num.num_symbols
     y = samples.reshape(len(samples), m_n, num.samples_per_symbol)
@@ -128,11 +129,6 @@ def oracle_direct_pas(campaign, grid):
     return pas
 
 
-def sorted_samples(records):
-    """(Q, N) samples of records in (y, x) order, the order a campaign sorts its rows into."""
-    return np.vstack([r.samples for r in sorted(records, key=lambda r: (r.position.y_m, r.position.x_m))])
-
-
 class TestAngleGrid:
     def test_default_covers_pm_90(self):
         grid = AngleGrid()
@@ -142,6 +138,17 @@ class TestAngleGrid:
     def test_rejects_non_dividing_step(self):
         with pytest.raises(ValueError, match="divide"):
             AngleGrid(elevation_step_deg=0.7)
+
+    def test_caps_the_cell_count(self):
+        # 0.001 degree steps died allocating a (180001, 180001) array of 241 GiB
+        with pytest.raises(ValueError, match="180001 x 180001 angle grid exceeds"):
+            AngleGrid(0.001, 0.001)
+        with pytest.raises(ValueError, match="361 x 180001 angle grid exceeds"):
+            AngleGrid(azimuth_step_deg=0.001)
+        with pytest.raises(ValueError, match="inf x 361 angle grid exceeds"):
+            AngleGrid(elevation_step_deg=5e-324)  # 180 / step overflows
+        grid = AngleGrid(0.05, 0.05)
+        assert len(grid.elevations_deg()) * len(grid.azimuths_deg()) == 3601 * 3601 <= MAX_ANGLE_CELLS
 
     def test_rejects_nonpositive_step(self):
         # nan died in round(180 / step); inf was accepted with elevations [nan]
@@ -228,26 +235,14 @@ class TestPas:
         grid = AngleGrid(2.5, 2.5)
         np.testing.assert_allclose(compute_pas(camp, grid).values, oracle_direct_pas(camp, grid), rtol=1e-9)
 
-    def test_campaign_must_have_uniform_axes(self):
-        # a complete 3 x 2 grid whose x steps are 1 mm and 2 mm
-        positions = np.array([(x, y) for y in (0.0, 1e-3) for x in (0.0, 1e-3, 3e-3)])
-        h_freq = np.zeros((6, SMALL_NUM.num_subcarriers), dtype=complex)
-        snaps = np.zeros((6, 128), dtype=complex)
-        tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
-        with pytest.raises(ValueError, match="not a uniform grid: x steps"):
-            SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions, h_freq, snaps)
-        with pytest.raises(ValueError, match="not a uniform grid: y steps"):
-            SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions[:, ::-1].copy(), h_freq, snaps)
-
     def test_campaign_must_tile_a_grid(self):
-        # 8 of the 9 points of a 3 x 3 grid: the PAS scan runs over grid axes only
-        positions = np.array([(ix * 1e-3, iy * 1e-3) for iy in range(3) for ix in range(3)])
+        # rows for 8 of the 9 points of a 3 x 3 region: the PAS scan runs over its whole grid
+        region = MovementRegion(2e-3, 2e-3, 1e-3, 1e-3)
         h_freq = np.zeros((9, SMALL_NUM.num_subcarriers), dtype=complex)
         snaps = np.zeros((9, 128), dtype=complex)
-        tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
-        SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions, h_freq, snaps)
-        with pytest.raises(ValueError, match="complete grid"):
-            SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions[:-1], h_freq[:-1], snaps[:-1])
+        SoundingCampaign(region, SMALL_NUM, 27.5e9, h_freq, snaps)
+        with pytest.raises(ValueError, match="for 9 positions"):
+            SoundingCampaign(region, SMALL_NUM, 27.5e9, h_freq[:-1], snaps[:-1])
 
     def test_csv_pins_max_at_zero_db(self, tmp_path):
         camp = small_campaign(one_path_psi(), extent=0.004)
@@ -373,12 +368,12 @@ STREAM_NUM = OfdmNumerology(subcarrier_spacing_hz=120e3, num_subcarriers=2048, n
 
 class TestStreamedReductions:
     """The record oracle's per-record reductions equal, bit for bit, the batched reductions of the
-    (Q, N) samples; a campaign takes one statistics row per position and loads one record at a time."""
+    (Q, N) samples; a campaign takes one statistics row per region point and loads one record at a time."""
 
     def test_hi_campaign_matches_batched_oracle(self):
         cfg = make_hi_scenario()
         tx = tx_symbols_of(cfg)
-        samples = sorted_samples(list(sounding_records(cfg, hall_psi_27p5ghz(), tx)))
+        samples = np.vstack(list(sounding_records(cfg, hall_psi_27p5ghz(), tx)))
         camp = records_campaign(cfg, hall_psi_27p5ghz())
         assert np.array_equal(camp.h_freq, oracle_raw_subcarrier_response(samples, cfg.numerology, tx))
         assert np.array_equal(camp.samples_matrix(), oracle_snapshot_matrix(samples, cfg.numerology).T)
@@ -389,15 +384,13 @@ class TestStreamedReductions:
         camp = noise_campaign(q_side=8)
         h_freq = np.zeros((announced, SMALL_NUM.num_subcarriers), dtype=complex)
         with pytest.raises(ValueError, match="h_freq must be"):
-            SoundingCampaign(SMALL_NUM, camp.tx_symbols, 27.5e9, camp.positions_array(), h_freq,
-                             camp.samples_matrix())
+            SoundingCampaign(camp.region, SMALL_NUM, 27.5e9, h_freq, camp.samples_matrix())
 
     def test_rejects_zero_snapshots(self):
         # 0 snapshots would leave an all-zero PAS with no paths in it
         camp = noise_campaign(q_side=2)
         with pytest.raises(ValueError, match="snapshots"):
-            SoundingCampaign(SMALL_NUM, camp.tx_symbols, 27.5e9, camp.positions_array(), camp.h_freq.copy(),
-                             np.zeros((4, 0), dtype=complex))
+            SoundingCampaign(camp.region, SMALL_NUM, 27.5e9, camp.h_freq.copy(), np.zeros((4, 0), dtype=complex))
 
     def test_memory_bounded_by_a_few_records(self, tmp_path):
         # loading keeps the statistics and about one record file being read;
@@ -415,16 +408,12 @@ class TestStreamedReductions:
         assert camp.num_positions == 256 and held > 250 * record_bytes
         assert peak - held < 16 * record_bytes, f"{(peak - held) / record_bytes:.2f} records over the statistics"
 
-    def test_samples_matrix_copies_only_to_sort(self):
-        positions = np.array([(ix * 1e-3, iy * 1e-3) for iy in range(2) for ix in range(2)])
+    def test_samples_matrix_is_the_snapshots_uncopied(self):
         h_freq = np.zeros((4, SMALL_NUM.num_subcarriers), dtype=complex)
         snaps = np.arange(8.0).reshape(4, 2).astype(complex)
-        tx = qpsk_symbols(SMALL_NUM.num_subcarriers, SMALL_NUM.num_symbols, 1)
-        in_order = SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions, h_freq, snaps)
-        assert np.shares_memory(in_order.samples_matrix(), snaps)
-        reversed_ = SoundingCampaign(SMALL_NUM, tx, 27.5e9, positions[::-1], h_freq[::-1], snaps[::-1])
-        assert np.array_equal(reversed_.samples_matrix(), snaps)
-        assert not np.shares_memory(reversed_.samples_matrix(), snaps)
+        camp = SoundingCampaign(MovementRegion(1e-3, 1e-3, 1e-3, 1e-3), SMALL_NUM, 27.5e9, h_freq, snaps)
+        assert camp.samples_matrix() is snaps
+        assert camp.samples_matrix() is snaps
 
 
 class TestDelayAmplitude:
@@ -492,14 +481,6 @@ class TestPds:
 
 
 class TestEstimatePsi:
-    def test_record_order_irrelevant(self):
-        cfg = small_config(noise_power=0.01, seed=13)
-        camp = build_sounding_campaign(cfg, one_path_psi())
-        perm = np.random.default_rng(0).permutation(camp.num_positions)
-        shuffled = SoundingCampaign(cfg.numerology, camp.tx_symbols, cfg.carrier_hz, camp.positions_array()[perm],
-                                    camp.h_freq[perm], camp.samples_matrix()[perm])
-        assert estimate_psi(shuffled) == estimate_psi(camp)
-
     def test_step_above_half_wavelength_raises(self):
         # lambda/2 = 5.45 mm at 27.5 GHz; at 6.25 mm the estimate returned phantom
         # paths at azimuth -90 and 90 deg and raised nothing

@@ -18,6 +18,7 @@ from masim.harness import (
     ConfigError,
     ScenarioConfig,
     StageError,
+    _tx_symbols,
     build_sounding_campaign,
     compare_maps,
     iter_tone_records,
@@ -181,13 +182,11 @@ class TestToneSynthesis:
         psi = hall_psi_27p5ghz()
         tone = gen_tone(cfg.tone_f0_hz, cfg.samples_per_measurement, 1.0 / cfg.bandwidth_hz)
         spec = NoiseSpec(cfg.noise_power, cfg.bandwidth_hz)
-        for i, rec in enumerate(iter_tone_records(cfg, psi)):
-            pos = cfg.region.positions()[i]
-            assert rec.position == pos
-            seed = derive_seed(cfg.master_seed, "tone", i)
-            assert rec.seed == seed
-            expect = add_noise(apply_channel(tone, psi, pos), spec, seed)
-            np.testing.assert_array_equal(rec.samples, expect)
+        captures = list(iter_tone_records(cfg, psi))
+        assert len(captures) == cfg.region.num_points
+        for i, (samples, pos) in enumerate(zip(captures, cfg.region.positions())):
+            expect = add_noise(apply_channel(tone, psi, pos), spec, derive_seed(cfg.master_seed, "tone", i))
+            np.testing.assert_array_equal(samples, expect)
 
 
 class TestSoundingSynthesis:
@@ -202,7 +201,7 @@ class TestSoundingSynthesis:
         i_idx = np.arange(num.num_subcarriers)
         idft = np.exp(2j * np.pi * np.outer(i_idx, i_idx) / num.num_subcarriers)  # [k, i]
         positions = cfg.sounding_region.positions()
-        for i, rec in enumerate(sounding_records(cfg, psi, tx_symbols)):
+        for i, samples in enumerate(sounding_records(cfg, psi, tx_symbols)):
             if i % 97 != 0:  # spot-check; the full sweep is 676 records
                 continue
             pos = positions[i]
@@ -216,16 +215,19 @@ class TestSoundingSynthesis:
                 )
             payload = idft @ (tx_symbols * h_i[:, None])  # (I, M)
             expect = np.concatenate([payload[-num.cp_samples:], payload]).T.reshape(-1)
-            np.testing.assert_allclose(rec.samples, expect, atol=1e-12)
+            np.testing.assert_allclose(samples, expect, atol=1e-12)
 
     def test_noise_seeds_are_position_indexed(self, five_stage_run):
+        # record q's snapshot noise is the first n_snap complex normals of derive_seed(master_seed, "sound", q)
         cfg = pipeline_config()
         manifest, records = load_campaign(five_stage_run.artifacts["sounding_campaign"])
-        positions = cfg.sounding_region.positions()
-        assert len(records) == len(positions) == len(manifest.sha256)
-        for i, rec in enumerate(records):
-            assert rec.position == positions[i]
-            assert rec.seed == derive_seed(cfg.master_seed, "sound", i)
+        clean = build_sounding_campaign(dataclasses.replace(cfg, noise_power=0.0), hall_psi_27p5ghz())
+        i_n, scale = cfg.numerology.num_subcarriers, math.sqrt(cfg.noise_power / 2.0)
+        assert len(records) == cfg.sounding_region.num_points == len(manifest.sha256)
+        for q, samples in enumerate(records):
+            z = samples[i_n:] - clean.samples_matrix()[q]
+            normals = np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(2 * len(z))
+            np.testing.assert_allclose(z, scale * normals.view(complex), rtol=0, atol=1e-12)
 
 
 def sounding_config(numerology, extent=(0.005, 0.005), step=1e-3, master_seed=21, noise_power=0.0):
@@ -249,7 +251,6 @@ class TestInMemoryCampaign:
         psi = hall_psi_27p5ghz()
         direct, reduced = build_sounding_campaign(cfg, psi), records_campaign(cfg, psi)
         np.testing.assert_array_equal(direct.positions_array(), reduced.positions_array())
-        np.testing.assert_array_equal(direct.tx_symbols, reduced.tx_symbols)
         np.testing.assert_allclose(direct.h_freq, reduced.h_freq, rtol=0, atol=1e-12)
         np.testing.assert_allclose(direct.samples_matrix(), reduced.samples_matrix(), rtol=0, atol=1e-12)
         assert not direct.h_freq.flags.writeable
@@ -280,7 +281,7 @@ class TestInMemoryCampaign:
         kept = frame[np.unique(np.round(np.linspace(0, len(frame) - 1, 128)).astype(int))]
         sym, k = kept // num.samples_per_symbol, kept % num.samples_per_symbol - num.cp_samples
         idx = np.arange(i_n)[:, None]
-        a = np.exp(-2j * np.pi * idx * k / i_n) / (m_n * i_n * noisy.tx_symbols[:, sym])
+        a = np.exp(-2j * np.pi * idx * k / i_n) / (m_n * i_n * _tx_symbols(cfg)[:, sym])
         cross = h.T @ z.conj() / n  # (I, n_snap)
         assert np.max(np.abs(cross - s2 * a)) < tol * s2 / math.sqrt(m_n)
 
@@ -325,7 +326,7 @@ class TestCampaignFiles:
         assert len(records) == cfg.region.num_points
         direct = list(iter_tone_records(cfg, psi))
         for got, expect in zip(records, direct):
-            np.testing.assert_array_equal(got.samples, expect.samples)
+            np.testing.assert_array_equal(got, expect)
 
     def test_ofdm_round_trip_rebuilds_tx_grid(self, tmp_path):
         # each record holds its position's h_freq row, then its snapshot row; the
@@ -336,16 +337,15 @@ class TestCampaignFiles:
         manifest, campaign = load_sounding_campaign(cdir)
         assert manifest.mode == "ofdm"
         built = build_sounding_campaign(cfg, psi)
-        np.testing.assert_array_equal(campaign.tx_symbols, built.tx_symbols)
-        np.testing.assert_array_equal(campaign.positions_array(), built.positions_array())
+        assert campaign.region == built.region == cfg.sounding_region
         np.testing.assert_array_equal(campaign.h_freq, built.h_freq)
         np.testing.assert_array_equal(campaign.samples_matrix(), built.samples_matrix())
         _, records = load_campaign(cdir)
         i_n = cfg.numerology.num_subcarriers
         assert len(records) == cfg.sounding_region.num_points
         for q in (0, 17, len(records) - 1):
-            np.testing.assert_array_equal(records[q].samples[:i_n], built.h_freq[q])
-            np.testing.assert_array_equal(records[q].samples[i_n:], built.samples_matrix()[q])
+            np.testing.assert_array_equal(records[q][:i_n], built.h_freq[q])
+            np.testing.assert_array_equal(records[q][i_n:], built.samples_matrix()[q])
 
     def test_on_disk_estimate_equals_in_memory(self, five_stage_run):
         _, campaign = load_sounding_campaign(five_stage_run.artifacts["sounding_campaign"])
@@ -356,7 +356,7 @@ class TestCampaignFiles:
         cdir = tmp_path / "camp"
         shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
         _, records = load_campaign(cdir)
-        short = records[7].samples[:-1]
+        short = records[7][:-1]
         write_iq_record(cdir / "rec_000007.maiq", short)
         mpath = cdir / "manifest.json"
         data = json.loads(mpath.read_text())
@@ -768,6 +768,17 @@ class TestCli:
         campaign = str(five_stage_run.artifacts["sounding_campaign"])
         assert cli_main(["estimate", "--campaign", campaign, "--el-step=nan", "--out", str(out)]) == 2
         assert "angle step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_rejects_oversized_angle_grid(self, tmp_path, capsys):
+        # 0.001 degree steps on a 5 x 5 campaign died with a 241 GiB allocation (exit 1)
+        cfg = dataclasses.replace(pipeline_config(), sounding_region=MovementRegion(0.004, 0.004, 1e-3, 1e-3))
+        cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "ofdm", tmp_path / "camp")
+        out = tmp_path / "est.json"
+        rc = cli_main(["estimate", "--campaign", str(cdir), "--el-step", "0.001", "--az-step", "0.001", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "180001 x 180001 angle grid exceeds" in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["nan", "inf"])

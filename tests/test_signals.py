@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from masim.channel import PathComponent, PathStateInfo, Position, channel_response, gain_field
 from masim.codec import ConfigError
-from masim.estimator import SoundingCampaign
 from masim.harness import build_sounding_campaign
 from masim.signals import (
     NoiseSpec,
@@ -128,13 +127,6 @@ class TestGenOfdm:
             assert np.mean(np.abs(payload[m]) ** 2) == pytest.approx(
                 np.sum(np.abs(grid[:, m]) ** 2), rel=1e-12
             )
-
-    def test_rejects_wrong_grid_shape(self):
-        # the sounder checks the known symbol grid where it equalizes with it
-        with pytest.raises(ValueError, match="tx_symbols"):
-            SoundingCampaign(TEST_NUMEROLOGY, np.ones((4, 4), dtype=complex), 27.5e9, np.zeros((2, 2)),
-                             np.zeros((2, TEST_NUMEROLOGY.num_subcarriers), dtype=complex),
-                             np.zeros((2, 128), dtype=complex))
 
     def test_numerology_rejects_fractional_cp(self):
         with pytest.raises(ValueError, match="cp_duration_s"):

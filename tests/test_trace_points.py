@@ -3,8 +3,9 @@
 A refactor that renames or drops one of those attributes (harness.apply_channel,
 mover.measure_power, harness.sweep_measure, ...) breaks the traced benchmark run,
 and one that changes a signature the worker calls breaks every run. Installing
-and removing the trace points, and one traced operation of two workloads through
-the worker's gates, surface both in the test suite.
+and removing the trace points, and one tiny traced operation of every workload
+through the worker's gates, surface both in the test suite, together with the
+exact counts run.py's --self-check requires of each workload.
 """
 
 from pathlib import Path
@@ -31,11 +32,13 @@ def test_trace_points_install_and_uninstall(monkeypatch):
         assert current is original, f"{owner.__name__}.{attr} was not restored"
 
 
-@pytest.mark.parametrize("name, layer", [("placement", "mover"), ("sound-hi", "estimator")])
+@pytest.mark.parametrize("name, layer", [("placement", "mover"), ("sound-hi", "estimator"),
+                                         ("sound-paper", "estimator"), ("pipeline-hi", "harness")])
 def test_traced_operation_passes_its_gate(monkeypatch, tmp_path, name, layer):
     # the worker's calls into masim and the trace points' counters run only
     # here and in the benchmark itself; one tiny operation of each kind
     monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
     import tracing
     import worker
 
@@ -49,4 +52,8 @@ def test_traced_operation_passes_its_gate(monkeypatch, tmp_path, name, layer):
     problems, _, records = workload.check(result)
     assert problems == []
     assert records > 0
-    assert worker.layer_metrics(tracer, 1, [1.0])[f"{layer}.busy_share"] > 0
+    metrics = worker.layer_metrics(tracer, 1, [1.0])
+    assert metrics[f"{layer}.busy_share"] > 0
+    for key, workloads in run.EXACT_COUNTS.items():
+        if name in workloads:
+            assert metrics.get(key, 0) > 0, key
