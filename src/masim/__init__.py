@@ -8,7 +8,6 @@ scheme.
 
 from .channel import (
     DbMap,
-    GainMap,
     MovementRegion,
     PathComponent,
     PathStateInfo,

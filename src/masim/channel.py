@@ -234,43 +234,9 @@ def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.nda
     return steer @ coeff
 
 
-def _argmax_position(x_m, y_m, values) -> Position:
-    """Grid position of the maximum of values (n_y, n_x), ties broken by smallest (y, then x)."""
-    iy, ix = np.unravel_index(int(np.argmax(values)), values.shape)
-    return Position(float(x_m[ix]), float(y_m[iy]))
-
-
-@dataclass(frozen=True)
-class GainMap:
-    """Simulated small-scale gain sampled on a region grid.
-
-    values is (n_y, n_x), row i holds y_m[i]. CSV export is row-major by y
-    then x with columns x_m, y_m, gain_db.
-    """
-
-    x_m: np.ndarray
-    y_m: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.y_m), len(self.x_m)):
-            raise ValueError("values shape must be (len(y_m), len(x_m))")
-
-    @property
-    def values_db(self) -> np.ndarray:
-        return to_db(self.values)
-
-    def argmax_position(self) -> Position:
-        """Grid position of the maximum, ties broken by smallest (y, then x)."""
-        return _argmax_position(self.x_m, self.y_m, self.values)
-
-    def to_csv(self, path) -> None:
-        write_grid_csv(path, self.x_m, self.y_m, self.values_db, "gain_db")
-
-
 @dataclass(frozen=True)
 class DbMap:
-    """A dB-valued map on a grid: a metered power map, or any map read back from CSV.
+    """A dB-valued map on a grid: a simulated gain map, a metered power map, or any map read back from CSV.
 
     values_db is (n_y, n_x), row i holds y_m[i]; column names the CSV value
     column (e.g. power_dbr, gain_db).
@@ -287,7 +253,8 @@ class DbMap:
 
     def argmax_position(self) -> Position:
         """Grid position of the maximum, ties broken by smallest (y, then x)."""
-        return _argmax_position(self.x_m, self.y_m, self.values_db)
+        iy, ix = np.unravel_index(int(np.argmax(self.values_db)), self.values_db.shape)
+        return Position(float(self.x_m[ix]), float(self.y_m[iy]))
 
     def to_csv(self, path) -> None:
         write_grid_csv(path, self.x_m, self.y_m, self.values_db, self.column)
@@ -375,8 +342,8 @@ def gain_field(psi: PathStateInfo, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarr
     return (np.abs(h) ** 2 / psi.large_scale_gain).reshape(len(y_m), len(x_m))
 
 
-def gain_map(psi: PathStateInfo, region: MovementRegion) -> GainMap:
-    """Simulate the small-scale gain over the region grid."""
+def gain_map(psi: PathStateInfo, region: MovementRegion) -> DbMap:
+    """Simulate the small-scale gain over the region grid, in dB (column gain_db)."""
     xs = region.grid_x()
     ys = region.grid_y()
-    return GainMap(x_m=xs, y_m=ys, values=gain_field(psi, xs, ys))
+    return DbMap(x_m=xs, y_m=ys, values_db=to_db(gain_field(psi, xs, ys)), column="gain_db")

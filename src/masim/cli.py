@@ -44,7 +44,8 @@ def _cmd_simulate(args) -> int:
     gm = gain_map(psi, cfg.region)
     gm.to_csv(args.out)
     peak = gm.argmax_position()
-    print(f"wrote {args.out}: {gm.values.shape[0]}x{gm.values.shape[1]} grid, "
+    ny, nx = gm.values_db.shape
+    print(f"wrote {args.out}: {ny}x{nx} grid, "
           f"peak {float(gm.values_db.max()):.2f} dB at ({peak.x_m * 1e3:.3f}, {peak.y_m * 1e3:.3f}) mm")
     return 0
 
@@ -59,7 +60,7 @@ def _cmd_sound(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    pm = measure_campaign(args.campaign, f0_hz=args.f0, fft_size=args.fft_size)
+    pm = measure_campaign(args.campaign)
     pm.to_csv(args.out)
     peak = pm.argmax_position()
     print(f"wrote {args.out}: peak {float(pm.values_db.max()):.2f} dBr at "
@@ -92,14 +93,7 @@ def _cmd_export(args) -> int:
     psi = load_psi(args.psi)
     stages = {s.strip() for s in args.stages.split(",") if s.strip()}
     stages.add("export")
-    res = run_pipeline(
-        cfg,
-        psi,
-        stages,
-        args.out_dir,
-        fft_size=args.fft_size,
-        optimize_budget=args.budget,
-    )
+    res = run_pipeline(cfg, psi, stages, args.out_dir, optimize_budget=args.budget)
     for name in sorted(res.stage_dirs):
         tag = "cached" if name in res.cached else "ran"
         print(f"{name}: {tag} ({res.stage_dirs[name]})")
@@ -140,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="single-bin DFT tone power meter over an existing tone campaign")
     p.add_argument("--campaign", required=True, help="campaign directory")
-    p.add_argument("--f0", type=float, default=None, help="tone frequency (default: from the manifest)")
-    p.add_argument("--fft-size", type=int, default=None,
-                   help="bin grid size Ns: the tone bin of a zero-padded Ns-point FFT is read (default: next pow2 >= 8N)")
     p.add_argument("--out", default="power_map.csv")
     p.set_defaults(func=_cmd_measure)
 
@@ -172,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--psi", required=True, help="path state JSON")
     p.add_argument("--stages", default="export", help="comma list from sound,estimate,measure,optimize")
-    p.add_argument("--fft-size", type=int, default=None)
     p.add_argument("--budget", type=int, default=50)
     p.add_argument("--out-dir", default="pipeline")
     p.set_defaults(func=_cmd_export)

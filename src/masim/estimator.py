@@ -227,6 +227,8 @@ class EstimatedPsi(JsonCodec):
     grid_step_deg: float
 
     def __post_init__(self):
+        if len(self.paths) == 0:
+            raise ValueError("EstimatedPsi needs at least one path")
         amps = [p.amplitude for p in self.paths]
         if any(amps[i] < amps[i + 1] for i in range(len(amps) - 1)):
             raise ValueError("estimated paths must be sorted by descending amplitude")
@@ -418,7 +420,7 @@ def estimate_delay_amplitude(
     subcarrier average |mean_i G[i]*exp(j*2*pi*i*df*tau_hat)|, normalized by
     the total channel power so path amplitudes follow the unit-power
     convention of estimated PSI. Paths without a dominant delay peak are
-    dropped with a warning.
+    dropped with a warning; ValueError is raised when that drops them all.
     """
     if not len(weights) == len(angles) == len(peaks_rel_db):
         raise ValueError("weights, angles and peaks_rel_db must pair up")
@@ -468,6 +470,8 @@ def estimate_delay_amplitude(
         rot = np.exp(2j * np.pi * idx * df * tau_hat)
         amp_raw = abs(np.mean(g * rot))
         found.append((el, az, amp_raw, tau_hat, peaks_rel_db[k]))
+    if not found:
+        raise ValueError(f"no path found in the angular spectrum has a dominant delay peak ({len(angles)} dropped)")
 
     amps = np.array([f[2] for f in found]) / math.sqrt(p_total)
     total = float(np.sum(amps**2))

@@ -38,7 +38,6 @@ import numpy as np
 
 from .channel import (
     DbMap,
-    GainMap,
     MovementRegion,
     PathStateInfo,
     channel_response,
@@ -448,18 +447,17 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
     return manifest, SoundingCampaign(manifest.region, num, cfg.carrier_hz, h_freq, snaps)
 
 
-def measure_campaign(dir_path, f0_hz: float | None = None, fft_size: int | None = None) -> DbMap:
+def measure_campaign(dir_path) -> DbMap:
     """Meter every record of an on-disk tone campaign with the single-bin DFT, one record file at a time.
 
-    fft_size is the bin grid Ns (default: next power of two >= 8N); each
-    record reads the tone's bin of that grid, as a zero-padded Ns-point FFT would.
+    Each record reads the bin of the manifest's tone_f0_hz on the meter's
+    derived grid, as a zero-padded FFT of the record would.
     """
     manifest = CampaignManifest.load(dir_path)
     if manifest.mode != "tone":
         raise ConfigError(f"expected a tone campaign, found mode {manifest.mode!r}")
     cfg = manifest.scenario
-    f0 = cfg.tone_f0_hz if f0_hz is None else f0_hz
-    return sweep_measure(manifest.region, _read_records(dir_path, manifest), 1.0 / cfg.bandwidth_hz, f0, fft_size)
+    return sweep_measure(manifest.region, _read_records(dir_path, manifest), 1.0 / cfg.bandwidth_hz, cfg.tone_f0_hz)
 
 
 def optimize_on_slide_track(
@@ -519,9 +517,9 @@ def _estimate(sdir, cfg, psi, inputs, angle_grid, max_paths, prominence_db):
                       sdir / "estimated_psi.json", sdir / "pas.csv", sdir / "pds.csv")
 
 
-def _measure(sdir, cfg, psi, inputs, fft_size):
+def _measure(sdir, cfg, psi, inputs):
     synthesize_campaign(cfg, psi, "tone", sdir / "campaign")
-    measure_campaign(sdir / "campaign", fft_size=fft_size).to_csv(sdir / "power_map.csv")
+    measure_campaign(sdir / "campaign").to_csv(sdir / "power_map.csv")
 
 
 def _optimize(sdir, cfg, psi, inputs, budget, refine_step_m):
@@ -582,7 +580,6 @@ def run_pipeline(
     psi: PathStateInfo,
     stages,
     out_dir,
-    fft_size: int | None = None,
     optimize_budget: int = 50,
 ) -> PipelineResult:
     """Run the requested stages (upstream stages pulled in automatically) under out_dir.
@@ -596,6 +593,8 @@ def run_pipeline(
     unknown = requested - set(STAGES)
     if unknown:
         raise ConfigError(f"unknown pipeline stages: {sorted(unknown)}")
+    if optimize_budget < 1:
+        raise ConfigError(f"optimize_budget must be >= 1: {optimize_budget}")
     # upstream stages come earlier in STAGES, so one backward pass closes the set
     for name in reversed(STAGES):
         if name in requested:
@@ -603,7 +602,7 @@ def run_pipeline(
 
     params = {
         "sound": {},
-        "measure": {"fft_size": fft_size},
+        "measure": {},
         "estimate": ESTIMATE_PARAMS,
         "optimize": {"budget": optimize_budget, "refine_step_m": None},
         "export": {},
@@ -666,7 +665,7 @@ class CompareReport(JsonCodec):
     argmax_shift_steps: tuple[int, int]
 
 
-def compare_maps(a: GainMap | DbMap, b: GainMap | DbMap) -> CompareReport:
+def compare_maps(a: DbMap, b: DbMap) -> CompareReport:
     """Compare two maps point by point. Grids must be identical.
 
     offset_db is mean(b - a); residuals are what remains after removing it.

@@ -19,7 +19,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .channel import MovementRegion, PathStateInfo, Position, gain_map
+from .channel import MovementRegion, PathStateInfo, Position, gain_field, gain_map
 from .powermeter import measure_power
 from .signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
@@ -186,10 +186,11 @@ def refine(
 
 
 def brute_force_best(psi: PathStateInfo, region: MovementRegion) -> tuple[Position, float]:
-    """Oracle: exhaustive gain evaluation over the region grid, (position, linear gain)."""
-    gm = gain_map(psi, region)
-    pos = gm.argmax_position()
-    return pos, float(np.max(gm.values))
+    """Oracle: exhaustive linear gain over the region grid, (position, gain), ties as in coarse_position."""
+    xs, ys = region.grid_x(), region.grid_y()
+    gain = gain_field(psi, xs, ys)
+    iy, ix = np.unravel_index(int(np.argmax(gain)), gain.shape)
+    return Position(float(xs[ix]), float(ys[iy])), float(gain[iy, ix])
 
 
 def optimize(

@@ -2,8 +2,8 @@
 
 A captured tone y[n] = h*sqrt(pt)*exp(j*2*pi*f0*n*T) + z[n] is rectangular
 windowed over its N samples. The meter evaluates the one DFT bin nearest the
-known tone frequency on an Ns-point bin grid (Ns >= N, `fft_size`) and
-normalizes its energy by N^2:
+known tone frequency f0 on an Ns-point bin grid, Ns = default_fft_size(N)
+(the next power of two at or above 8N), and normalizes its energy by N^2:
 
     p_hat = |sum_n y[n]*exp(-j*2*pi*k_hat*n/Ns)|^2 / N^2,   k_hat = round(Ns*T*f0)
 
@@ -13,6 +13,7 @@ streaming form of the same sum). For an on-bin tone it is exact; off-bin
 tones see the usual sinc^2 scalloping of the rectangular window. Coherent
 integration over N samples buys ~10*log10(N) of SNR against white noise.
 
+Callers pass the scenario's tone_f0_hz as f0; neither Ns nor f0 is an option.
 sweep_measure meters a whole tone sweep into a channel.DbMap of power_dbr
 on the grid of the movement region it was captured over.
 """
@@ -26,10 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import DbMap, MovementRegion, to_db
-
-
-MAX_FFT_SIZE = 2**53
-"""Largest bin grid Ns: float64 holds every bin index up to here, so round(Ns*T*f0) is exact."""
 
 
 def default_fft_size(num_samples: int) -> int:
@@ -67,18 +64,13 @@ class PowerMeasurement:
     peak_bin: int
 
 
-def measure_power(samples: np.ndarray, sample_interval_s: float, f0_hz: float,
-                  fft_size: int | None = None) -> PowerMeasurement:
+def measure_power(samples: np.ndarray, sample_interval_s: float, f0_hz: float) -> PowerMeasurement:
     """Estimate receive power of a tone capture at the known tone frequency."""
     n = len(samples)
     t = sample_interval_s
     if abs(f0_hz) >= 0.5 / t:
         raise ValueError(f"tone frequency {f0_hz} Hz outside the Nyquist band")
-    ns = default_fft_size(n) if fft_size is None else int(fft_size)
-    if ns < n:
-        raise ValueError(f"fft_size {ns} is smaller than the capture ({n} samples)")
-    if ns > MAX_FFT_SIZE:
-        raise ValueError(f"fft_size {ns} exceeds {MAX_FFT_SIZE}, past which the tone bin index is not exact")
+    ns = default_fft_size(n)
     k_hat = int(round(ns * t * f0_hz)) % ns
     p_lin = float(np.abs(samples @ _bin_phasor(n, ns, k_hat)) ** 2) / n**2
     return PowerMeasurement(
@@ -90,8 +82,8 @@ def measure_power(samples: np.ndarray, sample_interval_s: float, f0_hz: float,
     )
 
 
-def sweep_measure(region: MovementRegion, captures: Iterable[np.ndarray], sample_interval_s: float, f0_hz: float,
-                  fft_size: int | None = None) -> DbMap:
+def sweep_measure(region: MovementRegion, captures: Iterable[np.ndarray], sample_interval_s: float,
+                  f0_hz: float) -> DbMap:
     """Meter every capture of a tone sweep over region and assemble the grid power map.
 
     Capture q was taken at point q of the region, row-major (y, then x) as
@@ -108,7 +100,7 @@ def sweep_measure(region: MovementRegion, captures: Iterable[np.ndarray], sample
         if powers and len(samples) != n0:
             raise ValueError("captures disagree on length")
         n0 = len(samples)
-        powers.append(measure_power(samples, sample_interval_s, f0_hz, fft_size).power_db)
+        powers.append(measure_power(samples, sample_interval_s, f0_hz).power_db)
     if len(powers) != region.num_points:
         raise ValueError(f"{len(powers)} captures for the {region.num_points} points of the region")
     return DbMap(x_m=region.grid_x(), y_m=region.grid_y(), values_db=np.array(powers).reshape(region.shape),

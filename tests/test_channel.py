@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masim.channel import (
-    GainMap,
+    DbMap,
     MovementRegion,
     PathComponent,
     PathStateInfo,
@@ -311,8 +311,16 @@ class TestGainMaps:
     def test_map_argmax_matches_values(self):
         gm = gain_map(table3(), MovementRegion(0.05, 0.05, 2.5e-3, 2.5e-3))
         pos = gm.argmax_position()
-        iy, ix = np.unravel_index(np.argmax(gm.values), gm.values.shape)
+        iy, ix = np.unravel_index(np.argmax(gm.values_db), gm.values_db.shape)
         assert pos.x_m == gm.x_m[ix] and pos.y_m == gm.y_m[iy]
+
+    def test_map_is_the_field_in_db(self):
+        region = MovementRegion(0.01, 0.01, 2e-3, 2e-3)
+        gm = gain_map(table3(), region)
+        assert gm.column == "gain_db"
+        np.testing.assert_array_equal(gm.x_m, region.grid_x())
+        np.testing.assert_array_equal(gm.y_m, region.grid_y())
+        np.testing.assert_array_equal(gm.values_db, to_db(gain_field(table3(), region.grid_x(), region.grid_y())))
 
     def test_csv_round_trip(self, tmp_path):
         gm = gain_map(table3(), MovementRegion(0.004, 0.004, 1e-3, 1e-3))
@@ -369,4 +377,4 @@ class TestGainMaps:
 class TestGainMapValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            GainMap(x_m=np.zeros(3), y_m=np.zeros(2), values=np.zeros((3, 3)))
+            DbMap(x_m=np.zeros(3), y_m=np.zeros(2), values_db=np.zeros((3, 3)), column="gain_db")

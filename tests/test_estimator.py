@@ -437,6 +437,15 @@ class TestDelayAmplitude:
         assert est.num_paths == 1
         assert est.paths[0].elevation_deg == 3.0
 
+    def test_every_path_dropped_raises(self):
+        # the bogus angle's ZF weights null the one real path, so its response has no delay peak;
+        # an estimate with no paths used to be returned and written
+        camp = small_campaign(one_path_psi(), noise_power=0.01, seed=9)
+        angles = [(3.0, 2.0), (-40.0, -70.0)]
+        weights = zf_weights(angles, 1, camp.positions_array(), camp.wavelength_m)
+        with pytest.warns(UserWarning, match="dropping"), pytest.raises(ValueError, match="dominant delay peak"):
+            estimate_delay_amplitude(camp, [weights], angles[1:], [0.0], 0.5)
+
     def test_weights_angles_must_pair(self):
         camp = small_campaign(one_path_psi(), extent=0.004)
         with pytest.raises(ValueError, match="pair"):
@@ -543,6 +552,13 @@ class TestEstimatedPsiModel:
                 carrier_hz=1e9,
                 grid_step_deg=0.5,
             )
+
+    def test_empty_paths_refused(self):
+        with pytest.raises(ValueError, match="at least one path"):
+            EstimatedPsi(paths=(), carrier_hz=1e9, grid_step_deg=0.5)
+        data = {**self.make().to_json_dict(), "paths": []}
+        with pytest.raises(ValueError, match="at least one path"):
+            EstimatedPsi.from_json_dict(data)
 
     def test_unit_power_cap_enforced(self):
         with pytest.raises(ValueError, match="power"):

@@ -409,7 +409,9 @@ class TestCampaignFiles:
             load_campaign(cdir)
 
     def test_measure_campaign_uses_manifest_tone(self, tmp_path):
-        cfg = pipeline_config(noise_power=0.0)
+        # -fs/16 is on the meter's bin grid, so a unit tone reads the gain map with
+        # no offset; a meter reading any other bin would see the tone scalloped below it
+        cfg = dataclasses.replace(pipeline_config(noise_power=0.0), tone_f0_hz=-25e6)
         psi = hall_psi_27p5ghz()
         cdir = synthesize_campaign(cfg, psi, "tone", tmp_path / "camp")
         pm = measure_campaign(cdir)
@@ -417,6 +419,7 @@ class TestCampaignFiles:
         report = compare_maps(gm, pm)
         assert report.correlation >= 1.0 - 1e-9
         assert report.max_abs_residual_db < 1e-9
+        assert abs(report.offset_db) < 1e-9
 
     def test_measure_campaign_streams_records(self, tmp_path):
         # 256 records of 256 KiB: holding them all would cost 256 records' bytes;
@@ -504,14 +507,19 @@ class TestPipeline:
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
             "sound": "sound-4c6ae7bf6777",
             "estimate": "estimate-9c23dbc8ef3b",
-            "measure": "measure-4c2f9a381edb",
+            "measure": "measure-82f383c7761d",
             "optimize": "optimize-4c3e19686067",
-            "export": "export-e484fe4b9dfd",
+            "export": "export-aacd63632610",
         }
 
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown pipeline stages"):
             run_pipeline(pipeline_config(), hall_psi_27p5ghz(), ["calibrate"], tmp_path / "run")
+
+    def test_zero_budget_rejected_before_out_dir(self, tmp_path):
+        with pytest.raises(ConfigError, match="optimize_budget must be >= 1"):
+            run_pipeline(pipeline_config(), hall_psi_27p5ghz(), ["optimize"], tmp_path / "run", optimize_budget=0)
+        assert not (tmp_path / "run").exists()
 
 
 class TestCompareMaps:
@@ -694,24 +702,36 @@ class TestCli:
         assert "1000 x 1000 sounding_region" in err and "cap per campaign" in err and err.count("\n") == 1
         assert not (tmp_path / "camp").exists()
 
-    def test_huge_fft_size_meters_one_bin(self, tmp_path):
-        # f0 = fs/8 lies on a bin of both the default 32,768-point grid and a
-        # 2**40-point one; the meter must read that bin without allocating the grid
-        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        maps = {}
-        for name, extra in (("default", []), ("huge", ["--fft-size", str(2**40)])):
-            out = tmp_path / f"{name}.csv"
-            assert cli_main(["measure", "--campaign", str(cdir), "--out", str(out), *extra]) == 0
-            maps[name] = load_map_csv(out)
-        np.testing.assert_allclose(maps["huge"].values_db, maps["default"].values_db, rtol=0, atol=1e-9)
-
-    def test_fft_size_past_exact_bin_index_exits_2(self, tmp_path, capsys):
-        # 10**400 used to die converting Ns*T*f0 to float (OverflowError, exit 1)
-        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        rc = cli_main(["measure", "--campaign", str(cdir), "--out", str(tmp_path / "pm.csv"), "--fft-size", str(10**400)])
+    def test_zero_budget_exits_2_before_any_stage(self, tmp_path, capsys):
+        # used to run sound and estimate, then exit 3 leaving an empty optimize directory
+        cfg_path, psi_path = input_files(tmp_path)
+        out = tmp_path / "pipe"
+        rc = cli_main(["export", "--config", cfg_path, "--psi", psi_path, "--stages", "optimize",
+                       "--budget", "0", "--out-dir", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "fft_size" in err and err.count("\n") == 1
+        assert "optimize_budget must be >= 1" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_estimate_with_every_path_dropped_exits_2(self, tmp_path, capsys):
+        # one zero-amplitude path: its PAS peak is noise with no dominant delay
+        # peak; this used to write "paths": [] and then die with an IndexError
+        region = MovementRegion(0.01, 0.01, 1e-3, 1e-3)
+        cfg = ScenarioConfig(
+            carrier_hz=27.5e9, bandwidth_hz=400e6, tx_position_m=(0.0, 1.3, 6.8), region=region,
+            sounding_region=region, numerology=OfdmNumerology(480e3, 64, 4, 4 / (64 * 480e3)), noise_power=1.0,
+            tone_f0_hz=50e6, samples_per_measurement=256, master_seed=7,
+        )
+        psi = PathStateInfo(paths=(PathComponent(3.0, 2.0, 0.0, 0.0),), carrier_hz=27.5e9)
+        cdir = synthesize_campaign(cfg, psi, "ofdm", tmp_path / "camp")
+        capsys.readouterr()
+        out = tmp_path / "est.json"
+        with pytest.warns(UserWarning, match="dropping it"):
+            rc = cli_main(["estimate", "--campaign", str(cdir), "--max-paths", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dominant delay peak" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_stage_failure_exits_3(self, tmp_path):
         cfg = pipeline_config()

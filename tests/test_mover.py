@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, gain_field, gain_map
+from masim.channel import DbMap, MovementRegion, PathComponent, PathStateInfo, Position, gain_field
 from masim.mover import (
     MoveAborted,
     MoveResult,
@@ -57,21 +57,18 @@ class TestCoarse:
         region = hi_region()
         best_pos, best_gain = brute_force_best(psi, region)
         assert coarse_position(psi, region) == best_pos
-        gm = gain_map(psi, region)
-        assert best_gain == pytest.approx(float(np.max(gm.values)), rel=1e-12)
+        assert best_gain == float(np.max(gain_field(psi, region.grid_x(), region.grid_y())))
 
     def test_single_path_field_is_flat(self):
         # one path cannot interfere with itself: gain 1 everywhere (to roundoff)
         psi = PathStateInfo(paths=(PathComponent(3.0, 2.0, 1.0, 10e-9),), carrier_hz=27.5e9)
-        gm = gain_map(psi, MovementRegion(0.01, 0.01, 1e-3, 1e-3))
-        np.testing.assert_allclose(gm.values, 1.0, atol=1e-12)
+        region = MovementRegion(0.01, 0.01, 1e-3, 1e-3)
+        np.testing.assert_allclose(gain_field(psi, region.grid_x(), region.grid_y()), 1.0, atol=1e-12)
 
     def test_exact_ties_break_to_smallest_y_then_x(self):
-        from masim.channel import GainMap
-
         values = np.zeros((3, 3))
         values[0, 1] = values[2, 2] = 2.0  # two exact ties
-        gm = GainMap(x_m=np.array([0.0, 1.0, 2.0]), y_m=np.array([0.0, 1.0, 2.0]), values=values)
+        gm = DbMap(x_m=np.array([0.0, 1.0, 2.0]), y_m=np.array([0.0, 1.0, 2.0]), values_db=values, column="gain_db")
         assert gm.argmax_position() == Position(1.0, 0.0)
 
     def test_costs_no_measurements(self):

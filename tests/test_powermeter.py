@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from masim.channel import MovementRegion, Position, gain_map
 from masim.harness import compare_maps
-from masim.powermeter import MAX_FFT_SIZE, _bin_phasor, default_fft_size, measure_power, sweep_measure
+from masim.powermeter import _bin_phasor, default_fft_size, measure_power, sweep_measure
 from masim.presets import hall_psi_3p5ghz
 from masim.signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
@@ -40,11 +40,11 @@ class TestZeroPad:
     @given(data=st.data())
     def test_matches_zero_padded_fft(self, data):
         n = data.draw(st.integers(min_value=1, max_value=128), label="n")
-        ns = n + data.draw(st.integers(min_value=0, max_value=8 * n), label="ns - n")
+        ns = default_fft_size(n)
         values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
         samples = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="samples"), dtype=np.complex128)
         f0 = data.draw(st.floats(min_value=-0.49, max_value=0.49), label="f0 / fs") * FS
-        m = measure_power(samples, T, f0, ns)
+        m = measure_power(samples, T, f0)
         k_hat, p_ref = zero_padded_fft_bin(samples, f0, ns)
         assert m.peak_bin == k_hat
         # approx's default abs=1e-12 covers a bin that rounds to ~0 in both sums
@@ -81,7 +81,7 @@ class TestMeasurePower:
         n, ns = 4096, 32768
         k = 2048
         f_mid = (k + 0.5) / (ns * T)
-        m = measure_power(gen_tone(f_mid, n, T), T, f_mid, fft_size=ns)
+        m = measure_power(gen_tone(f_mid, n, T), T, f_mid)
         delta = n * (T * f_mid - m.peak_bin / ns)
         assert m.power_linear == pytest.approx(float(np.sinc(delta)) ** 2, rel=1e-6)
 
@@ -97,16 +97,6 @@ class TestMeasurePower:
         base = measure_power(tone_capture(1.0, num_samples=512), T, 50e6)
         scaled = measure_power(tone_capture(c, num_samples=512), T, 50e6)
         assert scaled.power_db == pytest.approx(base.power_db + scale_db, abs=1e-9)
-
-    def test_rejects_fft_smaller_than_record(self):
-        with pytest.raises(ValueError):
-            measure_power(tone_capture(1.0, num_samples=4096), T, 50e6, fft_size=2048)
-
-    def test_fft_size_capped_where_bin_index_stays_exact(self):
-        capture = tone_capture(1.0, num_samples=512)
-        assert measure_power(capture, T, 50e6, fft_size=MAX_FFT_SIZE).peak_bin == MAX_FFT_SIZE // 8
-        with pytest.raises(ValueError, match="fft_size"):
-            measure_power(capture, T, 50e6, fft_size=MAX_FFT_SIZE + 1)
 
     def test_rejects_out_of_band_tone(self):
         with pytest.raises(ValueError, match="Nyquist"):
