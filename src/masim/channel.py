@@ -12,7 +12,8 @@ and the narrowband channel seen at position r = (x, y) is
     h(r) = sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r)/lambda + fc*tau_l))
 
 A subcarrier at offset f from the carrier sees fc + f in place of fc.
-channel_response evaluates this one formula for every caller. The
+response_factors evaluates this one formula for every caller, and
+channel_response returns its product. The
 small-scale gain g(r) = |h(r)|^2 / beta is what the measurement campaign
 maps over the region.
 """
@@ -24,10 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
 from .codec import JsonCodec
 
+
+SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
+"""Speed of light in vacuum, m/s (exact by the SI definition of the metre)."""
 
 MAX_GRID_POINTS = 10**6
 """Largest sampling grid a MovementRegion accepts (the paper's largest is 101 x 101)."""
@@ -212,18 +215,16 @@ class MovementRegion(JsonCodec):
         )
 
 
-def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.ndarray:
-    """The model's response h(r_q, fc + f_k) at Q positions and K frequency offsets, (Q, K).
+def response_factors(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> tuple[np.ndarray, np.ndarray]:
+    """The (Q, L) steering phases and (L, K) path coefficients whose product is channel_response.
 
-    positions is anything reshapeable to (Q, 2) of (x, y) in meters. Entry
-    (q, k) is sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r_q)/lambda + (fc + f_k)*tau_l)),
-    evaluated as the (Q, L) steering phases times the (L, K) path
-    coefficients. This is the only place the model is evaluated: the tone
-    channel, the gain field and OFDM sounding all call it.
+    A caller that multiplies the response by a fixed matrix on the right can
+    fold that matrix into the L rows of the coefficients first.
     """
     d = np.asarray(positions).reshape(-1, 2) @ psi.directions.T  # (Q, L) path distance deltas
-    steer = -2j * np.pi * d
-    steer /= psi.wavelength_m
+    d *= -2.0 * np.pi
+    d *= 1.0 / psi.wavelength_m  # the phase in real arithmetic: no complex division per element
+    steer = 1j * d
     np.exp(steer, out=steer)  # in place: on a gain map (Q, L) is the largest array
     freqs = psi.carrier_hz + np.asarray(offsets_hz)[None, :]
     coeff = (
@@ -231,6 +232,21 @@ def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.nda
         * psi.amplitudes[:, None]
         * np.exp(-2j * np.pi * freqs * psi.delays_s[:, None])
     )  # (L, K)
+    return steer, coeff
+
+
+def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.ndarray:
+    """The model's response h(r_q, fc + f_k) at Q positions and K frequency offsets, (Q, K).
+
+    positions is anything reshapeable to (Q, 2) of (x, y) in meters. Entry
+    (q, k) is sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r_q)/lambda + (fc + f_k)*tau_l)),
+    evaluated as the (Q, L) steering phases times the (L, K) path
+    coefficients of response_factors. Those two factors are the only
+    evaluation of the model: the tone channel and the gain field call this,
+    and OFDM sounding multiplies the factors itself to fold its snapshot
+    synthesis into the coefficients.
+    """
+    steer, coeff = response_factors(psi, positions, offsets_hz)
     return steer @ coeff
 
 

@@ -30,10 +30,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.constants import c as SPEED_OF_LIGHT_M_PER_S
 
-from .channel import CSV_BLOCK_ROWS, MovementRegion, to_db, write_csv, write_csv_rows
+from .channel import CSV_BLOCK_ROWS, SPEED_OF_LIGHT_M_PER_S, MovementRegion, to_db, write_csv, write_csv_rows
 from .codec import JsonCodec
 from .signals import OfdmNumerology
 
@@ -296,6 +294,13 @@ def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> Pa
     return PasMatrix(values=pas, elevations_deg=els, azimuths_deg=azs)
 
 
+def _neighborhood_max(v: np.ndarray) -> np.ndarray:
+    """The maximum over each entry's 3 x 3 neighborhood, cells outside v counting as -inf."""
+    p = np.pad(v, 1, constant_values=-np.inf)
+    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])  # max over the row above, this row and the row below
+    return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+
+
 def find_paths(pas: PasMatrix, max_paths: int = 8, prominence_db: float = 20.0) -> list[SpectrumPeak]:
     """Pick path candidates: 8-neighborhood local maxima within prominence_db of the global max."""
     if max_paths < 1:
@@ -303,7 +308,7 @@ def find_paths(pas: PasMatrix, max_paths: int = 8, prominence_db: float = 20.0) 
     if not (math.isfinite(prominence_db) and prominence_db >= 0.0):
         raise ValueError(f"prominence_db must be finite and >= 0: {prominence_db}")
     v = pas.values
-    local_max = v == ndimage.maximum_filter(v, size=3, mode="constant", cval=-np.inf)
+    local_max = v == _neighborhood_max(v)
     peak_val = float(np.max(v))
     if peak_val <= 0.0:
         return []

@@ -40,9 +40,9 @@ from .channel import (
     DbMap,
     MovementRegion,
     PathStateInfo,
-    channel_response,
     gain_map,
     read_grid_csv,
+    response_factors,
 )
 from .codec import ConfigError, JsonCodec, decode, encode
 from .estimator import (
@@ -271,37 +271,43 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
       h_freq    = H + A z + w,   w ~ CN(0, s2 (I/M - A A^H)), independent of z
 
     T[i, s] = tx[i, m_s] exp(j 2 pi i k_s / I) makes payload sample k_s of
-    symbol m_s from the subcarriers, and A[i, s] = exp(-j 2 pi i k_s / I) /
-    (M I tx[i, m_s]) is the cross-covariance of h_freq's noise with z over
-    s2. w is drawn from I white normals through an eigendecomposition of
-    the (n_snap, n_snap) Gram matrix A^H A, one per campaign. Position
-    q draws z, then those I normals, from derive_seed(master_seed, "sound",
-    q), so its statistics do not depend on the sweep's size or order.
-    synthesize_campaign writes exactly these statistics to disk.
+    symbol m_s from the subcarriers. The cross-covariance of h_freq's noise
+    with z over s2 is A[i, s] = exp(-j 2 pi i k_s / I) / (M I tx[i, m_s]),
+    and since the QPSK symbols have |tx|^2 = 1/I, A = conj(T) / M: T is the
+    only (I, n_snap) matrix kept. w is drawn from I white normals through
+    an eigendecomposition of the (n_snap, n_snap) Gram matrix T^H T, one per
+    campaign. H T = S (C T) for the (Q, L) steering phases S and (L, I) path
+    coefficients C of response_factors, so the clean snapshots cost a rank-L
+    product. Position q draws z, then those I normals, from
+    derive_seed(master_seed, "sound", q), so its statistics do not depend on
+    the sweep's size or order. synthesize_campaign writes exactly these
+    statistics to disk.
     """
     _check_carrier(cfg, psi)
     if np.any(psi.delays_s > cfg.numerology.cp_duration_s):
         raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
-    tx = _tx_symbols(cfg)
     sym, k = np.divmod(_snapshot_indices(num), num.samples_per_symbol)
     k -= num.cp_samples
     subcarrier = np.arange(i_n)
-    # (I, n_snap) exp(j 2 pi (i k mod I) / I), looked up in the table of the I roots of unity
-    twiddle = np.exp(2j * np.pi * subcarrier / i_n)[np.outer(subcarrier, k) % i_n]
-    tx_snap = tx[:, sym]
-    synth = tx_snap * twiddle  # T
-    a = twiddle.conj() / (m_n * i_n * tx_snap)  # A
-    lam, v = np.linalg.eigh(a.conj().T @ a)  # A^H A = V diag(lam) V^H, lam in [0, 1/M]
+    # T: (I, n_snap) exp(j 2 pi (i k mod I) / I), looked up in the table of the I roots of unity, times tx
+    synth = np.exp(2j * np.pi * subcarrier / i_n)[np.outer(subcarrier, k) % i_n]
+    synth *= _tx_symbols(cfg)[:, sym]
+    # A^H A = conj(T^H T) / M^2 = V diag(lam) V^H with lam = mu / M^2, V = conj(U), for T^H T = U diag(mu) U^H
+    mu, u = np.linalg.eigh(synth.conj().T @ synth)
+    lam = mu / m_n**2  # in [0, 1/M]
     # w = g / sqrt(M) + A V diag(c) V^H A^H g has covariance I/M - A A^H for white g
-    # when lam c^2 + 2 c / sqrt(M) = -1; this root stays finite as lam -> 0
+    # when lam c^2 + 2 c / sqrt(M) = -1; this root stays finite as lam -> 0.
+    # With A = conj(T) / M and g' = g / sqrt(M) that is w = g' + (g' T X) T^H / M for X = U diag(c / sqrt(M)) U^H
     c = -1.0 / (np.sqrt(np.maximum(1.0 / m_n - lam, 0.0)) + 1.0 / math.sqrt(m_n))
-    av = a @ v
+    x = (u * (c / math.sqrt(m_n))) @ u.conj().T
     scale = math.sqrt(cfg.noise_power / 2.0)
 
     positions = cfg.sounding_region.positions_array()
     q_n, n_snap = len(positions), len(k)
+    steer_all, coeff = response_factors(psi, positions, subcarrier * num.subcarrier_spacing_hz)
+    clean_snaps = coeff @ synth  # C T, (L, n_snap)
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
     snaps = np.empty((q_n, n_snap), dtype=np.complex128)
     # equal blocks of about 16 MiB of noise each; none has a single row, which
@@ -312,11 +318,18 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         noise = np.empty((stop - start, n_snap + i_n), dtype=np.complex128)
         for q, row in enumerate(noise, start):
             np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
-        noise *= scale
         z, g = noise[:, :n_snap], noise[:, n_snap:]
-        h = channel_response(psi, positions[start:stop], subcarrier * num.subcarrier_spacing_hz)
-        snaps[start:stop] = h @ synth + z
-        h_freq[start:stop] = h + g / math.sqrt(m_n) + (z + ((g @ av.conj()) * c) @ v.T) @ a.T
+        z *= scale
+        g *= scale / math.sqrt(m_n)  # g' = g / sqrt(M)
+        steer = steer_all[start:stop]
+        snaps[start:stop] = steer @ clean_snaps + z
+        y = z + (g @ synth) @ x
+        out = h_freq[start:stop]
+        np.matmul(steer, coeff, out=out)
+        out += g
+        # y T^H / M = conj((conj(y) / M) T^T): the transposed T goes to BLAS as a flag, not a copy
+        y_th = (np.conj(y) / m_n) @ synth.T
+        out += np.conj(y_th, out=y_th)
     return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
 
 

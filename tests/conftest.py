@@ -3,8 +3,12 @@
 The heavyweight pieces (sounding campaigns, the full estimation chain) are
 session-scoped; everything downstream reuses them instead of re-synthesizing.
 The time-domain OFDM frames, and their reduction to the statistics a
-SoundingCampaign keeps, live here as the oracle of build_sounding_campaign.
+SoundingCampaign keeps, live here as the oracle of build_sounding_campaign;
+so does the conditioning formula written out with the cross-covariance A,
+the oracle of its noisy draws.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +121,40 @@ def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
         h_freq.append(np.mean(np.fft.fft(payload, axis=1) / den, axis=0))
         snaps.append(samples[snap_idx])
     return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, np.array(h_freq), np.array(snaps))
+
+
+def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
+    """cfg's sounding campaign drawn with the cross-covariance A written out: the oracle of the noisy build.
+
+    The same draws and law as build_sounding_campaign, through the textbook
+    form: snapshots = H T + z and h_freq = H + A z + w, with
+    A[i, s] = exp(-j 2 pi i k_s / I) / (M I tx[i, m_s]) formed as its own
+    (I, n_snap) array, and w = g / sqrt(M) + A V diag(c) V^H A^H g for the
+    eigendecomposition A^H A = V diag(lam) V^H.
+    """
+    num = cfg.numerology
+    i_n, m_n = num.num_subcarriers, num.num_symbols
+    tx = _tx_symbols(cfg)
+    sym, k = np.divmod(_snapshot_indices(num), num.samples_per_symbol)
+    k -= num.cp_samples
+    subcarrier = np.arange(i_n)
+    # (I, n_snap) exp(j 2 pi (i k mod I) / I), looked up in the table of the I roots of unity
+    twiddle = np.exp(2j * np.pi * subcarrier / i_n)[np.outer(subcarrier, k) % i_n]
+    synth = tx[:, sym] * twiddle  # T
+    a = twiddle.conj() / (m_n * i_n * tx[:, sym])  # A
+    lam, v = np.linalg.eigh(a.conj().T @ a)
+    c = -1.0 / (np.sqrt(np.maximum(1.0 / m_n - lam, 0.0)) + 1.0 / math.sqrt(m_n))
+    av = a @ v
+    scale = math.sqrt(cfg.noise_power / 2.0)
+    h = channel_response(psi, cfg.sounding_region.positions_array(), subcarrier * num.subcarrier_spacing_hz)
+    noise = np.empty((len(h), len(k) + i_n), dtype=np.complex128)
+    for q, row in enumerate(noise):
+        np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
+    noise *= scale
+    z, g = noise[:, : len(k)], noise[:, len(k) :]
+    snaps = h @ synth + z
+    h_freq = h + g / math.sqrt(m_n) + (z + ((g @ av.conj()) * c) @ v.T) @ a.T
+    return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
 
 
 # Campaign builds and estimates take a second or more each, so they are

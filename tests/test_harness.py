@@ -45,7 +45,7 @@ from masim.signals import (
     write_iq_record,
 )
 
-from conftest import TEST_NUMEROLOGY, make_hi_scenario, records_campaign, sounding_records
+from conftest import TEST_NUMEROLOGY, conditioning_campaign, make_hi_scenario, records_campaign, sounding_records
 
 
 def pipeline_config(master_seed=21, noise_power=0.01):
@@ -254,6 +254,21 @@ class TestInMemoryCampaign:
         np.testing.assert_allclose(direct.h_freq, reduced.h_freq, rtol=0, atol=1e-12)
         np.testing.assert_allclose(direct.samples_matrix(), reduced.samples_matrix(), rtol=0, atol=1e-12)
         assert not direct.h_freq.flags.writeable
+
+    @pytest.mark.parametrize("numerology", [TEST_NUMEROLOGY, TINY_NUM], ids=["test", "tiny"])
+    def test_noisy_matches_conditioning_oracle(self, numerology):
+        # the build forms A = conj(T) / M from T alone; the oracle forms A on its own
+        cfg = sounding_config(numerology, extent=(0.009, 0.006), noise_power=0.3)
+        psi = hall_psi_27p5ghz()
+        built, oracle = build_sounding_campaign(cfg, psi), conditioning_campaign(cfg, psi)
+        np.testing.assert_allclose(built.h_freq, oracle.h_freq, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(built.samples_matrix(), oracle.samples_matrix(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("numerology", [TEST_NUMEROLOGY, TINY_NUM], ids=["test", "tiny"])
+    def test_transmit_symbols_have_constant_modulus(self, numerology):
+        # |tx|^2 = 1/I is what makes the cross-covariance A equal conj(T) / M
+        tx = _tx_symbols(sounding_config(numerology))
+        np.testing.assert_allclose(numerology.num_subcarriers * np.abs(tx) ** 2, 1.0, rtol=0, atol=1e-15)
 
     def test_noise_follows_the_record_law(self):
         # 60 x 60 positions, each its own noise seed: h_freq noise CN(0, s2/M) white
