@@ -19,8 +19,6 @@ from .channel import (
 from .estimator import (
     AngleGrid,
     DegenerateGeometryError,
-    EstimatedPath,
-    EstimatedPsi,
     PasMatrix,
     PdsMatrix,
     SoundingCampaign,

@@ -14,7 +14,6 @@ from dataclasses import replace
 from .channel import gain_map
 from .estimator import AngleGrid
 from .harness import (
-    ESTIMATE_PARAMS,
     ConfigError,
     ScenarioConfig,
     StageError,
@@ -70,7 +69,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_estimate(args) -> int:
     grid = AngleGrid(args.el_step, args.az_step)
-    est = estimate_campaign(args.campaign, grid, args.max_paths, args.prominence_db, args.out, args.pas, args.pds)
+    est = estimate_campaign(args.campaign, grid, args.out, args.pas, args.pds)
     print(f"wrote {args.out}: {est.num_paths} paths, "
           f"strongest ({est.paths[0].elevation_deg:g}, {est.paths[0].azimuth_deg:g}) deg")
     return 0
@@ -138,12 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("estimate", help="estimate path state from a sounding campaign")
-    el_step, az_step = ESTIMATE_PARAMS["angle_grid"]
+    grid = AngleGrid()
     p.add_argument("--campaign", required=True, help="ofdm campaign directory")
-    p.add_argument("--el-step", type=float, default=el_step, help="elevation grid step in degrees")
-    p.add_argument("--az-step", type=float, default=az_step, help="azimuth grid step in degrees")
-    p.add_argument("--max-paths", type=int, default=ESTIMATE_PARAMS["max_paths"])
-    p.add_argument("--prominence-db", type=float, default=ESTIMATE_PARAMS["prominence_db"])
+    p.add_argument("--el-step", type=float, default=grid.elevation_step_deg, help="elevation grid step in degrees")
+    p.add_argument("--az-step", type=float, default=grid.azimuth_step_deg, help="azimuth grid step in degrees")
     p.add_argument("--out", default="estimated_psi.json")
     p.add_argument("--pas", default=None, help="also write the angular spectrum CSV here")
     p.add_argument("--pds", default=None, help="also write the delay spectrum CSV here")

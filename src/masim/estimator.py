@@ -17,6 +17,9 @@ large virtual array. Processing follows the measurement chain:
      power delay spectrum (PDS) per position as a by-product; both read
      the delay domain a block of positions at a time.
 
+The estimate is a channel.PathStateInfo, the same type a planted channel
+is, so it feeds gain_map, coarse_position and optimize directly.
+
 Delay estimates carry the carrier phase: after locating the delay-domain
 peak, tau_hat is snapped to the nearest value whose carrier rotation
 exp(-j*2*pi*fc*tau) reproduces the measured path phase. This keeps gain
@@ -31,8 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CSV_BLOCK_ROWS, SPEED_OF_LIGHT_M_PER_S, MovementRegion, to_db, write_csv, write_csv_rows
-from .codec import JsonCodec
+from .channel import (
+    CSV_BLOCK_ROWS,
+    SPEED_OF_LIGHT_M_PER_S,
+    MovementRegion,
+    PathComponent,
+    PathStateInfo,
+    to_db,
+    write_csv,
+    write_csv_rows,
+)
 from .signals import OfdmNumerology
 
 
@@ -44,6 +55,12 @@ DELAY_OVERSAMPLE = 8
 
 MIN_PEAK_TO_MEDIAN_DB = 12.0
 """A path's delay profile must peak this far over its median to be kept."""
+
+MAX_PATHS = 8
+"""Most PAS peaks find_paths returns, strongest first."""
+
+PEAK_PROMINENCE_DB = 20.0
+"""find_paths keeps only PAS peaks within this many dB of the global maximum."""
 
 MAX_ANGLE_CELLS = 2**24
 """Largest elevation x azimuth search grid an AngleGrid accepts (0.05 degree steps give 3601 x 3601)."""
@@ -201,43 +218,6 @@ class PdsMatrix:
                 write_csv_rows(fh, index[rows], delays_ns, to_db(self.values[rows]))
 
 
-@dataclass(frozen=True)
-class EstimatedPath:
-    elevation_deg: float
-    azimuth_deg: float
-    amplitude: float
-    delay_s: float
-    prominence_db: float
-
-
-@dataclass(frozen=True)
-class EstimatedPsi(JsonCodec):
-    """Estimated path state information, paths sorted by descending amplitude.
-
-    Amplitudes are normalized against the total measured channel power, so
-    sum(amplitude^2) is the power fraction the found paths explain (<= 1).
-    prominence_db is each path's PAS peak height relative to the strongest
-    peak (0 for the dominant path, negative below it).
-    """
-
-    paths: tuple[EstimatedPath, ...]
-    carrier_hz: float
-    grid_step_deg: float
-
-    def __post_init__(self):
-        if len(self.paths) == 0:
-            raise ValueError("EstimatedPsi needs at least one path")
-        amps = [p.amplitude for p in self.paths]
-        if any(amps[i] < amps[i + 1] for i in range(len(amps) - 1)):
-            raise ValueError("estimated paths must be sorted by descending amplitude")
-        if sum(a * a for a in amps) > 1.0 + 1e-6:
-            raise ValueError("estimated amplitudes exceed unit total power")
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.paths)
-
-
 def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> PasMatrix:
     """Power angular spectrum PAS(theta, phi) = f^H R f over the angle grid.
 
@@ -301,22 +281,21 @@ def _neighborhood_max(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
 
 
-def find_paths(pas: PasMatrix, max_paths: int = 8, prominence_db: float = 20.0) -> list[SpectrumPeak]:
-    """Pick path candidates: 8-neighborhood local maxima within prominence_db of the global max."""
-    if max_paths < 1:
-        raise ValueError(f"max_paths must be >= 1: {max_paths}")
-    if not (math.isfinite(prominence_db) and prominence_db >= 0.0):
-        raise ValueError(f"prominence_db must be finite and >= 0: {prominence_db}")
+def find_paths(pas: PasMatrix) -> list[SpectrumPeak]:
+    """Pick path candidates: 8-neighborhood local maxima within PEAK_PROMINENCE_DB of the global max.
+
+    At most MAX_PATHS of them come back, strongest first.
+    """
     v = pas.values
     local_max = v == _neighborhood_max(v)
     peak_val = float(np.max(v))
     if peak_val <= 0.0:
         return []
-    keep = local_max & (v >= peak_val * 10.0 ** (-prominence_db / 10.0))
+    keep = local_max & (v >= peak_val * 10.0 ** (-PEAK_PROMINENCE_DB / 10.0))
     ie_all, ia_all = np.nonzero(keep)
     order = np.argsort(v[ie_all, ia_all])[::-1]
     peaks = []
-    for k in order[:max_paths]:
+    for k in order[:MAX_PATHS]:
         ie, ia = int(ie_all[k]), int(ia_all[k])
         val = float(v[ie, ia])
         peaks.append(
@@ -410,12 +389,8 @@ def _parabolic_offset(y_m1: float, y_0: float, y_p1: float) -> float:
 
 
 def estimate_delay_amplitude(
-    campaign: SoundingCampaign,
-    weights: list[np.ndarray],
-    angles: list[tuple[float, float]],
-    peaks_rel_db: list[float],
-    grid_step_deg: float,
-) -> EstimatedPsi:
+    campaign: SoundingCampaign, weights: list[np.ndarray], angles: list[tuple[float, float]]
+) -> PathStateInfo:
     """Per-path delays and amplitudes from the beamformed frequency responses.
 
     For each found path the ZF-beamformed response G[i] is transformed to an
@@ -423,12 +398,14 @@ def estimate_delay_amplitude(
     interpolation of |h[n]|^2 and then snapped to the nearest delay that
     reproduces the measured carrier phase. The amplitude is the coherent
     subcarrier average |mean_i G[i]*exp(j*2*pi*i*df*tau_hat)|, normalized by
-    the total channel power so path amplitudes follow the unit-power
-    convention of estimated PSI. Paths without a dominant delay peak are
-    dropped with a warning; ValueError is raised when that drops them all.
+    the total channel power, so sum(amplitude^2) is the power fraction the
+    found paths explain (<= 1). The PathStateInfo returned lists its paths
+    by descending amplitude, with unit large_scale_gain and normalized
+    false. Paths without a dominant delay peak are dropped with a warning;
+    ValueError is raised when that drops them all.
     """
-    if not len(weights) == len(angles) == len(peaks_rel_db):
-        raise ValueError("weights, angles and peaks_rel_db must pair up")
+    if len(weights) != len(angles):
+        raise ValueError("weights and angles must pair up")
     num = campaign.numerology
     i_n = num.num_subcarriers
     df = num.subcarrier_spacing_hz
@@ -474,7 +451,7 @@ def estimate_delay_amplitude(
             tau_hat += 1.0 / fc
         rot = np.exp(2j * np.pi * idx * df * tau_hat)
         amp_raw = abs(np.mean(g * rot))
-        found.append((el, az, amp_raw, tau_hat, peaks_rel_db[k]))
+        found.append((el, az, amp_raw, tau_hat))
     if not found:
         raise ValueError(f"no path found in the angular spectrum has a dominant delay peak ({len(angles)} dropped)")
 
@@ -483,26 +460,13 @@ def estimate_delay_amplitude(
     if total > 1.0:
         amps = amps / math.sqrt(total)
     order = np.argsort(amps)[::-1]
-    paths = tuple(
-        EstimatedPath(
-            elevation_deg=found[k][0],
-            azimuth_deg=found[k][1],
-            amplitude=float(amps[k]),
-            delay_s=found[k][3],
-            prominence_db=found[k][4],
-        )
-        for k in order
-    )
-    return EstimatedPsi(paths=paths, carrier_hz=fc, grid_step_deg=grid_step_deg)
+    paths = tuple(PathComponent(found[k][0], found[k][1], float(amps[k]), found[k][3]) for k in order)
+    return PathStateInfo(paths=paths, carrier_hz=fc)
 
 
 def estimate_psi(
-    campaign: SoundingCampaign,
-    grid: AngleGrid | None = None,
-    max_paths: int = 8,
-    prominence_db: float = 20.0,
-    pas: PasMatrix | None = None,
-) -> EstimatedPsi:
+    campaign: SoundingCampaign, grid: AngleGrid | None = None, pas: PasMatrix | None = None
+) -> PathStateInfo:
     """Full estimation chain: PAS, peak picking, ZF beamforming, delay/amplitude.
 
     Pass a precomputed pas (from compute_pas on the same campaign and grid)
@@ -520,10 +484,10 @@ def estimate_psi(
             )
     if pas is None:
         pas = compute_pas(campaign, grid)
-    peaks = find_paths(pas, max_paths=max_paths, prominence_db=prominence_db)
+    peaks = find_paths(pas)
     if not peaks:
         raise ValueError("no paths found in the angular spectrum")
     angles = [(p.elevation_deg, p.azimuth_deg) for p in peaks]
     positions = campaign.positions_array()
     weights = [zf_weights(angles, i, positions, lam) for i in range(len(angles))]
-    return estimate_delay_amplitude(campaign, weights, angles, [p.rel_max_db for p in peaks], grid.elevation_step_deg)
+    return estimate_delay_amplitude(campaign, weights, angles)

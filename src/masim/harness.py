@@ -47,7 +47,6 @@ from .channel import (
 from .codec import ConfigError, JsonCodec, decode, encode
 from .estimator import (
     AngleGrid,
-    EstimatedPsi,
     SoundingCampaign,
     compute_pas,
     compute_pds,
@@ -192,20 +191,8 @@ def _load_json(path) -> dict:
 
 
 def psi_from_json_dict(data: dict) -> PathStateInfo:
-    """Parse path state from JSON, accepting estimator output as well.
-
-    The estimator adds prominence_db per path and a top-level grid_step_deg;
-    both are dropped here so an estimate file can seed a simulation.
-    large_scale_gain and normalized default to 1 and false.
-    """
-    data = {"large_scale_gain": 1.0, "normalized": False, **data}
-    data.pop("grid_step_deg", None)
-    if isinstance(data.get("paths"), list):
-        data["paths"] = [
-            {k: v for k, v in p.items() if k != "prominence_db"} if isinstance(p, dict) else p
-            for p in data["paths"]
-        ]
-    return decode(PathStateInfo, data, "PathStateInfo")
+    """Parse path state from JSON; large_scale_gain and normalized default to 1 and false."""
+    return decode(PathStateInfo, {"large_scale_gain": 1.0, "normalized": False, **data}, "PathStateInfo")
 
 
 def load_psi(path) -> PathStateInfo:
@@ -245,17 +232,10 @@ def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
     return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
 
 
-def _snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
-    """Frame indices of up to MAX_SNAPSHOTS payload samples, evenly spread, CP samples excluded."""
-    num = numerology
-    sym = num.samples_per_symbol
-    payload_idx = np.concatenate(
-        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
-    )
-    if MAX_SNAPSHOTS < len(payload_idx):
-        sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, MAX_SNAPSHOTS)).astype(int))
-        payload_idx = payload_idx[sel]
-    return payload_idx
+def _snapshot_indices(numerology: OfdmNumerology) -> tuple[np.ndarray, np.ndarray]:
+    """(symbol, payload offset) of up to MAX_SNAPSHOTS payload samples, evenly spread over the M*I of them."""
+    n = numerology.num_symbols * numerology.num_subcarriers
+    return np.divmod(np.round(np.linspace(0, n - 1, min(MAX_SNAPSHOTS, n))).astype(int), numerology.num_subcarriers)
 
 
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
@@ -288,8 +268,7 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
-    sym, k = np.divmod(_snapshot_indices(num), num.samples_per_symbol)
-    k -= num.cp_samples
+    sym, k = _snapshot_indices(num)
     subcarrier = np.arange(i_n)
     # T: (I, n_snap) exp(j 2 pi (i k mod I) / I), looked up in the table of the I roots of unity, times tx
     synth = np.exp(2j * np.pi * subcarrier / i_n)[np.outer(subcarrier, k) % i_n]
@@ -327,9 +306,10 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         out = h_freq[start:stop]
         np.matmul(steer, coeff, out=out)
         out += g
-        # y T^H / M = conj((conj(y) / M) T^T): the transposed T goes to BLAS as a flag, not a copy
-        y_th = (np.conj(y) / m_n) @ synth.T
-        out += np.conj(y_th, out=y_th)
+        # y T^H / M = conj((conj(y) / M) T^T): the transposed T goes to BLAS as a flag, not a copy;
+        # g is spent, so the product lands in its buffer
+        np.matmul(np.conj(y) / m_n, synth.T, out=g)
+        out += np.conj(g, out=g)
     return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
 
 
@@ -415,7 +395,7 @@ def _record_samples(cfg: ScenarioConfig, mode: str) -> int:
     """Values in each record file of a campaign of cfg: a tone capture, or one position's I + n_snap statistics."""
     if mode == "tone":
         return cfg.samples_per_measurement
-    return cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology))
+    return cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology)[0])
 
 
 def _read_records(dir_path, manifest: CampaignManifest) -> Iterator[np.ndarray]:
@@ -502,18 +482,16 @@ def optimize_on_slide_track(
 # pipeline
 
 
-def estimate_campaign(
-    campaign_dir, grid: AngleGrid, max_paths: int, prominence_db: float, est_path, pas_path=None, pds_path=None
-) -> EstimatedPsi:
-    """Estimate path state from an on-disk sounding campaign and write it to est_path.
+def estimate_campaign(campaign_dir, grid: AngleGrid, est_path, pas_path=None, pds_path=None) -> PathStateInfo:
+    """Estimate path state from an on-disk sounding campaign and write it to est_path with save_psi.
 
     pas_path and pds_path, when given, also receive the angular and delay
     spectra as CSV. Both `masim estimate` and the estimate stage run this.
     """
     _, campaign = load_sounding_campaign(campaign_dir)
     pas = compute_pas(campaign, grid)
-    est = estimate_psi(campaign, grid, max_paths=max_paths, prominence_db=prominence_db, pas=pas)
-    _atomic_write_json(est_path, est.to_json_dict())
+    est = estimate_psi(campaign, grid, pas=pas)
+    save_psi(est_path, est)
     if pas_path is not None:
         pas.to_csv(pas_path)
     if pds_path is not None:
@@ -525,9 +503,9 @@ def _sound(sdir, cfg, psi, inputs):
     synthesize_campaign(cfg, psi, "ofdm", sdir / "campaign")
 
 
-def _estimate(sdir, cfg, psi, inputs, angle_grid, max_paths, prominence_db):
-    estimate_campaign(inputs["sounding_campaign"], AngleGrid(*angle_grid), max_paths, prominence_db,
-                      sdir / "estimated_psi.json", sdir / "pas.csv", sdir / "pds.csv")
+def _estimate(sdir, cfg, psi, inputs):
+    estimate_campaign(inputs["sounding_campaign"], AngleGrid(), sdir / "estimated_psi.json",
+                      sdir / "pas.csv", sdir / "pds.csv")
 
 
 def _measure(sdir, cfg, psi, inputs):
@@ -535,9 +513,9 @@ def _measure(sdir, cfg, psi, inputs):
     measure_campaign(sdir / "campaign").to_csv(sdir / "power_map.csv")
 
 
-def _optimize(sdir, cfg, psi, inputs, budget, refine_step_m):
+def _optimize(sdir, cfg, psi, inputs, budget):
     est = load_psi(inputs["estimated_psi"])
-    res = optimize_on_slide_track(cfg, psi, est, budget=budget, refine_step_m=refine_step_m)
+    res = optimize_on_slide_track(cfg, psi, est, budget=budget, refine_step_m=None)
     _atomic_write_json(sdir / "move_result.json", res.to_json_dict())
 
 
@@ -546,10 +524,6 @@ def _export(sdir, cfg, psi, inputs):
     for src in inputs.values():
         if src.is_file():
             shutil.copyfile(src, sdir / src.name)
-
-
-ESTIMATE_PARAMS = {"angle_grid": [0.5, 0.5], "max_paths": 8, "prominence_db": 20.0}
-"""The estimate stage's fixed settings, hashed with its other inputs; also `masim estimate`'s defaults."""
 
 
 @dataclass(frozen=True)
@@ -613,13 +587,7 @@ def run_pipeline(
         if name in requested:
             requested.update(_upstream(name, requested))
 
-    params = {
-        "sound": {},
-        "measure": {},
-        "estimate": ESTIMATE_PARAMS,
-        "optimize": {"budget": optimize_budget, "refine_step_m": None},
-        "export": {},
-    }
+    params = {"sound": {}, "measure": {}, "estimate": {}, "optimize": {"budget": optimize_budget}, "export": {}}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from masim import (
 )
 from masim.channel import MovementRegion, channel_response
 from masim.estimator import SoundingCampaign
-from masim.harness import ScenarioConfig, _snapshot_indices, _tx_symbols
+from masim.harness import MAX_SNAPSHOTS, ScenarioConfig, _tx_symbols
 from masim.signals import NoiseSpec, OfdmNumerology, add_noise, derive_seed
 
 # 832 x 480 kHz = 399.36 MHz occupied, 52-sample CP: same bandwidth class as
@@ -67,6 +67,24 @@ def make_lo_scenario(master_seed: int = 11, noise_power: float = 0.0) -> Scenari
     )
 
 
+def frame_snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
+    """Frame indices of up to MAX_SNAPSHOTS payload samples, evenly spread, CP samples excluded.
+
+    Built from the explicit list of every payload sample's frame index: the
+    oracle of harness._snapshot_indices, which returns the same samples as
+    (symbol, payload offset) pairs without that list.
+    """
+    num = numerology
+    sym = num.samples_per_symbol
+    payload_idx = np.concatenate(
+        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
+    )
+    if MAX_SNAPSHOTS < len(payload_idx):
+        sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, MAX_SNAPSHOTS)).astype(int))
+        payload_idx = payload_idx[sel]
+    return payload_idx
+
+
 def sounding_frames(psi, positions, numerology, tx_symbols) -> np.ndarray:
     """Noiseless received OFDM frames for a block of positions, (Q, frame_samples).
 
@@ -106,14 +124,14 @@ def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
     """cfg's sounding campaign reduced from time-domain records: the oracle of build_sounding_campaign.
 
     Each record is reduced, one at a time, to its payload samples at
-    _snapshot_indices and its h_freq row: the FFT of each symbol's payload
+    frame_snapshot_indices and its h_freq row: the FFT of each symbol's payload
     equalized by the transmit symbols and averaged over the M symbols.
     build_sounding_campaign draws the same statistics directly;
     its noise follows the same law but not the same draws.
     """
     num = cfg.numerology
     tx = _tx_symbols(cfg)
-    snap_idx = _snapshot_indices(num)
+    snap_idx = frame_snapshot_indices(num)
     den = num.num_subcarriers * tx.T  # (M, I)
     h_freq, snaps = [], []
     for samples in sounding_records(cfg, psi, tx):
@@ -135,7 +153,7 @@ def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
     tx = _tx_symbols(cfg)
-    sym, k = np.divmod(_snapshot_indices(num), num.samples_per_symbol)
+    sym, k = np.divmod(frame_snapshot_indices(num), num.samples_per_symbol)
     k -= num.cp_samples
     subcarrier = np.arange(i_n)
     # (I, n_snap) exp(j 2 pi (i k mod I) / I), looked up in the table of the I roots of unity
@@ -185,6 +203,12 @@ def get_lo_campaign():
     return _cache["lo_campaign"]
 
 
+def get_lo_estimate():
+    if "lo_estimate" not in _cache:
+        _cache["lo_estimate"] = estimate_psi(get_lo_campaign())
+    return _cache["lo_estimate"]
+
+
 @pytest.fixture(scope="session")
 def hi_psi():
     return hall_psi_27p5ghz()
@@ -208,3 +232,8 @@ def hi_estimate():
 @pytest.fixture(scope="session")
 def lo_campaign():
     return get_lo_campaign()
+
+
+@pytest.fixture(scope="session")
+def lo_estimate():
+    return get_lo_estimate()

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masim.channel import MovementRegion, PathStateInfo
+from masim.channel import MovementRegion, PathComponent, PathStateInfo
 from masim.cli import main as cli_main
 from masim.codec import ConfigError, decode, encode
-from masim.estimator import EstimatedPath, EstimatedPsi
 from masim.harness import (
     CampaignManifest,
     CompareReport,
@@ -35,18 +34,18 @@ def valid_manifest() -> dict:
 
 
 def valid_estimate() -> dict:
-    return EstimatedPsi(
-        paths=(EstimatedPath(3.0, 2.0, 0.9, 22.7e-9, 0.0), EstimatedPath(2.5, -48.5, 0.3, 35.3e-9, -8.3)),
+    # an estimated_psi.json as save_psi writes it: unit large-scale gain, descending amplitudes
+    return encode(PathStateInfo(
+        paths=(PathComponent(3.0, 2.0, 0.9, 22.7e-9), PathComponent(2.5, -48.5, 0.3, 35.3e-9)),
         carrier_hz=27.5e9,
-        grid_step_deg=0.5,
-    ).to_json_dict()
+    ))
 
 
 READERS = {
     "scenario": (lambda: make_hi_scenario().to_json_dict(), ScenarioConfig.from_json_dict),
     "psi": (lambda: encode(hall_psi_27p5ghz()), psi_from_json_dict),
     "manifest": (valid_manifest, CampaignManifest.from_json_dict),
-    "estimate": (valid_estimate, EstimatedPsi.from_json_dict),
+    "estimate": (valid_estimate, psi_from_json_dict),
 }
 
 
@@ -92,7 +91,7 @@ class TestRoundTrip:
         make, read = READERS[name]
         data = make()
         back = read(data)
-        expect = encode(back) if name == "psi" else back.to_json_dict()
+        expect = encode(back) if name in ("psi", "estimate") else back.to_json_dict()
         assert expect == data
 
     def test_complex_and_tuple_encoding(self):
@@ -131,12 +130,6 @@ class TestStrictness:
         data["tx_position_m"] = [0.0, 1.3]
         with pytest.raises(ConfigError, match="expected 3 items, got 2"):
             ScenarioConfig.from_json_dict(data)
-
-    def test_estimate_requires_prominence(self):
-        data = valid_estimate()
-        del data["paths"][0]["prominence_db"]
-        with pytest.raises(ConfigError, match="prominence_db"):
-            EstimatedPsi.from_json_dict(data)
 
     def test_manifest_format_checked(self):
         data = valid_manifest()

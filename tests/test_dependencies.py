@@ -1,5 +1,6 @@
-"""masim's runtime needs numpy alone; scipy is a test dependency only."""
+"""masim's runtime needs numpy alone; scipy is a test dependency only. Its console scripts resolve."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,17 @@ def test_import_loads_no_scipy():
     code = "import sys, masim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_console_scripts_resolve():
+    # each [project.scripts] entry names a callable that an installed masim provides
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
 
 
 def _arrays():

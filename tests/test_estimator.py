@@ -12,14 +12,24 @@ import numpy as np
 import pytest
 
 from masim import estimator
-from masim.channel import CSV_BLOCK_ROWS, MovementRegion, PathComponent, PathStateInfo, channel_response, to_db
+from masim.channel import (
+    CSV_BLOCK_ROWS,
+    MovementRegion,
+    PathComponent,
+    PathStateInfo,
+    channel_response,
+    gain_field,
+    to_db,
+)
+from masim.codec import ConfigError, encode
 from masim.estimator import (
     MAX_ANGLE_CELLS,
     PAS_TAPER_BETA,
     AngleGrid,
+    MAX_PATHS,
+    PEAK_PROMINENCE_DB,
     DegenerateGeometryError,
-    EstimatedPath,
-    EstimatedPsi,
+    PasMatrix,
     PdsMatrix,
     SoundingCampaign,
     array_response,
@@ -30,11 +40,19 @@ from masim.estimator import (
     find_paths,
     zf_weights,
 )
-from masim.harness import build_sounding_campaign, load_sounding_campaign, synthesize_campaign
-from masim.presets import hall_psi_27p5ghz
+from masim.harness import (
+    build_sounding_campaign,
+    load_psi,
+    load_sounding_campaign,
+    psi_from_json_dict,
+    save_psi,
+    synthesize_campaign,
+)
+from masim.mover import brute_force_best, coarse_position
+from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz
 from masim.signals import OfdmNumerology, derive_seed, qpsk_symbols
 
-from conftest import make_hi_scenario, records_campaign, sounding_records
+from conftest import make_hi_scenario, make_lo_scenario, records_campaign, sounding_records
 
 SMALL_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=64, num_symbols=16,
                            cp_duration_s=4.0 / (64 * 480e3))
@@ -290,28 +308,28 @@ class TestFindPaths:
         assert values == sorted(values, reverse=True)
         assert peaks[0].rel_max_db == 0.0
 
-    def test_max_paths_caps_output(self, lo_campaign):
-        peaks = find_paths(compute_pas(lo_campaign), max_paths=2)
-        assert len(peaks) == 2
+    def test_max_paths_caps_output(self):
+        # 12 isolated peaks, all within PEAK_PROMINENCE_DB of the strongest: the MAX_PATHS strongest come back
+        values = np.zeros((37, 37))
+        heights = 1.0 - 0.05 * np.arange(12)
+        cells = [(3 * (k // 4) + 3, 3 * (k % 4) + 3) for k in range(12)]
+        for (ie, ia), height in zip(cells, heights):
+            values[ie, ia] = height
+        grid = AngleGrid(5.0, 5.0)
+        peaks = find_paths(PasMatrix(values, grid.elevations_deg(), grid.azimuths_deg()))
+        assert MAX_PATHS == 8 and len(peaks) == MAX_PATHS
+        assert [p.value for p in peaks] == list(heights[:MAX_PATHS])
 
-    @pytest.mark.parametrize("max_paths", [0, -1])
-    def test_rejects_nonpositive_max_paths(self, max_paths):
-        # -1 used to slice off the weakest peak, 0 to report "no paths found"
-        pas = compute_pas(small_campaign(one_path_psi()))
-        with pytest.raises(ValueError, match="max_paths"):
-            find_paths(pas, max_paths=max_paths)
-
-    @pytest.mark.parametrize("prominence_db", [-5.0, math.nan, math.inf])
-    def test_rejects_bad_prominence(self, prominence_db):
-        # -5 and nan kept no peak ("no paths found"); inf kept zero-valued maxima
-        pas = compute_pas(small_campaign(one_path_psi(), extent=0.004), AngleGrid(10.0, 10.0))
-        with pytest.raises(ValueError, match="prominence_db"):
-            find_paths(pas, prominence_db=prominence_db)
-
-    def test_prominence_threshold_drops_weak_paths(self, lo_campaign):
-        # Table II peaks sit at 0, -0.4, -3.7, -11.6, -11.9 dB relative
-        peaks = find_paths(compute_pas(lo_campaign), prominence_db=5.0)
-        assert len(peaks) == 3
+    def test_prominence_threshold_drops_weak_paths(self):
+        # peaks at 0, -19.9 and -20.1 dB: the last is beyond PEAK_PROMINENCE_DB
+        values = np.zeros((37, 37))
+        for ie, rel_db in ((5, 0.0), (15, -19.9), (25, -20.1)):
+            values[ie, 10] = 10.0 ** (rel_db / 10.0)
+        grid = AngleGrid(5.0, 5.0)
+        peaks = find_paths(PasMatrix(values, grid.elevations_deg(), grid.azimuths_deg()))
+        assert PEAK_PROMINENCE_DB == 20.0
+        assert [p.rel_max_db for p in peaks] == pytest.approx([0.0, -19.9])
+        assert [p.elevation_deg for p in peaks] == [grid.elevations_deg()[5], grid.elevations_deg()[15]]
 
 
 class TestZeroForcing:
@@ -433,7 +451,7 @@ class TestDelayAmplitude:
         angles = [(3.0, 2.0), (-40.0, -70.0)]
         weights = [zf_weights(angles, i, positions, lam) for i in range(2)]
         with pytest.warns(UserWarning, match="dropping"):
-            est = estimate_delay_amplitude(camp, weights, angles, [0.0, 0.0], 0.5)
+            est = estimate_delay_amplitude(camp, weights, angles)
         assert est.num_paths == 1
         assert est.paths[0].elevation_deg == 3.0
 
@@ -444,14 +462,14 @@ class TestDelayAmplitude:
         angles = [(3.0, 2.0), (-40.0, -70.0)]
         weights = zf_weights(angles, 1, camp.positions_array(), camp.wavelength_m)
         with pytest.warns(UserWarning, match="dropping"), pytest.raises(ValueError, match="dominant delay peak"):
-            estimate_delay_amplitude(camp, [weights], angles[1:], [0.0], 0.5)
+            estimate_delay_amplitude(camp, [weights], angles[1:])
 
     def test_weights_angles_must_pair(self):
         camp = small_campaign(one_path_psi(), extent=0.004)
         with pytest.raises(ValueError, match="pair"):
-            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)], [], [], 0.5)
+            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)], [])
         with pytest.raises(ValueError, match="pair"):
-            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)], [(3.0, 2.0)], [], 0.5)
+            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)] * 2, [(3.0, 2.0)])
 
 
 class TestPds:
@@ -507,7 +525,7 @@ class TestEstimatePsi:
         for p in truth.paths:
             err = min(max(abs(e.elevation_deg - p.elevation_deg), abs(e.azimuth_deg - p.azimuth_deg))
                       for e in est.paths)
-            assert err <= est.grid_step_deg + 1e-9
+            assert err <= AngleGrid().elevation_step_deg + 1e-9
 
     def test_precomputed_pas_matches_internal(self, hi_campaign):
         pas = compute_pas(hi_campaign)
@@ -522,48 +540,45 @@ class TestEstimatePsi:
 
 
 class TestEstimatedPsiModel:
-    def make(self):
-        return EstimatedPsi(
-            paths=(
-                EstimatedPath(3.0, 2.0, 0.9, 22.7e-9, 0.0),
-                EstimatedPath(2.5, -48.5, 0.3, 35.3e-9, -8.3),
-            ),
-            carrier_hz=27.5e9,
-            grid_step_deg=0.5,
-        )
+    """An estimate is a PathStateInfo: paths by descending amplitude, unit large-scale gain, sum(a^2) <= 1."""
 
-    def test_json_round_trip(self):
-        est = self.make()
-        assert EstimatedPsi.from_json_dict(est.to_json_dict()) == est
+    def test_json_round_trip(self, hi_estimate, lo_estimate, tmp_path):
+        for est in (hi_estimate, lo_estimate):
+            save_psi(tmp_path / "estimated_psi.json", est)
+            assert load_psi(tmp_path / "estimated_psi.json") == est
+            assert est.large_scale_gain == 1.0 and est.normalized is False
 
     def test_unknown_field_rejected(self):
-        data = self.make().to_json_dict()
-        data["mystery"] = 1
-        with pytest.raises(ValueError, match="mystery"):
-            EstimatedPsi.from_json_dict(data)
+        # the estimator output of an earlier format carried these two fields
+        data = encode(PathStateInfo((PathComponent(3.0, 2.0, 0.9, 22.7e-9),), carrier_hz=27.5e9))
+        data["paths"][0]["prominence_db"] = 0.0
+        with pytest.raises(ConfigError, match=r"PathStateInfo\.paths\[0\]: unknown fields \['prominence_db'\]"):
+            psi_from_json_dict(data)
+        data["grid_step_deg"] = 0.5
+        with pytest.raises(ConfigError, match=r"PathStateInfo: unknown fields \['grid_step_deg'\]"):
+            psi_from_json_dict(data)
 
-    def test_amplitude_order_enforced(self):
-        with pytest.raises(ValueError, match="descending"):
-            EstimatedPsi(
-                paths=(
-                    EstimatedPath(0.0, 0.0, 0.3, 0.0, 0.0),
-                    EstimatedPath(1.0, 1.0, 0.9, 0.0, -1.0),
-                ),
-                carrier_hz=1e9,
-                grid_step_deg=0.5,
-            )
+    def test_amplitude_order_enforced(self, hi_estimate, lo_estimate):
+        for est in (hi_estimate, lo_estimate):
+            assert isinstance(est, PathStateInfo)
+            amps = [p.amplitude for p in est.paths]
+            assert amps == sorted(amps, reverse=True)
 
     def test_empty_paths_refused(self):
         with pytest.raises(ValueError, match="at least one path"):
-            EstimatedPsi(paths=(), carrier_hz=1e9, grid_step_deg=0.5)
-        data = {**self.make().to_json_dict(), "paths": []}
-        with pytest.raises(ValueError, match="at least one path"):
-            EstimatedPsi.from_json_dict(data)
+            PathStateInfo(paths=(), carrier_hz=1e9)
+        with pytest.raises(ConfigError, match="at least one path"):
+            psi_from_json_dict({"paths": [], "carrier_hz": 1e9})
 
-    def test_unit_power_cap_enforced(self):
-        with pytest.raises(ValueError, match="power"):
-            EstimatedPsi(
-                paths=(EstimatedPath(0.0, 0.0, 1.2, 0.0, 0.0),),
-                carrier_hz=1e9,
-                grid_step_deg=0.5,
-            )
+    def test_unit_power_cap_enforced(self, hi_estimate, lo_estimate):
+        for est in (hi_estimate, lo_estimate):
+            assert 0.0 < sum(p.amplitude**2 for p in est.paths) <= 1.0
+
+    def test_estimate_drives_coarse_position(self, hi_estimate, lo_estimate):
+        # in memory, no file between them: the coarse pick lands within acceptance 8's 0.5 dB of the best
+        for est, truth, cfg in ((hi_estimate, hall_psi_27p5ghz(), make_hi_scenario()),
+                                (lo_estimate, hall_psi_3p5ghz(), make_lo_scenario())):
+            pick = coarse_position(est, cfg.region)
+            _, best = brute_force_best(truth, cfg.region)
+            got = float(gain_field(truth, np.array([pick.x_m]), np.array([pick.y_m]))[0, 0])
+            assert 10.0 * math.log10(best / got) <= 0.5

@@ -10,14 +10,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from masim import estimator
 from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, gain_map
 from masim.codec import encode
 from masim.cli import main as cli_main
 from masim.harness import (
+    MAX_SNAPSHOTS,
     CampaignManifest,
     ConfigError,
     ScenarioConfig,
     StageError,
+    _snapshot_indices,
     _tx_symbols,
     build_sounding_campaign,
     compare_maps,
@@ -32,7 +35,7 @@ from masim.harness import (
     save_psi,
     synthesize_campaign,
 )
-from masim.estimator import estimate_psi
+from masim.estimator import AngleGrid, estimate_psi
 from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_27p5ghz
 from masim.signals import (
     NoiseSpec,
@@ -45,7 +48,14 @@ from masim.signals import (
     write_iq_record,
 )
 
-from conftest import TEST_NUMEROLOGY, conditioning_campaign, make_hi_scenario, records_campaign, sounding_records
+from conftest import (
+    TEST_NUMEROLOGY,
+    conditioning_campaign,
+    frame_snapshot_indices,
+    make_hi_scenario,
+    records_campaign,
+    sounding_records,
+)
 
 
 def pipeline_config(master_seed=21, noise_power=0.01):
@@ -153,21 +163,6 @@ class TestPsiSerialization:
         path = tmp_path / "psi.json"
         save_psi(path, psi)
         assert load_psi(path) == psi
-
-    def test_accepts_estimator_output(self, tmp_path):
-        from masim.estimator import EstimatedPath, EstimatedPsi
-
-        est = EstimatedPsi(
-            paths=(EstimatedPath(3.0, 2.0, 0.9, 22.7e-9, 0.0),),
-            carrier_hz=27.5e9,
-            grid_step_deg=0.5,
-        )
-        path = tmp_path / "est.json"
-        path.write_text(json.dumps(est.to_json_dict()))
-        psi = load_psi(path)
-        assert psi.paths[0].delay_s == 22.7e-9
-        assert psi.carrier_hz == 27.5e9
-        assert psi.large_scale_gain == 1.0 and psi.normalized is False
 
     def test_rejects_unknown_fields(self):
         data = encode(hall_psi_27p5ghz())
@@ -327,7 +322,22 @@ class TestInMemoryCampaign:
         for p in truth.paths:
             err = min(max(abs(e.elevation_deg - p.elevation_deg), abs(e.azimuth_deg - p.azimuth_deg))
                       for e in est.paths)
-            assert err <= est.grid_step_deg + 1e-9
+            assert err <= AngleGrid().elevation_step_deg + 1e-9
+
+    @pytest.mark.parametrize("numerology", [
+        OfdmNumerology.default(),
+        TEST_NUMEROLOGY,
+        OfdmNumerology(480e3, 127, 1, 0.0),  # M*I = 127, 128 and 129 around MAX_SNAPSHOTS
+        OfdmNumerology(480e3, 64, 2, 4 / (64 * 480e3)),
+        OfdmNumerology(480e3, 43, 3, 4 / (43 * 480e3)),
+    ])
+    def test_snapshot_indices_match_frame_indices(self, numerology):
+        sym, k = _snapshot_indices(numerology)
+        want_sym, want_k = np.divmod(frame_snapshot_indices(numerology) - numerology.cp_samples,
+                                     numerology.samples_per_symbol)
+        np.testing.assert_array_equal(sym, want_sym)
+        np.testing.assert_array_equal(k, want_k)
+        assert len(k) == min(MAX_SNAPSHOTS, numerology.num_symbols * numerology.num_subcarriers)
 
 
 class TestCampaignFiles:
@@ -365,6 +375,19 @@ class TestCampaignFiles:
     def test_on_disk_estimate_equals_in_memory(self, five_stage_run):
         _, campaign = load_sounding_campaign(five_stage_run.artifacts["sounding_campaign"])
         assert estimate_psi(campaign) == estimate_psi(build_sounding_campaign(pipeline_config(), hall_psi_27p5ghz()))
+
+    def test_estimate_file_is_the_in_memory_estimate(self, five_stage_run, tmp_path):
+        # the estimate is a PathStateInfo: it feeds gain_map directly, and its file reads back equal
+        art = five_stage_run.artifacts
+        _, campaign = load_sounding_campaign(art["sounding_campaign"])
+        est = estimate_psi(campaign)
+        assert est == load_psi(art["estimated_psi"])
+        cfg_path = tmp_path / "scenario.json"
+        pipeline_config().save(cfg_path)
+        assert cli_main(["simulate", "--config", str(cfg_path), "--psi", str(art["estimated_psi"]),
+                         "--out", str(tmp_path / "from_file.csv")]) == 0
+        gain_map(est, pipeline_config().region).to_csv(tmp_path / "in_memory.csv")
+        assert (tmp_path / "in_memory.csv").read_bytes() == (tmp_path / "from_file.csv").read_bytes()
 
     def test_statistics_record_of_wrong_length_is_refused(self, five_stage_run, tmp_path):
         # a record one snapshot short, with its manifest digest made consistent
@@ -521,10 +544,10 @@ class TestPipeline:
         # each name hashes the stage's payload: a change here orphans every cached tree
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
             "sound": "sound-4c6ae7bf6777",
-            "estimate": "estimate-9c23dbc8ef3b",
+            "estimate": "estimate-18ef2c972596",
             "measure": "measure-82f383c7761d",
-            "optimize": "optimize-4c3e19686067",
-            "export": "export-aacd63632610",
+            "optimize": "optimize-07be2747fdbd",
+            "export": "export-48ef12f583d2",
         }
 
     def test_unknown_stage_rejected(self, tmp_path):
@@ -728,7 +751,7 @@ class TestCli:
         assert "optimize_budget must be >= 1" in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_estimate_with_every_path_dropped_exits_2(self, tmp_path, capsys):
+    def test_estimate_with_every_path_dropped_exits_2(self, tmp_path, capsys, monkeypatch):
         # one zero-amplitude path: its PAS peak is noise with no dominant delay
         # peak; this used to write "paths": [] and then die with an IndexError
         region = MovementRegion(0.01, 0.01, 1e-3, 1e-3)
@@ -741,8 +764,9 @@ class TestCli:
         cdir = synthesize_campaign(cfg, psi, "ofdm", tmp_path / "camp")
         capsys.readouterr()
         out = tmp_path / "est.json"
+        monkeypatch.setattr(estimator, "MAX_PATHS", 1)  # at 8, ZF refuses the noise peaks as too close
         with pytest.warns(UserWarning, match="dropping it"):
-            rc = cli_main(["estimate", "--campaign", str(cdir), "--max-paths", "1", "--out", str(out)])
+            rc = cli_main(["estimate", "--campaign", str(cdir), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "dominant delay peak" in err and err.count("\n") == 1
@@ -781,20 +805,19 @@ class TestCli:
         assert cli_main(["estimate", "--campaign", campaign, "--out", str(bare / "est.json")]) == 0
         assert [p.name for p in bare.iterdir()] == ["est.json"]
 
-    def test_estimate_rejects_negative_max_paths(self, five_stage_run, tmp_path, capsys):
-        # -1 used to exit 0 with the weakest of the three planted paths sliced off
-        out = tmp_path / "est.json"
-        campaign = str(five_stage_run.artifacts["sounding_campaign"])
-        assert cli_main(["estimate", "--campaign", campaign, "--max-paths=-1", "--out", str(out)]) == 2
-        assert "max_paths" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_estimate_rejects_negative_prominence(self, five_stage_run, tmp_path, capsys):
-        # -5 used to exit 2 with the misleading "no paths found in the angular spectrum"
-        out = tmp_path / "est.json"
-        campaign = str(five_stage_run.artifacts["sounding_campaign"])
-        assert cli_main(["estimate", "--campaign", campaign, "--prominence-db=-5", "--out", str(out)]) == 2
-        assert "prominence_db" in capsys.readouterr().err
+    def test_estimate_file_of_an_earlier_format_refused(self, tmp_path, capsys):
+        # estimator output used to carry grid_step_deg and a per-path prominence_db,
+        # which the PSI reader dropped; such a file now fails like any unknown field
+        cfg_path, _ = input_files(tmp_path)
+        old = {"carrier_hz": 27.5e9, "grid_step_deg": 0.5,
+               "paths": [{"elevation_deg": 3.0, "azimuth_deg": 2.0, "amplitude": 0.9, "delay_s": 22.7e-9,
+                          "prominence_db": 0.0}]}
+        (tmp_path / "est.json").write_text(json.dumps(old))
+        out = tmp_path / "gain.csv"
+        rc = cli_main(["simulate", "--config", cfg_path, "--psi", str(tmp_path / "est.json"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "grid_step_deg" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_estimate_rejects_nan_angle_step(self, five_stage_run, tmp_path, capsys):
