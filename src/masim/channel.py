@@ -1,7 +1,7 @@
 """Far-field multipath channel model over a planar antenna movement region.
 
 A channel is described by path state information (PSI): per-path elevation,
-azimuth, amplitude and delay, plus a common large-scale gain. The receive
+azimuth, amplitude and delay at a carrier frequency. The receive
 antenna moves in a small 2D region C_r, so each path's propagation distance
 changes by a position-dependent delta
 
@@ -9,13 +9,13 @@ changes by a position-dependent delta
 
 and the narrowband channel seen at position r = (x, y) is
 
-    h(r) = sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r)/lambda + fc*tau_l))
+    h(r) = sum_l a_l * exp(-j*2*pi*(d_l(r)/lambda + fc*tau_l))
 
 A subcarrier at offset f from the carrier sees fc + f in place of fc.
 response_factors evaluates this one formula for every caller, and
 channel_response returns its product. The
-small-scale gain g(r) = |h(r)|^2 / beta is what the measurement campaign
-maps over the region.
+small-scale gain g(r) = |h(r)|^2 is what the measurement campaign maps over
+the region; the link budget a measurement adds on top is a constant offset.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ CSV_BLOCK_ROWS = 2**16
 """Rows write_csv formats per write."""
 
 
-def to_db(values, floor: float = 1e-30):
-    """10*log10 with a floor so exact nulls do not produce -inf."""
-    return 10.0 * np.log10(np.maximum(values, floor))
+def to_db(values):
+    """10*log10 with a floor of 1e-30 so exact nulls do not produce -inf."""
+    return 10.0 * np.log10(np.maximum(values, 1e-30))
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,11 @@ class PathComponent:
 
 
 @dataclass(frozen=True)
-class PathStateInfo:
-    """A set of paths plus large-scale gain and the carrier they were observed at.
-
-    When constructed with normalized=True the amplitudes must satisfy
-    sum(a_l^2) in [0.99, 1.01]; this is the convention used for path sets
-    estimated from a sounding campaign, where the strongest few paths carry
-    nearly all received power.
-    """
+class PathStateInfo(JsonCodec):
+    """A set of paths and the carrier they were observed at."""
 
     paths: tuple[PathComponent, ...]
     carrier_hz: float
-    large_scale_gain: float = 1.0
-    normalized: bool = False
 
     def __post_init__(self):
         if len(self.paths) == 0:
@@ -93,12 +85,6 @@ class PathStateInfo:
         object.__setattr__(self, "paths", tuple(self.paths))
         if self.carrier_hz <= 0.0:
             raise ValueError(f"carrier_hz must be > 0: {self.carrier_hz}")
-        if self.large_scale_gain <= 0.0:
-            raise ValueError(f"large_scale_gain must be > 0: {self.large_scale_gain}")
-        if self.normalized:
-            total = sum(p.amplitude**2 for p in self.paths)
-            if not 0.99 <= total <= 1.01:
-                raise ValueError(f"normalized PSI requires sum(a^2) in [0.99, 1.01], got {total:.6f}")
 
     @property
     def num_paths(self) -> int:
@@ -205,8 +191,9 @@ class MovementRegion(JsonCodec):
         """(Q, 2) array of the grid's (x, y) points, in the row-major order of positions()."""
         return np.stack(np.meshgrid(self.grid_x(), self.grid_y()), axis=-1).reshape(-1, 2)
 
-    def contains(self, pos: Position, tol: float = 1e-12) -> bool:
-        return (-tol <= pos.x_m <= self.x_extent_m + tol) and (-tol <= pos.y_m <= self.y_extent_m + tol)
+    def contains(self, pos: Position) -> bool:
+        """Whether pos lies in the region, up to 1e-12 m."""
+        return (-1e-12 <= pos.x_m <= self.x_extent_m + 1e-12) and (-1e-12 <= pos.y_m <= self.y_extent_m + 1e-12)
 
     def clamp(self, x_m: float, y_m: float) -> Position:
         return Position(
@@ -227,11 +214,7 @@ def response_factors(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> tuple[
     steer = 1j * d
     np.exp(steer, out=steer)  # in place: on a gain map (Q, L) is the largest array
     freqs = psi.carrier_hz + np.asarray(offsets_hz)[None, :]
-    coeff = (
-        math.sqrt(psi.large_scale_gain)
-        * psi.amplitudes[:, None]
-        * np.exp(-2j * np.pi * freqs * psi.delays_s[:, None])
-    )  # (L, K)
+    coeff = psi.amplitudes[:, None] * np.exp(-2j * np.pi * freqs * psi.delays_s[:, None])  # (L, K)
     return steer, coeff
 
 
@@ -239,7 +222,7 @@ def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.nda
     """The model's response h(r_q, fc + f_k) at Q positions and K frequency offsets, (Q, K).
 
     positions is anything reshapeable to (Q, 2) of (x, y) in meters. Entry
-    (q, k) is sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r_q)/lambda + (fc + f_k)*tau_l)),
+    (q, k) is sum_l a_l * exp(-j*2*pi*(d_l(r_q)/lambda + (fc + f_k)*tau_l)),
     evaluated as the (Q, L) steering phases times the (L, K) path
     coefficients of response_factors. Those two factors are the only
     evaluation of the model: the tone channel and the gain field call this,
@@ -353,9 +336,9 @@ def row_major_axes(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray,
 
 
 def gain_field(psi: PathStateInfo, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:
-    """Small-scale gain g(r) = |h(r)|^2 / beta over the outer grid of x_m and y_m, (n_y, n_x)."""
+    """Small-scale gain g(r) = |h(r)|^2 over the outer grid of x_m and y_m, (n_y, n_x)."""
     h = channel_response(psi, np.stack(np.meshgrid(x_m, y_m), axis=-1))
-    return (np.abs(h) ** 2 / psi.large_scale_gain).reshape(len(y_m), len(x_m))
+    return (np.abs(h) ** 2).reshape(len(y_m), len(x_m))
 
 
 def gain_map(psi: PathStateInfo, region: MovementRegion) -> DbMap:

@@ -9,15 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .channel import gain_map
-from .estimator import AngleGrid
 from .harness import (
     ConfigError,
     ScenarioConfig,
     StageError,
     _atomic_write_json,
+    _check_carrier,
     compare_maps,
     estimate_campaign,
     load_map_csv,
@@ -30,16 +29,10 @@ from .harness import (
 from .mover import MoveAborted
 
 
-def _load_config(path, seed: int | None) -> ScenarioConfig:
-    cfg = ScenarioConfig.load(path)
-    if seed is not None:
-        cfg = replace(cfg, master_seed=seed)
-    return cfg
-
-
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    cfg = ScenarioConfig.load(args.config)
     psi = load_psi(args.psi)
+    _check_carrier(cfg, psi)
     gm = gain_map(psi, cfg.region)
     gm.to_csv(args.out)
     peak = gm.argmax_position()
@@ -50,7 +43,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sound(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    cfg = ScenarioConfig.load(args.config)
     psi = load_psi(args.psi)
     out = synthesize_campaign(cfg, psi, args.mode, args.out_dir)
     n = cfg.sounding_region.num_points if args.mode == "ofdm" else cfg.region.num_points
@@ -68,18 +61,17 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    grid = AngleGrid(args.el_step, args.az_step)
-    est = estimate_campaign(args.campaign, grid, args.out, args.pas, args.pds)
+    est = estimate_campaign(args.campaign, args.out, args.pas, args.pds)
     print(f"wrote {args.out}: {est.num_paths} paths, "
           f"strongest ({est.paths[0].elevation_deg:g}, {est.paths[0].azimuth_deg:g}) deg")
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    cfg = _load_config(args.region, args.seed)
+    cfg = ScenarioConfig.load(args.region)
     psi = load_psi(args.psi)
     est = load_psi(args.est) if args.est is not None else psi
-    res = optimize_on_slide_track(cfg, psi, est, budget=args.budget, refine_step_m=args.refine_step)
+    res = optimize_on_slide_track(cfg, psi, est, budget=args.budget)
     _atomic_write_json(args.out, res.to_json_dict())
     print(f"wrote {args.out}: {res.final_power_dbr:.2f} dBr at "
           f"({res.final_position.x_m * 1e3:.3f}, {res.final_position.y_m * 1e3:.3f}) mm "
@@ -88,7 +80,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    cfg = ScenarioConfig.load(args.config)
     psi = load_psi(args.psi)
     stages = {s.strip() for s in args.stages.split(",") if s.strip()}
     stages.add("export")
@@ -113,19 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="masim", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="scenario config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the config master seed")
-
     p = sub.add_parser("simulate", help="gain map of a known channel over the fine grid")
-    common(p)
+    p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--psi", required=True, help="path state JSON")
     p.add_argument("--out", default="gain_map.csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sound", help="synthesize a campaign directory of IQ records")
-    common(p)
+    p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--psi", required=True, help="path state JSON")
     p.add_argument("--mode", choices=("ofdm", "tone"), default="ofdm")
     p.add_argument("--out-dir", default="campaign")
@@ -137,10 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("estimate", help="estimate path state from a sounding campaign")
-    grid = AngleGrid()
     p.add_argument("--campaign", required=True, help="ofdm campaign directory")
-    p.add_argument("--el-step", type=float, default=grid.elevation_step_deg, help="elevation grid step in degrees")
-    p.add_argument("--az-step", type=float, default=grid.azimuth_step_deg, help="azimuth grid step in degrees")
     p.add_argument("--out", default="estimated_psi.json")
     p.add_argument("--pas", default=None, help="also write the angular spectrum CSV here")
     p.add_argument("--pds", default=None, help="also write the delay spectrum CSV here")
@@ -151,13 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--est", default=None, help="estimated path state for the coarse stage (default: --psi)")
     p.add_argument("--region", required=True, help="scenario config JSON supplying region and noise")
     p.add_argument("--budget", type=int, default=50, help="measurement budget")
-    p.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    p.add_argument("--refine-step", type=float, default=None, help="initial refinement step in meters")
     p.add_argument("--out", default="move_result.json")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("export", help="run pipeline stages and collect their artifacts")
-    common(p)
+    p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--psi", required=True, help="path state JSON")
     p.add_argument("--stages", default="export", help="comma list from sound,estimate,measure,optimize")
     p.add_argument("--budget", type=int, default=50)

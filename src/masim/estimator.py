@@ -152,18 +152,11 @@ class SoundingCampaign:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT_M_PER_S / self.carrier_hz
 
-    def positions_array(self) -> np.ndarray:
-        return self.region.positions_array()
-
     def samples_matrix(self) -> np.ndarray:
         """(Q, n_snap) block of the retained payload snapshots, row-major like the region's points, not copied."""
         if self._samples is None:
             self._samples, self._snapshots = self._snapshots, None
         return self._samples
-
-    def grid_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x values, y values) of the region's grid."""
-        return self.region.grid_x(), self.region.grid_y()
 
 
 @dataclass(frozen=True)
@@ -248,7 +241,7 @@ def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> Pa
     n_snap = snaps.shape[0]
     el_rad = np.radians(els)
 
-    xs, ys = campaign.grid_axes()
+    xs, ys = campaign.region.grid_x(), campaign.region.grid_y()
     nx = len(xs)
     w2d = np.outer(np.kaiser(len(ys), PAS_TAPER_BETA), np.kaiser(nx, PAS_TAPER_BETA))
     s3 = snaps.reshape(n_snap, len(ys), nx) * w2d[None, :, :]
@@ -400,9 +393,8 @@ def estimate_delay_amplitude(
     subcarrier average |mean_i G[i]*exp(j*2*pi*i*df*tau_hat)|, normalized by
     the total channel power, so sum(amplitude^2) is the power fraction the
     found paths explain (<= 1). The PathStateInfo returned lists its paths
-    by descending amplitude, with unit large_scale_gain and normalized
-    false. Paths without a dominant delay peak are dropped with a warning;
-    ValueError is raised when that drops them all.
+    by descending amplitude. Paths without a dominant delay peak are
+    dropped with a warning; ValueError is raised when that drops them all.
     """
     if len(weights) != len(angles):
         raise ValueError("weights and angles must pair up")
@@ -411,7 +403,7 @@ def estimate_delay_amplitude(
     df = num.subcarrier_spacing_hz
     fc = campaign.carrier_hz
     h_freq = frequency_response(campaign)
-    positions = campaign.positions_array()
+    positions = campaign.region.positions_array()
     lam = campaign.wavelength_m
     idx = np.arange(i_n)
     n_fft = DELAY_OVERSAMPLE * i_n
@@ -476,7 +468,7 @@ def estimate_psi(
     """
     grid = grid or AngleGrid()
     lam = campaign.wavelength_m
-    for axis in campaign.grid_axes():
+    for axis in (campaign.region.grid_x(), campaign.region.grid_y()):
         step = float(np.max(np.diff(axis), initial=0.0))
         if step > lam / 2.0 * (1.0 + 1e-9):
             raise DegenerateGeometryError(
@@ -488,6 +480,6 @@ def estimate_psi(
     if not peaks:
         raise ValueError("no paths found in the angular spectrum")
     angles = [(p.elevation_deg, p.azimuth_deg) for p in peaks]
-    positions = campaign.positions_array()
+    positions = campaign.region.positions_array()
     weights = [zf_weights(angles, i, positions, lam) for i in range(len(angles))]
     return estimate_delay_amplitude(campaign, weights, angles)

@@ -20,7 +20,8 @@ stages downstream of the change. The STAGES table is the one description
 of the stages: in run order, each entry names its upstream stages (export
 follows every other requested stage), its artifacts relative to the stage
 directory, and its body. The CLI's estimate and optimize commands run the
-same code as those stages' bodies (estimate_campaign, optimize_on_slide_track).
+same code as those stages' bodies (estimate_campaign, optimize_on_slide_track)
+and have no setting of their own.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ from .channel import (
     read_grid_csv,
     response_factors,
 )
-from .codec import ConfigError, JsonCodec, decode, encode
+from .codec import ConfigError, JsonCodec, encode
 from .estimator import (
-    AngleGrid,
     SoundingCampaign,
     compute_pas,
     compute_pds,
@@ -190,17 +190,12 @@ def _load_json(path) -> dict:
     return data
 
 
-def psi_from_json_dict(data: dict) -> PathStateInfo:
-    """Parse path state from JSON; large_scale_gain and normalized default to 1 and false."""
-    return decode(PathStateInfo, {"large_scale_gain": 1.0, "normalized": False, **data}, "PathStateInfo")
-
-
 def load_psi(path) -> PathStateInfo:
-    return psi_from_json_dict(_load_json(path))
+    return PathStateInfo.from_json_dict(_load_json(path))
 
 
 def save_psi(path, psi: PathStateInfo) -> None:
-    _atomic_write_json(path, encode(psi))
+    _atomic_write_json(path, psi.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +203,7 @@ def save_psi(path, psi: PathStateInfo) -> None:
 
 
 def _check_carrier(cfg: ScenarioConfig, psi: PathStateInfo) -> None:
+    """Refuse a path state observed at another carrier than the scenario's."""
     if abs(cfg.carrier_hz - psi.carrier_hz) > 1e-3:
         raise ConfigError(
             f"scenario carrier {cfg.carrier_hz} Hz and path state carrier {psi.carrier_hz} Hz disagree"
@@ -458,14 +454,15 @@ def optimize_on_slide_track(
     psi: PathStateInfo,
     est: PathStateInfo,
     budget: int,
-    refine_step_m: float | None,
 ) -> MoveResult:
     """Two-stage placement over cfg.region on a simulated slide track.
 
     The track measures the true channel psi with the scenario's tone and
     noise, seeded from its master seed; est drives the coarse stage. The
-    refinement starts at refine_step_m, or at the coarser grid step when it is None.
+    refinement starts at the coarser grid step.
     """
+    _check_carrier(cfg, psi)
+    _check_carrier(cfg, est)
     track = SimulatedSlideTrack(
         psi=psi,
         region=cfg.region,
@@ -474,7 +471,7 @@ def optimize_on_slide_track(
         num_samples=cfg.samples_per_measurement,
         master_seed=derive_seed(cfg.master_seed, "mover"),
     )
-    step = refine_step_m if refine_step_m is not None else max(cfg.region.x_step_m, cfg.region.y_step_m)
+    step = max(cfg.region.x_step_m, cfg.region.y_step_m)
     return optimize(est, cfg.region, track, refine_step_m=step, budget=budget)
 
 
@@ -482,15 +479,16 @@ def optimize_on_slide_track(
 # pipeline
 
 
-def estimate_campaign(campaign_dir, grid: AngleGrid, est_path, pas_path=None, pds_path=None) -> PathStateInfo:
+def estimate_campaign(campaign_dir, est_path, pas_path=None, pds_path=None) -> PathStateInfo:
     """Estimate path state from an on-disk sounding campaign and write it to est_path with save_psi.
 
-    pas_path and pds_path, when given, also receive the angular and delay
-    spectra as CSV. Both `masim estimate` and the estimate stage run this.
+    The angular scan runs on AngleGrid(). pas_path and pds_path, when given,
+    also receive the angular and delay spectra as CSV. Both `masim estimate`
+    and the estimate stage run this.
     """
     _, campaign = load_sounding_campaign(campaign_dir)
-    pas = compute_pas(campaign, grid)
-    est = estimate_psi(campaign, grid, pas=pas)
+    pas = compute_pas(campaign)
+    est = estimate_psi(campaign, pas=pas)
     save_psi(est_path, est)
     if pas_path is not None:
         pas.to_csv(pas_path)
@@ -504,8 +502,7 @@ def _sound(sdir, cfg, psi, inputs):
 
 
 def _estimate(sdir, cfg, psi, inputs):
-    estimate_campaign(inputs["sounding_campaign"], AngleGrid(), sdir / "estimated_psi.json",
-                      sdir / "pas.csv", sdir / "pds.csv")
+    estimate_campaign(inputs["sounding_campaign"], sdir / "estimated_psi.json", sdir / "pas.csv", sdir / "pds.csv")
 
 
 def _measure(sdir, cfg, psi, inputs):
@@ -515,7 +512,7 @@ def _measure(sdir, cfg, psi, inputs):
 
 def _optimize(sdir, cfg, psi, inputs, budget):
     est = load_psi(inputs["estimated_psi"])
-    res = optimize_on_slide_track(cfg, psi, est, budget=budget, refine_step_m=None)
+    res = optimize_on_slide_track(cfg, psi, est, budget=budget)
     _atomic_write_json(sdir / "move_result.json", res.to_json_dict())
 
 
@@ -582,6 +579,7 @@ def run_pipeline(
         raise ConfigError(f"unknown pipeline stages: {sorted(unknown)}")
     if optimize_budget < 1:
         raise ConfigError(f"optimize_budget must be >= 1: {optimize_budget}")
+    _check_carrier(cfg, psi)
     # upstream stages come earlier in STAGES, so one backward pass closes the set
     for name in reversed(STAGES):
         if name in requested:
@@ -601,7 +599,7 @@ def run_pipeline(
             "stage": name,
             "format": MANIFEST_FORMAT,
             "scenario": cfg.to_json_dict(),
-            "psi": encode(psi),
+            "psi": psi.to_json_dict(),
             "params": params[name],
             "parents": [hashes[p] for p in parents],
         }

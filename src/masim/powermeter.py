@@ -93,7 +93,7 @@ def sweep_measure(region: MovementRegion, captures: Iterable[np.ndarray], sample
     region.num_points of them, or ValueError is raised. The map's column is
     power_dbr: dB relative to unit transmit scale, with no absolute power
     calibration, so its values differ from the simulated gain map by the
-    constant 10*log10(beta*pt).
+    constant 10*log10(pt) of a tone sent at power pt.
     """
     powers = []
     for samples in captures:

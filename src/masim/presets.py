@@ -28,7 +28,6 @@ def hall_psi_3p5ghz() -> PathStateInfo:
             PathComponent(14.0, -52.0, 0.1673, 40.5e-9),
         ),
         carrier_hz=3.5e9,
-        normalized=True,
     )
 
 
@@ -41,7 +40,6 @@ def hall_psi_27p5ghz() -> PathStateInfo:
             PathComponent(2.5, 49.5, 0.3053, 34.8e-9),
         ),
         carrier_hz=27.5e9,
-        normalized=True,
     )
 
 

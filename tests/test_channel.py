@@ -66,14 +66,14 @@ def steering(psi, pos):
 
 
 def loop_response(psi, x, y, offset_hz=0.0):
-    """sqrt(beta) * sum_l a_l * exp(-j*2*pi*(d_l(r)/lambda + (fc + f)*tau_l)), one path at a time."""
+    """sum_l a_l * exp(-j*2*pi*(d_l(r)/lambda + (fc + f)*tau_l)), one path at a time."""
     h = 0j
     for p in psi.paths:
         el, az = math.radians(p.elevation_deg), math.radians(p.azimuth_deg)
         d = x * math.cos(el) * math.sin(az) + y * math.sin(el)
         cycles = d / psi.wavelength_m + (psi.carrier_hz + offset_hz) * p.delay_s
         h += p.amplitude * complex(math.cos(2 * math.pi * cycles), -math.sin(2 * math.pi * cycles))
-    return math.sqrt(psi.large_scale_gain) * h
+    return h
 
 
 def assert_matches_loop(psi, xy, offsets):
@@ -83,7 +83,7 @@ def assert_matches_loop(psi, xy, offsets):
     expect = np.array([[loop_response(psi, x, y, f) for f in offsets] for x, y in xy])
     # phases reach ~6000 cycles, so the two evaluation orders part at ~1e-11;
     # the floor, below every normal float, covers a one-step subnormal split
-    scale = math.sqrt(psi.large_scale_gain) * sum(p.amplitude for p in psi.paths)
+    scale = sum(p.amplitude for p in psi.paths)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9 * scale + np.finfo(float).tiny)
 
 
@@ -172,12 +172,6 @@ class TestChannelResponse:
         coefficients = psi.amplitudes * np.exp(-2j * np.pi * psi.carrier_hz * psi.delays_s)
         assert h == pytest.approx(np.sum(coefficients), abs=1e-15)
 
-    def test_large_scale_gain_scales_amplitude(self):
-        psi = table3()
-        psi4 = PathStateInfo(paths=psi.paths, carrier_hz=psi.carrier_hz, large_scale_gain=4.0)
-        pos = Position(0.003, 0.007)
-        assert h_at(psi4, pos) == pytest.approx(2.0 * h_at(psi, pos), rel=1e-14)
-
     @settings(max_examples=40)
     @given(shift_ns=finite(-22.0, 100.0), x=finite(0.0, 0.05), y=finite(0.0, 0.05))
     def test_gain_invariant_under_global_delay_shift(self, shift_ns, x, y):
@@ -203,12 +197,6 @@ class TestChannelResponse:
         bound = sum(p.amplitude for p in psi.paths) ** 2
         assert gain_at(psi, Position(x, y)) <= bound + 1e-9
 
-    def test_gain_excludes_large_scale_factor(self):
-        psi = table3()
-        psi9 = PathStateInfo(paths=psi.paths, carrier_hz=psi.carrier_hz, large_scale_gain=9.0)
-        pos = Position(0.011, 0.002)
-        assert gain_at(psi9, pos) == pytest.approx(gain_at(psi, pos), rel=1e-12)
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_per_path_loop(self, data):
@@ -220,18 +208,16 @@ class TestChannelResponse:
                           data.draw(finite(0.0, 2.0)), data.draw(finite(0.0, 100e-9)))
             for _ in range(n_paths)
         )
-        psi = PathStateInfo(paths=paths, carrier_hz=data.draw(finite(1e9, 60e9)),
-                            large_scale_gain=data.draw(finite(1.5, 10.0)))
+        psi = PathStateInfo(paths=paths, carrier_hz=data.draw(finite(1e9, 60e9)))
         xy = data.draw(st.lists(st.tuples(finite(-0.5, 0.5), finite(-0.5, 0.5)), min_size=1, max_size=4))
         offsets = data.draw(st.lists(finite(-200e6, 200e6), min_size=1, max_size=4))
         assert_matches_loop(psi, xy, offsets)
 
     def test_subnormal_amplitude_matches_per_path_loop(self):
-        # the kernel gives 5e-324+1e-323j here and the loop 0+1e-323j; the
+        # the kernel gives 5e-324+5e-324j here and the loop 0+5e-324j; the
         # amplitude-scaled bound alone underflows to 0
-        psi = PathStateInfo(paths=(PathComponent(30.0, 0.0, 5e-324, 0.0),), carrier_hz=27.5e9,
-                            large_scale_gain=3.7)
-        assert_matches_loop(psi, [(0.0, -0.2)], [0.0])
+        psi = PathStateInfo(paths=(PathComponent(27.3, 0.0, 5e-324, 32.359e-9),), carrier_hz=27.5e9)
+        assert_matches_loop(psi, [(0.0, 0.046)], [0.0])
 
 
 class TestPsiValidation:
@@ -242,12 +228,6 @@ class TestPsiValidation:
     def test_rejects_nonpositive_carrier(self):
         with pytest.raises(ValueError, match="carrier_hz"):
             PathStateInfo(paths=(PathComponent(0, 0, 1.0, 0.0),), carrier_hz=0.0)
-
-    def test_normalized_power_window(self):
-        good = (PathComponent(0, 0, 0.8, 0.0), PathComponent(1, 1, 0.6, 1e-9))
-        PathStateInfo(paths=good, carrier_hz=1e9, normalized=True)  # 0.8^2+0.6^2 = 1.0
-        with pytest.raises(ValueError, match="normalized"):
-            PathStateInfo(paths=(PathComponent(0, 0, 0.5, 0.0),), carrier_hz=1e9, normalized=True)
 
 
 class TestMovementRegion:

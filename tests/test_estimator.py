@@ -44,7 +44,6 @@ from masim.harness import (
     build_sounding_campaign,
     load_psi,
     load_sounding_campaign,
-    psi_from_json_dict,
     save_psi,
     synthesize_campaign,
 )
@@ -134,9 +133,9 @@ def oracle_direct_pas(campaign, grid):
 
     Uses the same separable Kaiser taper as compute_pas, applied per position.
     """
-    xs, ys = campaign.grid_axes()
+    xs, ys = campaign.region.grid_x(), campaign.region.grid_y()
     taper = np.outer(np.kaiser(len(ys), PAS_TAPER_BETA), np.kaiser(len(xs), PAS_TAPER_BETA)).ravel()
-    pos = campaign.positions_array()  # row-major (y, x), like the taper
+    pos = campaign.region.positions_array()  # row-major (y, x), like the taper
     y = campaign.samples_matrix() * taper[:, None]  # (Q, n_snap)
     lam = campaign.wavelength_m
     az = np.radians(grid.azimuths_deg())
@@ -248,7 +247,7 @@ class TestPas:
     ], ids=["7x4", "x_track", "x_column", "33x2"])
     def test_lag_sums_match_generic_scan(self, extent, y_extent, shape):
         camp = small_campaign(hall_psi_27p5ghz(), extent=extent, y_extent=y_extent)
-        xs, ys = camp.grid_axes()
+        xs, ys = camp.region.grid_x(), camp.region.grid_y()
         assert (len(ys), len(xs)) == shape
         grid = AngleGrid(2.5, 2.5)
         np.testing.assert_allclose(compute_pas(camp, grid).values, oracle_direct_pas(camp, grid), rtol=1e-9)
@@ -354,7 +353,7 @@ class TestZeroForcing:
     def test_nulls_other_paths(self, lo_campaign):
         peaks = find_paths(compute_pas(lo_campaign))
         angles = [(p.elevation_deg, p.azimuth_deg) for p in peaks]
-        positions = lo_campaign.positions_array()
+        positions = lo_campaign.region.positions_array()
         lam = lo_campaign.wavelength_m
         w0 = zf_weights(angles, 0, positions, lam)
         for el, az in angles[1:]:
@@ -446,7 +445,7 @@ class TestDelayAmplitude:
 
     def test_bogus_angle_dropped_with_warning(self):
         camp = small_campaign(one_path_psi(), noise_power=0.01, seed=9)
-        positions = camp.positions_array()
+        positions = camp.region.positions_array()
         lam = camp.wavelength_m
         angles = [(3.0, 2.0), (-40.0, -70.0)]
         weights = [zf_weights(angles, i, positions, lam) for i in range(2)]
@@ -460,7 +459,7 @@ class TestDelayAmplitude:
         # an estimate with no paths used to be returned and written
         camp = small_campaign(one_path_psi(), noise_power=0.01, seed=9)
         angles = [(3.0, 2.0), (-40.0, -70.0)]
-        weights = zf_weights(angles, 1, camp.positions_array(), camp.wavelength_m)
+        weights = zf_weights(angles, 1, camp.region.positions_array(), camp.wavelength_m)
         with pytest.warns(UserWarning, match="dropping"), pytest.raises(ValueError, match="dominant delay peak"):
             estimate_delay_amplitude(camp, [weights], angles[1:])
 
@@ -540,23 +539,22 @@ class TestEstimatePsi:
 
 
 class TestEstimatedPsiModel:
-    """An estimate is a PathStateInfo: paths by descending amplitude, unit large-scale gain, sum(a^2) <= 1."""
+    """An estimate is a PathStateInfo: paths by descending amplitude, sum(a^2) <= 1."""
 
     def test_json_round_trip(self, hi_estimate, lo_estimate, tmp_path):
         for est in (hi_estimate, lo_estimate):
             save_psi(tmp_path / "estimated_psi.json", est)
             assert load_psi(tmp_path / "estimated_psi.json") == est
-            assert est.large_scale_gain == 1.0 and est.normalized is False
 
     def test_unknown_field_rejected(self):
         # the estimator output of an earlier format carried these two fields
         data = encode(PathStateInfo((PathComponent(3.0, 2.0, 0.9, 22.7e-9),), carrier_hz=27.5e9))
         data["paths"][0]["prominence_db"] = 0.0
         with pytest.raises(ConfigError, match=r"PathStateInfo\.paths\[0\]: unknown fields \['prominence_db'\]"):
-            psi_from_json_dict(data)
+            PathStateInfo.from_json_dict(data)
         data["grid_step_deg"] = 0.5
         with pytest.raises(ConfigError, match=r"PathStateInfo: unknown fields \['grid_step_deg'\]"):
-            psi_from_json_dict(data)
+            PathStateInfo.from_json_dict(data)
 
     def test_amplitude_order_enforced(self, hi_estimate, lo_estimate):
         for est in (hi_estimate, lo_estimate):
@@ -568,7 +566,7 @@ class TestEstimatedPsiModel:
         with pytest.raises(ValueError, match="at least one path"):
             PathStateInfo(paths=(), carrier_hz=1e9)
         with pytest.raises(ConfigError, match="at least one path"):
-            psi_from_json_dict({"paths": [], "carrier_hz": 1e9})
+            PathStateInfo.from_json_dict({"paths": [], "carrier_hz": 1e9})
 
     def test_unit_power_cap_enforced(self, hi_estimate, lo_estimate):
         for est in (hi_estimate, lo_estimate):

@@ -30,7 +30,6 @@ from masim.harness import (
     load_psi,
     load_sounding_campaign,
     measure_campaign,
-    psi_from_json_dict,
     run_pipeline,
     save_psi,
     synthesize_campaign,
@@ -153,7 +152,7 @@ class TestScenarioConfig:
 class TestPsiSerialization:
     def test_round_trip_exact(self):
         psi = hall_psi_27p5ghz()
-        back = psi_from_json_dict(encode(psi))
+        back = PathStateInfo.from_json_dict(encode(psi))
         assert back == psi
         for a, b in zip(back.paths, psi.paths):
             assert a.delay_s == b.delay_s  # bitwise, not approximately
@@ -168,7 +167,7 @@ class TestPsiSerialization:
         data = encode(hall_psi_27p5ghz())
         data["paths"][0]["bogus"] = 1
         with pytest.raises(ConfigError, match="bogus"):
-            psi_from_json_dict(data)
+            PathStateInfo.from_json_dict(data)
 
 
 class TestToneSynthesis:
@@ -245,7 +244,7 @@ class TestInMemoryCampaign:
         cfg = sounding_config(numerology)
         psi = hall_psi_27p5ghz()
         direct, reduced = build_sounding_campaign(cfg, psi), records_campaign(cfg, psi)
-        np.testing.assert_array_equal(direct.positions_array(), reduced.positions_array())
+        assert direct.region == reduced.region
         np.testing.assert_allclose(direct.h_freq, reduced.h_freq, rtol=0, atol=1e-12)
         np.testing.assert_allclose(direct.samples_matrix(), reduced.samples_matrix(), rtol=0, atol=1e-12)
         assert not direct.h_freq.flags.writeable
@@ -303,7 +302,7 @@ class TestInMemoryCampaign:
         large = build_sounding_campaign(sounding_config(TEST_NUMEROLOGY, (0.05, 0.04), noise_power=0.01), psi)
         q = small.num_positions
         assert (q, large.num_positions) == (51 * 31, 51 * 41)
-        np.testing.assert_array_equal(large.positions_array()[:q], small.positions_array())
+        np.testing.assert_array_equal(large.region.positions_array()[:q], small.region.positions_array())
         np.testing.assert_array_equal(large.h_freq[:q], small.h_freq)
         np.testing.assert_array_equal(large.samples_matrix()[:q], small.samples_matrix())
 
@@ -543,11 +542,11 @@ class TestPipeline:
     def test_stage_directory_names_pinned(self, five_stage_run):
         # each name hashes the stage's payload: a change here orphans every cached tree
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
-            "sound": "sound-4c6ae7bf6777",
-            "estimate": "estimate-18ef2c972596",
-            "measure": "measure-82f383c7761d",
-            "optimize": "optimize-07be2747fdbd",
-            "export": "export-48ef12f583d2",
+            "sound": "sound-97e79404ec8e",
+            "estimate": "estimate-9e7f5db06e4a",
+            "measure": "measure-4a1558973e69",
+            "optimize": "optimize-40023b063510",
+            "export": "export-d3890103a929",
         }
 
     def test_unknown_stage_rejected(self, tmp_path):
@@ -807,46 +806,40 @@ class TestCli:
 
     def test_estimate_file_of_an_earlier_format_refused(self, tmp_path, capsys):
         # estimator output used to carry grid_step_deg and a per-path prominence_db,
-        # which the PSI reader dropped; such a file now fails like any unknown field
+        # which the PSI reader dropped, and a path state file used to carry
+        # large_scale_gain and normalized, which it filled in when absent; such a
+        # file now fails like any unknown field
         cfg_path, _ = input_files(tmp_path)
-        old = {"carrier_hz": 27.5e9, "grid_step_deg": 0.5,
-               "paths": [{"elevation_deg": 3.0, "azimuth_deg": 2.0, "amplitude": 0.9, "delay_s": 22.7e-9,
-                          "prominence_db": 0.0}]}
-        (tmp_path / "est.json").write_text(json.dumps(old))
+        path = {"elevation_deg": 3.0, "azimuth_deg": 2.0, "amplitude": 0.9, "delay_s": 22.7e-9}
+        olds = {
+            "grid_step_deg": {"carrier_hz": 27.5e9, "grid_step_deg": 0.5, "paths": [{**path, "prominence_db": 0.0}]},
+            "large_scale_gain": {"carrier_hz": 27.5e9, "large_scale_gain": 1.0, "paths": [path]},
+            "normalized": {"carrier_hz": 27.5e9, "normalized": False, "paths": [path]},
+        }
         out = tmp_path / "gain.csv"
-        rc = cli_main(["simulate", "--config", cfg_path, "--psi", str(tmp_path / "est.json"), "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "grid_step_deg" in err and err.count("\n") == 1
-        assert not out.exists()
+        for field, old in olds.items():
+            (tmp_path / "est.json").write_text(json.dumps(old))
+            rc = cli_main(["simulate", "--config", cfg_path, "--psi", str(tmp_path / "est.json"), "--out", str(out)])
+            assert rc == 2, field
+            err = capsys.readouterr().err
+            assert field in err and err.count("\n") == 1
+            assert not out.exists()
 
-    def test_estimate_rejects_nan_angle_step(self, five_stage_run, tmp_path, capsys):
-        # nan used to exit 2 with "cannot convert float NaN to integer"
-        out = tmp_path / "est.json"
-        campaign = str(five_stage_run.artifacts["sounding_campaign"])
-        assert cli_main(["estimate", "--campaign", campaign, "--el-step=nan", "--out", str(out)]) == 2
-        assert "angle step" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_estimate_rejects_oversized_angle_grid(self, tmp_path, capsys):
-        # 0.001 degree steps on a 5 x 5 campaign died with a 241 GiB allocation (exit 1)
-        cfg = dataclasses.replace(pipeline_config(), sounding_region=MovementRegion(0.004, 0.004, 1e-3, 1e-3))
-        cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "ofdm", tmp_path / "camp")
-        out = tmp_path / "est.json"
-        rc = cli_main(["estimate", "--campaign", str(cdir), "--el-step", "0.001", "--az-step", "0.001", "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "180001 x 180001 angle grid exceeds" in err and err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("step", ["nan", "inf"])
-    def test_optimize_rejects_non_finite_refine_step(self, tmp_path, capsys, step):
-        # nan used to exit 0 after one measurement, inf to exit 3 on a move to (0.02, nan)
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--config", "{cfg}", "--psi", "{other}", "--out", "{out}"],
+        ["optimize", "--psi", "{other}", "--region", "{cfg}", "--out", "{out}"],
+        ["optimize", "--psi", "{psi}", "--est", "{other}", "--region", "{cfg}", "--out", "{out}"],
+        ["export", "--config", "{cfg}", "--psi", "{other}", "--out-dir", "{out}"],
+    ], ids=["simulate", "optimize-psi", "optimize-est", "export"])
+    def test_path_state_at_another_carrier_exits_2(self, tmp_path, capsys, command):
+        # each used to exit 0, having worked at the 3.5 GHz wavelength over a 27.5 GHz scenario
         cfg_path, psi_path = input_files(tmp_path)
-        out = tmp_path / "move_result.json"
-        assert cli_main(["optimize", "--psi", psi_path, "--region", cfg_path, f"--refine-step={step}",
-                         "--out", str(out)]) == 2
-        assert "refine_step_m" in capsys.readouterr().err
+        other = tmp_path / "psi_3p5ghz.json"
+        save_psi(other, hall_psi_3p5ghz())
+        out = tmp_path / "out"
+        assert cli_main([arg.format(cfg=cfg_path, psi=psi_path, other=other, out=out) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert "carrier" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_optimize_matches_stage(self, five_stage_run, tmp_path):

@@ -23,6 +23,12 @@ def test_carrier_agrees_with_hall_psi(preset):
     _check_carrier(cfg, psi)
 
 
+def test_hall_psi_power_window(preset):
+    # the bundled paths carry nearly all received power: sum(a^2) in [0.99, 1.01]
+    _, psi, _, _ = preset
+    assert 0.99 <= sum(p.amplitude**2 for p in psi.paths) <= 1.01
+
+
 def test_grids(preset):
     cfg, _, power_shape, sounding_shape = preset
     assert cfg.region.shape == power_shape

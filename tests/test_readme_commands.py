@@ -1,7 +1,8 @@
-"""Every `masim` command in README.md's fenced code blocks parses with the CLI's own parser.
+"""README.md's fenced code blocks: every `masim` command parses, and every Python block runs.
 
 A flag removed from the CLI but left in the walkthrough fails here. The
-commands are only parsed, never run.
+commands are only parsed, never run; each Python block runs in a fresh
+working directory.
 """
 
 import re
@@ -15,13 +16,23 @@ from masim.cli import build_parser
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def readme_blocks() -> list[tuple[str, str]]:
+    """(info string, body) of every fenced code block."""
+    return re.findall(r"^```([^\n]*)\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+
+
 def readme_commands() -> list[str]:
-    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
-    return [line.strip() for block in blocks for line in block.splitlines() if line.strip().startswith("masim ")]
+    return [line.strip() for _, block in readme_blocks() for line in block.splitlines()
+            if line.strip().startswith("masim ")]
+
+
+def readme_python() -> list[str]:
+    return [block for info, block in readme_blocks() if info.strip() == "python"]
 
 
 def test_readme_has_commands():
     assert len(readme_commands()) >= 7
+    assert len(readme_python()) >= 2
 
 
 @pytest.mark.parametrize("command", readme_commands())
@@ -32,3 +43,9 @@ def test_readme_command_parses(command):
     except SystemExit as e:
         pytest.fail(f"{command!r} does not parse (exit {e.code})")
     assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("source", readme_python(), ids=lambda source: source.splitlines()[0])
+def test_readme_python_block_runs(source, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(source, str(README), "exec"), {"__name__": "__main__"})

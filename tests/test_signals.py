@@ -27,8 +27,8 @@ from masim.signals import (
 from conftest import TEST_NUMEROLOGY, make_hi_scenario, sounding_frames
 
 
-def single_path(el=0.0, az=0.0, amp=1.0, delay=0.0, fc=27.5e9, beta=1.0):
-    return PathStateInfo(paths=(PathComponent(el, az, amp, delay),), carrier_hz=fc, large_scale_gain=beta)
+def single_path(el=0.0, az=0.0, amp=1.0, delay=0.0, fc=27.5e9):
+    return PathStateInfo(paths=(PathComponent(el, az, amp, delay),), carrier_hz=fc)
 
 
 def transmitted_frame(num, symbols):
@@ -199,13 +199,13 @@ class TestApplyChannel:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_tone_power_accounting(self):
-        psi = single_path(3.0, 2.0, 0.6, 25e-9, beta=2.5)
+        psi = single_path(3.0, 2.0, 0.6, 25e-9)
         pos = Position(0.01, 0.003)
         tx = gen_tone(50e6, 256, 1 / 400e6)
         rx = apply_channel(np.sqrt(3.0) * tx, psi, pos)
         got = np.mean(np.abs(rx) ** 2)
         gain = gain_field(psi, np.array([pos.x_m]), np.array([pos.y_m]))[0, 0]
-        assert got == pytest.approx(gain * 2.5 * 3.0, rel=1e-12)
+        assert got == pytest.approx(gain * 3.0, rel=1e-12)
 
 
 class TestAddNoise:
