@@ -17,7 +17,6 @@ from .channel import (
     to_db,
 )
 from .estimator import (
-    AngleGrid,
     DegenerateGeometryError,
     PasMatrix,
     PdsMatrix,

@@ -181,14 +181,8 @@ class MovementRegion(JsonCodec):
         ny, nx = self.shape
         return ny * nx
 
-    def positions(self) -> list[Position]:
-        """Grid positions row-major by y then x (y slowest)."""
-        xs = self.grid_x()
-        ys = self.grid_y()
-        return [Position(float(x), float(y)) for y in ys for x in xs]
-
     def positions_array(self) -> np.ndarray:
-        """(Q, 2) array of the grid's (x, y) points, in the row-major order of positions()."""
+        """(Q, 2) array of the grid's (x, y) points, row-major by y then x (y slowest)."""
         return np.stack(np.meshgrid(self.grid_x(), self.grid_y()), axis=-1).reshape(-1, 2)
 
     def contains(self, pos: Position) -> bool:

@@ -68,7 +68,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = ScenarioConfig.load(args.region)
+    cfg = ScenarioConfig.load(args.config)
     psi = load_psi(args.psi)
     est = load_psi(args.est) if args.est is not None else psi
     res = optimize_on_slide_track(cfg, psi, est, budget=args.budget)
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="two-stage antenna positioning on a simulated slide")
     p.add_argument("--psi", required=True, help="true path state JSON driving the simulated channel")
     p.add_argument("--est", default=None, help="estimated path state for the coarse stage (default: --psi)")
-    p.add_argument("--region", required=True, help="scenario config JSON supplying region and noise")
+    p.add_argument("--config", required=True, help="scenario config JSON supplying region and noise")
     p.add_argument("--budget", type=int, default=50, help="measurement budget")
     p.add_argument("--out", default="move_result.json")
     p.set_defaults(func=_cmd_optimize)

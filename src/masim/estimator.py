@@ -3,9 +3,9 @@
 The sounding campaign treats the Q antenna positions of a grid sweep as one
 large virtual array. Processing follows the measurement chain:
 
-  1. power angular spectrum PAS(theta, phi) = f^H R f over an angle grid,
-     where R is the sample covariance of received snapshots and f the
-     virtual-array response at the scanned angle,
+  1. power angular spectrum PAS(theta, phi) = f^H R f over a fixed 0.5
+     degree angle grid, where R is the sample covariance of received
+     snapshots and f the virtual-array response at the scanned angle,
   2. peak picking on the PAS to count paths and read their angles,
   3. per-path zero-forcing weights that null every other found path,
   4. symbol averaging of the equalized per-subcarrier response: a
@@ -62,42 +62,17 @@ MAX_PATHS = 8
 PEAK_PROMINENCE_DB = 20.0
 """find_paths keeps only PAS peaks within this many dB of the global maximum."""
 
-MAX_ANGLE_CELLS = 2**24
-"""Largest elevation x azimuth search grid an AngleGrid accepts (0.05 degree steps give 3601 x 3601)."""
+ANGLE_STEP_DEG = 0.5
+"""Step of the PAS scan grid, degrees, in elevation and azimuth alike."""
+
+SCAN_ANGLES_DEG = -90.0 + ANGLE_STEP_DEG * np.arange(361)
+"""The PAS scan axis, -90 to 90 degrees, for elevation and azimuth alike."""
+SCAN_ANGLES_DEG.flags.writeable = False
 
 
 class DegenerateGeometryError(ValueError):
     """Raised when the sounding geometry cannot resolve the paths: found angles too
     close for the aperture to separate, or a grid step above lambda/2, which aliases."""
-
-
-@dataclass(frozen=True)
-class AngleGrid:
-    """Uniform search grid over elevation x azimuth, degrees, [-90, 90] each."""
-
-    elevation_step_deg: float = 0.5
-    azimuth_step_deg: float = 0.5
-
-    def __post_init__(self):
-        steps = (self.elevation_step_deg, self.azimuth_step_deg)
-        for step in steps:
-            if not (math.isfinite(step) and step > 0.0):
-                raise ValueError(f"angle steps must be finite and > 0: {step}")
-        # counted from the steps, so an oversized grid is refused before its axes exist
-        n_el, n_az = (180.0 / step + 1.0 for step in steps)
-        if not n_el * n_az <= MAX_ANGLE_CELLS:  # also refuses an inf count
-            raise ValueError(f"a {n_el:.0f} x {n_az:.0f} angle grid exceeds {MAX_ANGLE_CELLS} cells")
-        for step in steps:
-            if abs(180.0 / step - round(180.0 / step)) > 1e-9:
-                raise ValueError(f"angle step {step} does not divide the 180 degree range")
-
-    def elevations_deg(self) -> np.ndarray:
-        n = int(round(180.0 / self.elevation_step_deg))
-        return -90.0 + self.elevation_step_deg * np.arange(n + 1)
-
-    def azimuths_deg(self) -> np.ndarray:
-        n = int(round(180.0 / self.azimuth_step_deg))
-        return -90.0 + self.azimuth_step_deg * np.arange(n + 1)
 
 
 def array_response(elevation_deg: float, azimuth_deg: float, positions: np.ndarray, wavelength_m: float) -> np.ndarray:
@@ -112,7 +87,7 @@ class SoundingCampaign:
     """A full OFDM sounding sweep, as the per-position statistics the estimator reads.
 
     Row q of h_freq (Q, I) and snapshots (Q, n_snap) belongs to point q of
-    region, row-major (y, then x) as region.positions() lists them. h_freq
+    region, row-major (y, then x) as region.positions_array() lists them. h_freq
     is that position's channel frequency response on the I subcarriers: the
     FFT of each symbol's payload, equalized by the known transmit symbols
     and coherently averaged over the M symbols. snapshots are n_snap
@@ -211,8 +186,8 @@ class PdsMatrix:
                 write_csv_rows(fh, index[rows], delays_ns, to_db(self.values[rows]))
 
 
-def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> PasMatrix:
-    """Power angular spectrum PAS(theta, phi) = f^H R f over the angle grid.
+def compute_pas(campaign: SoundingCampaign) -> PasMatrix:
+    """Power angular spectrum PAS(theta, phi) = f^H R f over the SCAN_ANGLES_DEG grid.
 
     R is the sample covariance of the campaign's retained snapshots: up to
     harness.MAX_SNAPSHOTS received time samples per position, evenly spread
@@ -233,9 +208,7 @@ def compute_pas(campaign: SoundingCampaign, grid: AngleGrid | None = None) -> Pa
     of elevations at a time, and stage 2 evaluates the polynomial by
     Horner's rule. Round-off negatives are clipped to 0.
     """
-    grid = grid or AngleGrid()
-    els = grid.elevations_deg()
-    azs = grid.azimuths_deg()
+    els = azs = SCAN_ANGLES_DEG
     lam = campaign.wavelength_m
     snaps = campaign.samples_matrix().T  # (n_snap, Q)
     n_snap = snaps.shape[0]
@@ -456,17 +429,14 @@ def estimate_delay_amplitude(
     return PathStateInfo(paths=paths, carrier_hz=fc)
 
 
-def estimate_psi(
-    campaign: SoundingCampaign, grid: AngleGrid | None = None, pas: PasMatrix | None = None
-) -> PathStateInfo:
+def estimate_psi(campaign: SoundingCampaign, pas: PasMatrix | None = None) -> PathStateInfo:
     """Full estimation chain: PAS, peak picking, ZF beamforming, delay/amplitude.
 
-    Pass a precomputed pas (from compute_pas on the same campaign and grid)
-    to skip the spectrum scan. A grid step above lambda/2 along either axis
+    Pass a precomputed pas (from compute_pas on the same campaign) to skip
+    the spectrum scan. A sounding step above lambda/2 along either axis
     lets grating lobes into the |u|, |v| <= 1 scan (Van Trees, Optimum Array
     Processing, ch. 2), so it raises DegenerateGeometryError.
     """
-    grid = grid or AngleGrid()
     lam = campaign.wavelength_m
     for axis in (campaign.region.grid_x(), campaign.region.grid_y()):
         step = float(np.max(np.diff(axis), initial=0.0))
@@ -475,7 +445,7 @@ def estimate_psi(
                 f"sounding step {step * 1e3:.4g} mm exceeds lambda/2 = {lam * 500.0:.4g} mm; the angles would alias"
             )
     if pas is None:
-        pas = compute_pas(campaign, grid)
+        pas = compute_pas(campaign)
     peaks = find_paths(pas)
     if not peaks:
         raise ValueError("no paths found in the angular spectrum")

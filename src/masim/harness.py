@@ -41,6 +41,7 @@ from .channel import (
     DbMap,
     MovementRegion,
     PathStateInfo,
+    Position,
     gain_map,
     read_grid_csv,
     response_factors,
@@ -218,8 +219,8 @@ def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo) -> Iterator[np.nd
     _check_carrier(cfg, psi)
     tone = gen_tone(cfg.tone_f0_hz, cfg.samples_per_measurement, 1.0 / cfg.bandwidth_hz)
     noise = NoiseSpec(cfg.noise_power, cfg.bandwidth_hz)
-    for i, pos in enumerate(cfg.region.positions()):
-        yield add_noise(apply_channel(tone, psi, pos), noise, derive_seed(cfg.master_seed, "tone", i))
+    for i, (x, y) in enumerate(cfg.region.positions_array()):
+        yield add_noise(apply_channel(tone, psi, Position(x, y)), noise, derive_seed(cfg.master_seed, "tone", i))
 
 
 def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
@@ -482,9 +483,9 @@ def optimize_on_slide_track(
 def estimate_campaign(campaign_dir, est_path, pas_path=None, pds_path=None) -> PathStateInfo:
     """Estimate path state from an on-disk sounding campaign and write it to est_path with save_psi.
 
-    The angular scan runs on AngleGrid(). pas_path and pds_path, when given,
-    also receive the angular and delay spectra as CSV. Both `masim estimate`
-    and the estimate stage run this.
+    The angular scan runs on the fixed estimator.SCAN_ANGLES_DEG grid.
+    pas_path and pds_path, when given, also receive the angular and delay
+    spectra as CSV. Both `masim estimate` and the estimate stage run this.
     """
     _, campaign = load_sounding_campaign(campaign_dir)
     pas = compute_pas(campaign)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -30,7 +30,6 @@ POSITIONING_ACCURACY_M = 0.05e-3
 COMPASS_PATTERN = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 
 
-@runtime_checkable
 class MeasurementChannel(Protocol):
     """Protocol to the measurement hardware: move, acknowledge, measure."""
 

@@ -87,7 +87,7 @@ def sweep_measure(region: MovementRegion, captures: Iterable[np.ndarray], sample
     """Meter every capture of a tone sweep over region and assemble the grid power map.
 
     Capture q was taken at point q of the region, row-major (y, then x) as
-    region.positions() lists them. captures is any iterable of sample
+    region.positions_array() lists them. captures is any iterable of sample
     arrays, consumed once, one capture at a time; only each capture's power
     is kept. The captures must share one length, and there must be exactly
     region.num_points of them, or ValueError is raised. The map's column is

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from masim.channel import MovementRegion, Position, channel_response, gain_field, gain_map
-from masim.estimator import AngleGrid, array_response, compute_pds, estimate_psi, zf_weights
+from masim.estimator import ANGLE_STEP_DEG, array_response, compute_pds, estimate_psi, zf_weights
 from masim.harness import ScenarioConfig, run_pipeline
 from masim.mover import SimulatedSlideTrack, brute_force_best, optimize
 from masim.powermeter import measure_power, sweep_measure
@@ -131,7 +131,7 @@ def test_04_psi_round_trip_3p5ghz(capsys):
     truth = hall_psi_3p5ghz()
 
     # the three strongest must land within one angle-grid step of the plant
-    step = AngleGrid().elevation_step_deg
+    step = ANGLE_STEP_DEG
     pairs = _nearest_paths(truth.paths[:3], list(est.paths[:3]))
     angle_err = max(
         max(abs(e.elevation_deg - t.elevation_deg), abs(e.azimuth_deg - t.azimuth_deg))
@@ -244,7 +244,8 @@ def test_07_power_map_matches_gain_map(capsys):
     pt = 2.0
     f0, n, t = 50e6, 1024, 1.0 / 400e6
     tone = gen_tone(f0, n, t)
-    captures = [apply_channel(math.sqrt(pt) * tone, psi, pos) for pos in MMWAVE_REGION.positions()]
+    captures = [apply_channel(math.sqrt(pt) * tone, psi, Position(x, y))
+                for x, y in MMWAVE_REGION.positions_array()]
     pm = sweep_measure(MMWAVE_REGION, captures, t, f0)
     gm = gain_map(psi, MMWAVE_REGION)
     report = compare_maps(gm, pm)

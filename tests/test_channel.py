@@ -244,9 +244,8 @@ class TestMovementRegion:
 
     def test_positions_row_major(self):
         region = MovementRegion(0.002, 0.001, 1e-3, 1e-3)
-        pts = [(p.x_m, p.y_m) for p in region.positions()]
-        assert pts == [(0.0, 0.0), (0.001, 0.0), (0.002, 0.0), (0.0, 0.001), (0.001, 0.001), (0.002, 0.001)]
-        assert region.positions_array().tolist() == [list(p) for p in pts]
+        assert region.positions_array().tolist() == [
+            [0.0, 0.0], [0.001, 0.0], [0.002, 0.0], [0.0, 0.001], [0.001, 0.001], [0.002, 0.001]]
 
     def test_contains_boundary_and_outside(self):
         region = MovementRegion(0.01, 0.01, 1e-3, 1e-3)
@@ -273,7 +272,7 @@ class TestMovementRegion:
     @pytest.mark.parametrize("step", [1e-7, 1e-300])
     def test_rejects_oversized_grid(self, step):
         # 1e-7 m over 50 mm is 500,001 x 500,001 points: refused from the axis
-        # counts at construction, before positions() could expand it
+        # counts at construction, before positions_array() could expand it
         with pytest.raises(ValueError, match="exceeds"):
             MovementRegion(0.05, 0.05, step, step)
 

@@ -23,11 +23,11 @@ from masim.channel import (
 )
 from masim.codec import ConfigError, encode
 from masim.estimator import (
-    MAX_ANGLE_CELLS,
+    ANGLE_STEP_DEG,
     PAS_TAPER_BETA,
-    AngleGrid,
     MAX_PATHS,
     PEAK_PROMINENCE_DB,
+    SCAN_ANGLES_DEG,
     DegenerateGeometryError,
     PasMatrix,
     PdsMatrix,
@@ -128,8 +128,8 @@ def oracle_snapshot_matrix(samples, num, max_snapshots=128):
     return samples[:, payload_idx].T
 
 
-def oracle_direct_pas(campaign, grid):
-    """PAS by a direct scan: f^H R f at every grid angle over all Q positions, one elevation row at a time.
+def oracle_direct_pas(campaign):
+    """PAS by a direct scan: f^H R f at every scan angle over all Q positions, one elevation row at a time.
 
     Uses the same separable Kaiser taper as compute_pas, applied per position.
     """
@@ -138,41 +138,20 @@ def oracle_direct_pas(campaign, grid):
     pos = campaign.region.positions_array()  # row-major (y, x), like the taper
     y = campaign.samples_matrix() * taper[:, None]  # (Q, n_snap)
     lam = campaign.wavelength_m
-    az = np.radians(grid.azimuths_deg())
-    pas = np.empty((len(grid.elevations_deg()), len(az)))
-    for ie, el in enumerate(np.radians(grid.elevations_deg())):
+    az = np.radians(SCAN_ANGLES_DEG)
+    pas = np.empty((len(az), len(az)))
+    for ie, el in enumerate(np.radians(SCAN_ANGLES_DEG)):
         d = np.outer(math.cos(el) * np.sin(az), pos[:, 0]) + math.sin(el) * pos[None, :, 1]
         pas[ie] = np.sum(np.abs(np.exp(2j * np.pi * d / lam) @ y) ** 2, axis=1)
     return pas
 
 
-class TestAngleGrid:
-    def test_default_covers_pm_90(self):
-        grid = AngleGrid()
-        els = grid.elevations_deg()
-        assert els[0] == -90.0 and els[-1] == 90.0 and len(els) == 361
-
-    def test_rejects_non_dividing_step(self):
-        with pytest.raises(ValueError, match="divide"):
-            AngleGrid(elevation_step_deg=0.7)
-
-    def test_caps_the_cell_count(self):
-        # 0.001 degree steps died allocating a (180001, 180001) array of 241 GiB
-        with pytest.raises(ValueError, match="180001 x 180001 angle grid exceeds"):
-            AngleGrid(0.001, 0.001)
-        with pytest.raises(ValueError, match="361 x 180001 angle grid exceeds"):
-            AngleGrid(azimuth_step_deg=0.001)
-        with pytest.raises(ValueError, match="inf x 361 angle grid exceeds"):
-            AngleGrid(elevation_step_deg=5e-324)  # 180 / step overflows
-        grid = AngleGrid(0.05, 0.05)
-        assert len(grid.elevations_deg()) * len(grid.azimuths_deg()) == 3601 * 3601 <= MAX_ANGLE_CELLS
-
-    def test_rejects_nonpositive_step(self):
-        # nan died in round(180 / step); inf was accepted with elevations [nan]
-        for step in (0.0, math.nan, math.inf):
-            for axis in ("elevation_step_deg", "azimuth_step_deg"):
-                with pytest.raises(ValueError, match="angle steps"):
-                    AngleGrid(**{axis: step})
+class TestScanAxis:
+    def test_covers_pm_90_in_half_degree_steps(self):
+        assert ANGLE_STEP_DEG == 0.5
+        np.testing.assert_array_equal(SCAN_ANGLES_DEG, -90.0 + 0.5 * np.arange(361))
+        assert SCAN_ANGLES_DEG[0] == -90.0 and SCAN_ANGLES_DEG[-1] == 90.0 and len(SCAN_ANGLES_DEG) == 361
+        assert not SCAN_ANGLES_DEG.flags.writeable
 
 
 class TestArrayResponse:
@@ -220,24 +199,23 @@ class TestPas:
         assert pas.azimuths_deg[ia] == 2.0
 
     def test_noise_only_is_flat(self):
-        pas = compute_pas(noise_campaign(n_snap=1024), AngleGrid(2.0, 2.0))
+        pas = compute_pas(noise_campaign(n_snap=1024))
         ratio = float(np.max(pas.values) / np.min(pas.values))
         assert ratio < 2.0
 
     def test_values_nonnegative(self):
-        pas = compute_pas(noise_campaign(seed=8), AngleGrid(3.0, 4.0))
+        pas = compute_pas(noise_campaign(seed=8))
         assert np.all(pas.values >= 0.0)
 
     def test_zero_samples_give_zero_spectrum(self):
         camp = noise_campaign(power=0.0)
-        pas = compute_pas(camp, AngleGrid(5.0, 5.0))
+        pas = compute_pas(camp)
         np.testing.assert_array_equal(pas.values, np.zeros_like(pas.values))
         assert find_paths(pas) == []
 
     def test_gridded_matches_generic_scan(self):
         camp = small_campaign(one_path_psi(), extent=0.005)
-        grid = AngleGrid(5.0, 5.0)
-        np.testing.assert_allclose(compute_pas(camp, grid).values, oracle_direct_pas(camp, grid), rtol=1e-9)
+        np.testing.assert_allclose(compute_pas(camp).values, oracle_direct_pas(camp), rtol=1e-9)
 
     @pytest.mark.parametrize("extent, y_extent, shape", [
         (6e-3, 3e-3, (4, 7)),  # non-square
@@ -249,8 +227,7 @@ class TestPas:
         camp = small_campaign(hall_psi_27p5ghz(), extent=extent, y_extent=y_extent)
         xs, ys = camp.region.grid_x(), camp.region.grid_y()
         assert (len(ys), len(xs)) == shape
-        grid = AngleGrid(2.5, 2.5)
-        np.testing.assert_allclose(compute_pas(camp, grid).values, oracle_direct_pas(camp, grid), rtol=1e-9)
+        np.testing.assert_allclose(compute_pas(camp).values, oracle_direct_pas(camp), rtol=1e-9)
 
     def test_campaign_must_tile_a_grid(self):
         # rows for 8 of the 9 points of a 3 x 3 region: the PAS scan runs over its whole grid
@@ -263,7 +240,7 @@ class TestPas:
 
     def test_csv_pins_max_at_zero_db(self, tmp_path):
         camp = small_campaign(one_path_psi(), extent=0.004)
-        pas = compute_pas(camp, AngleGrid(10.0, 10.0))
+        pas = compute_pas(camp)
         path = tmp_path / "pas.csv"
         pas.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -314,8 +291,8 @@ class TestFindPaths:
         cells = [(3 * (k // 4) + 3, 3 * (k % 4) + 3) for k in range(12)]
         for (ie, ia), height in zip(cells, heights):
             values[ie, ia] = height
-        grid = AngleGrid(5.0, 5.0)
-        peaks = find_paths(PasMatrix(values, grid.elevations_deg(), grid.azimuths_deg()))
+        axis = -90.0 + 5.0 * np.arange(37)
+        peaks = find_paths(PasMatrix(values, axis, axis))
         assert MAX_PATHS == 8 and len(peaks) == MAX_PATHS
         assert [p.value for p in peaks] == list(heights[:MAX_PATHS])
 
@@ -324,11 +301,11 @@ class TestFindPaths:
         values = np.zeros((37, 37))
         for ie, rel_db in ((5, 0.0), (15, -19.9), (25, -20.1)):
             values[ie, 10] = 10.0 ** (rel_db / 10.0)
-        grid = AngleGrid(5.0, 5.0)
-        peaks = find_paths(PasMatrix(values, grid.elevations_deg(), grid.azimuths_deg()))
+        axis = -90.0 + 5.0 * np.arange(37)
+        peaks = find_paths(PasMatrix(values, axis, axis))
         assert PEAK_PROMINENCE_DB == 20.0
         assert [p.rel_max_db for p in peaks] == pytest.approx([0.0, -19.9])
-        assert [p.elevation_deg for p in peaks] == [grid.elevations_deg()[5], grid.elevations_deg()[15]]
+        assert [p.elevation_deg for p in peaks] == [axis[5], axis[15]]
 
 
 class TestZeroForcing:
@@ -524,7 +501,7 @@ class TestEstimatePsi:
         for p in truth.paths:
             err = min(max(abs(e.elevation_deg - p.elevation_deg), abs(e.azimuth_deg - p.azimuth_deg))
                       for e in est.paths)
-            assert err <= AngleGrid().elevation_step_deg + 1e-9
+            assert err <= ANGLE_STEP_DEG + 1e-9
 
     def test_precomputed_pas_matches_internal(self, hi_campaign):
         pas = compute_pas(hi_campaign)
@@ -535,7 +512,7 @@ class TestEstimatePsi:
     def test_empty_spectrum_raises(self):
         camp = noise_campaign(power=0.0)
         with pytest.raises(ValueError, match="no paths|noise floor"):
-            estimate_psi(camp, AngleGrid(10.0, 10.0))
+            estimate_psi(camp)
 
 
 class TestEstimatedPsiModel:

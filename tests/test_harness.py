@@ -34,7 +34,7 @@ from masim.harness import (
     save_psi,
     synthesize_campaign,
 )
-from masim.estimator import AngleGrid, estimate_psi
+from masim.estimator import ANGLE_STEP_DEG, estimate_psi
 from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_27p5ghz
 from masim.signals import (
     NoiseSpec,
@@ -178,7 +178,8 @@ class TestToneSynthesis:
         spec = NoiseSpec(cfg.noise_power, cfg.bandwidth_hz)
         captures = list(iter_tone_records(cfg, psi))
         assert len(captures) == cfg.region.num_points
-        for i, (samples, pos) in enumerate(zip(captures, cfg.region.positions())):
+        positions = [Position(x, y) for y in cfg.region.grid_y() for x in cfg.region.grid_x()]
+        for i, (samples, pos) in enumerate(zip(captures, positions)):
             expect = add_noise(apply_channel(tone, psi, pos), spec, derive_seed(cfg.master_seed, "tone", i))
             np.testing.assert_array_equal(samples, expect)
 
@@ -194,15 +195,15 @@ class TestSoundingSynthesis:
         tx_symbols = qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
         i_idx = np.arange(num.num_subcarriers)
         idft = np.exp(2j * np.pi * np.outer(i_idx, i_idx) / num.num_subcarriers)  # [k, i]
-        positions = cfg.sounding_region.positions()
+        positions = cfg.sounding_region.positions_array()
         for i, samples in enumerate(sounding_records(cfg, psi, tx_symbols)):
             if i % 97 != 0:  # spot-check; the full sweep is 676 records
                 continue
-            pos = positions[i]
+            x, y = positions[i]
             h_i = np.zeros(num.num_subcarriers, dtype=complex)
             for path in psi.paths:
                 el, az = math.radians(path.elevation_deg), math.radians(path.azimuth_deg)
-                d = pos.x_m * math.cos(el) * math.sin(az) + pos.y_m * math.sin(el)
+                d = x * math.cos(el) * math.sin(az) + y * math.sin(el)
                 h_i += path.amplitude * np.exp(
                     -2j * np.pi * (d / psi.wavelength_m + (psi.carrier_hz + i_idx * num.subcarrier_spacing_hz)
                                    * path.delay_s)
@@ -321,7 +322,7 @@ class TestInMemoryCampaign:
         for p in truth.paths:
             err = min(max(abs(e.elevation_deg - p.elevation_deg), abs(e.azimuth_deg - p.azimuth_deg))
                       for e in est.paths)
-            assert err <= AngleGrid().elevation_step_deg + 1e-9
+            assert err <= ANGLE_STEP_DEG + 1e-9
 
     @pytest.mark.parametrize("numerology", [
         OfdmNumerology.default(),
@@ -827,8 +828,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--config", "{cfg}", "--psi", "{other}", "--out", "{out}"],
-        ["optimize", "--psi", "{other}", "--region", "{cfg}", "--out", "{out}"],
-        ["optimize", "--psi", "{psi}", "--est", "{other}", "--region", "{cfg}", "--out", "{out}"],
+        ["optimize", "--psi", "{other}", "--config", "{cfg}", "--out", "{out}"],
+        ["optimize", "--psi", "{psi}", "--est", "{other}", "--config", "{cfg}", "--out", "{out}"],
         ["export", "--config", "{cfg}", "--psi", "{other}", "--out-dir", "{out}"],
     ], ids=["simulate", "optimize-psi", "optimize-est", "export"])
     def test_path_state_at_another_carrier_exits_2(self, tmp_path, capsys, command):
@@ -847,7 +848,7 @@ class TestCli:
         cfg_path, psi_path = input_files(tmp_path)
         out = tmp_path / "move_result.json"
         assert cli_main(["optimize", "--psi", psi_path, "--est", str(art["estimated_psi"]),
-                         "--region", cfg_path, "--out", str(out)]) == 0
+                         "--config", cfg_path, "--out", str(out)]) == 0
         assert out.read_bytes() == art["move_result"].read_bytes()
 
     def test_export_runs_then_caches_every_stage(self, tmp_path, capsys):

@@ -123,8 +123,8 @@ class TestSweep:
         tone = gen_tone(50e6, 4096, T)
         spec = NoiseSpec(noise_power, FS) if noise_power > 0 else None
         captures = []
-        for i, pos in enumerate(region.positions()):
-            rx = apply_channel(np.sqrt(tx_power) * tone, psi, pos)
+        for i, (x, y) in enumerate(region.positions_array()):
+            rx = apply_channel(np.sqrt(tx_power) * tone, psi, Position(x, y))
             if spec is not None:
                 rx = add_noise(rx, spec, derive_seed(4, "tone", i))
             captures.append(rx)
@@ -172,7 +172,7 @@ class TestSweep:
         assert pm.values_db.shape == region.shape == (4, 5)
         np.testing.assert_array_equal(pm.x_m, region.grid_x())
         np.testing.assert_array_equal(pm.y_m, region.grid_y())
-        assert region.positions()[7] == Position(pm.x_m[2], pm.y_m[1])
+        assert region.positions_array()[7].tolist() == [pm.x_m[2], pm.y_m[1]]
         assert pm.values_db[1, 2] == measure_power(captures[7], T, 50e6).power_db
 
     def test_rejects_empty_and_mixed_records(self):
