@@ -190,10 +190,8 @@ class MovementRegion(JsonCodec):
         return (-1e-12 <= pos.x_m <= self.x_extent_m + 1e-12) and (-1e-12 <= pos.y_m <= self.y_extent_m + 1e-12)
 
     def clamp(self, x_m: float, y_m: float) -> Position:
-        return Position(
-            float(np.clip(x_m, 0.0, self.x_extent_m)),
-            float(np.clip(y_m, 0.0, self.y_extent_m)),
-        )
+        # np.clip(x, 0.0, extent) of numpy 2 at a tenth of its cost; x first keeps a -0.0 or NaN x
+        return Position(min(max(x_m, 0.0), self.x_extent_m), min(max(y_m, 0.0), self.y_extent_m))
 
 
 def response_factors(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,9 @@ derivative-free compass search driven by live power measurements through a
 MeasurementChannel, halving the step until it falls under the positioning
 accuracy of the slide track or the measurement budget runs out.
 
-Every probe follows the hardware protocol: command a move, wait for the
-acknowledgment, then measure. A channel that fails to acknowledge aborts
-the search with the partial trace preserved.
+Every probe follows the hardware protocol: move, acknowledgment, measure;
+a channel that fails to acknowledge aborts the search, partial trace kept.
+SimulatedSlideTrack draws each probe as the one DFT bin the meter reads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .channel import MovementRegion, PathStateInfo, Position, gain_field, gain_map
+from .channel import MovementRegion, PathStateInfo, Position, gain_field, gain_map, to_db
 from .powermeter import measure_power
 from .signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
@@ -71,11 +71,12 @@ class MoveAborted(RuntimeError):
 class SimulatedSlideTrack:
     """MeasurementChannel backed by the synthetic channel model.
 
-    Each measure() synthesizes a fresh tone capture at the current position
-    (independent noise per probe, seeded from master_seed and the probe
-    counter) and meters it with the single-bin DFT of `measure_power` on
-    the default bin grid. An event log of ("move"|"ack"|"measure", position)
-    tuples is kept for protocol audits.
+    measure() draws the reading `measure_power` would take of a fresh tone
+    capture at the current position, without the capture: with white circular
+    noise of variance sigma^2 it is |h*|S|/N + w|^2, w ~ CN(0, sigma^2/N), where
+    |S|^2/N^2 is the unit tone's reading, metered once per track. Each probe's
+    w is seeded from master_seed and the probe counter. An event log of
+    ("move"|"ack"|"measure", position) tuples is kept for protocol audits.
     """
 
     def __init__(
@@ -89,15 +90,13 @@ class SimulatedSlideTrack:
     ):
         self.psi = psi
         self.region = region
-        self.noise = noise
-        self.f0_hz = f0_hz
-        self.num_samples = num_samples
         self.master_seed = master_seed
-        self.sample_interval_s = 1.0 / noise.bandwidth_hz
         self.events: list[tuple[str, Position]] = []
         self._position: Position | None = None
         self._probes = 0
-        self._tone = gen_tone(f0_hz, num_samples, self.sample_interval_s)
+        t = 1.0 / noise.bandwidth_hz
+        self._bin = np.array([math.sqrt(measure_power(gen_tone(f0_hz, num_samples, t), t, f0_hz).power_linear)])
+        self._bin_noise = NoiseSpec(noise.power / num_samples, noise.bandwidth_hz / num_samples)
 
     def move(self, position: Position) -> bool:
         self.events.append(("move", position))
@@ -113,8 +112,8 @@ class SimulatedSlideTrack:
         self.events.append(("measure", self._position))
         seed = derive_seed(self.master_seed, "probe", self._probes)
         self._probes += 1
-        rx = apply_channel(self._tone, self.psi, self._position)
-        return measure_power(add_noise(rx, self.noise, seed), self.sample_interval_s, self.f0_hz).power_db
+        y = add_noise(apply_channel(self._bin, self.psi, self._position), self._bin_noise, seed)
+        return float(to_db(abs(y[0]) ** 2))
 
 
 def coarse_position(psi: PathStateInfo, region: MovementRegion) -> Position:

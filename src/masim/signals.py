@@ -180,7 +180,10 @@ def add_noise(samples: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:
     """Add seeded circularly symmetric Gaussian noise of variance spec.power."""
     if spec.power == 0.0:
         return np.array(samples, dtype=np.complex128, copy=True)
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(spec.power / 2.0)
-    n = rng.standard_normal(len(samples)) + 1j * rng.standard_normal(len(samples))
-    return np.asarray(samples, dtype=np.complex128) + scale * n
+    n = len(samples)
+    v = np.random.default_rng(seed).standard_normal(2 * n)  # the real parts' n draws, then the imaginary parts'
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = v[:n], v[n:]
+    out *= np.sqrt(spec.power / 2.0)
+    out += samples
+    return out

@@ -5,6 +5,7 @@ formulas and are asserted here to double precision.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -260,6 +261,27 @@ class TestMovementRegion:
         assert (p.x_m, p.y_m) == (0.0, 0.015)
         p = region.clamp(0.5, 0.5)
         assert (p.x_m, p.y_m) == (0.01, 0.02)
+
+    @pytest.mark.parametrize("region", [MovementRegion(0.01, 0.02, 1e-3, 1e-3), MovementRegion(0.5, 0.0, 1e-3, 1e-3)])
+    def test_clamp_matches_np_clip_bit_for_bit(self, region):
+        # min(max(x, 0.0), extent) stands in for np.clip(x, 0.0, extent): x as
+        # max's first argument keeps a NaN x, and a -0.0 x as numpy 2's np.clip
+        # does (numpy 1's returns +0.0 there, so -0.0 is pinned on its own)
+        values = [-5.0, -1e-12, -0.0, 0.0, 1e-12, 0.005, 0.01, 0.01 + 1e-12, 0.015, 0.02, 0.5, 7.0, math.nan]
+
+        def bits(v):
+            return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+        for x in values:
+            for y in values:
+                p = region.clamp(x, y)
+                assert type(p.x_m) is float and type(p.y_m) is float
+                for got, v, extent in ((p.x_m, x, region.x_extent_m), (p.y_m, y, region.y_extent_m)):
+                    want = float(np.clip(v, 0.0, extent))
+                    if bits(v) == bits(-0.0):
+                        assert bits(got) == bits(-0.0) and want == 0.0
+                    else:
+                        assert bits(got) == bits(want), (v, extent)
 
     def test_line_region_has_single_row(self):
         region = MovementRegion(0.5, 0.0, 1e-3, 1e-3)

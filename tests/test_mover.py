@@ -1,9 +1,11 @@
-"""Two-stage position optimization tests: coarse placement, measured refinement, protocol."""
+"""Two-stage position optimization tests: coarse placement, measured refinement, protocol, probe law."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from masim.channel import DbMap, MovementRegion, PathComponent, PathStateInfo, Position, gain_field
+from masim.channel import DbMap, MovementRegion, PathComponent, PathStateInfo, Position, channel_response, gain_field
 from masim.mover import (
     MoveAborted,
     MoveResult,
@@ -13,8 +15,9 @@ from masim.mover import (
     optimize,
     refine,
 )
+from masim.powermeter import measure_power
 from masim.presets import hall_psi_27p5ghz
-from masim.signals import NoiseSpec
+from masim.signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
 
 def table3():
@@ -25,15 +28,33 @@ def hi_region():
     return MovementRegion(0.05, 0.05, 0.5e-3, 0.5e-3)
 
 
-def make_track(psi, region, noise_power=0.01, seed=42):
-    return SimulatedSlideTrack(
+def make_track(psi, region, noise_power=0.01, seed=42, f0_hz=50e6, num_samples=4096, cls=SimulatedSlideTrack):
+    return cls(
         psi=psi,
         region=region,
         noise=NoiseSpec(noise_power, 400e6),
-        f0_hz=50e6,
-        num_samples=4096,
+        f0_hz=f0_hz,
+        num_samples=num_samples,
         master_seed=seed,
     )
+
+
+class CaptureAndMeterTrack(SimulatedSlideTrack):
+    """Oracle: each probe synthesizes the whole noisy tone capture and meters it."""
+
+    def __init__(self, psi, region, noise, f0_hz, num_samples, master_seed):
+        super().__init__(psi, region, noise, f0_hz, num_samples, master_seed)
+        self.noise, self.f0_hz, self.t = noise, f0_hz, 1.0 / noise.bandwidth_hz
+        self.tone = gen_tone(f0_hz, num_samples, self.t)
+
+    def measure(self):
+        if self._position is None:
+            raise RuntimeError("measure() before any acknowledged move")
+        self.events.append(("measure", self._position))
+        seed = derive_seed(self.master_seed, "probe", self._probes)
+        self._probes += 1
+        rx = apply_channel(self.tone, self.psi, self._position)
+        return measure_power(add_noise(rx, self.noise, seed), self.t, self.f0_hz).power_db
 
 
 class TestPlanValidation:
@@ -193,3 +214,63 @@ class TestOptimize:
         assert set(data) == {"final_position_m", "final_power_dbr", "measurements_used", "trace"}
         assert len(data["trace"]) == result.measurements_used
         assert data["trace"][0].keys() == {"x_m", "y_m", "power_dbr"}
+
+
+class TestProbeLaw:
+    """A probe draws the meter's bin with the law of metering a noisy capture."""
+
+    POS = Position(0.0125, 0.031)
+
+    @pytest.mark.parametrize("f0_hz", [50e6, 50.01e6])  # on the bin grid, and between two bins
+    def test_noiseless_reading_equals_capture_and_meter(self, f0_hz):
+        psi, region = table3(), hi_region()
+        track = make_track(psi, region, noise_power=0.0, f0_hz=f0_hz)
+        tone = gen_tone(f0_hz, 4096, 1 / 400e6)
+        for x, y in [(0.0, 0.0), (0.0125, 0.031), (0.05, 0.0495), (0.0333, 0.002)]:
+            pos = Position(x, y)
+            assert track.move(pos)
+            want = measure_power(apply_channel(tone, psi, pos), 1 / 400e6, f0_hz).power_linear
+            assert 10 ** (track.measure() / 10) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("noise_power, num_samples", [(0.01, 4096), (64.0, 64)])
+    def test_noisy_readings_match_capture_and_meter_in_law(self, noise_power, num_samples):
+        # the scenario's 20 dB SNR, and a bin whose noise power sigma^2/N
+        # equals the tone's, so a wrong noise scale moves the mean as well
+        psi, region, trials = table3(), hi_region(), 4000
+        fast = make_track(psi, region, noise_power, seed=5, num_samples=num_samples)
+        slow = make_track(psi, region, noise_power, seed=6, num_samples=num_samples, cls=CaptureAndMeterTrack)
+        readings = []
+        for track in (fast, slow):
+            assert track.move(self.POS)
+            readings.append(10 ** (np.array([track.measure() for _ in range(trials)]) / 10))
+        h = channel_response(psi, self.POS.as_array())[0, 0]
+        unit = measure_power(gen_tone(50e6, num_samples, 1 / 400e6), 1 / 400e6, 50e6).power_linear
+        expected_mean = abs(h) ** 2 * unit + noise_power / num_samples
+        a, b = readings
+
+        def mean_se(r):
+            return r.mean(), r.std(ddof=1) / np.sqrt(len(r))
+
+        def var_se(r):
+            dev2 = (r - r.mean()) ** 2
+            return r.var(ddof=1), dev2.std(ddof=1) / np.sqrt(len(r))
+
+        for stat in (mean_se, var_se):
+            (ma, sa), (mb, sb) = stat(a), stat(b)
+            assert abs(ma - mb) < 5 * np.hypot(sa, sb), stat.__name__
+        for r in readings:
+            m, se = mean_se(r)
+            assert abs(m - expected_mean) < 5 * se
+
+    def test_measure_allocates_no_capture(self):
+        # one 2^20-sample capture would be 16 MB; a probe draws two normals
+        track = make_track(table3(), hi_region(), num_samples=2**20)
+        assert track.move(self.POS)
+        track.measure()
+        tracemalloc.start()
+        try:
+            track.measure()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -233,6 +233,29 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             NoiseSpec(-1e-3, 400e6)
 
+    @pytest.mark.parametrize("kind", ["complex", "real", "one sample", "zero power"])
+    def test_matches_two_draw_oracle_bit_for_bit(self, kind):
+        # the former function: real parts and imaginary parts from two draws,
+        # added to the samples as a fresh complex array
+        def oracle(samples, spec, seed):
+            if spec.power == 0.0:
+                return np.array(samples, dtype=np.complex128, copy=True)
+            rng = np.random.default_rng(seed)
+            scale = np.sqrt(spec.power / 2.0)
+            n = rng.standard_normal(len(samples)) + 1j * rng.standard_normal(len(samples))
+            return np.asarray(samples, dtype=np.complex128) + scale * n
+
+        rng = np.random.default_rng(3)
+        n = 1 if kind == "one sample" else 257
+        x = rng.standard_normal(n)
+        if kind != "real":
+            x = x + 1j * rng.standard_normal(n)
+        spec = NoiseSpec(0.0 if kind == "zero power" else 0.37, 400e6)
+        for seed in range(500):
+            got, want = add_noise(x, spec, seed), oracle(x, spec, seed)
+            assert got.dtype == np.complex128 and not np.shares_memory(got, x)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestIqRecordFile:
     def test_round_trip(self, tmp_path):

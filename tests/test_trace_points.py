@@ -57,3 +57,31 @@ def test_traced_operation_passes_its_gate(monkeypatch, tmp_path, name, layer):
     for key, workloads in run.EXACT_COUNTS.items():
         if name in workloads:
             assert metrics.get(key, 0) > 0, key
+
+
+def test_placement_draws_one_bin_sample_per_probe(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import worker
+
+    workload = worker.make_workload("placement", False, tmp_path)
+    tracer = tracing.Tracer("t")
+    try:
+        worker.install_trace_points(tracer)
+        workload.run(0, 0, tracer)
+    finally:
+        tracer.uninstall()
+    metrics = worker.layer_metrics(tracer, 1, [1.0])
+    assert metrics["mover.SimulatedSlideTrack.measure.calls"] > 0
+    assert metrics["signals.add_noise.samples"] == metrics["mover.SimulatedSlideTrack.measure.calls"]
+
+
+def test_untraced_placements_pass_the_gate(monkeypatch, tmp_path):
+    # the benchmark's own gate on its claimed workload, over many seeds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+
+    workload = worker.make_workload("placement", False, tmp_path)
+    for k in range(300):
+        problems, _, _ = workload.check(workload.run(1, k, None))
+        assert problems == [], (k, problems)
