@@ -13,9 +13,10 @@ and the narrowband channel seen at position r = (x, y) is
 
 A subcarrier at offset f from the carrier sees fc + f in place of fc.
 response_factors evaluates this one formula for every caller, and
-channel_response returns its product. The
-small-scale gain g(r) = |h(r)|^2 is what the measurement campaign maps over
-the region; the link budget a measurement adds on top is a constant offset.
+channel_response returns its product. d_l = x*u_l + y*v_l separates in x and
+y, so on a grid gain_field evaluates the same formula as E_y diag(c) E_x^T, in
+(n_x + n_y)*L exponentials. The small-scale gain g(r) = |h(r)|^2 is what the
+campaign maps over the region; a measurement's link budget is a constant offset.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def response_factors(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> tuple[
     d *= -2.0 * np.pi
     d *= 1.0 / psi.wavelength_m  # the phase in real arithmetic: no complex division per element
     steer = 1j * d
-    np.exp(steer, out=steer)  # in place: on a gain map (Q, L) is the largest array
+    np.exp(steer, out=steer)  # in place: no second (Q, L) array
     freqs = psi.carrier_hz + np.asarray(offsets_hz)[None, :]
     coeff = psi.amplitudes[:, None] * np.exp(-2j * np.pi * freqs * psi.delays_s[:, None])  # (L, K)
     return steer, coeff
@@ -217,9 +218,9 @@ def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.nda
     (q, k) is sum_l a_l * exp(-j*2*pi*(d_l(r_q)/lambda + (fc + f_k)*tau_l)),
     evaluated as the (Q, L) steering phases times the (L, K) path
     coefficients of response_factors. Those two factors are the only
-    evaluation of the model: the tone channel and the gain field call this,
-    and OFDM sounding multiplies the factors itself to fold its snapshot
-    synthesis into the coefficients.
+    evaluation of the model: the tone channel calls this, OFDM sounding
+    multiplies the factors itself to fold its snapshot synthesis into the
+    coefficients, and gain_field factors a grid along its x and y axes.
     """
     steer, coeff = response_factors(psi, positions, offsets_hz)
     return steer @ coeff
@@ -328,9 +329,13 @@ def row_major_axes(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray,
 
 
 def gain_field(psi: PathStateInfo, x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:
-    """Small-scale gain g(r) = |h(r)|^2 over the outer grid of x_m and y_m, (n_y, n_x)."""
-    h = channel_response(psi, np.stack(np.meshgrid(x_m, y_m), axis=-1))
-    return (np.abs(h) ** 2).reshape(len(y_m), len(x_m))
+    """Small-scale gain g(r) = |h(r)|^2 over the outer grid of x_m and y_m, (n_y, n_x).
+
+    channel_response's formula as E_y diag(c) E_x^T, in (n_x + n_y)*L exponentials.
+    """
+    e_x, _ = response_factors(psi, np.column_stack((x_m, np.zeros(len(x_m)))))
+    e_y, coeff = response_factors(psi, np.column_stack((np.zeros(len(y_m)), y_m)))
+    return np.abs((e_y * coeff.T) @ e_x.T) ** 2
 
 
 def gain_map(psi: PathStateInfo, region: MovementRegion) -> DbMap:

@@ -6,6 +6,7 @@ formulas and are asserted here to double precision.
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from masim.channel import (
     to_db,
     write_grid_csv,
 )
+from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_3p5ghz, scenario_27p5ghz
 
 LAMBDA_27P5 = 0.010901543927272727273  # c / 27.5 GHz
 
@@ -373,6 +375,73 @@ class TestGainMaps:
     def test_to_db_floor(self):
         assert to_db(0.0) == to_db(1e-300)
         assert float(to_db(100.0)) == pytest.approx(20.0, abs=1e-12)
+
+
+def assert_grid_matches_response(psi, region):
+    """gain_field's grid form against |channel_response|^2 at every point of region, in its row order."""
+    got = gain_field(psi, region.grid_x(), region.grid_y())
+    assert got.shape == region.shape
+    expect = (np.abs(channel_response(psi, region.positions_array())) ** 2).reshape(region.shape)
+    # relative to the coherent bound (sum a_l)^2: deep nulls make a per-point relative bound meaningless
+    bound = 1e-12 * sum(p.amplitude for p in psi.paths) ** 2 + np.finfo(float).tiny
+    np.testing.assert_allclose(got, expect, rtol=0, atol=bound)
+
+
+class TestGridForm:
+    """gain_field is channel_response's formula factored over the grid's x and y axes."""
+
+    @pytest.mark.parametrize("region", [
+        MovementRegion(0.0, 0.0, 1e-3, 1e-3),      # 1 x 1
+        MovementRegion(0.02, 0.0, 1e-3, 1e-3),     # 1 x n: a 1-D track
+        MovementRegion(0.0, 0.02, 1e-3, 1e-3),     # n x 1
+        MovementRegion(0.05, 0.03, 0.5e-3, 1e-3),  # n x m
+    ], ids=["1x1", "1xn", "nx1", "nxm"])
+    def test_matches_response_on_grid(self, region):
+        for psi in (table3(), hall_psi_3p5ghz()):
+            assert_grid_matches_response(psi, region)
+
+    @pytest.mark.parametrize("scenario, hall_psi", [(scenario_3p5ghz, hall_psi_3p5ghz),
+                                                    (scenario_27p5ghz, hall_psi_27p5ghz)])
+    def test_matches_response_on_preset_regions(self, scenario, hall_psi):
+        cfg, psi = scenario(), hall_psi()
+        assert_grid_matches_response(psi, cfg.region)
+        assert_grid_matches_response(psi, cfg.sounding_region)
+
+    def test_plain_lists(self):
+        psi = table3()
+        g = gain_field(psi, [1e-3], [2e-3])
+        assert g.shape == (1, 1)
+        assert g[0, 0] == pytest.approx(abs(h_at(psi, Position(1e-3, 2e-3))) ** 2, rel=1e-12)
+        np.testing.assert_array_equal(gain_field(psi, [0.0, 1e-3, 2e-3], [0.0, 5e-4]),
+                                      gain_field(psi, np.array([0.0, 1e-3, 2e-3]), np.array([0.0, 5e-4])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_response_for_any_paths_and_region(self, data):
+        paths = tuple(
+            PathComponent(data.draw(angles_strategy()), data.draw(angles_strategy()),
+                          data.draw(finite(0.0, 2.0)), data.draw(finite(0.0, 100e-9)))
+            for _ in range(data.draw(st.integers(1, 8)))
+        )
+        psi = PathStateInfo(paths=paths, carrier_hz=data.draw(finite(1e9, 60e9)))
+        x_step, y_step = data.draw(finite(1e-4, 5e-3)), data.draw(finite(1e-4, 5e-3))
+        region = MovementRegion(x_step * data.draw(st.integers(0, 30)), y_step * data.draw(st.integers(0, 30)),
+                                x_step, y_step)
+        assert_grid_matches_response(psi, region)
+
+    def test_peak_memory_is_a_few_outputs(self):
+        # h (16 MB) and |h|^2 (8 MB) are the only grid-sized arrays; (Q, L) phases would add 80 MB
+        psi = hall_psi_3p5ghz()
+        xs, ys = 1e-3 * np.arange(1000), 0.5e-3 * np.arange(1000)
+        gain_field(psi, xs[:2], ys[:2])
+        tracemalloc.start()
+        try:
+            out = gain_field(psi, xs, ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1000, 1000)
+        assert peak < 4 * out.nbytes
 
 
 class TestGainMapValidation:

@@ -16,7 +16,7 @@ from masim.mover import (
     refine,
 )
 from masim.powermeter import measure_power
-from masim.presets import hall_psi_27p5ghz
+from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_3p5ghz, scenario_27p5ghz
 from masim.signals import NoiseSpec, add_noise, apply_channel, derive_seed, gen_tone
 
 
@@ -79,6 +79,16 @@ class TestCoarse:
         best_pos, best_gain = brute_force_best(psi, region)
         assert coarse_position(psi, region) == best_pos
         assert best_gain == float(np.max(gain_field(psi, region.grid_x(), region.grid_y())))
+
+    @pytest.mark.parametrize("scenario, hall_psi", [(scenario_3p5ghz, hall_psi_3p5ghz),
+                                                    (scenario_27p5ghz, hall_psi_27p5ghz)])
+    def test_is_the_pointwise_argmax_on_preset_regions(self, scenario, hall_psi):
+        # np.argmax over the row-major points keeps DbMap's tie order: smallest y, then x
+        psi = hall_psi()
+        for region in (scenario().region, scenario().sounding_region):
+            points = region.positions_array()
+            x, y = points[int(np.argmax(np.abs(channel_response(psi, points)[:, 0]) ** 2))]
+            assert coarse_position(psi, region) == Position(float(x), float(y))
 
     def test_single_path_field_is_flat(self):
         # one path cannot interfere with itself: gain 1 everywhere (to roundoff)
