@@ -12,6 +12,7 @@ import sys
 
 from .channel import gain_map
 from .harness import (
+    CampaignManifest,
     ConfigError,
     ScenarioConfig,
     StageError,
@@ -46,8 +47,7 @@ def _cmd_sound(args) -> int:
     cfg = ScenarioConfig.load(args.config)
     psi = load_psi(args.psi)
     out = synthesize_campaign(cfg, psi, args.mode, args.out_dir)
-    n = cfg.sounding_region.num_points if args.mode == "ofdm" else cfg.region.num_points
-    print(f"wrote {n} {args.mode} records to {out}")
+    print(f"wrote {CampaignManifest.load(out).region.num_points} {args.mode} records to {out}")
     return 0
 
 

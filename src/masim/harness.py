@@ -21,7 +21,8 @@ of the stages: in run order, each entry names its upstream stages (export
 follows every other requested stage), its artifacts relative to the stage
 directory, and its body. The CLI's estimate and optimize commands run the
 same code as those stages' bodies (estimate_campaign, optimize_on_slide_track)
-and have no setting of their own.
+and have no setting of their own; the measure stage meters iter_tone_records'
+captures as they are made, with the sweep_measure that `masim measure` runs.
 """
 
 from __future__ import annotations
@@ -212,15 +213,15 @@ def _check_carrier(cfg: ScenarioConfig, psi: PathStateInfo) -> None:
 
 
 def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo) -> Iterator[np.ndarray]:
-    """Yield one noisy tone capture per point of cfg.region, row-major.
+    """One noisy tone capture per point of cfg.region, row-major, made as the iterator is consumed.
 
-    Point q's noise is seeded by derive_seed(master_seed, "tone", q).
+    The carrier check runs at the call. Point q's noise is seeded by derive_seed(master_seed, "tone", q).
     """
     _check_carrier(cfg, psi)
     tone = gen_tone(cfg.tone_f0_hz, cfg.samples_per_measurement, 1.0 / cfg.bandwidth_hz)
     noise = NoiseSpec(cfg.noise_power, cfg.bandwidth_hz)
-    for i, (x, y) in enumerate(cfg.region.positions_array()):
-        yield add_noise(apply_channel(tone, psi, Position(x, y)), noise, derive_seed(cfg.master_seed, "tone", i))
+    return (add_noise(apply_channel(tone, psi, Position(x, y)), noise, derive_seed(cfg.master_seed, "tone", i))
+            for i, (x, y) in enumerate(cfg.region.positions_array()))
 
 
 def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
@@ -366,9 +367,7 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     record. Record files land first and the manifest last, each via rename,
     so a directory with a manifest is always a complete campaign.
     """
-    # the tone generator checks lazily; a refused campaign must leave no directory
     if mode == "tone":
-        _check_carrier(cfg, psi)
         payloads = iter_tone_records(cfg, psi)
     elif mode == "ofdm":
         campaign = build_sounding_campaign(cfg, psi)
@@ -507,8 +506,8 @@ def _estimate(sdir, cfg, psi, inputs):
 
 
 def _measure(sdir, cfg, psi, inputs):
-    synthesize_campaign(cfg, psi, "tone", sdir / "campaign")
-    measure_campaign(sdir / "campaign").to_csv(sdir / "power_map.csv")
+    pm = sweep_measure(cfg.region, iter_tone_records(cfg, psi), 1.0 / cfg.bandwidth_hz, cfg.tone_f0_hz)
+    pm.to_csv(sdir / "power_map.csv")
 
 
 def _optimize(sdir, cfg, psi, inputs, budget):
@@ -542,7 +541,7 @@ STAGES = {
     "estimate": Stage(
         ("sound",), {"estimated_psi": "estimated_psi.json", "pas": "pas.csv", "pds": "pds.csv"}, _estimate
     ),
-    "measure": Stage((), {"tone_campaign": "campaign", "power_map": "power_map.csv"}, _measure),
+    "measure": Stage((), {"power_map": "power_map.csv"}, _measure),
     "optimize": Stage(("estimate",), {"move_result": "move_result.json"}, _optimize),
     "export": Stage(None, {"export_dir": ".", "gain_map": "gain_map.csv"}, _export),
 }
@@ -586,7 +585,7 @@ def run_pipeline(
         if name in requested:
             requested.update(_upstream(name, requested))
 
-    params = {"sound": {}, "measure": {}, "estimate": {}, "optimize": {"budget": optimize_budget}, "export": {}}
+    params = {"optimize": {"budget": optimize_budget}}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -595,13 +594,14 @@ def run_pipeline(
     for name, stage in STAGES.items():
         if name not in requested:
             continue
+        stage_params = params.get(name, {})
         parents = _upstream(name, requested)
         payload = {
             "stage": name,
             "format": MANIFEST_FORMAT,
             "scenario": cfg.to_json_dict(),
             "psi": psi.to_json_dict(),
-            "params": params[name],
+            "params": stage_params,
             "parents": [hashes[p] for p in parents],
         }
         digest = hashlib.sha256(_canonical_bytes(payload)).hexdigest()[:12]
@@ -615,7 +615,7 @@ def run_pipeline(
             sdir.mkdir(parents=True, exist_ok=True)
             inputs = {key: result.stage_dirs[p] / rel for p in parents for key, rel in STAGES[p].artifacts.items()}
             try:
-                stage.body(sdir, cfg, psi, inputs, **params[name])
+                stage.body(sdir, cfg, psi, inputs, **stage_params)
             except Exception as e:
                 raise StageError(name, e) from e
             _atomic_write_bytes(marker, (digest + "\n").encode())

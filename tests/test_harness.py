@@ -183,6 +183,11 @@ class TestToneSynthesis:
             expect = add_noise(apply_channel(tone, psi, pos), spec, derive_seed(cfg.master_seed, "tone", i))
             np.testing.assert_array_equal(samples, expect)
 
+    def test_carrier_checked_at_call(self):
+        # a refusal needs no iteration, so a caller can check before it makes a directory
+        with pytest.raises(ConfigError, match="carrier"):
+            iter_tone_records(pipeline_config(), hall_psi_3p5ghz())
+
 
 class TestSoundingSynthesis:
     def test_vectorized_matches_per_record_application(self):
@@ -550,6 +555,11 @@ class TestPipeline:
             "export": "export-d3890103a929",
         }
 
+    def test_measure_stage_writes_only_its_power_map(self, five_stage_run):
+        # the tone captures are metered as they are made; no campaign is kept
+        assert sorted(p.name for p in five_stage_run.stage_dirs["measure"].iterdir()) == [".complete", "power_map.csv"]
+        assert "tone_campaign" not in five_stage_run.artifacts
+
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown pipeline stages"):
             run_pipeline(pipeline_config(), hall_psi_27p5ghz(), ["calibrate"], tmp_path / "run")
@@ -850,6 +860,16 @@ class TestCli:
         assert cli_main(["optimize", "--psi", psi_path, "--est", str(art["estimated_psi"]),
                          "--config", cfg_path, "--out", str(out)]) == 0
         assert out.read_bytes() == art["move_result"].read_bytes()
+
+    def test_measure_matches_stage(self, five_stage_run, tmp_path, capsys):
+        # the CLI meters a written tone campaign, the stage the same captures as they are made
+        cfg_path, psi_path = input_files(tmp_path)
+        cdir, out = tmp_path / "tone_campaign", tmp_path / "power_map.csv"
+        assert cli_main(["sound", "--config", cfg_path, "--psi", psi_path, "--mode", "tone",
+                         "--out-dir", str(cdir)]) == 0
+        assert capsys.readouterr().out == f"wrote 21 tone records to {cdir}\n"
+        assert cli_main(["measure", "--campaign", str(cdir), "--out", str(out)]) == 0
+        assert out.read_bytes() == five_stage_run.artifacts["power_map"].read_bytes()
 
     def test_export_runs_then_caches_every_stage(self, tmp_path, capsys):
         cfg_path, psi_path = input_files(tmp_path)
