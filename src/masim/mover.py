@@ -8,7 +8,8 @@ accuracy of the slide track or the measurement budget runs out.
 
 Every probe follows the hardware protocol: move, acknowledgment, measure;
 a channel that fails to acknowledge aborts the search, partial trace kept.
-SimulatedSlideTrack draws each probe as the one DFT bin the meter reads.
+SimulatedSlideTrack draws each probe as the one DFT bin the meter reads,
+its noise from one stream per track.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ class SimulatedSlideTrack:
     measure() draws the reading `measure_power` would take of a fresh tone
     capture at the current position, without the capture: with white circular
     noise of variance sigma^2 it is |h*|S|/N + w|^2, w ~ CN(0, sigma^2/N), where
-    |S|^2/N^2 is the unit tone's reading, metered once per track. Each probe's
-    w is seeded from master_seed and the probe counter. An event log of
-    ("move"|"ack"|"measure", position) tuples is kept for protocol audits.
+    |S|^2/N^2 is the unit tone's reading, metered once per track. The probes draw
+    w in turn from one stream, seeded by derive_seed(master_seed, "probe"). An event
+    log of ("move"|"ack"|"measure", position) tuples is kept for protocol audits.
     """
 
     def __init__(
@@ -90,10 +91,9 @@ class SimulatedSlideTrack:
     ):
         self.psi = psi
         self.region = region
-        self.master_seed = master_seed
         self.events: list[tuple[str, Position]] = []
         self._position: Position | None = None
-        self._probes = 0
+        self._rng = np.random.default_rng(derive_seed(master_seed, "probe"))
         t = 1.0 / noise.bandwidth_hz
         self._bin = np.array([math.sqrt(measure_power(gen_tone(f0_hz, num_samples, t), t, f0_hz).power_linear)])
         self._bin_noise = NoiseSpec(noise.power / num_samples, noise.bandwidth_hz / num_samples)
@@ -110,9 +110,7 @@ class SimulatedSlideTrack:
         if self._position is None:
             raise RuntimeError("measure() before any acknowledged move")
         self.events.append(("measure", self._position))
-        seed = derive_seed(self.master_seed, "probe", self._probes)
-        self._probes += 1
-        y = add_noise(apply_channel(self._bin, self.psi, self._position), self._bin_noise, seed)
+        y = add_noise(apply_channel(self._bin, self.psi, self._position), self._bin_noise, self._rng)
         return float(to_db(abs(y[0]) ** 2))
 
 

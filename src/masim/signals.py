@@ -176,8 +176,8 @@ def apply_channel(tx: np.ndarray, psi: PathStateInfo, position: Position) -> np.
     return h * np.asarray(tx, dtype=np.complex128)
 
 
-def add_noise(samples: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:
-    """Add seeded circularly symmetric Gaussian noise of variance spec.power."""
+def add_noise(samples: np.ndarray, spec: NoiseSpec, seed: int | np.random.Generator) -> np.ndarray:
+    """Add circularly symmetric Gaussian noise of variance spec.power; seed is anything np.random.default_rng takes."""
     if spec.power == 0.0:
         return np.array(samples, dtype=np.complex128, copy=True)
     n = len(samples)

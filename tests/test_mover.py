@@ -5,7 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masim.channel import DbMap, MovementRegion, PathComponent, PathStateInfo, Position, channel_response, gain_field
+from masim.channel import (
+    DbMap,
+    MovementRegion,
+    PathComponent,
+    PathStateInfo,
+    Position,
+    channel_response,
+    gain_field,
+    to_db,
+)
 from masim.mover import (
     MoveAborted,
     MoveResult,
@@ -40,10 +49,11 @@ def make_track(psi, region, noise_power=0.01, seed=42, f0_hz=50e6, num_samples=4
 
 
 class CaptureAndMeterTrack(SimulatedSlideTrack):
-    """Oracle: each probe synthesizes the whole noisy tone capture and meters it."""
+    """Oracle: each probe synthesizes the whole noisy tone capture and meters it, seeded by its own counter."""
 
     def __init__(self, psi, region, noise, f0_hz, num_samples, master_seed):
         super().__init__(psi, region, noise, f0_hz, num_samples, master_seed)
+        self.master_seed, self._probes = master_seed, 0
         self.noise, self.f0_hz, self.t = noise, f0_hz, 1.0 / noise.bandwidth_hz
         self.tone = gen_tone(f0_hz, num_samples, self.t)
 
@@ -271,6 +281,40 @@ class TestProbeLaw:
         for r in readings:
             m, se = mean_se(r)
             assert abs(m - expected_mean) < 5 * se
+
+    def test_readings_are_one_stream_of_two_normals_per_probe(self):
+        # oracle: probe k reads |h*|S|/N + w_k|^2, w_k scaled from the k-th pair of
+        # standard normals of the one stream derive_seed(master_seed, "probe")
+        psi, region, noise_power, n = table3(), hi_region(), 64.0, 4096
+        track = make_track(psi, region, noise_power, seed=9, num_samples=n)
+        rng = np.random.default_rng(derive_seed(9, "probe"))
+        unit = np.sqrt(measure_power(gen_tone(50e6, n, 1 / 400e6), 1 / 400e6, 50e6).power_linear)
+        for x, y in [(0.0125, 0.031), (0.0125, 0.031), (0.05, 0.0495), (0.0, 0.0), (0.0333, 0.002)] * 4:
+            pos = Position(x, y)
+            assert track.move(pos)
+            v = rng.standard_normal(2)
+            w = (v[0] + 1j * v[1]) * np.sqrt(noise_power / n / 2.0)
+            want = float(to_db(abs(channel_response(psi, pos.as_array())[0, 0] * unit + w) ** 2))
+            assert track.measure() == want
+
+    def test_seeds_one_stream_per_track(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return derive_seed(*args)
+
+        monkeypatch.setattr("masim.mover.derive_seed", counting)
+        psi, region = table3(), hi_region()
+        result = optimize(psi, region, make_track(psi, region, seed=3), refine_step_m=0.5e-3, budget=50)
+        assert result.measurements_used > 1
+        assert calls == [(3, "probe")]
+
+    def test_equal_master_seeds_give_identical_traces(self):
+        psi, region = table3(), hi_region()
+        a, b = (optimize(psi, region, make_track(psi, region, seed=42), refine_step_m=0.5e-3, budget=50)
+                for _ in range(2))
+        assert a.to_json_dict() == b.to_json_dict()
 
     def test_measure_allocates_no_capture(self):
         # one 2^20-sample capture would be 16 MB; a probe draws two normals

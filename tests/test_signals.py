@@ -219,6 +219,9 @@ class TestAddNoise:
         spec = NoiseSpec(0.1, 400e6)
         np.testing.assert_array_equal(add_noise(x, spec, 5), add_noise(x, spec, 5))
         assert not np.array_equal(add_noise(x, spec, 5), add_noise(x, spec, 6))
+        # a Generator is drawn from as default_rng(seed) would be: tone records keep their bytes
+        seed = derive_seed(4, "tone", 3)
+        assert add_noise(x, spec, np.random.default_rng(seed)).tobytes() == add_noise(x, spec, seed).tobytes()
 
     def test_variance_law_of_large_numbers(self):
         n = 1_000_000
