@@ -36,6 +36,9 @@ SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 MAX_GRID_POINTS = 10**6
 """Largest sampling grid a MovementRegion accepts (the paper's largest is 101 x 101)."""
 
+MAX_STATE_PATHS = 64
+"""Most paths a PathStateInfo holds: 8x estimator.MAX_PATHS; every channel evaluation's arrays grow with it."""
+
 
 CSV_BLOCK_ROWS = 2**16
 """Rows write_csv formats per write."""
@@ -83,6 +86,8 @@ class PathStateInfo(JsonCodec):
     def __post_init__(self):
         if len(self.paths) == 0:
             raise ValueError("PathStateInfo needs at least one path")
+        if len(self.paths) > MAX_STATE_PATHS:
+            raise ValueError(f"PathStateInfo holds at most {MAX_STATE_PATHS} paths, got {len(self.paths)}")
         object.__setattr__(self, "paths", tuple(self.paths))
         if self.carrier_hz <= 0.0:
             raise ValueError(f"carrier_hz must be > 0: {self.carrier_hz}")
@@ -249,7 +254,32 @@ class DbMap:
         return Position(float(self.x_m[ix]), float(self.y_m[iy]))
 
     def to_csv(self, path) -> None:
-        write_grid_csv(path, self.x_m, self.y_m, self.values_db, self.column)
+        write_csv(path, ["x_m", "y_m", self.column], self.x_m[None, :], self.y_m[:, None], self.values_db)
+
+    @classmethod
+    def read_csv(cls, path) -> "DbMap":
+        """Read back a map that to_csv wrote.
+
+        Rows must be exactly what to_csv writes: three columns of finite
+        numbers, a complete grid, row-major by y then x, under a *_db or
+        *_dbr value column. Anything else is a ValueError.
+        """
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            if header[:2] != ["x_m", "y_m"] or len(header) != 3:
+                raise ValueError(f"unexpected grid CSV header: {header}")
+            body = fh.read()
+        if not header[2].endswith(("_db", "_dbr")):
+            raise ValueError(f"{path}: column {header[2]!r} is not a dB quantity")
+        if not body.strip():
+            raise ValueError(f"grid CSV has no rows: {path}")
+        rows = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+        if rows.shape[1] != 3:
+            raise ValueError(f"grid CSV rows must have 3 columns, found {rows.shape[1]}: {path}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError(f"grid CSV holds a non-finite value: {path}")
+        xs, ys = row_major_axes(rows[:, 0], rows[:, 1], f"the rows of {path}")
+        return cls(x_m=xs, y_m=ys, values_db=rows[:, 2].reshape(len(ys), len(xs)), column=header[2])
 
 
 def write_csv(path, names, *columns) -> None:
@@ -277,35 +307,6 @@ def write_csv_rows(fh, *columns) -> None:
     for start in range(0, n_rows, step):
         block = [c[start:start + step].ravel().tolist() for c in columns]
         fh.write("".join(map(row.format, *block)))
-
-
-def write_grid_csv(path, x_m, y_m, values, value_column: str) -> None:
-    """Write a gridded scalar field (n_y, n_x) as x_m,y_m,<value> rows, row-major by y then x."""
-    write_csv(path, ["x_m", "y_m", value_column],
-              x_m[None, :], y_m[:, None], values)
-
-
-def read_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Read a gridded CSV back into (x_m, y_m, values, value_column).
-
-    Rows must be exactly what write_grid_csv writes: three columns of finite
-    numbers, a complete grid, row-major by y then x. Anything else is a
-    ValueError.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["x_m", "y_m"] or len(header) != 3:
-            raise ValueError(f"unexpected grid CSV header: {header}")
-        body = fh.read()
-    if not body.strip():
-        raise ValueError(f"grid CSV has no rows: {path}")
-    rows = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
-    if rows.shape[1] != 3:
-        raise ValueError(f"grid CSV rows must have 3 columns, found {rows.shape[1]}: {path}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError(f"grid CSV holds a non-finite value: {path}")
-    xs, ys = row_major_axes(rows[:, 0], rows[:, 1], f"the rows of {path}")
-    return xs, ys, rows[:, 2].reshape(len(ys), len(xs)), header[2]
 
 
 def row_major_axes(x: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .channel import gain_map
+from .channel import DbMap, gain_map
 from .harness import (
     CampaignManifest,
     ConfigError,
@@ -20,7 +20,6 @@ from .harness import (
     _check_carrier,
     compare_maps,
     estimate_campaign,
-    load_map_csv,
     load_psi,
     measure_campaign,
     optimize_on_slide_track,
@@ -93,7 +92,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report = compare_maps(load_map_csv(args.a), load_map_csv(args.b))
+    report = compare_maps(DbMap.read_csv(args.a), DbMap.read_csv(args.b))
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     print(text)
     if args.out is not None:

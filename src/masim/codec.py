@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import types
 import typing
 
 
@@ -74,11 +73,6 @@ def decode(tp, data, where: str):
         except (ValueError, ArithmeticError) as e:
             raise ConfigError(f"{where}: {e}") from e
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        if data is None and type(None) in args:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return decode(inner, data, where)
     if origin is tuple:
         if not isinstance(data, list):
             raise ConfigError(f"{where}: expected a list, got {_kind(data)}")
@@ -89,7 +83,7 @@ def decode(tp, data, where: str):
         return tuple(decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, data)))
     if tp is float:
         return _number(data, where)
-    if tp in (int, bool, str):
+    if tp in (int, str):
         if type(data) is not tp:
             raise ConfigError(f"{where}: expected {tp.__name__}, got {_kind(data)}")
         return data

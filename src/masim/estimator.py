@@ -136,11 +136,9 @@ class SoundingCampaign:
 
 @dataclass(frozen=True)
 class PasMatrix:
-    """Power angular spectrum over the angle grid, raw quadratic-form values."""
+    """Power angular spectrum over the SCAN_ANGLES_DEG grid, raw quadratic-form values."""
 
-    values: np.ndarray  # (n_elevation, n_azimuth)
-    elevations_deg: np.ndarray
-    azimuths_deg: np.ndarray
+    values: np.ndarray  # (elevation, azimuth), both on SCAN_ANGLES_DEG
 
     @property
     def values_db_rel_max(self) -> np.ndarray:
@@ -148,8 +146,8 @@ class PasMatrix:
 
     def to_csv(self, path) -> None:
         """Rows of elevation_deg,azimuth_deg,pas_db with the max pinned at 0 dB."""
-        write_csv(path, ["elevation_deg", "azimuth_deg", "pas_db"], self.elevations_deg[:, None],
-                  self.azimuths_deg[None, :], self.values_db_rel_max)
+        write_csv(path, ["elevation_deg", "azimuth_deg", "pas_db"], SCAN_ANGLES_DEG[:, None],
+                  SCAN_ANGLES_DEG[None, :], self.values_db_rel_max)
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ def compute_pas(campaign: SoundingCampaign) -> PasMatrix:
         acc *= z
     pas = lag[:, :1].real + 2.0 * acc.real
     np.maximum(pas, 0.0, out=pas)
-    return PasMatrix(values=pas, elevations_deg=els, azimuths_deg=azs)
+    return PasMatrix(values=pas)
 
 
 def _neighborhood_max(v: np.ndarray) -> np.ndarray:
@@ -266,8 +264,8 @@ def find_paths(pas: PasMatrix) -> list[SpectrumPeak]:
         val = float(v[ie, ia])
         peaks.append(
             SpectrumPeak(
-                elevation_deg=float(pas.elevations_deg[ie]),
-                azimuth_deg=float(pas.azimuths_deg[ia]),
+                elevation_deg=float(SCAN_ANGLES_DEG[ie]),
+                azimuth_deg=float(SCAN_ANGLES_DEG[ia]),
                 value=val,
                 rel_max_db=float(10.0 * np.log10(val / peak_val)),
             )

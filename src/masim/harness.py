@@ -13,16 +13,20 @@ the joint noise law the frames would give them, and each sounding record
 holds one position's h_freq row followed by its snapshot row.
 
 run_pipeline() chains sound -> estimate -> measure -> optimize -> export
-through content-addressed stage directories: each stage directory name
-embeds a hash of everything the stage depends on, so re-running with the
-same inputs is a cache hit and changing any input re-runs exactly the
-stages downstream of the change. The STAGES table is the one description
-of the stages: in run order, each entry names its upstream stages (export
-follows every other requested stage), its artifacts relative to the stage
-directory, and its body. The CLI's estimate and optimize commands run the
-same code as those stages' bodies (estimate_campaign, optimize_on_slide_track)
-and have no setting of their own; the measure stage meters iter_tone_records'
-captures as they are made, with the sweep_measure that `masim measure` runs.
+through content-addressed stage directories. Each stage directory name
+embeds a hash of the campaign format, the whole scenario, the whole path
+state, the stage's own parameters and its upstream stages' hashes, so
+re-running with the same inputs is a cache hit. Changing any scenario or
+path-state field re-runs every requested stage, even one that does not
+read that field; only a stage parameter (the optimize budget) is scoped to
+its stage and the stages downstream of it. The STAGES table is the one
+description of the stages: in run order, each entry names its upstream
+stages (export follows every other requested stage), its artifacts
+relative to the stage directory, and its body. The CLI's estimate and
+optimize commands run the same code as those stages' bodies
+(estimate_campaign, optimize_on_slide_track) and have no setting of their
+own; the measure stage meters iter_tone_records' captures as they are
+made, with the sweep_measure that `masim measure` runs.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .channel import (
     PathStateInfo,
     Position,
     gain_map,
-    read_grid_csv,
     response_factors,
 )
 from .codec import ConfigError, JsonCodec, encode
@@ -163,11 +166,8 @@ class ScenarioConfig(JsonCodec):
         if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) or self.master_seed < 0:
             raise ConfigError(f"master_seed must be a non-negative integer: {self.master_seed!r}")
 
-    def canonical_bytes(self) -> bytes:
-        return _canonical_bytes(self.to_json_dict())
-
     def scenario_hash(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()[:12]
+        return hashlib.sha256(_canonical_bytes(self.to_json_dict())).hexdigest()[:12]
 
     def save(self, path) -> None:
         _atomic_write_json(path, self.to_json_dict())
@@ -417,7 +417,7 @@ def load_campaign(dir_path) -> tuple[CampaignManifest, list[np.ndarray]]:
     return manifest, list(_read_records(dir_path, manifest))
 
 
-def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign]:
+def load_sounding_campaign(dir_path) -> SoundingCampaign:
     """Stream an on-disk ofdm campaign into a SoundingCampaign, one record file at a time.
 
     Each record holds its position's h_freq row, then its snapshot row; the
@@ -433,7 +433,7 @@ def load_sounding_campaign(dir_path) -> tuple[CampaignManifest, SoundingCampaign
     snaps = np.empty((q_n, _record_samples(cfg, "ofdm") - i_n), dtype=np.complex128)
     for q, samples in enumerate(_read_records(dir_path, manifest)):
         h_freq[q], snaps[q] = samples[:i_n], samples[i_n:]
-    return manifest, SoundingCampaign(manifest.region, num, cfg.carrier_hz, h_freq, snaps)
+    return SoundingCampaign(manifest.region, num, cfg.carrier_hz, h_freq, snaps)
 
 
 def measure_campaign(dir_path) -> DbMap:
@@ -486,7 +486,7 @@ def estimate_campaign(campaign_dir, est_path, pas_path=None, pds_path=None) -> P
     pas_path and pds_path, when given, also receive the angular and delay
     spectra as CSV. Both `masim estimate` and the estimate stage run this.
     """
-    _, campaign = load_sounding_campaign(campaign_dir)
+    campaign = load_sounding_campaign(campaign_dir)
     pas = compute_pas(campaign)
     est = estimate_psi(campaign, pas=pas)
     save_psi(est_path, est)
@@ -625,13 +625,6 @@ def run_pipeline(
 
 # ---------------------------------------------------------------------------
 # map comparison
-
-
-def load_map_csv(path) -> DbMap:
-    x, y, values, column = read_grid_csv(path)
-    if not (column.endswith("_db") or column.endswith("_dbr")):
-        raise ConfigError(f"{path}: column {column!r} is not a dB quantity")
-    return DbMap(x_m=x, y_m=y, values_db=values, column=column)
 
 
 @dataclass(frozen=True)

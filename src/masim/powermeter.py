@@ -60,7 +60,6 @@ class PowerMeasurement:
     power_linear: float
     power_db: float
     fft_size: int
-    num_samples: int
     peak_bin: int
 
 
@@ -77,7 +76,6 @@ def measure_power(samples: np.ndarray, sample_interval_s: float, f0_hz: float) -
         power_linear=p_lin,
         power_db=float(to_db(p_lin)),
         fft_size=ns,
-        num_samples=n,
         peak_bin=k_hat,
     )
 

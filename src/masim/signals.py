@@ -75,7 +75,7 @@ class OfdmNumerology(JsonCodec):
             raise ValueError("num_subcarriers and num_symbols must be >= 1")
         if self.cp_duration_s < 0.0:
             raise ValueError("cp_duration_s must be >= 0")
-        cp = self.cp_duration_s * self.sample_rate_hz
+        cp = self.cp_duration_s * self.occupied_bandwidth_hz
         if abs(cp - round(cp)) > 1e-6:
             raise ValueError(f"cp_duration_s must be an integer number of samples at I*df, got {cp:.6f}")
 
@@ -95,16 +95,8 @@ class OfdmNumerology(JsonCodec):
         return self.num_subcarriers * self.subcarrier_spacing_hz
 
     @property
-    def sample_rate_hz(self) -> float:
-        return self.occupied_bandwidth_hz
-
-    @property
-    def sample_interval_s(self) -> float:
-        return 1.0 / self.sample_rate_hz
-
-    @property
     def cp_samples(self) -> int:
-        return int(round(self.cp_duration_s * self.sample_rate_hz))
+        return int(round(self.cp_duration_s * self.occupied_bandwidth_hz))
 
     @property
     def samples_per_symbol(self) -> int:

@@ -111,7 +111,7 @@ def sounding_records(cfg: ScenarioConfig, psi, tx_symbols):
     Position q's noise is seeded by derive_seed(master_seed, "sound", q).
     """
     num = cfg.numerology
-    noise = NoiseSpec(cfg.noise_power, num.sample_rate_hz)
+    noise = NoiseSpec(cfg.noise_power, num.occupied_bandwidth_hz)
     positions = cfg.sounding_region.positions_array()
     block = max(1, (1 << 22) // num.frame_samples)  # about 64 MiB of frames at a time
     for start in range(0, len(positions), block):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masim.channel import (
+    MAX_STATE_PATHS,
     DbMap,
     MovementRegion,
     PathComponent,
@@ -22,11 +23,10 @@ from masim.channel import (
     channel_response,
     gain_field,
     gain_map,
-    read_grid_csv,
     row_major_axes,
     to_db,
-    write_grid_csv,
 )
+from masim.codec import ConfigError, encode
 from masim.presets import hall_psi_3p5ghz, hall_psi_27p5ghz, scenario_3p5ghz, scenario_27p5ghz
 
 LAMBDA_27P5 = 0.010901543927272727273  # c / 27.5 GHz
@@ -228,6 +228,15 @@ class TestPsiValidation:
         with pytest.raises(ValueError, match="at least one path"):
             PathStateInfo(paths=(), carrier_hz=1e9)
 
+    def test_path_count_capped(self):
+        path = PathComponent(0.0, 0.0, 0.1, 0.0)
+        assert PathStateInfo(paths=(path,) * MAX_STATE_PATHS, carrier_hz=1e9).num_paths == MAX_STATE_PATHS == 64
+        with pytest.raises(ValueError, match="at most 64 paths, got 65"):
+            PathStateInfo(paths=(path,) * (MAX_STATE_PATHS + 1), carrier_hz=1e9)
+        data = {"paths": [encode(path)] * (MAX_STATE_PATHS + 1), "carrier_hz": 1e9}
+        with pytest.raises(ConfigError, match=r"PathStateInfo: PathStateInfo holds at most 64 paths"):
+            PathStateInfo.from_json_dict(data)
+
     def test_rejects_nonpositive_carrier(self):
         with pytest.raises(ValueError, match="carrier_hz"):
             PathStateInfo(paths=(PathComponent(0, 0, 1.0, 0.0),), carrier_hz=0.0)
@@ -329,19 +338,19 @@ class TestGainMaps:
         gm = gain_map(table3(), MovementRegion(0.004, 0.004, 1e-3, 1e-3))
         path = tmp_path / "gain.csv"
         gm.to_csv(path)
-        x, y, values, column = read_grid_csv(path)
-        assert column == "gain_db"
-        np.testing.assert_allclose(x, gm.x_m, atol=1e-12)
-        np.testing.assert_allclose(y, gm.y_m, atol=1e-12)
-        np.testing.assert_allclose(values, gm.values_db, atol=1e-6)
+        back = DbMap.read_csv(path)
+        assert back.column == "gain_db"
+        np.testing.assert_allclose(back.x_m, gm.x_m, atol=1e-12)
+        np.testing.assert_allclose(back.y_m, gm.y_m, atol=1e-12)
+        np.testing.assert_allclose(back.values_db, gm.values_db, atol=1e-6)
 
     def test_grid_csv_rejects_ragged_grid(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_grid_csv(path, np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((2, 2)), "gain_db")
+        DbMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((2, 2)), "gain_db").to_csv(path)
         text = path.read_text().splitlines()
         path.write_text("\n".join(text[:-1]) + "\n")  # drop one point
         with pytest.raises(ValueError):
-            read_grid_csv(path)
+            DbMap.read_csv(path)
 
     @pytest.mark.parametrize("body", [
         "",  # header only
@@ -359,7 +368,7 @@ class TestGainMaps:
         path = tmp_path / "bad.csv"
         path.write_text("x_m,y_m,gain_db\n" + body)
         with pytest.raises(ValueError):
-            read_grid_csv(path)
+            DbMap.read_csv(path)
 
     def test_row_major_axes_names_the_flaw(self):
         with pytest.raises(ValueError, match=r"points are not a complete grid: duplicated point \(0\.001, 0\.0\)"):

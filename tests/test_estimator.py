@@ -195,8 +195,8 @@ class TestPas:
         camp = small_campaign(one_path_psi())
         pas = compute_pas(camp)
         ie, ia = np.unravel_index(np.argmax(pas.values), pas.values.shape)
-        assert pas.elevations_deg[ie] == 3.0
-        assert pas.azimuths_deg[ia] == 2.0
+        assert SCAN_ANGLES_DEG[ie] == 3.0
+        assert SCAN_ANGLES_DEG[ia] == 2.0
 
     def test_noise_only_is_flat(self):
         pas = compute_pas(noise_campaign(n_snap=1024))
@@ -286,26 +286,24 @@ class TestFindPaths:
 
     def test_max_paths_caps_output(self):
         # 12 isolated peaks, all within PEAK_PROMINENCE_DB of the strongest: the MAX_PATHS strongest come back
-        values = np.zeros((37, 37))
+        values = np.zeros((361, 361))
         heights = 1.0 - 0.05 * np.arange(12)
-        cells = [(3 * (k // 4) + 3, 3 * (k % 4) + 3) for k in range(12)]
+        cells = [(30 * (k // 4) + 30, 30 * (k % 4) + 30) for k in range(12)]
         for (ie, ia), height in zip(cells, heights):
             values[ie, ia] = height
-        axis = -90.0 + 5.0 * np.arange(37)
-        peaks = find_paths(PasMatrix(values, axis, axis))
+        peaks = find_paths(PasMatrix(values))
         assert MAX_PATHS == 8 and len(peaks) == MAX_PATHS
         assert [p.value for p in peaks] == list(heights[:MAX_PATHS])
 
     def test_prominence_threshold_drops_weak_paths(self):
         # peaks at 0, -19.9 and -20.1 dB: the last is beyond PEAK_PROMINENCE_DB
-        values = np.zeros((37, 37))
-        for ie, rel_db in ((5, 0.0), (15, -19.9), (25, -20.1)):
-            values[ie, 10] = 10.0 ** (rel_db / 10.0)
-        axis = -90.0 + 5.0 * np.arange(37)
-        peaks = find_paths(PasMatrix(values, axis, axis))
+        values = np.zeros((361, 361))
+        for ie, rel_db in ((50, 0.0), (150, -19.9), (250, -20.1)):
+            values[ie, 100] = 10.0 ** (rel_db / 10.0)
+        peaks = find_paths(PasMatrix(values))
         assert PEAK_PROMINENCE_DB == 20.0
         assert [p.rel_max_db for p in peaks] == pytest.approx([0.0, -19.9])
-        assert [p.elevation_deg for p in peaks] == [axis[5], axis[15]]
+        assert [(p.elevation_deg, p.azimuth_deg) for p in peaks] == [(-65.0, -40.0), (-15.0, -40.0)]
 
 
 class TestZeroForcing:
@@ -394,7 +392,7 @@ class TestStreamedReductions:
         record_bytes = (cdir / "rec_000000.maiq").stat().st_size
         tracemalloc.start()
         try:
-            _, camp = load_sounding_campaign(cdir)
+            camp = load_sounding_campaign(cdir)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from masim.channel import CSV_BLOCK_ROWS, to_db, write_grid_csv
-from masim.estimator import PasMatrix, PdsMatrix
+from masim.channel import CSV_BLOCK_ROWS, DbMap, to_db
+from masim.estimator import SCAN_ANGLES_DEG, PasMatrix, PdsMatrix
 
 
 def oracle_grid_csv(x_m, y_m, values, value_column):
@@ -26,11 +26,12 @@ def oracle_grid_csv(x_m, y_m, values, value_column):
 
 
 def oracle_pas_csv(pas):
-    vdb = pas.values_db_rel_max
+    vdb = pas.values_db_rel_max.tolist()  # Python floats: a 361 x 361 loop over numpy scalars is slow
+    axis = SCAN_ANGLES_DEG.tolist()
     lines = ["elevation_deg,azimuth_deg,pas_db"]
-    for ie, el in enumerate(pas.elevations_deg):
-        for ia, az in enumerate(pas.azimuths_deg):
-            lines.append(f"{el:.9g},{az:.9g},{vdb[ie, ia]:.9g}")
+    for ie, el in enumerate(axis):
+        for ia, az in enumerate(axis):
+            lines.append(f"{el:.9g},{az:.9g},{vdb[ie][ia]:.9g}")
     return "\n".join(lines) + "\n"
 
 
@@ -72,17 +73,18 @@ class TestWriteCsv:
     def test_grid_matches_nested_loop_oracle(self, tmp_path_factory, grid, column):
         x, y, values = grid
         path = tmp_path_factory.mktemp("grid") / "map.csv"
-        write_grid_csv(path, x, y, values, column)
+        DbMap(x, y, values, column).to_csv(path)
         assert path.read_text() == oracle_grid_csv(x, y, values, column)
 
-    @settings(max_examples=150, deadline=None)
-    @given(grids(POWER))
-    def test_pas_matches_nested_loop_oracle(self, tmp_path_factory, grid):
-        azs, els, values = grid
+    @settings(max_examples=10, deadline=None)  # each example formats the full 361 x 361 grid
+    @given(arrays(np.float64, st.tuples(DIM, DIM), elements=POWER), POWER, st.integers(0, 360), st.integers(0, 360))
+    def test_pas_matches_nested_loop_oracle(self, tmp_path_factory, patch, fill, row, col):
+        # a drawn patch of values on a drawn background, over the fixed SCAN_ANGLES_DEG grid
+        values = np.full((len(SCAN_ANGLES_DEG),) * 2, fill)
+        values[row:row + patch.shape[0], col:col + patch.shape[1]] = patch[:361 - row, :361 - col]
         if not values.max() > 0.0:
-            values = values.copy()
             values[0, 0] = 1.0  # a PAS peaks somewhere: values_db_rel_max divides by it
-        pas = PasMatrix(values=values, elevations_deg=els, azimuths_deg=azs)
+        pas = PasMatrix(values=values)
         path = tmp_path_factory.mktemp("pas") / "pas.csv"
         pas.to_csv(path)
         assert path.read_text() == oracle_pas_csv(pas)
@@ -102,7 +104,7 @@ class TestWriteCsv:
         assert CSV_BLOCK_ROWS < len(x) * len(y) < 2 * CSV_BLOCK_ROWS
         values = np.random.default_rng(11).standard_normal((len(y), len(x))) * 1e3
         path = tmp_path / "map.csv"
-        write_grid_csv(path, x, y, values, "gain_db")
+        DbMap(x, y, values, "gain_db").to_csv(path)
         assert path.read_text() == oracle_grid_csv(x, y, values, "gain_db")
 
 
@@ -123,19 +125,20 @@ class TestBroadcastColumns:
         x, y = np.linspace(-0.02, 0.03, nx), np.linspace(0.0, 5e-3, ny)
         values = 10.0 * np.log10(matrix)
         path = tmp_path / "map.csv"
-        write_grid_csv(path, x, y, values, "gain_db")
+        DbMap(x, y, values, "gain_db").to_csv(path)
         assert path.read_text() == oracle_flat_columns_csv(
             ["x_m", "y_m", "gain_db"], np.tile(x, ny), np.repeat(y, nx), values.ravel())
 
-    def test_pas_matches_repeated_columns(self, tmp_path, matrix):
-        n_el, n_az = matrix.shape
-        pas = PasMatrix(values=matrix, elevations_deg=np.linspace(-90.0, 90.0, n_el),
-                        azimuths_deg=np.linspace(-90.0, 90.0, n_az))
+    def test_pas_matches_repeated_columns(self, tmp_path):
+        # the PAS has one shape, the SCAN_ANGLES_DEG grid: 361 rows, more than one block, 361 not dividing CSV_BLOCK_ROWS
+        n = len(SCAN_ANGLES_DEG)
+        assert CSV_BLOCK_ROWS < n * n and CSV_BLOCK_ROWS % n != 0
+        pas = PasMatrix(values=np.random.default_rng(361).uniform(1e-6, 1.0, (n, n)))
         path = tmp_path / "pas.csv"
         pas.to_csv(path)
         assert path.read_text() == oracle_flat_columns_csv(
-            ["elevation_deg", "azimuth_deg", "pas_db"], np.repeat(pas.elevations_deg, n_az),
-            np.tile(pas.azimuths_deg, n_el), pas.values_db_rel_max.ravel())
+            ["elevation_deg", "azimuth_deg", "pas_db"], np.repeat(SCAN_ANGLES_DEG, n),
+            np.tile(SCAN_ANGLES_DEG, n), pas.values_db_rel_max.ravel())
 
     def test_pds_matches_repeated_columns(self, tmp_path, matrix):
         q, n = matrix.shape

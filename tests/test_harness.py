@@ -6,12 +6,13 @@ import json
 import math
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from masim import estimator
-from masim.channel import MovementRegion, PathComponent, PathStateInfo, Position, gain_map
+from masim.channel import MAX_STATE_PATHS, DbMap, MovementRegion, PathComponent, PathStateInfo, Position, gain_map
 from masim.codec import encode
 from masim.cli import main as cli_main
 from masim.harness import (
@@ -26,7 +27,6 @@ from masim.harness import (
     compare_maps,
     iter_tone_records,
     load_campaign,
-    load_map_csv,
     load_psi,
     load_sounding_campaign,
     measure_campaign,
@@ -364,8 +364,8 @@ class TestCampaignFiles:
         cfg = pipeline_config()
         psi = hall_psi_27p5ghz()
         cdir = synthesize_campaign(cfg, psi, "ofdm", tmp_path / "camp")
-        manifest, campaign = load_sounding_campaign(cdir)
-        assert manifest.mode == "ofdm"
+        campaign = load_sounding_campaign(cdir)
+        assert CampaignManifest.load(cdir).mode == "ofdm"
         built = build_sounding_campaign(cfg, psi)
         assert campaign.region == built.region == cfg.sounding_region
         np.testing.assert_array_equal(campaign.h_freq, built.h_freq)
@@ -378,13 +378,13 @@ class TestCampaignFiles:
             np.testing.assert_array_equal(records[q][i_n:], built.samples_matrix()[q])
 
     def test_on_disk_estimate_equals_in_memory(self, five_stage_run):
-        _, campaign = load_sounding_campaign(five_stage_run.artifacts["sounding_campaign"])
+        campaign = load_sounding_campaign(five_stage_run.artifacts["sounding_campaign"])
         assert estimate_psi(campaign) == estimate_psi(build_sounding_campaign(pipeline_config(), hall_psi_27p5ghz()))
 
     def test_estimate_file_is_the_in_memory_estimate(self, five_stage_run, tmp_path):
         # the estimate is a PathStateInfo: it feeds gain_map directly, and its file reads back equal
         art = five_stage_run.artifacts
-        _, campaign = load_sounding_campaign(art["sounding_campaign"])
+        campaign = load_sounding_campaign(art["sounding_campaign"])
         est = estimate_psi(campaign)
         assert est == load_psi(art["estimated_psi"])
         cfg_path = tmp_path / "scenario.json"
@@ -607,13 +607,13 @@ class TestCompareMaps:
         path = tmp_path / "map.csv"
         path.write_text("x_m,y_m,volts\n0,0,1\n")
         with pytest.raises(ValueError, match="dB quantity"):
-            load_map_csv(path)
+            DbMap.read_csv(path)
 
     def test_load_map_csv_reads_power_map(self, tmp_path):
         gm = gain_map(hall_psi_27p5ghz(), MovementRegion(0.004, 0.004, 1e-3, 1e-3))
         path = tmp_path / "gain.csv"
         gm.to_csv(path)
-        loaded = load_map_csv(path)
+        loaded = DbMap.read_csv(path)
         np.testing.assert_allclose(loaded.values_db, gm.values_db, atol=1e-6)
 
 
@@ -852,6 +852,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "carrier" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--config", "{cfg}", "--psi", "{psi}", "--out", "{out}"],
+        ["sound", "--config", "{cfg}", "--psi", "{psi}", "--out-dir", "{out}"],
+    ], ids=["simulate", "sound"])
+    def test_path_state_over_the_path_cap_exits_2(self, tmp_path, capsys, command):
+        # the path count sizes every channel evaluation, so a path list past the cap is refused on load
+        cfg_path, psi_path = input_files(tmp_path)
+        data = hall_psi_27p5ghz().to_json_dict()
+        path = data["paths"][0]
+        for count, rc in ((MAX_STATE_PATHS + 1, 2), (MAX_STATE_PATHS, 0)):
+            Path(psi_path).write_text(json.dumps({**data, "paths": [path] * count}))
+            out = tmp_path / f"out_{count}"
+            assert cli_main([arg.format(cfg=cfg_path, psi=psi_path, out=out) for arg in command]) == rc
+            err = capsys.readouterr().err
+            if rc == 2:
+                assert "at most 64 paths, got 65" in err and err.count("\n") == 1
+                assert not out.exists()
+            else:
+                assert err == "" and out.exists()
 
     def test_optimize_matches_stage(self, five_stage_run, tmp_path):
         art = five_stage_run.artifacts

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masim.channel import MovementRegion, Position, gain_map
+from masim.channel import DbMap, MovementRegion, Position, gain_map
 from masim.harness import compare_maps
 from masim.powermeter import _bin_phasor, default_fft_size, measure_power, sweep_measure
 from masim.presets import hall_psi_3p5ghz
@@ -192,12 +192,10 @@ class TestSweep:
         assert best == Position(float(pm.x_m[ix]), float(pm.y_m[iy]))
 
     def test_csv_round_trip(self, tmp_path):
-        from masim.channel import read_grid_csv
-
         _, region, captures = self.sweep_captures()
         pm = sweep_measure(region, captures, T, 50e6)
         path = tmp_path / "power.csv"
         pm.to_csv(path)
-        xs, ys, values, column = read_grid_csv(path)
-        assert column == "power_dbr"
-        np.testing.assert_allclose(values, pm.values_db, atol=1e-6)
+        back = DbMap.read_csv(path)
+        assert back.column == "power_dbr"
+        np.testing.assert_allclose(back.values_db, pm.values_db, atol=1e-6)
