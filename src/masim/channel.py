@@ -116,11 +116,22 @@ class PathStateInfo(JsonCodec):
         """(L, 2) array of per-path direction coefficients (u, v)."""
         return _read_only([p.direction for p in self.paths])
 
+    @cached_property
+    def carrier_coefficients(self) -> np.ndarray:
+        """(L, 1) path coefficients at the carrier, a_l * exp(-j*2*pi*fc*tau_l)."""
+        return _read_only(_path_coefficients(self, (0.0,)))
+
 
 def _read_only(values) -> np.ndarray:
-    arr = np.array(values)
+    arr = np.asarray(values)
     arr.flags.writeable = False
     return arr
+
+
+def _path_coefficients(psi: PathStateInfo, offsets_hz) -> np.ndarray:
+    """(L, K) path coefficients a_l * exp(-j*2*pi*(fc + f_k)*tau_l) at K offsets f_k from the carrier."""
+    freqs = psi.carrier_hz + np.asarray(offsets_hz)[None, :]
+    return psi.amplitudes[:, None] * np.exp(-2j * np.pi * freqs * psi.delays_s[:, None])
 
 
 @dataclass(frozen=True)
@@ -200,10 +211,11 @@ class MovementRegion(JsonCodec):
         return Position(min(max(x_m, 0.0), self.x_extent_m), min(max(y_m, 0.0), self.y_extent_m))
 
 
-def response_factors(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> tuple[np.ndarray, np.ndarray]:
+def response_factors(psi: PathStateInfo, positions, offsets_hz=None) -> tuple[np.ndarray, np.ndarray]:
     """The (Q, L) steering phases and (L, K) path coefficients whose product is channel_response.
 
-    A caller that multiplies the response by a fixed matrix on the right can
+    With no offsets_hz the coefficients are psi.carrier_coefficients (K = 1). A
+    caller that multiplies the response by a fixed matrix on the right can
     fold that matrix into the L rows of the coefficients first.
     """
     d = np.asarray(positions).reshape(-1, 2) @ psi.directions.T  # (Q, L) path distance deltas
@@ -211,15 +223,15 @@ def response_factors(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> tuple[
     d *= 1.0 / psi.wavelength_m  # the phase in real arithmetic: no complex division per element
     steer = 1j * d
     np.exp(steer, out=steer)  # in place: no second (Q, L) array
-    freqs = psi.carrier_hz + np.asarray(offsets_hz)[None, :]
-    coeff = psi.amplitudes[:, None] * np.exp(-2j * np.pi * freqs * psi.delays_s[:, None])  # (L, K)
+    coeff = psi.carrier_coefficients if offsets_hz is None else _path_coefficients(psi, offsets_hz)
     return steer, coeff
 
 
-def channel_response(psi: PathStateInfo, positions, offsets_hz=(0.0,)) -> np.ndarray:
+def channel_response(psi: PathStateInfo, positions, offsets_hz=None) -> np.ndarray:
     """The model's response h(r_q, fc + f_k) at Q positions and K frequency offsets, (Q, K).
 
-    positions is anything reshapeable to (Q, 2) of (x, y) in meters. Entry
+    positions is anything reshapeable to (Q, 2) of (x, y) in meters; no
+    offsets_hz means the carrier alone, (Q, 1). Entry
     (q, k) is sum_l a_l * exp(-j*2*pi*(d_l(r_q)/lambda + (fc + f_k)*tau_l)),
     evaluated as the (Q, L) steering phases times the (L, K) path
     coefficients of response_factors. Those two factors are the only

@@ -140,6 +140,12 @@ class PasMatrix:
 
     values: np.ndarray  # (elevation, azimuth), both on SCAN_ANGLES_DEG
 
+    def __post_init__(self):
+        # find_paths and to_csv read cell (i, j) as SCAN_ANGLES_DEG[i], SCAN_ANGLES_DEG[j]
+        shape = (len(SCAN_ANGLES_DEG),) * 2
+        if np.shape(self.values) != shape:
+            raise ValueError(f"PAS values must be {shape}, got {np.shape(self.values)}")
+
     @property
     def values_db_rel_max(self) -> np.ndarray:
         return to_db(self.values / np.max(self.values))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
@@ -75,9 +76,9 @@ class SimulatedSlideTrack:
     measure() draws the reading `measure_power` would take of a fresh tone
     capture at the current position, without the capture: with white circular
     noise of variance sigma^2 it is |h*|S|/N + w|^2, w ~ CN(0, sigma^2/N), where
-    |S|^2/N^2 is the unit tone's reading, metered once per track. The probes draw
-    w in turn from one stream, seeded by derive_seed(master_seed, "probe"). An event
-    log of ("move"|"ack"|"measure", position) tuples is kept for protocol audits.
+    |S|^2/N^2 is the unit tone's reading, metered once per (f0, N, B) in a process. The
+    probes draw w in turn from one stream, seeded by derive_seed(master_seed, "probe"). An
+    event log of ("move"|"ack"|"measure", position) tuples is kept for protocol audits.
     """
 
     def __init__(
@@ -94,8 +95,7 @@ class SimulatedSlideTrack:
         self.events: list[tuple[str, Position]] = []
         self._position: Position | None = None
         self._rng = np.random.default_rng(derive_seed(master_seed, "probe"))
-        t = 1.0 / noise.bandwidth_hz
-        self._bin = np.array([math.sqrt(measure_power(gen_tone(f0_hz, num_samples, t), t, f0_hz).power_linear)])
+        self._bin = np.array([_unit_tone_bin(f0_hz, num_samples, 1.0 / noise.bandwidth_hz)])
         self._bin_noise = NoiseSpec(noise.power / num_samples, noise.bandwidth_hz / num_samples)
 
     def move(self, position: Position) -> bool:
@@ -112,6 +112,12 @@ class SimulatedSlideTrack:
         self.events.append(("measure", self._position))
         y = add_noise(apply_channel(self._bin, self.psi, self._position), self._bin_noise, self._rng)
         return float(to_db(abs(y[0]) ** 2))
+
+
+@lru_cache(maxsize=8)
+def _unit_tone_bin(f0_hz: float, num_samples: int, t: float) -> complex:
+    """|S|/N, the root of measure_power's reading of the unit tone sampled every t seconds."""
+    return complex(math.sqrt(measure_power(gen_tone(f0_hz, num_samples, t), t, f0_hz).power_linear))
 
 
 def coarse_position(psi: PathStateInfo, region: MovementRegion) -> Position:

@@ -12,6 +12,7 @@ else about them, so a campaign can be replayed deterministically.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -174,8 +175,8 @@ def add_noise(samples: np.ndarray, spec: NoiseSpec, seed: int | np.random.Genera
         return np.array(samples, dtype=np.complex128, copy=True)
     n = len(samples)
     v = np.random.default_rng(seed).standard_normal(2 * n)  # the real parts' n draws, then the imaginary parts'
+    v *= math.sqrt(spec.power / 2.0)  # scaled as reals: no complex-by-real multiply pass
     out = np.empty(n, dtype=np.complex128)
     out.real, out.imag = v[:n], v[n:]
-    out *= np.sqrt(spec.power / 2.0)
     out += samples
     return out

@@ -216,6 +216,25 @@ class TestChannelResponse:
         offsets = data.draw(st.lists(finite(-200e6, 200e6), min_size=1, max_size=4))
         assert_matches_loop(psi, xy, offsets)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_carrier_coefficients_are_the_zero_offset_coefficients(self, data):
+        # with no offsets the response reads the path set's cached coefficients;
+        # they must be the bits the explicit zero offset computes
+        n_paths = data.draw(st.integers(1, MAX_STATE_PATHS))
+        paths = tuple(
+            PathComponent(data.draw(angles_strategy()), data.draw(angles_strategy()),
+                          data.draw(finite(0.0, 2.0)), data.draw(finite(0.0, 1e-6)))
+            for _ in range(n_paths)
+        )
+        psi = PathStateInfo(paths=paths, carrier_hz=data.draw(finite(1e9, 60e9)))
+        xy = data.draw(st.lists(st.tuples(finite(-0.5, 0.5), finite(-0.5, 0.5)), min_size=1, max_size=4))
+        for r in (xy, xy[0]):
+            assert np.array_equal(channel_response(psi, r), channel_response(psi, r, (0.0,)))
+        coeff = psi.carrier_coefficients
+        assert coeff.shape == (n_paths, 1) and not coeff.flags.writeable
+        assert psi.carrier_coefficients is coeff
+
     def test_subnormal_amplitude_matches_per_path_loop(self):
         # the kernel gives 5e-324+5e-324j here and the loop 0+5e-324j; the
         # amplitude-scaled bound alone underflows to 0

@@ -284,6 +284,15 @@ class TestFindPaths:
         assert values == sorted(values, reverse=True)
         assert peaks[0].rel_max_db == 0.0
 
+    @pytest.mark.parametrize("shape", [(37, 37), (361,)])
+    def test_pas_off_the_scan_grid_is_refused(self, shape):
+        # a 37 x 37 PAS peaked at cell (20, 30) would read back as (-80, -75) degrees,
+        # and a 1-D one would fail inside find_paths with a bare IndexError
+        values = np.zeros(shape)
+        values[(20, 30)[:len(shape)]] = 1.0
+        with pytest.raises(ValueError, match=r"PAS values must be \(361, 361\)"):
+            PasMatrix(values)
+
     def test_max_paths_caps_output(self):
         # 12 isolated peaks, all within PEAK_PROMINENCE_DB of the strongest: the MAX_PATHS strongest come back
         values = np.zeros((361, 361))

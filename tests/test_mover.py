@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from masim import mover
 from masim.channel import (
     DbMap,
     MovementRegion,
@@ -315,6 +316,36 @@ class TestProbeLaw:
         a, b = (optimize(psi, region, make_track(psi, region, seed=42), refine_step_m=0.5e-3, budget=50)
                 for _ in range(2))
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_unit_tone_is_metered_once_per_key(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return measure_power(*args)
+
+        mover._unit_tone_bin.cache_clear()
+        monkeypatch.setattr("masim.mover.measure_power", counting)
+        psi, region = table3(), hi_region()
+        for seed in (1, 2, 3):
+            make_track(psi, region, seed=seed)
+        assert calls == [4096]
+        make_track(psi, region, num_samples=1024)
+        assert calls == [4096, 1024]
+
+    def test_cached_unit_tone_places_as_a_metered_one(self):
+        psi, region = table3(), hi_region()
+
+        def place():
+            track = make_track(psi, region, seed=11)
+            return optimize(psi, region, track, refine_step_m=0.5e-3, budget=50).to_json_dict()
+
+        mover._unit_tone_bin.cache_clear()
+        missed = place()
+        assert mover._unit_tone_bin.cache_info().misses == 1
+        hit = place()
+        assert mover._unit_tone_bin.cache_info().hits == 1
+        assert hit == missed
 
     def test_measure_allocates_no_capture(self):
         # one 2^20-sample capture would be 16 MB; a probe draws two normals
