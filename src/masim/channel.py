@@ -49,6 +49,20 @@ def to_db(values):
     return 10.0 * np.log10(np.maximum(values, 1e-30))
 
 
+def direction(elevation_deg: float, azimuth_deg: float) -> tuple[float, float]:
+    """Direction coefficients (u, v) = (cos(el) sin(az), sin(el)) of a path at these angles, d = x*u + y*v."""
+    el, az = math.radians(elevation_deg), math.radians(azimuth_deg)
+    return math.cos(el) * math.sin(az), math.sin(el)
+
+
+def path_phase(d: np.ndarray, wavelength_m: float) -> np.ndarray:
+    """exp(-j*2*pi*d/lambda) of path distance deltas d, overwriting d: the one place a distance becomes a phase."""
+    d *= -2.0 * np.pi
+    d *= 1.0 / wavelength_m  # the phase in real arithmetic: no complex division per element
+    phase = 1j * d
+    return np.exp(phase, out=phase)  # in place: no second array
+
+
 @dataclass(frozen=True)
 class PathComponent:
     """One propagation path: angles in degrees, amplitude linear, delay in seconds."""
@@ -71,9 +85,7 @@ class PathComponent:
     @property
     def direction(self) -> tuple[float, float]:
         """Direction coefficients (u, v) with d = x*u + y*v."""
-        el = math.radians(self.elevation_deg)
-        az = math.radians(self.azimuth_deg)
-        return math.cos(el) * math.sin(az), math.sin(el)
+        return direction(self.elevation_deg, self.azimuth_deg)
 
 
 @dataclass(frozen=True)
@@ -218,11 +230,7 @@ def response_factors(psi: PathStateInfo, positions, offsets_hz=None) -> tuple[np
     caller that multiplies the response by a fixed matrix on the right can
     fold that matrix into the L rows of the coefficients first.
     """
-    d = np.asarray(positions).reshape(-1, 2) @ psi.directions.T  # (Q, L) path distance deltas
-    d *= -2.0 * np.pi
-    d *= 1.0 / psi.wavelength_m  # the phase in real arithmetic: no complex division per element
-    steer = 1j * d
-    np.exp(steer, out=steer)  # in place: no second (Q, L) array
+    steer = path_phase(np.asarray(positions).reshape(-1, 2) @ psi.directions.T, psi.wavelength_m)  # (Q, L)
     coeff = psi.carrier_coefficients if offsets_hz is None else _path_coefficients(psi, offsets_hz)
     return steer, coeff
 

@@ -40,6 +40,8 @@ from .channel import (
     MovementRegion,
     PathComponent,
     PathStateInfo,
+    direction,
+    path_phase,
     to_db,
     write_csv,
     write_csv_rows,
@@ -76,11 +78,9 @@ class DegenerateGeometryError(ValueError):
 
 
 def array_response(elevation_deg: float, azimuth_deg: float, positions: np.ndarray, wavelength_m: float) -> np.ndarray:
-    """Virtual-array response f(theta, phi), entry exp(-j*2*pi*d(theta,phi,r_q)/lambda) per position."""
-    el = math.radians(elevation_deg)
-    az = math.radians(azimuth_deg)
-    d = positions[:, 0] * (math.cos(el) * math.sin(az)) + positions[:, 1] * math.sin(el)
-    return np.exp(-2j * np.pi * d / wavelength_m)
+    """Virtual-array response f(theta, phi): the steering response_factors gives a unit path at those angles."""
+    d = positions @ np.array([direction(elevation_deg, azimuth_deg)]).T  # (Q, 1), as response_factors forms it
+    return path_phase(d, wavelength_m)[:, 0]
 
 
 class SoundingCampaign:
@@ -222,7 +222,7 @@ def compute_pas(campaign: SoundingCampaign) -> PasMatrix:
     nx = len(xs)
     w2d = np.outer(np.kaiser(len(ys), PAS_TAPER_BETA), np.kaiser(nx, PAS_TAPER_BETA))
     s3 = snaps.reshape(n_snap, len(ys), nx) * w2d[None, :, :]
-    e_y = np.exp(2j * np.pi * np.outer(np.sin(el_rad), ys) / lam)
+    e_y = path_phase(np.outer(np.sin(el_rad), ys), lam).conj()  # f^H: the conjugate steering
     lag = np.empty((len(els), nx), dtype=np.complex128)
     block = max(1, (1 << 18) // (n_snap * nx))  # about 4 MiB of C per block of elevations
     for start in range(0, len(els), block):
@@ -234,7 +234,7 @@ def compute_pas(campaign: SoundingCampaign) -> PasMatrix:
             lag[rows, d] = np.trace(gram, offset=-d, axis1=1, axis2=2)
     # stage 2: the lag polynomial in z at every (elevation, azimuth)
     dx = (xs[-1] - xs[0]) / max(nx - 1, 1)
-    z = np.exp(2j * np.pi * dx / lam * np.outer(np.cos(el_rad), np.sin(np.radians(azs))))
+    z = path_phase(dx * np.outer(np.cos(el_rad), np.sin(np.radians(azs))), lam).conj()
     acc = np.zeros_like(z)
     for d in range(nx - 1, 0, -1):
         acc += lag[:, d, None]

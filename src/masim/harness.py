@@ -72,7 +72,7 @@ from .signals import (
 )
 
 MAX_RECORD_SAMPLES = 2**24
-"""Largest tone record or OFDM frame a ScenarioConfig may ask for (the paper's frame is 336,600 samples)."""
+"""Cap on a tone record and on an OFDM frame, which bounds the I x M grid _tx_symbols draws (paper: 336,600 samples)."""
 
 MAX_SNAPSHOTS = 128
 """Payload snapshots a sounding campaign keeps per position for the PAS."""
@@ -152,12 +152,12 @@ class ScenarioConfig(JsonCodec):
             raise ConfigError(f"noise_power must be >= 0: {self.noise_power}")
         if self.samples_per_measurement < 2:
             raise ConfigError("samples_per_measurement must be >= 2")
-        for name, count in (
-            ("samples_per_measurement", self.samples_per_measurement),
-            ("numerology.frame_samples", self.numerology.frame_samples),
+        for name, count, what in (
+            ("samples_per_measurement", self.samples_per_measurement, "per tone record"),
+            ("numerology.frame_samples", self.numerology.frame_samples, "per frame (it bounds the I x M symbol grid)"),
         ):
             if count > MAX_RECORD_SAMPLES:
-                raise ConfigError(f"{name} {count} exceeds the {MAX_RECORD_SAMPLES}-sample cap per record")
+                raise ConfigError(f"{name} {count} exceeds the {MAX_RECORD_SAMPLES}-sample cap {what}")
         ny, nx = self.sounding_region.shape
         size = ny * nx * (self.numerology.num_subcarriers + MAX_SNAPSHOTS) * 16
         if size > MAX_CAMPAIGN_BYTES:

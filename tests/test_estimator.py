@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masim import estimator
 from masim.channel import (
@@ -19,6 +21,7 @@ from masim.channel import (
     PathStateInfo,
     channel_response,
     gain_field,
+    response_factors,
     to_db,
 )
 from masim.codec import ConfigError, encode
@@ -165,23 +168,22 @@ class TestArrayResponse:
         f = array_response(0.0, 90.0, positions, lam)
         np.testing.assert_allclose(f, [1.0, -1.0], atol=1e-12)
 
-    def test_conjugate_of_field_response(self):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        el=st.one_of(st.sampled_from(SCAN_ANGLES_DEG.tolist()), st.floats(-90.0, 90.0)),
+        az=st.one_of(st.sampled_from(SCAN_ANGLES_DEG.tolist()), st.floats(-90.0, 90.0)),
+        carrier_hz=st.sampled_from([hall_psi_3p5ghz().carrier_hz, hall_psi_27p5ghz().carrier_hz]),
+        q=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conjugate_of_field_response(self, el, az, carrier_hz, q, seed):
         # the estimator steers with exp(-j*2*pi*d/lambda), the conjugate of the
-        # field response: the phase a unit, zero-delay path picks up in the model
-        psi = PathStateInfo(
-            paths=(
-                PathComponent(3.0, 2.0, 0.8886, 22.7e-9),
-                PathComponent(2.5, -48.5, 0.3423, 35.3e-9),
-                PathComponent(2.5, 49.5, 0.3053, 34.8e-9),
-            ),
-            carrier_hz=27.5e9,
-        )
-        pos = np.array([[0.001, 0.001]])
-        for p in psi.paths:
-            unit = PathStateInfo(paths=(PathComponent(p.elevation_deg, p.azimuth_deg, 1.0, 0.0),),
-                                 carrier_hz=psi.carrier_hz)
-            f = array_response(p.elevation_deg, p.azimuth_deg, pos, psi.wavelength_m)
-            assert f[0] == pytest.approx(channel_response(unit, pos)[0, 0], abs=1e-13)
+        # field response: the phase a unit, zero-delay path picks up in the
+        # model, bit for bit, since both come from one kernel
+        unit = PathStateInfo(paths=(PathComponent(el, az, 1.0, 0.0),), carrier_hz=carrier_hz)
+        pos = np.random.default_rng(seed).uniform(0.0, 0.5, size=(q, 2))
+        f = array_response(el, az, pos, unit.wavelength_m)
+        assert np.array_equal(f, response_factors(unit, pos)[0][:, 0])
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(2)

@@ -124,13 +124,16 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="bandwidth"):
             ScenarioConfig.from_json_dict(data)
 
-    @pytest.mark.parametrize("patch", [
-        {"samples_per_measurement": 2**40},
-        {"numerology": {**TEST_NUMEROLOGY.to_json_dict(), "num_symbols": 2**30}},  # frames of 884 samples
+    @pytest.mark.parametrize("patch", [  # (fields patched in, message match)
+        ({"samples_per_measurement": 2**40}, "samples_per_measurement .*-sample cap per tone record"),
+        # frames of 884 samples: no record holds a frame, but the cap bounds the drawn symbol grid
+        ({"numerology": {**TEST_NUMEROLOGY.to_json_dict(), "num_symbols": 2**30}},
+         r"frame_samples .*-sample cap per frame \(it bounds the I x M symbol grid\)"),
     ])
     def test_rejects_oversized_records(self, patch):
-        with pytest.raises(ConfigError, match="sample cap per record"):
-            ScenarioConfig.from_json_dict({**make_hi_scenario().to_json_dict(), **patch})
+        fields, match = patch
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig.from_json_dict({**make_hi_scenario().to_json_dict(), **fields})
 
     def test_rejects_out_of_band_tone(self):
         data = make_hi_scenario().to_json_dict()
