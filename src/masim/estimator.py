@@ -358,6 +358,21 @@ def _parabolic_offset(y_m1: float, y_0: float, y_p1: float) -> float:
     return float(np.clip(0.5 * (y_m1 - y_p1) / denom, -0.5, 0.5))
 
 
+def _cap_unit_power(amps: np.ndarray) -> np.ndarray:
+    """amps scaled to a total power of 1 when theirs exceeds it, so that sum(amps**2), summed in their order, is <= 1.
+
+    Dividing by the root of the total can round that sum up to
+    1.0000000000000002, so the scaled amplitudes then step down one ulp at a
+    time until the cap holds.
+    """
+    total = sum(a * a for a in amps.tolist())
+    if total > 1.0:
+        amps = amps / math.sqrt(total)
+        while sum(a * a for a in amps.tolist()) > 1.0:
+            amps = np.nextafter(amps, 0.0)
+    return amps
+
+
 def estimate_delay_amplitude(
     campaign: SoundingCampaign, weights: list[np.ndarray], angles: list[tuple[float, float]]
 ) -> PathStateInfo:
@@ -425,11 +440,9 @@ def estimate_delay_amplitude(
         raise ValueError(f"no path found in the angular spectrum has a dominant delay peak ({len(angles)} dropped)")
 
     amps = np.array([f[2] for f in found]) / math.sqrt(p_total)
-    total = float(np.sum(amps**2))
-    if total > 1.0:
-        amps = amps / math.sqrt(total)
     order = np.argsort(amps)[::-1]
-    paths = tuple(PathComponent(found[k][0], found[k][1], float(amps[k]), found[k][3]) for k in order)
+    amps = _cap_unit_power(amps[order])
+    paths = tuple(PathComponent(found[k][0], found[k][1], float(a), found[k][3]) for k, a in zip(order, amps))
     return PathStateInfo(paths=paths, carrier_hz=fc)
 
 

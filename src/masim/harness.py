@@ -66,13 +66,13 @@ from .signals import (
     apply_channel,
     derive_seed,
     gen_tone,
-    qpsk_symbols,
+    qpsk_codes,
     read_iq_record,
     write_iq_record,
 )
 
 MAX_RECORD_SAMPLES = 2**24
-"""Cap on a tone record and on an OFDM frame, which bounds the I x M grid _tx_symbols draws (paper: 336,600 samples)."""
+"""Cap on a tone record and on an OFDM frame, which bounds the I x M grid _tx_grid draws (paper: 336,600 samples)."""
 
 MAX_SNAPSHOTS = 128
 """Payload snapshots a sounding campaign keeps per position for the PAS."""
@@ -83,7 +83,7 @@ MAX_CAMPAIGN_BYTES = 2**31
 The paper's largest, 10,201 positions at 3168 subcarriers, is 538 MB.
 """
 
-MANIFEST_FORMAT = "maiq-campaign/4"
+MANIFEST_FORMAT = "maiq-campaign/5"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -224,10 +224,16 @@ def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo) -> Iterator[np.nd
             for i, (x, y) in enumerate(cfg.region.positions_array()))
 
 
-def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
-    """The QPSK grid every sounding frame of cfg carries, seeded by derive_seed(master_seed, "tx")."""
+def _tx_grid(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The QPSK grid every sounding frame of cfg carries, as qpsk_codes' (alphabet, codes), seeded by derive_seed(master_seed, "tx")."""
     num = cfg.numerology
-    return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
+    return qpsk_codes(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
+
+
+def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
+    """The (I, M) QPSK symbols of _tx_grid(cfg), the grid a time-domain frame of cfg would modulate."""
+    alphabet, codes = _tx_grid(cfg)
+    return alphabet[codes]
 
 
 def _snapshot_indices(numerology: OfdmNumerology) -> tuple[np.ndarray, np.ndarray]:
@@ -236,54 +242,69 @@ def _snapshot_indices(numerology: OfdmNumerology) -> tuple[np.ndarray, np.ndarra
     return np.divmod(np.round(np.linspace(0, n - 1, min(MAX_SNAPSHOTS, n))).astype(int), numerology.num_subcarriers)
 
 
+def _snapshot_synthesis(cfg: ScenarioConfig) -> np.ndarray:
+    """T (I, n_snap), which makes the snapshots from the subcarriers: T[i, s] = tx[i, m_s] exp(j 2 pi i k_s / I).
+
+    Snapshot s is payload sample k_s of symbol m_s. T is one gather from the
+    (4, I) table of alphabet symbol x root of unity, at code[i, m_s] I + (i k_s mod I).
+    """
+    i_n = cfg.numerology.num_subcarriers
+    sym, k = _snapshot_indices(cfg.numerology)
+    subcarrier = np.arange(i_n)
+    alphabet, codes = _tx_grid(cfg)
+    table = np.exp(2j * np.pi * subcarrier / i_n) * alphabet[:, None]
+    flat = np.multiply.outer(subcarrier, k)
+    flat %= i_n
+    codes *= i_n
+    flat += codes[:, sym]
+    return table.take(flat)
+
+
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
     """Synthesize a sounding campaign in memory: its statistics directly, no time-domain frames.
 
     The campaign keeps per position only h_freq and MAX_SNAPSHOTS payload
     snapshots, and both are linear in the channel response H (Q, I) plus
     the frames' white noise of variance s2 = cfg.noise_power. So they are
-    drawn with that noise's exact joint law (Gaussian conditioning; Kay,
-    Fundamentals of Statistical Signal Processing vol. 1, ch. 10):
+    drawn with that noise's exact joint law, h_freq's noise white and the
+    snapshots' conditioned on it (Gaussian conditioning; Kay, Fundamentals
+    of Statistical Signal Processing vol. 1, ch. 10), as rows:
 
-      snapshots = H T + z,   z ~ CN(0, s2), the noise of the snapshot samples
-      h_freq    = H + A z + w,   w ~ CN(0, s2 (I/M - A A^H)), independent of z
+      h_freq    = H + w,             w ~ CN(0, s2/M), white
+      snapshots = H T + w T + e R,   e ~ CN(0, s2), white and independent of w
 
     T[i, s] = tx[i, m_s] exp(j 2 pi i k_s / I) makes payload sample k_s of
-    symbol m_s from the subcarriers. The cross-covariance of h_freq's noise
-    with z over s2 is A[i, s] = exp(-j 2 pi i k_s / I) / (M I tx[i, m_s]),
-    and since the QPSK symbols have |tx|^2 = 1/I, A = conj(T) / M: T is the
-    only (I, n_snap) matrix kept. w is drawn from I white normals through
-    an eigendecomposition of the (n_snap, n_snap) Gram matrix T^H T, one per
-    campaign. H T = S (C T) for the (Q, L) steering phases S and (L, I) path
-    coefficients C of response_factors, so the clean snapshots cost a rank-L
-    product. Position q draws z, then those I normals, from
-    derive_seed(master_seed, "sound", q), so its statistics do not depend on
-    the sweep's size or order. synthesize_campaign writes exactly these
-    statistics to disk.
+    symbol m_s from the subcarriers (_snapshot_synthesis). Since the QPSK
+    symbols have |tx|^2 = 1/I, the snapshot noise's cross-covariance with
+    h_freq's over s2 is A = conj(T) / M, so its mean given w is w T and its
+    covariance given w is s2 (1 - T^H T / M). R is the Hermitian root
+    U diag(sqrt(1 - mu/M)) U^H of that, for T^H T = U diag(mu) U^H: one
+    eigendecomposition per campaign, and the one step whose round-off
+    depends on the BLAS thread count. A one-sided root diag(.) U^H would
+    carry the eigenvector phases eigh picks into the draws. H T = S (C T)
+    for the (Q, L) steering phases S and (L, I) path coefficients C of
+    response_factors, so the clean snapshots cost a rank-L product.
+    Position q draws e, then w, from derive_seed(master_seed, "sound", q),
+    so its statistics do not depend on the sweep's size or order.
+    synthesize_campaign writes exactly these statistics to disk.
     """
     _check_carrier(cfg, psi)
     if np.any(psi.delays_s > cfg.numerology.cp_duration_s):
         raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
-    sym, k = _snapshot_indices(num)
-    subcarrier = np.arange(i_n)
-    # T: (I, n_snap) exp(j 2 pi (i k mod I) / I), looked up in the table of the I roots of unity, times tx
-    synth = np.exp(2j * np.pi * subcarrier / i_n)[np.outer(subcarrier, k) % i_n]
-    synth *= _tx_symbols(cfg)[:, sym]
-    # A^H A = conj(T^H T) / M^2 = V diag(lam) V^H with lam = mu / M^2, V = conj(U), for T^H T = U diag(mu) U^H
-    mu, u = np.linalg.eigh(synth.conj().T @ synth)
-    lam = mu / m_n**2  # in [0, 1/M]
-    # w = g / sqrt(M) + A V diag(c) V^H A^H g has covariance I/M - A A^H for white g
-    # when lam c^2 + 2 c / sqrt(M) = -1; this root stays finite as lam -> 0.
-    # With A = conj(T) / M and g' = g / sqrt(M) that is w = g' + (g' T X) T^H / M for X = U diag(c / sqrt(M)) U^H
-    c = -1.0 / (np.sqrt(np.maximum(1.0 / m_n - lam, 0.0)) + 1.0 / math.sqrt(m_n))
-    x = (u * (c / math.sqrt(m_n))) @ u.conj().T
+    synth = _snapshot_synthesis(cfg)
+    # T^H T from T's real (I, 2 n_snap) view: tr^T tr is one real product, which BLAS forms as a
+    # symmetric rank-k update, with Re and Im parts of each column interleaved
+    tr = synth.view(np.float64)
+    gram = tr.T @ tr
+    mu, u = np.linalg.eigh(gram[::2, ::2] + gram[1::2, 1::2] + 1j * (gram[::2, 1::2] - gram[1::2, ::2]))
+    root = (u * np.sqrt(np.maximum(1.0 - mu / m_n, 0.0))) @ u.conj().T  # R, Hermitian
     scale = math.sqrt(cfg.noise_power / 2.0)
 
     positions = cfg.sounding_region.positions_array()
-    q_n, n_snap = len(positions), len(k)
-    steer_all, coeff = response_factors(psi, positions, subcarrier * num.subcarrier_spacing_hz)
+    q_n, n_snap = len(positions), synth.shape[1]
+    steer_all, coeff = response_factors(psi, positions, np.arange(i_n) * num.subcarrier_spacing_hz)
     clean_snaps = coeff @ synth  # C T, (L, n_snap)
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
     snaps = np.empty((q_n, n_snap), dtype=np.complex128)
@@ -295,19 +316,17 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         noise = np.empty((stop - start, n_snap + i_n), dtype=np.complex128)
         for q, row in enumerate(noise, start):
             np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
-        z, g = noise[:, :n_snap], noise[:, n_snap:]
-        z *= scale
-        g *= scale / math.sqrt(m_n)  # g' = g / sqrt(M)
+        e, w = noise[:, :n_snap], noise[:, n_snap:]
+        e *= scale
+        w *= scale / math.sqrt(m_n)
         steer = steer_all[start:stop]
-        snaps[start:stop] = steer @ clean_snaps + z
-        y = z + (g @ synth) @ x
         out = h_freq[start:stop]
         np.matmul(steer, coeff, out=out)
-        out += g
-        # y T^H / M = conj((conj(y) / M) T^T): the transposed T goes to BLAS as a flag, not a copy;
-        # g is spent, so the product lands in its buffer
-        np.matmul(np.conj(y) / m_n, synth.T, out=g)
-        out += np.conj(g, out=g)
+        out += w
+        out = snaps[start:stop]
+        np.matmul(w, synth, out=out)
+        out += e @ root
+        out += steer @ clean_snaps
     return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
 
 

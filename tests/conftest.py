@@ -4,8 +4,8 @@ The heavyweight pieces (sounding campaigns, the full estimation chain) are
 session-scoped; everything downstream reuses them instead of re-synthesizing.
 The time-domain OFDM frames, and their reduction to the statistics a
 SoundingCampaign keeps, live here as the oracle of build_sounding_campaign;
-so does the conditioning formula written out with the cross-covariance A,
-the oracle of its noisy draws.
+so does the conditional law written out with the cross-covariance A, the
+oracle of its noisy draws, and the QPSK grid computed from its bits.
 """
 
 import math
@@ -142,13 +142,16 @@ def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
 
 
 def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
-    """cfg's sounding campaign drawn with the cross-covariance A written out: the oracle of the noisy build.
+    """cfg's sounding campaign drawn by the textbook conditional law: the oracle of the noisy build.
 
-    The same draws and law as build_sounding_campaign, through the textbook
-    form: snapshots = H T + z and h_freq = H + A z + w, with
-    A[i, s] = exp(-j 2 pi i k_s / I) / (M I tx[i, m_s]) formed as its own
-    (I, n_snap) array, and w = g / sqrt(M) + A V diag(c) V^H A^H g for the
-    eigendecomposition A^H A = V diag(lam) V^H.
+    The same draws and law as build_sounding_campaign, with the
+    cross-covariance A[i, s] = exp(-j 2 pi i k_s / I) / (M I tx[i, m_s]) of
+    h_freq's noise with the snapshot noise over s2 formed as its own
+    (I, n_snap) array: h_freq = H + w with w ~ CN(0, s2/M) white, and the
+    snapshot noise given w has mean C_zw C_ww^-1 w = M A^H w and covariance
+    s2 (1 - M A^H A), drawn as its Hermitian root R (from eigh of that
+    covariance) applied to white e ~ CN(0, s2). As rows: snapshots =
+    H T + w M conj(A) + e R^T.
     """
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
@@ -160,19 +163,26 @@ def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
     twiddle = np.exp(2j * np.pi * subcarrier / i_n)[np.outer(subcarrier, k) % i_n]
     synth = tx[:, sym] * twiddle  # T
     a = twiddle.conj() / (m_n * i_n * tx[:, sym])  # A
-    lam, v = np.linalg.eigh(a.conj().T @ a)
-    c = -1.0 / (np.sqrt(np.maximum(1.0 / m_n - lam, 0.0)) + 1.0 / math.sqrt(m_n))
-    av = a @ v
+    mu, v = np.linalg.eigh(np.eye(len(k)) - m_n * (a.conj().T @ a))
+    root = (v * np.sqrt(np.maximum(mu, 0.0))) @ v.conj().T  # R
     scale = math.sqrt(cfg.noise_power / 2.0)
     h = channel_response(psi, cfg.sounding_region.positions_array(), subcarrier * num.subcarrier_spacing_hz)
     noise = np.empty((len(h), len(k) + i_n), dtype=np.complex128)
     for q, row in enumerate(noise):
         np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
     noise *= scale
-    z, g = noise[:, : len(k)], noise[:, len(k) :]
-    snaps = h @ synth + z
-    h_freq = h + g / math.sqrt(m_n) + (z + ((g @ av.conj()) * c) @ v.T) @ a.T
+    e, w = noise[:, : len(k)], noise[:, len(k) :] / math.sqrt(m_n)
+    h_freq = h + w
+    snaps = h @ synth + w @ (m_n * a.conj()) + e @ root.T
     return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
+
+
+def arithmetic_qpsk(num_subcarriers: int, num_symbols: int, seed: int) -> np.ndarray:
+    """The seeded QPSK grid computed element by element from its bits: the oracle of qpsk_symbols' table lookup."""
+    bits = np.random.default_rng(seed).integers(0, 2, size=(num_subcarriers, num_symbols, 2))
+    re = 2.0 * bits[..., 0] - 1.0
+    im = 2.0 * bits[..., 1] - 1.0
+    return (re + 1j * im) / np.sqrt(2.0 * num_subcarriers)
 
 
 # Campaign builds and estimates take a second or more each, so they are

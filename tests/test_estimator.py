@@ -35,6 +35,7 @@ from masim.estimator import (
     PasMatrix,
     PdsMatrix,
     SoundingCampaign,
+    _cap_unit_power,
     array_response,
     compute_pas,
     compute_pds,
@@ -557,6 +558,20 @@ class TestEstimatedPsiModel:
     def test_unit_power_cap_enforced(self, hi_estimate, lo_estimate):
         for est in (hi_estimate, lo_estimate):
             assert 0.0 < sum(p.amplitude**2 for p in est.paths) <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=64))
+    def test_unit_power_cap_is_exact(self, amps):
+        # a total power above 1 is scaled to 1, and the sum of squares in order never rounds above it
+        amps = np.array(amps)
+        total = sum(a * a for a in amps.tolist())
+        capped = _cap_unit_power(amps)
+        if total <= 1.0:
+            assert capped is amps
+            return
+        assert sum(a * a for a in capped.tolist()) <= 1.0
+        np.testing.assert_allclose(capped, amps / math.sqrt(total), rtol=1e-14, atol=0)
+        assert np.all(np.diff(capped[np.argsort(amps)]) >= 0.0)  # the order of the amplitudes holds
 
     def test_estimate_drives_coarse_position(self, hi_estimate, lo_estimate):
         # in memory, no file between them: the coarse pick lands within acceptance 8's 0.5 dB of the best

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masim import estimator
 from masim.channel import MAX_STATE_PATHS, DbMap, MovementRegion, PathComponent, PathStateInfo, Position, gain_map
@@ -22,6 +24,7 @@ from masim.harness import (
     ScenarioConfig,
     StageError,
     _snapshot_indices,
+    _snapshot_synthesis,
     _tx_symbols,
     build_sounding_campaign,
     compare_maps,
@@ -49,6 +52,7 @@ from masim.signals import (
 
 from conftest import (
     TEST_NUMEROLOGY,
+    arithmetic_qpsk,
     conditioning_campaign,
     frame_snapshot_indices,
     make_hi_scenario,
@@ -221,16 +225,18 @@ class TestSoundingSynthesis:
             np.testing.assert_allclose(samples, expect, atol=1e-12)
 
     def test_noise_seeds_are_position_indexed(self, five_stage_run):
-        # record q's snapshot noise is the first n_snap complex normals of derive_seed(master_seed, "sound", q)
+        # record q's h_freq noise is the last I complex normals of derive_seed(master_seed, "sound", q),
+        # scaled to CN(0, s2/M)
         cfg = pipeline_config()
         manifest, records = load_campaign(five_stage_run.artifacts["sounding_campaign"])
         clean = build_sounding_campaign(dataclasses.replace(cfg, noise_power=0.0), hall_psi_27p5ghz())
-        i_n, scale = cfg.numerology.num_subcarriers, math.sqrt(cfg.noise_power / 2.0)
+        num = cfg.numerology
+        i_n, scale = num.num_subcarriers, math.sqrt(cfg.noise_power / (2.0 * num.num_symbols))
         assert len(records) == cfg.sounding_region.num_points == len(manifest.sha256)
         for q, samples in enumerate(records):
-            z = samples[i_n:] - clean.samples_matrix()[q]
-            normals = np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(2 * len(z))
-            np.testing.assert_allclose(z, scale * normals.view(complex), rtol=0, atol=1e-12)
+            w = samples[:i_n] - clean.h_freq[q]
+            normals = np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(2 * len(samples))
+            np.testing.assert_allclose(w, scale * normals[-2 * i_n:].view(complex), rtol=0, atol=1e-12)
 
 
 def sounding_config(numerology, extent=(0.005, 0.005), step=1e-3, master_seed=21, noise_power=0.0):
@@ -314,6 +320,42 @@ class TestInMemoryCampaign:
         np.testing.assert_array_equal(large.region.positions_array()[:q], small.region.positions_array())
         np.testing.assert_array_equal(large.h_freq[:q], small.h_freq)
         np.testing.assert_array_equal(large.samples_matrix()[:q], small.samples_matrix())
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(lambda n: st.sampled_from([(d, n // d) for d in range(1, n + 1) if n % d == 0])),
+        st.sampled_from([TEST_NUMEROLOGY, TINY_NUM]),
+        st.integers(0, 2**32),
+    )
+    def test_small_sweeps_keep_the_rows_of_a_larger_one(self, grid, numerology, master_seed):
+        # a sweep of 2 to 12 positions is one block of a few rows; no product may reach
+        # numpy's single-row kernel, so each row is bit for bit the larger sweep's
+        nx, ny = grid
+        psi = hall_psi_27p5ghz()
+        small, large = (
+            build_sounding_campaign(sounding_config(numerology, ((nx - 1) * 1e-3, (rows - 1) * 1e-3),
+                                                    master_seed=master_seed, noise_power=0.01), psi)
+            for rows in (ny, ny + 30)
+        )
+        q = small.num_positions
+        assert q == nx * ny
+        np.testing.assert_array_equal(large.region.positions_array()[:q], small.region.positions_array())
+        np.testing.assert_array_equal(large.h_freq[:q], small.h_freq)
+        np.testing.assert_array_equal(large.samples_matrix()[:q], small.samples_matrix())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 12), st.integers(0, 2**32))
+    def test_one_gather_synthesis_is_the_arithmetic_one(self, num_subcarriers, num_symbols, master_seed):
+        # T[i, s] = exp(j 2 pi (i k_s mod I) / I) tx[i, m_s], the roots of unity looked up and
+        # multiplied by the symbols element by element, bit for bit
+        num = OfdmNumerology(480e3, num_subcarriers, num_symbols, 0.0)
+        cfg = sounding_config(num, master_seed=master_seed)
+        sym, k = _snapshot_indices(num)
+        subcarrier = np.arange(num_subcarriers)
+        tx = arithmetic_qpsk(num_subcarriers, num_symbols, derive_seed(master_seed, "tx"))
+        want = np.exp(2j * np.pi * subcarrier / num_subcarriers)[np.outer(subcarrier, k) % num_subcarriers]
+        want *= tx[:, sym]
+        assert np.array_equal(_snapshot_synthesis(cfg).view(np.uint64), want.view(np.uint64))
 
     def test_refuses_delay_beyond_cyclic_prefix(self):
         num = TINY_NUM
@@ -551,11 +593,11 @@ class TestPipeline:
     def test_stage_directory_names_pinned(self, five_stage_run):
         # each name hashes the stage's payload: a change here orphans every cached tree
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
-            "sound": "sound-97e79404ec8e",
-            "estimate": "estimate-9e7f5db06e4a",
-            "measure": "measure-4a1558973e69",
-            "optimize": "optimize-40023b063510",
-            "export": "export-d3890103a929",
+            "sound": "sound-87de72ec3463",
+            "estimate": "estimate-0d1830a63d33",
+            "measure": "measure-a4e9e55a1d42",
+            "optimize": "optimize-021b3d5d8eda",
+            "export": "export-9fbe0899f397",
         }
 
     def test_measure_stage_writes_only_its_power_map(self, five_stage_run):

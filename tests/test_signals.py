@@ -24,7 +24,7 @@ from masim.signals import (
     write_iq_record,
 )
 
-from conftest import TEST_NUMEROLOGY, make_hi_scenario, sounding_frames
+from conftest import TEST_NUMEROLOGY, arithmetic_qpsk, make_hi_scenario, sounding_frames
 
 
 def single_path(el=0.0, az=0.0, amp=1.0, delay=0.0, fc=27.5e9):
@@ -89,6 +89,14 @@ class TestQpsk:
     def test_seeded(self):
         np.testing.assert_array_equal(qpsk_symbols(16, 2, 1), qpsk_symbols(16, 2, 1))
         assert not np.array_equal(qpsk_symbols(16, 2, 1), qpsk_symbols(16, 2, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4000), st.integers(1, 40), st.integers(0, 2**64 - 1))
+    def test_table_lookup_is_the_arithmetic_grid(self, num_subcarriers, num_symbols, seed):
+        # the 4-symbol alphabet looked up gives every bit, signed zeros included, of the per-element form
+        got = qpsk_symbols(num_subcarriers, num_symbols, seed)
+        want = arithmetic_qpsk(num_subcarriers, num_symbols, seed)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestGenOfdm:
