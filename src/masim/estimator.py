@@ -195,7 +195,7 @@ def compute_pas(campaign: SoundingCampaign) -> PasMatrix:
 
     R is the sample covariance of the campaign's retained snapshots: up to
     harness.MAX_SNAPSHOTS received time samples per position, evenly spread
-    over the frame, CP excluded. A separable Kaiser taper (beta
+    over the first symbol's payload. A separable Kaiser taper (beta
     PAS_TAPER_BETA) is applied across the position grid before correlation;
     the rectangular aperture's -13 dB sidelobes would otherwise masquerade
     as paths.

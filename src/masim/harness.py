@@ -66,16 +66,16 @@ from .signals import (
     apply_channel,
     derive_seed,
     gen_tone,
-    qpsk_codes,
+    qpsk_symbols,
     read_iq_record,
     write_iq_record,
 )
 
 MAX_RECORD_SAMPLES = 2**24
-"""Cap on a tone record and on an OFDM frame, which bounds the I x M grid _tx_grid draws (paper: 336,600 samples)."""
+"""Cap on a tone record and on an OFDM frame, which bounds the I x M grid _tx_symbols draws (paper: 336,600 samples)."""
 
 MAX_SNAPSHOTS = 128
-"""Payload snapshots a sounding campaign keeps per position for the PAS."""
+"""Most payload snapshots a sounding campaign keeps per position for the PAS, all from the first symbol."""
 
 MAX_CAMPAIGN_BYTES = 2**31
 """Largest sounding campaign a ScenarioConfig may ask for: Q x (I + MAX_SNAPSHOTS) complex128 statistics.
@@ -83,7 +83,7 @@ MAX_CAMPAIGN_BYTES = 2**31
 The paper's largest, 10,201 positions at 3168 subcarriers, is 538 MB.
 """
 
-MANIFEST_FORMAT = "maiq-campaign/5"
+MANIFEST_FORMAT = "maiq-campaign/6"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -159,6 +159,8 @@ class ScenarioConfig(JsonCodec):
             if count > MAX_RECORD_SAMPLES:
                 raise ConfigError(f"{name} {count} exceeds the {MAX_RECORD_SAMPLES}-sample cap {what}")
         ny, nx = self.sounding_region.shape
+        if ny * nx < 2:
+            raise ConfigError(f"a {ny} x {nx} sounding_region has fewer than the 2 positions a sounding campaign needs")
         size = ny * nx * (self.numerology.num_subcarriers + MAX_SNAPSHOTS) * 16
         if size > MAX_CAMPAIGN_BYTES:
             raise ConfigError(f"a {ny} x {nx} sounding_region holds {size} bytes of statistics, "
@@ -224,66 +226,46 @@ def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo) -> Iterator[np.nd
             for i, (x, y) in enumerate(cfg.region.positions_array()))
 
 
-def _tx_grid(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The QPSK grid every sounding frame of cfg carries, as qpsk_codes' (alphabet, codes), seeded by derive_seed(master_seed, "tx")."""
-    num = cfg.numerology
-    return qpsk_codes(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
-
-
 def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
-    """The (I, M) QPSK symbols of _tx_grid(cfg), the grid a time-domain frame of cfg would modulate."""
-    alphabet, codes = _tx_grid(cfg)
-    return alphabet[codes]
+    """The (I, M) QPSK grid every sounding frame of cfg carries, seeded by derive_seed(master_seed, "tx")."""
+    num = cfg.numerology
+    return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
 
 
-def _snapshot_indices(numerology: OfdmNumerology) -> tuple[np.ndarray, np.ndarray]:
-    """(symbol, payload offset) of up to MAX_SNAPSHOTS payload samples, evenly spread over the M*I of them."""
-    n = numerology.num_symbols * numerology.num_subcarriers
-    return np.divmod(np.round(np.linspace(0, n - 1, min(MAX_SNAPSHOTS, n))).astype(int), numerology.num_subcarriers)
+def _snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
+    """Payload offsets k_s of the first symbol's min(MAX_SNAPSHOTS, I) snapshots, evenly spread and distinct."""
+    i_n = numerology.num_subcarriers
+    return np.round(np.linspace(0, i_n - 1, min(MAX_SNAPSHOTS, i_n))).astype(int)
 
 
 def _snapshot_synthesis(cfg: ScenarioConfig) -> np.ndarray:
-    """T (I, n_snap), which makes the snapshots from the subcarriers: T[i, s] = tx[i, m_s] exp(j 2 pi i k_s / I).
-
-    Snapshot s is payload sample k_s of symbol m_s. T is one gather from the
-    (4, I) table of alphabet symbol x root of unity, at code[i, m_s] I + (i k_s mod I).
-    """
+    """T (I, n_snap), which makes the snapshots from the subcarriers: T[i, s] = tx[i, 0] exp(j 2 pi i k_s / I)."""
     i_n = cfg.numerology.num_subcarriers
-    sym, k = _snapshot_indices(cfg.numerology)
     subcarrier = np.arange(i_n)
-    alphabet, codes = _tx_grid(cfg)
-    table = np.exp(2j * np.pi * subcarrier / i_n) * alphabet[:, None]
-    flat = np.multiply.outer(subcarrier, k)
-    flat %= i_n
-    codes *= i_n
-    flat += codes[:, sym]
-    return table.take(flat)
+    root_index = np.multiply.outer(subcarrier, _snapshot_indices(cfg.numerology)) % i_n  # i k_s mod I
+    return _tx_symbols(cfg)[:, :1] * np.exp(2j * np.pi * subcarrier / i_n)[root_index]
 
 
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
     """Synthesize a sounding campaign in memory: its statistics directly, no time-domain frames.
 
-    The campaign keeps per position only h_freq and MAX_SNAPSHOTS payload
-    snapshots, and both are linear in the channel response H (Q, I) plus
-    the frames' white noise of variance s2 = cfg.noise_power. So they are
-    drawn with that noise's exact joint law, h_freq's noise white and the
-    snapshots' conditioned on it (Gaussian conditioning; Kay, Fundamentals
-    of Statistical Signal Processing vol. 1, ch. 10), as rows:
+    The campaign keeps per position only h_freq and n_snap = min(MAX_SNAPSHOTS,
+    I) payload snapshots of the first symbol, and both are linear in the
+    channel response H (Q, I) plus the frames' white noise of variance
+    s2 = cfg.noise_power. So they are drawn with that noise's exact joint
+    law, h_freq's noise white and the snapshots' conditioned on it
+    (Gaussian conditioning; Kay, Fundamentals of Statistical Signal
+    Processing vol. 1, ch. 10), as rows:
 
-      h_freq    = H + w,             w ~ CN(0, s2/M), white
-      snapshots = H T + w T + e R,   e ~ CN(0, s2), white and independent of w
+      h_freq    = H + w,                          w ~ CN(0, s2/M), white
+      snapshots = h_freq T + sqrt(1 - 1/M) e,     e ~ CN(0, s2), white and independent of w
 
-    T[i, s] = tx[i, m_s] exp(j 2 pi i k_s / I) makes payload sample k_s of
-    symbol m_s from the subcarriers (_snapshot_synthesis). Since the QPSK
+    T[i, s] = tx[i, 0] exp(j 2 pi i k_s / I) makes payload sample k_s of the
+    first symbol from the subcarriers (_snapshot_synthesis). Since the QPSK
     symbols have |tx|^2 = 1/I, the snapshot noise's cross-covariance with
-    h_freq's over s2 is A = conj(T) / M, so its mean given w is w T and its
-    covariance given w is s2 (1 - T^H T / M). R is the Hermitian root
-    U diag(sqrt(1 - mu/M)) U^H of that, for T^H T = U diag(mu) U^H: one
-    eigendecomposition per campaign, and the one step whose round-off
-    depends on the BLAS thread count. A one-sided root diag(.) U^H would
-    carry the eigenvector phases eigh picks into the draws. H T = S (C T)
-    for the (Q, L) steering phases S and (L, I) path coefficients C of
-    response_factors, so the clean snapshots cost a rank-L product.
+    h_freq's over s2 is conj(T) / M, so its mean given w is w T and its
+    covariance given w is s2 (1 - T^H T / M). The offsets k_s are distinct,
+    so T^H T is the identity and that covariance is white.
     Position q draws e, then w, from derive_seed(master_seed, "sound", q),
     so its statistics do not depend on the sweep's size or order.
     synthesize_campaign writes exactly these statistics to disk.
@@ -294,18 +276,11 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
     synth = _snapshot_synthesis(cfg)
-    # T^H T from T's real (I, 2 n_snap) view: tr^T tr is one real product, which BLAS forms as a
-    # symmetric rank-k update, with Re and Im parts of each column interleaved
-    tr = synth.view(np.float64)
-    gram = tr.T @ tr
-    mu, u = np.linalg.eigh(gram[::2, ::2] + gram[1::2, 1::2] + 1j * (gram[::2, 1::2] - gram[1::2, ::2]))
-    root = (u * np.sqrt(np.maximum(1.0 - mu / m_n, 0.0))) @ u.conj().T  # R, Hermitian
     scale = math.sqrt(cfg.noise_power / 2.0)
 
     positions = cfg.sounding_region.positions_array()
     q_n, n_snap = len(positions), synth.shape[1]
     steer_all, coeff = response_factors(psi, positions, np.arange(i_n) * num.subcarrier_spacing_hz)
-    clean_snaps = coeff @ synth  # C T, (L, n_snap)
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
     snaps = np.empty((q_n, n_snap), dtype=np.complex128)
     # equal blocks of about 16 MiB of noise each; none has a single row, which
@@ -317,16 +292,13 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         for q, row in enumerate(noise, start):
             np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
         e, w = noise[:, :n_snap], noise[:, n_snap:]
-        e *= scale
+        e *= scale * math.sqrt(1.0 - 1.0 / m_n)
         w *= scale / math.sqrt(m_n)
-        steer = steer_all[start:stop]
         out = h_freq[start:stop]
-        np.matmul(steer, coeff, out=out)
+        np.matmul(steer_all[start:stop], coeff, out=out)
         out += w
-        out = snaps[start:stop]
-        np.matmul(w, synth, out=out)
-        out += e @ root
-        out += steer @ clean_snaps
+        np.matmul(out, synth, out=snaps[start:stop])
+        snaps[start:stop] += e
     return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
 
 
@@ -410,7 +382,7 @@ def _record_samples(cfg: ScenarioConfig, mode: str) -> int:
     """Values in each record file of a campaign of cfg: a tone capture, or one position's I + n_snap statistics."""
     if mode == "tone":
         return cfg.samples_per_measurement
-    return cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology)[0])
+    return cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology))
 
 
 def _read_records(dir_path, manifest: CampaignManifest) -> Iterator[np.ndarray]:

@@ -150,23 +150,17 @@ def gen_tone(f0_hz: float, num_samples: int, sample_interval_s: float) -> np.nda
     return np.exp(2j * np.pi * f0_hz * sample_interval_s * n)
 
 
-def qpsk_codes(num_subcarriers: int, num_symbols: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded QPSK subcarrier grid as its 4-symbol alphabet and the (I, M) index of b[i, m] in it.
+def qpsk_symbols(num_subcarriers: int, num_symbols: int, seed: int) -> np.ndarray:
+    """Seeded QPSK subcarrier grid b[i, m], E|b|^2 = 1/I (constant modulus).
 
-    Index 2 r + s is the symbol ((2 r - 1) + j (2 s - 1)) / sqrt(2 I) for the
-    seed's bit pair (r, s), so E|b|^2 = 1/I (constant modulus).
+    The seed's bit pair (r, s) at [i, m] picks entry 2 r + s of the 4-symbol
+    alphabet ((2 r - 1) + j (2 s - 1)) / sqrt(2 I).
     """
     bits = np.random.default_rng(seed).integers(0, 2, size=(num_subcarriers, num_symbols, 2))
     codes = bits[..., 0] << 1
     codes |= bits[..., 1]
     re, im = 2.0 * np.array([0, 0, 1, 1]) - 1.0, 2.0 * np.array([0, 1, 0, 1]) - 1.0
-    return (re + 1j * im) / np.sqrt(2.0 * num_subcarriers), codes
-
-
-def qpsk_symbols(num_subcarriers: int, num_symbols: int, seed: int) -> np.ndarray:
-    """Seeded QPSK subcarrier grid b[i, m], E|b|^2 = 1/I (constant modulus): qpsk_codes' alphabet looked up."""
-    alphabet, codes = qpsk_codes(num_subcarriers, num_symbols, seed)
-    return alphabet[codes]
+    return ((re + 1j * im) / np.sqrt(2.0 * num_subcarriers))[codes]
 
 
 def apply_channel(tx: np.ndarray, psi: PathStateInfo, position: Position) -> np.ndarray:

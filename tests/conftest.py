@@ -68,17 +68,13 @@ def make_lo_scenario(master_seed: int = 11, noise_power: float = 0.0) -> Scenari
 
 
 def frame_snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
-    """Frame indices of up to MAX_SNAPSHOTS payload samples, evenly spread, CP samples excluded.
+    """Frame indices of min(MAX_SNAPSHOTS, I) payload samples of the first symbol, evenly spread, CP samples excluded.
 
-    Built from the explicit list of every payload sample's frame index: the
-    oracle of harness._snapshot_indices, which returns the same samples as
-    (symbol, payload offset) pairs without that list.
+    Built from the explicit list of the first symbol's payload frame indices:
+    the oracle of harness._snapshot_indices, which returns the same samples as
+    payload offsets without that list.
     """
-    num = numerology
-    sym = num.samples_per_symbol
-    payload_idx = np.concatenate(
-        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
-    )
+    payload_idx = numerology.cp_samples + np.arange(numerology.num_subcarriers)
     if MAX_SNAPSHOTS < len(payload_idx):
         sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, MAX_SNAPSHOTS)).astype(int))
         payload_idx = payload_idx[sel]
@@ -151,7 +147,8 @@ def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
     snapshot noise given w has mean C_zw C_ww^-1 w = M A^H w and covariance
     s2 (1 - M A^H A), drawn as its Hermitian root R (from eigh of that
     covariance) applied to white e ~ CN(0, s2). As rows: snapshots =
-    H T + w M conj(A) + e R^T.
+    H T + w M conj(A) + e R^T. The oracle does not assume what the build
+    does, that this covariance is s2 (1 - 1/M) times the identity.
     """
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols

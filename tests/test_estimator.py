@@ -121,11 +121,8 @@ def oracle_raw_subcarrier_response(samples, num, tx_symbols):
 
 
 def oracle_snapshot_matrix(samples, num, max_snapshots=128):
-    """(n_snap, Q) matrix of received snapshots, CP samples excluded, from the (Q, N) samples."""
-    sym = num.samples_per_symbol
-    payload_idx = np.concatenate(
-        [m * sym + num.cp_samples + np.arange(num.num_subcarriers) for m in range(num.num_symbols)]
-    )
+    """(n_snap, Q) matrix of the first symbol's received snapshots, CP samples excluded, from the (Q, N) samples."""
+    payload_idx = num.cp_samples + np.arange(num.num_subcarriers)
     if max_snapshots < len(payload_idx):
         sel = np.unique(np.round(np.linspace(0, len(payload_idx) - 1, max_snapshots)).astype(int))
         payload_idx = payload_idx[sel]

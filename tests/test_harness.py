@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masim import estimator
+import masim
+from masim import estimator, harness
 from masim.channel import MAX_STATE_PATHS, DbMap, MovementRegion, PathComponent, PathStateInfo, Position, gain_map
 from masim.codec import encode
 from masim.cli import main as cli_main
@@ -52,7 +56,6 @@ from masim.signals import (
 
 from conftest import (
     TEST_NUMEROLOGY,
-    arithmetic_qpsk,
     conditioning_campaign,
     frame_snapshot_indices,
     make_hi_scenario,
@@ -246,7 +249,7 @@ def sounding_config(numerology, extent=(0.005, 0.005), step=1e-3, master_seed=21
                                sounding_region=MovementRegion(extent[0], extent[1], step, step))
 
 
-# M >= 3 symbols; 16 x 12 = 192 payload samples, 128 of them kept as snapshots
+# M >= 3 symbols; I = 16 < MAX_SNAPSHOTS, so all 16 payload samples of the first symbol are snapshots
 TINY_NUM = OfdmNumerology(subcarrier_spacing_hz=480e3, num_subcarriers=16, num_symbols=12,
                           cp_duration_s=2.0 / (16 * 480e3))
 
@@ -282,7 +285,7 @@ class TestInMemoryCampaign:
     def test_noise_follows_the_record_law(self):
         # 60 x 60 positions, each its own noise seed: h_freq noise CN(0, s2/M) white
         # across subcarriers, white snapshot noise CN(0, s2), cross-covariance s2 * A with
-        # A[i, s] = exp(-j 2 pi i k_s / I) / (M I tx[i, m_s]) for snapshot s at sample k_s of symbol m_s
+        # A[i, s] = exp(-j 2 pi i k_s / I) / (M I tx[i, 0]) for snapshot s at sample k_s of the first symbol
         s2, num = 0.3, TINY_NUM
         i_n, m_n = num.num_subcarriers, num.num_symbols
         cfg = sounding_config(num, extent=(0.059, 0.059), noise_power=s2)
@@ -292,7 +295,7 @@ class TestInMemoryCampaign:
         h = noisy.h_freq - clean.h_freq  # (N, I)
         z = noisy.samples_matrix() - clean.samples_matrix()  # (N, n_snap)
         n = len(h)
-        assert n == 3600 and z.shape[1] == 128
+        assert n == 3600 and z.shape[1] == i_n
         # 5 standard errors of each estimate, from the sample count
         tol = 5.0 / math.sqrt(n)
         np.testing.assert_allclose(np.mean(np.abs(h) ** 2, axis=0), s2 / m_n, rtol=tol)
@@ -301,11 +304,9 @@ class TestInMemoryCampaign:
         assert np.max(np.abs(cov_h - np.diag(np.diag(cov_h)))) < tol * s2 / m_n
         assert np.max(np.abs(cov_z - np.diag(np.diag(cov_z)))) < tol * s2
         assert np.max(np.abs(np.mean(h, axis=0))) < tol * math.sqrt(s2 / m_n)
-        frame = np.concatenate([m * num.samples_per_symbol + num.cp_samples + np.arange(i_n) for m in range(m_n)])
-        kept = frame[np.unique(np.round(np.linspace(0, len(frame) - 1, 128)).astype(int))]
-        sym, k = kept // num.samples_per_symbol, kept % num.samples_per_symbol - num.cp_samples
+        k = np.arange(i_n)  # I = 16 < 128: every payload sample of the first symbol
         idx = np.arange(i_n)[:, None]
-        a = np.exp(-2j * np.pi * idx * k / i_n) / (m_n * i_n * _tx_symbols(cfg)[:, sym])
+        a = np.exp(-2j * np.pi * idx * k / i_n) / (m_n * i_n * _tx_symbols(cfg)[:, :1])
         cross = h.T @ z.conj() / n  # (I, n_snap)
         assert np.max(np.abs(cross - s2 * a)) < tol * s2 / math.sqrt(m_n)
 
@@ -343,19 +344,39 @@ class TestInMemoryCampaign:
         np.testing.assert_array_equal(large.h_freq[:q], small.h_freq)
         np.testing.assert_array_equal(large.samples_matrix()[:q], small.samples_matrix())
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 300), st.integers(1, 12), st.integers(0, 2**32))
-    def test_one_gather_synthesis_is_the_arithmetic_one(self, num_subcarriers, num_symbols, master_seed):
-        # T[i, s] = exp(j 2 pi (i k_s mod I) / I) tx[i, m_s], the roots of unity looked up and
-        # multiplied by the symbols element by element, bit for bit
-        num = OfdmNumerology(480e3, num_subcarriers, num_symbols, 0.0)
-        cfg = sounding_config(num, master_seed=master_seed)
-        sym, k = _snapshot_indices(num)
-        subcarrier = np.arange(num_subcarriers)
-        tx = arithmetic_qpsk(num_subcarriers, num_symbols, derive_seed(master_seed, "tx"))
-        want = np.exp(2j * np.pi * subcarrier / num_subcarriers)[np.outer(subcarrier, k) % num_subcarriers]
-        want *= tx[:, sym]
-        assert np.array_equal(_snapshot_synthesis(cfg).view(np.uint64), want.view(np.uint64))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4096), st.integers(1, 256), st.integers(0, 2**32))
+    def test_snapshot_synthesis_is_orthonormal(self, num_subcarriers, num_symbols, master_seed):
+        # distinct offsets of one symbol and |tx|^2 = 1/I make T^H T the identity, so the
+        # snapshot noise given h_freq's is white: the law build_sounding_campaign draws
+        num = OfdmNumerology(15e3, num_subcarriers, num_symbols, 0.0)
+        k = _snapshot_indices(num)
+        assert len(k) == min(MAX_SNAPSHOTS, num_subcarriers)
+        assert len(np.unique(k)) == len(k)
+        assert k.min() >= 0 and k.max() < num_subcarriers
+        synth = _snapshot_synthesis(sounding_config(num, master_seed=master_seed))
+        assert synth.shape == (num_subcarriers, len(k))
+        np.testing.assert_allclose(synth.conj().T @ synth, np.eye(len(k)), rtol=0, atol=1e-12)
+
+    def test_draws_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # a noisy campaign built at one BLAS thread and at two holds the same bytes
+        script = (
+            "import hashlib, sys\n"
+            "from masim import build_sounding_campaign, hall_psi_27p5ghz\n"
+            "from masim.harness import ScenarioConfig\n"
+            "camp = build_sounding_campaign(ScenarioConfig.load(sys.argv[1]), hall_psi_27p5ghz())\n"
+            "print(hashlib.sha256(camp.h_freq).hexdigest(), hashlib.sha256(camp.samples_matrix()).hexdigest())\n"
+        )
+        cfg_path = tmp_path / "scenario.json"
+        sounding_config(TEST_NUMEROLOGY, extent=(0.009, 0.009), noise_power=0.3).save(cfg_path)
+        path = os.pathsep.join([str(Path(masim.__file__).parents[1]), *sys.path])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": path}
+            run = subprocess.run([sys.executable, "-c", script, str(cfg_path)], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
     def test_refuses_delay_beyond_cyclic_prefix(self):
         num = TINY_NUM
@@ -377,17 +398,14 @@ class TestInMemoryCampaign:
     @pytest.mark.parametrize("numerology", [
         OfdmNumerology.default(),
         TEST_NUMEROLOGY,
-        OfdmNumerology(480e3, 127, 1, 0.0),  # M*I = 127, 128 and 129 around MAX_SNAPSHOTS
-        OfdmNumerology(480e3, 64, 2, 4 / (64 * 480e3)),
-        OfdmNumerology(480e3, 43, 3, 4 / (43 * 480e3)),
+        OfdmNumerology(480e3, 127, 1, 0.0),  # I = 127, 128 and 129 around MAX_SNAPSHOTS
+        OfdmNumerology(480e3, 128, 2, 4 / (128 * 480e3)),
+        OfdmNumerology(480e3, 129, 3, 4 / (129 * 480e3)),
     ])
     def test_snapshot_indices_match_frame_indices(self, numerology):
-        sym, k = _snapshot_indices(numerology)
-        want_sym, want_k = np.divmod(frame_snapshot_indices(numerology) - numerology.cp_samples,
-                                     numerology.samples_per_symbol)
-        np.testing.assert_array_equal(sym, want_sym)
-        np.testing.assert_array_equal(k, want_k)
-        assert len(k) == min(MAX_SNAPSHOTS, numerology.num_symbols * numerology.num_subcarriers)
+        k = _snapshot_indices(numerology)
+        np.testing.assert_array_equal(k, frame_snapshot_indices(numerology) - numerology.cp_samples)
+        assert len(k) == min(MAX_SNAPSHOTS, numerology.num_subcarriers)
 
 
 class TestCampaignFiles:
@@ -593,11 +611,11 @@ class TestPipeline:
     def test_stage_directory_names_pinned(self, five_stage_run):
         # each name hashes the stage's payload: a change here orphans every cached tree
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
-            "sound": "sound-87de72ec3463",
-            "estimate": "estimate-0d1830a63d33",
-            "measure": "measure-a4e9e55a1d42",
-            "optimize": "optimize-021b3d5d8eda",
-            "export": "export-9fbe0899f397",
+            "sound": "sound-50fdc0a66fa1",
+            "estimate": "estimate-6f56e7f36eab",
+            "measure": "measure-c885e4ba8ab8",
+            "optimize": "optimize-e9bb049d1010",
+            "export": "export-baf54333611f",
         }
 
     def test_measure_stage_writes_only_its_power_map(self, five_stage_run):
@@ -795,6 +813,21 @@ class TestCli:
         assert "1000 x 1000 sounding_region" in err and "cap per campaign" in err and err.count("\n") == 1
         assert not (tmp_path / "camp").exists()
 
+    def test_one_point_sounding_region_exits_2(self, tmp_path, capsys, monkeypatch):
+        # refused as the config is read: nothing is drawn and no directory is made
+        data = {**pipeline_config().to_json_dict(),
+                "sounding_region": {"x_extent_m": 0.0, "y_extent_m": 0.0, "x_step_m": 1e-3, "y_step_m": 1e-3}}
+        cfg_path, psi_path = tmp_path / "scenario.json", tmp_path / "psi.json"
+        cfg_path.write_text(json.dumps(data))
+        save_psi(psi_path, hall_psi_27p5ghz())
+        monkeypatch.setattr(harness, "build_sounding_campaign", None)  # a call would raise TypeError, exit 1
+        rc = cli_main(["sound", "--config", str(cfg_path), "--psi", str(psi_path),
+                       "--mode", "ofdm", "--out-dir", str(tmp_path / "camp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "1 x 1 sounding_region" in err and "2 positions" in err and err.count("\n") == 1
+        assert not (tmp_path / "camp").exists()
+
     def test_zero_budget_exits_2_before_any_stage(self, tmp_path, capsys):
         # used to run sound and estimate, then exit 3 leaving an empty optimize directory
         cfg_path, psi_path = input_files(tmp_path)
@@ -807,19 +840,21 @@ class TestCli:
         assert not out.exists()
 
     def test_estimate_with_every_path_dropped_exits_2(self, tmp_path, capsys, monkeypatch):
-        # one zero-amplitude path: its PAS peak is noise with no dominant delay
-        # peak; this used to write "paths": [] and then die with an IndexError
+        # one real path, held to an unreachable peak-to-median bar so that its delay
+        # profile is refused whatever the draws; this used to write "paths": [] and
+        # then die with an IndexError
         region = MovementRegion(0.01, 0.01, 1e-3, 1e-3)
         cfg = ScenarioConfig(
             carrier_hz=27.5e9, bandwidth_hz=400e6, tx_position_m=(0.0, 1.3, 6.8), region=region,
-            sounding_region=region, numerology=OfdmNumerology(480e3, 64, 4, 4 / (64 * 480e3)), noise_power=1.0,
+            sounding_region=region, numerology=OfdmNumerology(480e3, 64, 4, 4 / (64 * 480e3)), noise_power=0.01,
             tone_f0_hz=50e6, samples_per_measurement=256, master_seed=7,
         )
-        psi = PathStateInfo(paths=(PathComponent(3.0, 2.0, 0.0, 0.0),), carrier_hz=27.5e9)
+        psi = PathStateInfo(paths=(PathComponent(3.0, 2.0, 1.0, 20e-9),), carrier_hz=27.5e9)
         cdir = synthesize_campaign(cfg, psi, "ofdm", tmp_path / "camp")
         capsys.readouterr()
         out = tmp_path / "est.json"
-        monkeypatch.setattr(estimator, "MAX_PATHS", 1)  # at 8, ZF refuses the noise peaks as too close
+        monkeypatch.setattr(estimator, "MAX_PATHS", 1)  # the one path's peak, not a sidelobe or a noise peak
+        monkeypatch.setattr(estimator, "MIN_PEAK_TO_MEDIAN_DB", math.inf)
         with pytest.warns(UserWarning, match="dropping it"):
             rc = cli_main(["estimate", "--campaign", str(cdir), "--out", str(out)])
         assert rc == 2
