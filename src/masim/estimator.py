@@ -15,7 +15,7 @@ large virtual array. Processing follows the measurement chain:
      an on-disk campaign holds them),
   5. per-path delay and amplitude from the beamformed delay profile, and a
      power delay spectrum (PDS) per position as a by-product; both read
-     the delay domain a block of positions at a time.
+     the campaign's one delay transform (SoundingCampaign.delay_power).
 
 The estimate is a channel.PathStateInfo, the same type a planted channel
 is, so it feeds gain_map, coarse_position and optimize directly.
@@ -118,6 +118,7 @@ class SoundingCampaign:
         # whose bytes perfbench/worker.py counts
         self._snapshots = snapshots
         self._samples: np.ndarray | None = None
+        self._delay_power: np.ndarray | None = None  # until compute_pds takes it over
 
     @property
     def num_positions(self) -> int:
@@ -132,6 +133,21 @@ class SoundingCampaign:
         if self._samples is None:
             self._samples, self._snapshots = self._snapshots, None
         return self._samples
+
+    def delay_power(self) -> np.ndarray:
+        """(Q, I) |I-point IDFT|^2 of the h_freq rows, transformed once and kept until compute_pds takes it over.
+
+        Rows are transformed a block at a time, so no (Q, I) complex delay
+        response is ever held; each row's values do not depend on the blocking.
+        """
+        if self._delay_power is None:
+            q, i_n = self.h_freq.shape
+            self._delay_power = np.empty((q, i_n))
+            block = max(1, (1 << 20) // i_n)  # about 16 MiB of delay response per block
+            for start in range(0, q, block):
+                rows = self._delay_power[start:start + block]
+                np.square(np.abs(np.fft.ifft(self.h_freq[start:start + block], axis=1), out=rows), out=rows)
+        return self._delay_power
 
 
 @dataclass(frozen=True)
@@ -234,7 +250,9 @@ def compute_pas(campaign: SoundingCampaign) -> PasMatrix:
             lag[rows, d] = np.trace(gram, offset=-d, axis1=1, axis2=2)
     # stage 2: the lag polynomial in z at every (elevation, azimuth)
     dx = (xs[-1] - xs[0]) / max(nx - 1, 1)
-    z = path_phase(dx * np.outer(np.cos(el_rad), np.sin(np.radians(azs))), lam).conj()
+    # z depends on el only through the even cos(el), so the rows of el < 0 mirror those of el > 0
+    z = path_phase(dx * np.outer(np.cos(el_rad[len(els) // 2:]), np.sin(np.radians(azs))), lam).conj()
+    z = np.concatenate([z[:0:-1], z])
     acc = np.zeros_like(z)
     for d in range(nx - 1, 0, -1):
         acc += lag[:, d, None]
@@ -321,28 +339,20 @@ def frequency_response(campaign: SoundingCampaign) -> np.ndarray:
     return campaign.h_freq
 
 
-def _delay_power(h_freq: np.ndarray, first_bin: int = 0) -> np.ndarray:
-    """|I-point IDFT|^2 of each row of h_freq at delay bins first_bin..I-1, (Q, I - first_bin).
-
-    Rows are transformed a block at a time, so no (Q, I) complex delay
-    response is ever held; each row's values do not depend on the blocking.
-    """
-    q, i_n = h_freq.shape
-    power = np.empty((q, i_n - first_bin))
-    block = max(1, (1 << 20) // i_n)  # about 16 MiB of delay response per block
-    for start in range(0, q, block):
-        rows = slice(start, start + block)
-        power[rows] = np.abs(np.fft.ifft(h_freq[rows], axis=1)[:, first_bin:]) ** 2
-    return power
+def _noise_per_bin(campaign: SoundingCampaign) -> float:
+    """Mean delay power per bin in the upper half of the delay range, where no physical path can sit."""
+    upper = campaign.delay_power()[:, campaign.numerology.num_subcarriers // 2:]
+    return float(np.mean(upper.copy()))  # C-contiguous: numpy may sum a strided view in another order
 
 
 def compute_pds(campaign: SoundingCampaign) -> PdsMatrix:
     """Power delay spectrum per position from the I-point IDFT of the frequency response.
 
     Each position's spectrum is normalized by its own peak, so the maximum
-    of every row is exactly 1.
+    of every row is exactly 1. It takes the campaign's delay power over, normalized
+    in place: a later call transforms afresh and leaves this spectrum as it is.
     """
-    pds = _delay_power(frequency_response(campaign))
+    pds, campaign._delay_power = campaign.delay_power(), None
     peaks = np.max(pds, axis=1)
     if np.any(peaks == 0.0):
         raise ValueError("all-zero delay response at some position")
@@ -400,10 +410,8 @@ def estimate_delay_amplitude(
     idx = np.arange(i_n)
     n_fft = DELAY_OVERSAMPLE * i_n
 
-    # total channel power per subcarrier, noise-debiased from the upper half
-    # of the delay range where no physical path can sit
-    noise_per_bin = float(np.mean(_delay_power(h_freq, i_n // 2)))
-    p_total = float(np.mean(np.abs(h_freq) ** 2)) - i_n * noise_per_bin
+    # total channel power per subcarrier, noise-debiased
+    p_total = float(np.mean(np.abs(h_freq) ** 2)) - i_n * _noise_per_bin(campaign)
     if p_total <= 0.0:
         raise ValueError("measured channel power does not rise above the noise floor")
 

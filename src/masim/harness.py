@@ -72,18 +72,18 @@ from .signals import (
 )
 
 MAX_RECORD_SAMPLES = 2**24
-"""Cap on a tone record and on an OFDM frame, which bounds the I x M grid _tx_symbols draws (paper: 336,600 samples)."""
+"""Cap on a tone record and on an OFDM frame (paper: 336,600 samples); a sounding build draws only the first symbol's I QPSK symbols."""
 
 MAX_SNAPSHOTS = 128
 """Most payload snapshots a sounding campaign keeps per position for the PAS, all from the first symbol."""
 
 MAX_CAMPAIGN_BYTES = 2**31
-"""Largest sounding campaign a ScenarioConfig may ask for: Q x (I + MAX_SNAPSHOTS) complex128 statistics.
+"""Largest sounding campaign a ScenarioConfig may ask for: Q records of I + min(MAX_SNAPSHOTS, I) complex128 statistics.
 
 The paper's largest, 10,201 positions at 3168 subcarriers, is 538 MB.
 """
 
-MANIFEST_FORMAT = "maiq-campaign/6"
+MANIFEST_FORMAT = "maiq-campaign/7"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -154,14 +154,14 @@ class ScenarioConfig(JsonCodec):
             raise ConfigError("samples_per_measurement must be >= 2")
         for name, count, what in (
             ("samples_per_measurement", self.samples_per_measurement, "per tone record"),
-            ("numerology.frame_samples", self.numerology.frame_samples, "per frame (it bounds the I x M symbol grid)"),
+            ("numerology.frame_samples", self.numerology.frame_samples, "per frame (M symbols of I + CP samples)"),
         ):
             if count > MAX_RECORD_SAMPLES:
                 raise ConfigError(f"{name} {count} exceeds the {MAX_RECORD_SAMPLES}-sample cap {what}")
         ny, nx = self.sounding_region.shape
         if ny * nx < 2:
             raise ConfigError(f"a {ny} x {nx} sounding_region has fewer than the 2 positions a sounding campaign needs")
-        size = ny * nx * (self.numerology.num_subcarriers + MAX_SNAPSHOTS) * 16
+        size = ny * nx * _record_samples(self, "ofdm") * 16
         if size > MAX_CAMPAIGN_BYTES:
             raise ConfigError(f"a {ny} x {nx} sounding_region holds {size} bytes of statistics, "
                               f"over the {MAX_CAMPAIGN_BYTES}-byte cap per campaign")
@@ -226,24 +226,10 @@ def iter_tone_records(cfg: ScenarioConfig, psi: PathStateInfo) -> Iterator[np.nd
             for i, (x, y) in enumerate(cfg.region.positions_array()))
 
 
-def _tx_symbols(cfg: ScenarioConfig) -> np.ndarray:
-    """The (I, M) QPSK grid every sounding frame of cfg carries, seeded by derive_seed(master_seed, "tx")."""
-    num = cfg.numerology
-    return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
-
-
 def _snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
     """Payload offsets k_s of the first symbol's min(MAX_SNAPSHOTS, I) snapshots, evenly spread and distinct."""
     i_n = numerology.num_subcarriers
     return np.round(np.linspace(0, i_n - 1, min(MAX_SNAPSHOTS, i_n))).astype(int)
-
-
-def _snapshot_synthesis(cfg: ScenarioConfig) -> np.ndarray:
-    """T (I, n_snap), which makes the snapshots from the subcarriers: T[i, s] = tx[i, 0] exp(j 2 pi i k_s / I)."""
-    i_n = cfg.numerology.num_subcarriers
-    subcarrier = np.arange(i_n)
-    root_index = np.multiply.outer(subcarrier, _snapshot_indices(cfg.numerology)) % i_n  # i k_s mod I
-    return _tx_symbols(cfg)[:, :1] * np.exp(2j * np.pi * subcarrier / i_n)[root_index]
 
 
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
@@ -261,11 +247,14 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
       snapshots = h_freq T + sqrt(1 - 1/M) e,     e ~ CN(0, s2), white and independent of w
 
     T[i, s] = tx[i, 0] exp(j 2 pi i k_s / I) makes payload sample k_s of the
-    first symbol from the subcarriers (_snapshot_synthesis). Since the QPSK
-    symbols have |tx|^2 = 1/I, the snapshot noise's cross-covariance with
-    h_freq's over s2 is conj(T) / M, so its mean given w is w T and its
-    covariance given w is s2 (1 - T^H T / M). The offsets k_s are distinct,
-    so T^H T is the identity and that covariance is white.
+    first symbol from the subcarriers, so h_freq T is I times the batched
+    inverse DFT of h_freq tx[:, 0] at the offsets k_s (_snapshot_indices).
+    Since the QPSK symbols have |tx|^2 = 1/I, the snapshot noise's
+    cross-covariance with h_freq's over s2 is conj(T) / M, so its mean
+    given w is w T and its covariance given w is s2 (1 - T^H T / M). The
+    offsets k_s are distinct, so T^H T is the identity and that covariance
+    is white. tx[:, 0], the first symbol of qpsk_symbols(I, M, derive_seed(
+    master_seed, "tx")), is a prefix of its draws: only it is drawn.
     Position q draws e, then w, from derive_seed(master_seed, "sound", q),
     so its statistics do not depend on the sweep's size or order.
     synthesize_campaign writes exactly these statistics to disk.
@@ -275,11 +264,12 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
-    synth = _snapshot_synthesis(cfg)
+    tx0 = qpsk_symbols(i_n, 1, derive_seed(cfg.master_seed, "tx"))[:, 0]
+    offsets = _snapshot_indices(num)
     scale = math.sqrt(cfg.noise_power / 2.0)
 
     positions = cfg.sounding_region.positions_array()
-    q_n, n_snap = len(positions), synth.shape[1]
+    q_n, n_snap = len(positions), len(offsets)
     steer_all, coeff = response_factors(psi, positions, np.arange(i_n) * num.subcarrier_spacing_hz)
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
     snaps = np.empty((q_n, n_snap), dtype=np.complex128)
@@ -297,8 +287,8 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
         out = h_freq[start:stop]
         np.matmul(steer_all[start:stop], coeff, out=out)
         out += w
-        np.matmul(out, synth, out=snaps[start:stop])
-        snaps[start:stop] += e
+        np.multiply(out, tx0, out=w)  # w is spent: it takes h_freq tx[:, 0]
+        np.add(np.fft.ifft(w, axis=1, norm="forward")[:, offsets], e, out=snaps[start:stop])  # h_freq T + e
     return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
 
 

@@ -151,14 +151,14 @@ def gen_tone(f0_hz: float, num_samples: int, sample_interval_s: float) -> np.nda
 
 
 def qpsk_symbols(num_subcarriers: int, num_symbols: int, seed: int) -> np.ndarray:
-    """Seeded QPSK subcarrier grid b[i, m], E|b|^2 = 1/I (constant modulus).
+    """Seeded QPSK subcarrier grid b[i, m], E|b|^2 = 1/I (constant modulus), C-contiguous (I, M).
 
-    The seed's bit pair (r, s) at [i, m] picks entry 2 r + s of the 4-symbol
-    alphabet ((2 r - 1) + j (2 s - 1)) / sqrt(2 I).
+    The seed's bit pairs are drawn symbol by symbol, (M, I, 2): the pair (r, s)
+    of [m, i] picks entry 2 r + s of the 4-symbol alphabet ((2 r - 1) + j (2 s - 1)) / sqrt(2 I).
+    So the first m symbols are a prefix of the seeded draws, the same for any M >= m.
     """
-    bits = np.random.default_rng(seed).integers(0, 2, size=(num_subcarriers, num_symbols, 2))
-    codes = bits[..., 0] << 1
-    codes |= bits[..., 1]
+    bits = np.random.default_rng(seed).integers(0, 2, size=(num_symbols, num_subcarriers, 2))
+    codes = (bits[..., 0] << 1 | bits[..., 1]).T.copy()  # (I, M), C order
     re, im = 2.0 * np.array([0, 0, 1, 1]) - 1.0, 2.0 * np.array([0, 1, 0, 1]) - 1.0
     return ((re + 1j * im) / np.sqrt(2.0 * num_subcarriers))[codes]
 

@@ -4,8 +4,9 @@ The heavyweight pieces (sounding campaigns, the full estimation chain) are
 session-scoped; everything downstream reuses them instead of re-synthesizing.
 The time-domain OFDM frames, and their reduction to the statistics a
 SoundingCampaign keeps, live here as the oracle of build_sounding_campaign;
-so does the conditional law written out with the cross-covariance A, the
-oracle of its noisy draws, and the QPSK grid computed from its bits.
+so do the conditional law written out with the cross-covariance A, the
+oracle of its noisy draws, the dense snapshot synthesis T, the oracle of
+its batched IFFT, and the QPSK grid computed from its bits.
 """
 
 import math
@@ -21,8 +22,8 @@ from masim import (
 )
 from masim.channel import MovementRegion, channel_response
 from masim.estimator import SoundingCampaign
-from masim.harness import MAX_SNAPSHOTS, ScenarioConfig, _tx_symbols
-from masim.signals import NoiseSpec, OfdmNumerology, add_noise, derive_seed
+from masim.harness import MAX_SNAPSHOTS, ScenarioConfig, _snapshot_indices
+from masim.signals import NoiseSpec, OfdmNumerology, add_noise, derive_seed, qpsk_symbols
 
 # 832 x 480 kHz = 399.36 MHz occupied, 52-sample CP: same bandwidth class as
 # the default numerology but ~200x fewer samples per frame, so campaign
@@ -65,6 +66,26 @@ def make_lo_scenario(master_seed: int = 11, noise_power: float = 0.0) -> Scenari
         samples_per_measurement=4096,
         master_seed=master_seed,
     )
+
+
+def tx_grid(cfg: ScenarioConfig) -> np.ndarray:
+    """The (I, M) QPSK grid every sounding frame of cfg carries, seeded by derive_seed(master_seed, "tx").
+
+    build_sounding_campaign draws only its first column, the prefix of the same seeded draws.
+    """
+    num = cfg.numerology
+    return qpsk_symbols(num.num_subcarriers, num.num_symbols, derive_seed(cfg.master_seed, "tx"))
+
+
+def snapshot_synthesis(cfg: ScenarioConfig) -> np.ndarray:
+    """T (I, n_snap), which makes the snapshots from the subcarriers: T[i, s] = tx[i, 0] exp(j 2 pi i k_s / I).
+
+    The dense form of the build's batched IFFT: its snapshots are h_freq T plus noise.
+    """
+    i_n = cfg.numerology.num_subcarriers
+    subcarrier = np.arange(i_n)
+    root_index = np.multiply.outer(subcarrier, _snapshot_indices(cfg.numerology)) % i_n  # i k_s mod I
+    return tx_grid(cfg)[:, :1] * np.exp(2j * np.pi * subcarrier / i_n)[root_index]
 
 
 def frame_snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
@@ -126,7 +147,7 @@ def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
     its noise follows the same law but not the same draws.
     """
     num = cfg.numerology
-    tx = _tx_symbols(cfg)
+    tx = tx_grid(cfg)
     snap_idx = frame_snapshot_indices(num)
     den = num.num_subcarriers * tx.T  # (M, I)
     h_freq, snaps = [], []
@@ -152,7 +173,7 @@ def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
     """
     num = cfg.numerology
     i_n, m_n = num.num_subcarriers, num.num_symbols
-    tx = _tx_symbols(cfg)
+    tx = tx_grid(cfg)
     sym, k = np.divmod(frame_snapshot_indices(num), num.samples_per_symbol)
     k -= num.cp_samples
     subcarrier = np.arange(i_n)
@@ -175,11 +196,14 @@ def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
 
 
 def arithmetic_qpsk(num_subcarriers: int, num_symbols: int, seed: int) -> np.ndarray:
-    """The seeded QPSK grid computed element by element from its bits: the oracle of qpsk_symbols' table lookup."""
-    bits = np.random.default_rng(seed).integers(0, 2, size=(num_subcarriers, num_symbols, 2))
+    """The seeded QPSK grid computed element by element from its bits: the oracle of qpsk_symbols' table lookup.
+
+    The bit pairs are drawn symbol by symbol, (M, I, 2), and the grid is their transpose (I, M).
+    """
+    bits = np.random.default_rng(seed).integers(0, 2, size=(num_symbols, num_subcarriers, 2))
     re = 2.0 * bits[..., 0] - 1.0
     im = 2.0 * bits[..., 1] - 1.0
-    return (re + 1j * im) / np.sqrt(2.0 * num_subcarriers)
+    return np.ascontiguousarray(((re + 1j * im) / np.sqrt(2.0 * num_subcarriers)).T)
 
 
 # Campaign builds and estimates take a second or more each, so they are

@@ -126,8 +126,8 @@ class TestStrictness:
 
     def test_manifest_format_checked(self):
         data = valid_manifest()
-        assert data["format"] == "maiq-campaign/6"
-        for old in (f"maiq-campaign/{n}" for n in range(6)):
+        assert data["format"] == "maiq-campaign/7"
+        for old in (f"maiq-campaign/{n}" for n in range(7)):
             data["format"] = old
             with pytest.raises(ConfigError, match="unsupported manifest format"):
                 CampaignManifest.from_json_dict(data)

@@ -21,6 +21,7 @@ from masim.channel import (
     PathStateInfo,
     channel_response,
     gain_field,
+    path_phase,
     response_factors,
     to_db,
 )
@@ -147,6 +148,63 @@ def oracle_direct_pas(campaign):
     return pas
 
 
+def full_table_pas(campaign):
+    """compute_pas with its stage-2 phasor table z formed at every elevation, none mirrored: its bit-exact oracle."""
+    els = azs = SCAN_ANGLES_DEG
+    lam = campaign.wavelength_m
+    snaps = campaign.samples_matrix().T
+    n_snap = snaps.shape[0]
+    el_rad = np.radians(els)
+    xs, ys = campaign.region.grid_x(), campaign.region.grid_y()
+    nx = len(xs)
+    w2d = np.outer(np.kaiser(len(ys), PAS_TAPER_BETA), np.kaiser(nx, PAS_TAPER_BETA))
+    s3 = snaps.reshape(n_snap, len(ys), nx) * w2d[None, :, :]
+    e_y = path_phase(np.outer(np.sin(el_rad), ys), lam).conj()
+    lag = np.empty((len(els), nx), dtype=np.complex128)
+    block = max(1, (1 << 18) // (n_snap * nx))
+    for start in range(0, len(els), block):
+        rows = slice(start, start + block)
+        c = np.tensordot(e_y[rows], s3, axes=([1], [1]))
+        gram = np.matmul(c.transpose(0, 2, 1), c.conj())
+        for d in range(nx):
+            lag[rows, d] = np.trace(gram, offset=-d, axis1=1, axis2=2)
+    dx = (xs[-1] - xs[0]) / max(nx - 1, 1)
+    z = path_phase(dx * np.outer(np.cos(el_rad), np.sin(np.radians(azs))), lam).conj()
+    acc = np.zeros_like(z)
+    for d in range(nx - 1, 0, -1):
+        acc += lag[:, d, None]
+        acc *= z
+    pas = lag[:, :1].real + 2.0 * acc.real
+    np.maximum(pas, 0.0, out=pas)
+    return pas
+
+
+def separate_delay_power(h_freq, first_bin=0):
+    """|I-point IDFT|^2 of each h_freq row at delay bins first_bin..I-1, (Q, I - first_bin), a block of rows at a time.
+
+    The transform estimate_psi's noise floor (first_bin I // 2) and compute_pds (first_bin 0) each ran on
+    its own: the oracle of the one SoundingCampaign.delay_power they share.
+    """
+    q, i_n = h_freq.shape
+    power = np.empty((q, i_n - first_bin))
+    block = max(1, (1 << 20) // i_n)
+    for start in range(0, q, block):
+        rows = slice(start, start + block)
+        power[rows] = np.abs(np.fft.ifft(h_freq[rows], axis=1)[:, first_bin:]) ** 2
+    return power
+
+
+def delay_campaign():
+    """A fresh noisy 11 x 11 sweep of the 27.5 GHz hall paths at 5 mm.
+
+    numpy sums its (121, 416) noise-floor half in another order as a strided
+    view than as a contiguous array, so the floor's mean must be taken on a copy.
+    """
+    cfg = dataclasses.replace(make_hi_scenario(noise_power=0.01),
+                              sounding_region=MovementRegion(0.05, 0.05, 5e-3, 5e-3))
+    return build_sounding_campaign(cfg, hall_psi_27p5ghz())
+
+
 class TestScanAxis:
     def test_covers_pm_90_in_half_degree_steps(self):
         assert ANGLE_STEP_DEG == 0.5
@@ -228,6 +286,13 @@ class TestPas:
         xs, ys = camp.region.grid_x(), camp.region.grid_y()
         assert (len(ys), len(xs)) == shape
         np.testing.assert_allclose(compute_pas(camp).values, oracle_direct_pas(camp), rtol=1e-9)
+
+    @pytest.mark.parametrize("extent, y_extent", [(0.02, 0.02), (6e-3, 0.0), (0.0, 6e-3), (0.032, 1e-3)],
+                             ids=["21x21", "x_track", "x_column", "33x2"])
+    def test_mirrored_phasor_table_is_the_full_one(self, extent, y_extent):
+        # cos(el) is even, so the el < 0 rows of z copied from the el > 0 rows change no bit of the PAS
+        camp = small_campaign(hall_psi_27p5ghz(), extent=extent, y_extent=y_extent, noise_power=0.01)
+        assert np.array_equal(compute_pas(camp).values, full_table_pas(camp))
 
     def test_campaign_must_tile_a_grid(self):
         # rows for 8 of the 9 points of a 3 x 3 region: the PAS scan runs over its whole grid
@@ -488,6 +553,48 @@ class TestPds:
         pds = PdsMatrix(values=np.random.default_rng(2).uniform(1e-6, 1.0, (100, 2000)), delay_step_s=1e-9)
         pds.to_csv(tmp_path / "pds.csv")
         assert sum(sizes) == pds.values.size and max(sizes) <= CSV_BLOCK_ROWS
+
+
+class TestOneDelayTransform:
+    """estimate_psi's noise floor and compute_pds read one delay transform per campaign."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        # the noise floor, the estimate on it and the PDS, each from its own transform
+        camp = delay_campaign()
+        h = camp.h_freq
+        noise = float(np.mean(separate_delay_power(h, h.shape[1] // 2)))
+        pds = separate_delay_power(h)
+        pds /= np.max(pds, axis=1)[:, None]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_noise_per_bin", lambda campaign: noise)
+            est = estimate_psi(camp)
+        return noise, est, pds
+
+    @pytest.mark.parametrize("order", [("estimate", "pds"), ("pds", "estimate")], ids=["estimate_first", "pds_first"])
+    def test_either_order_matches_the_separate_transforms(self, oracle, order):
+        noise, want_est, want_pds = oracle
+        camp = delay_campaign()
+        spectra = []
+        for call in order:
+            for _ in range(2):
+                if call == "estimate":
+                    assert estimator._noise_per_bin(camp) == noise
+                    assert estimate_psi(camp) == want_est
+                else:
+                    spectra.append(compute_pds(camp))
+        # the first PDS is read after every later call: none of them wrote into it
+        assert spectra[0].values is not spectra[1].values
+        for pds in spectra:
+            assert np.array_equal(pds.values, want_pds)
+
+    def test_estimate_keeps_the_transform_and_the_pds_takes_it(self):
+        camp = delay_campaign()
+        estimate_psi(camp)
+        power = camp.delay_power()
+        assert camp.delay_power() is power
+        assert compute_pds(camp).values is power
+        assert camp.delay_power() is not power
 
 
 class TestEstimatePsi:

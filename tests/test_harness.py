@@ -27,9 +27,8 @@ from masim.harness import (
     ConfigError,
     ScenarioConfig,
     StageError,
+    _record_samples,
     _snapshot_indices,
-    _snapshot_synthesis,
-    _tx_symbols,
     build_sounding_campaign,
     compare_maps,
     iter_tone_records,
@@ -60,7 +59,9 @@ from conftest import (
     frame_snapshot_indices,
     make_hi_scenario,
     records_campaign,
+    snapshot_synthesis,
     sounding_records,
+    tx_grid,
 )
 
 
@@ -133,14 +134,24 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("patch", [  # (fields patched in, message match)
         ({"samples_per_measurement": 2**40}, "samples_per_measurement .*-sample cap per tone record"),
-        # frames of 884 samples: no record holds a frame, but the cap bounds the drawn symbol grid
+        # frames of 884 samples: no record holds a frame, but the cap bounds the frame the sounder sends
         ({"numerology": {**TEST_NUMEROLOGY.to_json_dict(), "num_symbols": 2**30}},
-         r"frame_samples .*-sample cap per frame \(it bounds the I x M symbol grid\)"),
+         r"frame_samples .*-sample cap per frame \(M symbols of I \+ CP samples\)"),
     ])
     def test_rejects_oversized_records(self, patch):
         fields, match = patch
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig.from_json_dict({**make_hi_scenario().to_json_dict(), **fields})
+
+    def test_campaign_cap_counts_the_record_length(self, monkeypatch):
+        # at I = 16 a record holds 16 + 16 values, not 16 + MAX_SNAPSHOTS: a cap of exactly
+        # 100 such records takes a 10 x 10 sweep and refuses a 101-point one; nothing is drawn
+        base = sounding_config(TINY_NUM)
+        monkeypatch.setattr(harness, "MAX_CAMPAIGN_BYTES", 100 * 32 * 16)
+        fits = dataclasses.replace(base, sounding_region=MovementRegion(9e-3, 9e-3, 1e-3, 1e-3))
+        assert fits.sounding_region.num_points == 100 and _record_samples(fits, "ofdm") == 32
+        with pytest.raises(ConfigError, match="1 x 101 sounding_region holds 51712 bytes .* over the 51200-byte cap"):
+            dataclasses.replace(base, sounding_region=MovementRegion(0.1, 0.0, 1e-3, 1e-3))
 
     def test_rejects_out_of_band_tone(self):
         data = make_hi_scenario().to_json_dict()
@@ -279,7 +290,7 @@ class TestInMemoryCampaign:
     @pytest.mark.parametrize("numerology", [TEST_NUMEROLOGY, TINY_NUM], ids=["test", "tiny"])
     def test_transmit_symbols_have_constant_modulus(self, numerology):
         # |tx|^2 = 1/I is what makes the cross-covariance A equal conj(T) / M
-        tx = _tx_symbols(sounding_config(numerology))
+        tx = tx_grid(sounding_config(numerology))
         np.testing.assert_allclose(numerology.num_subcarriers * np.abs(tx) ** 2, 1.0, rtol=0, atol=1e-15)
 
     def test_noise_follows_the_record_law(self):
@@ -306,7 +317,7 @@ class TestInMemoryCampaign:
         assert np.max(np.abs(np.mean(h, axis=0))) < tol * math.sqrt(s2 / m_n)
         k = np.arange(i_n)  # I = 16 < 128: every payload sample of the first symbol
         idx = np.arange(i_n)[:, None]
-        a = np.exp(-2j * np.pi * idx * k / i_n) / (m_n * i_n * _tx_symbols(cfg)[:, :1])
+        a = np.exp(-2j * np.pi * idx * k / i_n) / (m_n * i_n * tx_grid(cfg)[:, :1])
         cross = h.T @ z.conj() / n  # (I, n_snap)
         assert np.max(np.abs(cross - s2 * a)) < tol * s2 / math.sqrt(m_n)
 
@@ -354,9 +365,24 @@ class TestInMemoryCampaign:
         assert len(k) == min(MAX_SNAPSHOTS, num_subcarriers)
         assert len(np.unique(k)) == len(k)
         assert k.min() >= 0 and k.max() < num_subcarriers
-        synth = _snapshot_synthesis(sounding_config(num, master_seed=master_seed))
+        synth = snapshot_synthesis(sounding_config(num, master_seed=master_seed))
         assert synth.shape == (num_subcarriers, len(k))
         np.testing.assert_allclose(synth.conj().T @ synth, np.eye(len(k)), rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([1, 2, 3, 127, 128, 129, 1021, 4093, 4096]), st.integers(1, 4096)),
+        st.integers(1, 8),
+        st.integers(0, 2**32),
+    )
+    def test_snapshots_are_h_freq_times_the_dense_synthesis(self, num_subcarriers, num_symbols, master_seed):
+        # the build's batched IFFT of h_freq tx[:, 0], read at the offsets k_s, is h_freq T;
+        # a CP of one symbol time holds every hall path delay
+        num = OfdmNumerology(15e3, num_subcarriers, num_symbols, 1.0 / 15e3)
+        cfg = sounding_config(num, master_seed=master_seed)
+        camp = build_sounding_campaign(cfg, hall_psi_27p5ghz())
+        err = np.abs(camp.samples_matrix() - camp.h_freq @ snapshot_synthesis(cfg))
+        assert np.all(np.max(err, axis=1) <= 1e-12 * np.linalg.norm(camp.h_freq, axis=1))
 
     def test_draws_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # a noisy campaign built at one BLAS thread and at two holds the same bytes
@@ -611,11 +637,11 @@ class TestPipeline:
     def test_stage_directory_names_pinned(self, five_stage_run):
         # each name hashes the stage's payload: a change here orphans every cached tree
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
-            "sound": "sound-50fdc0a66fa1",
-            "estimate": "estimate-6f56e7f36eab",
-            "measure": "measure-c885e4ba8ab8",
-            "optimize": "optimize-e9bb049d1010",
-            "export": "export-baf54333611f",
+            "sound": "sound-b25c74727ed7",
+            "estimate": "estimate-dbb1dd2d7ba1",
+            "measure": "measure-f3968f40cd7a",
+            "optimize": "optimize-7d3175c26924",
+            "export": "export-6e71e5fc0cda",
         }
 
     def test_measure_stage_writes_only_its_power_map(self, five_stage_run):

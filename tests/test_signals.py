@@ -98,6 +98,16 @@ class TestQpsk:
         want = arithmetic_qpsk(num_subcarriers, num_symbols, seed)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4000), st.integers(1, 40), st.integers(0, 2**64 - 1))
+    def test_first_symbol_is_a_prefix_of_the_draws(self, num_subcarriers, num_symbols, seed):
+        # the sounding build draws the one-symbol grid alone: it must be the larger grid's first column
+        grid = qpsk_symbols(num_subcarriers, num_symbols, seed)
+        first = qpsk_symbols(num_subcarriers, 1, seed)
+        assert grid.flags.c_contiguous and first.flags.c_contiguous
+        assert grid.shape == (num_subcarriers, num_symbols) and first.shape == (num_subcarriers, 1)
+        assert np.array_equal(first.view(np.uint64), np.ascontiguousarray(grid[:, :1]).view(np.uint64))
+
 
 class TestGenOfdm:
     """CP-OFDM frame generation, through the sounder's synthesis with a unit channel."""
