@@ -250,7 +250,7 @@ def compute_pas(campaign: SoundingCampaign) -> PasMatrix:
             lag[rows, d] = np.trace(gram, offset=-d, axis1=1, axis2=2)
     # stage 2: the lag polynomial in z at every (elevation, azimuth)
     dx = (xs[-1] - xs[0]) / max(nx - 1, 1)
-    # z depends on el only through the even cos(el), so the rows of el < 0 mirror those of el > 0
+    # z depends on el only through the even cos(el), and the scan axis is symmetric: el < 0 rows mirror el > 0 ones
     z = path_phase(dx * np.outer(np.cos(el_rad[len(els) // 2:]), np.sin(np.radians(azs))), lam).conj()
     z = np.concatenate([z[:0:-1], z])
     acc = np.zeros_like(z)
@@ -349,8 +349,8 @@ def compute_pds(campaign: SoundingCampaign) -> PdsMatrix:
     """Power delay spectrum per position from the I-point IDFT of the frequency response.
 
     Each position's spectrum is normalized by its own peak, so the maximum
-    of every row is exactly 1. It takes the campaign's delay power over, normalized
-    in place: a later call transforms afresh and leaves this spectrum as it is.
+    of every row is exactly 1. It takes the campaign's delay power over and
+    normalizes it in place, so a later call transforms afresh and leaves this one be.
     """
     pds, campaign._delay_power = campaign.delay_power(), None
     peaks = np.max(pds, axis=1)
