@@ -1,4 +1,4 @@
-"""Channel sounding estimator: PAS search, per-path ZF beamforming, OFDM radar.
+"""Channel sounding estimator: PAS search, zero-forcing (ZF) path fit, OFDM radar.
 
 The sounding campaign treats the Q antenna positions of a grid sweep as one
 large virtual array. Processing follows the measurement chain:
@@ -7,7 +7,9 @@ large virtual array. Processing follows the measurement chain:
      degree angle grid, where R is the sample covariance of received
      snapshots and f the virtual-array response at the scanned angle,
   2. peak picking on the PAS to count paths and read their angles,
-  3. per-path zero-forcing weights that null every other found path,
+  3. zero-forcing as one least-squares fit of the frequency response
+     h_freq (step 4) on the found paths' array responses F, (F^H F)^-1 F^H
+     h_freq: row l is path l's response with every other found path nulled,
   4. symbol averaging of the equalized per-subcarrier response: a
      SoundingCampaign keeps this h_freq, one channel frequency response per
      position, and the PAS snapshots, never time-domain records
@@ -297,41 +299,35 @@ def find_paths(pas: PasMatrix) -> list[SpectrumPeak]:
     return peaks
 
 
-def zf_weights(
-    found_angles: list[tuple[float, float]],
-    target_index: int,
-    positions: np.ndarray,
-    wavelength_m: float,
-) -> np.ndarray:
-    """Zero-forcing beamformer for one found path.
+def _path_fit(found_angles: list[tuple[float, float]], positions: np.ndarray, wavelength_m: float):
+    """F (Q, L), the found paths' array responses, and (F^H F)^-1: the least-squares fit of a response on them.
 
-    w = (1/sqrt(Q)) * (I - F (F^H F)^-1 F^H) f_target, where F stacks the
-    array responses of every other found path. The projection is applied
-    twice for numerically exact nulls. Raises DegenerateGeometryError when
-    the interferer geometry is rank deficient for this aperture.
+    F^H F is an einsum, not a BLAS product, so its sums over positions run in
+    one order at any BLAS thread count. Raises DegenerateGeometryError when
+    Q <= L or cond(F^H F) > 1e10: the aperture cannot separate the angles.
     """
-    q = positions.shape[0]
-    n_paths = len(found_angles)
-    if not 0 <= target_index < n_paths:
-        raise IndexError(f"target_index {target_index} out of range for {n_paths} paths")
+    q, n_paths = positions.shape[0], len(found_angles)
     if q <= n_paths:
         raise DegenerateGeometryError(f"{q} positions cannot zero-force {n_paths} paths")
-    el, az = found_angles[target_index]
-    f_t = array_response(el, az, positions, wavelength_m)
-    others = [a for i, a in enumerate(found_angles) if i != target_index]
-    if not others:
-        return f_t / math.sqrt(q)
-    f_mat = np.column_stack([array_response(e, a, positions, wavelength_m) for (e, a) in others])
-    gram = f_mat.conj().T @ f_mat
+    f_mat = np.column_stack([array_response(el, az, positions, wavelength_m) for (el, az) in found_angles])
+    gram = np.einsum("qk,ql->kl", f_mat.conj(), f_mat)
     if np.linalg.cond(gram) > 1e10:
         raise DegenerateGeometryError("found angles are too close for the aperture to separate")
-    w = f_t - f_mat @ np.linalg.solve(gram, f_mat.conj().T @ f_t)
-    w = w - f_mat @ np.linalg.solve(gram, f_mat.conj().T @ w)
-    if np.linalg.norm(w) < 1e-6 * np.linalg.norm(f_t):
-        # nothing of the target survives the interferer nulls, so the
-        # beamformed response would be pure noise amplification
-        raise DegenerateGeometryError("target steering vector lies in the interferer span")
-    return w / math.sqrt(q)
+    return f_mat, np.linalg.inv(gram)
+
+
+def zf_weights(found_angles: list[tuple[float, float]], target_index: int, positions: np.ndarray,
+               wavelength_m: float) -> np.ndarray:
+    """Zero-forcing beamformer for one found path: its weights in the least-squares fit on every found path.
+
+    Column t of F (F^H F)^-1 over ((F^H F)^-1)_tt sqrt(Q), that is
+    (1/sqrt(Q)) (I - F_o (F_o^H F_o)^-1 F_o^H) f_t with F_o the other found
+    paths' responses: it nulls them. Raises DegenerateGeometryError as the fit does.
+    """
+    if not 0 <= target_index < len(found_angles):
+        raise IndexError(f"target_index {target_index} out of range for {len(found_angles)} paths")
+    f_mat, gram_inv = _path_fit(found_angles, positions, wavelength_m)
+    return f_mat @ gram_inv[:, target_index] / (gram_inv[target_index, target_index].real * math.sqrt(len(positions)))
 
 
 def frequency_response(campaign: SoundingCampaign) -> np.ndarray:
@@ -340,8 +336,15 @@ def frequency_response(campaign: SoundingCampaign) -> np.ndarray:
 
 
 def _noise_per_bin(campaign: SoundingCampaign) -> float:
-    """Mean delay power per bin in the upper half of the delay range, where no physical path can sit."""
-    upper = campaign.delay_power()[:, campaign.numerology.num_subcarriers // 2:]
+    """Mean delay power per bin past half the delay range and past the CP, where no physical path can sit.
+
+    ValueError when the cyclic prefix, the longest delay a sounding admits, leaves no such bin.
+    """
+    num = campaign.numerology
+    first = max(num.num_subcarriers // 2, num.cp_samples + 1)
+    if first >= num.num_subcarriers:
+        raise ValueError(f"a cyclic prefix of {num.cp_samples} samples leaves no delay bin for the noise floor")
+    upper = campaign.delay_power()[:, first:]
     return float(np.mean(upper.copy()))  # C-contiguous: numpy may sum a strided view in another order
 
 
@@ -383,13 +386,12 @@ def _cap_unit_power(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def estimate_delay_amplitude(
-    campaign: SoundingCampaign, weights: list[np.ndarray], angles: list[tuple[float, float]]
-) -> PathStateInfo:
-    """Per-path delays and amplitudes from the beamformed frequency responses.
+def estimate_delay_amplitude(campaign: SoundingCampaign, angles: list[tuple[float, float]]) -> PathStateInfo:
+    """Per-path delays and amplitudes from the zero-forced frequency responses.
 
-    For each found path the ZF-beamformed response G[i] is transformed to an
-    oversampled delay profile; the peak is refined by parabolic
+    One least-squares fit of h_freq on the found paths' array responses,
+    (F^H F)^-1 F^H h_freq, gives every path's ZF-beamformed response G[i],
+    each transformed to an oversampled delay profile; the peak is refined by parabolic
     interpolation of |h[n]|^2 and then snapped to the nearest delay that
     reproduces the measured carrier phase. The amplitude is the coherent
     subcarrier average |mean_i G[i]*exp(j*2*pi*i*df*tau_hat)|, normalized by
@@ -398,8 +400,6 @@ def estimate_delay_amplitude(
     by descending amplitude. Paths without a dominant delay peak are
     dropped with a warning; ValueError is raised when that drops them all.
     """
-    if len(weights) != len(angles):
-        raise ValueError("weights and angles must pair up")
     num = campaign.numerology
     i_n = num.num_subcarriers
     df = num.subcarrier_spacing_hz
@@ -415,11 +415,11 @@ def estimate_delay_amplitude(
     if p_total <= 0.0:
         raise ValueError("measured channel power does not rise above the noise floor")
 
+    f_mat, gram_inv = _path_fit(angles, positions, lam)
+    # one (Q,) @ (Q, I) product per path: a batched (L, Q) one splits its sums over positions across BLAS threads
+    responses = gram_inv @ np.array([f.conj() @ h_freq for f in f_mat.T])
     found = []
-    for k, (w, (el, az)) in enumerate(zip(weights, angles)):
-        f_hat = array_response(el, az, positions, lam)
-        denom = np.vdot(w, f_hat)
-        g = (w.conj() @ h_freq) / denom
+    for k, (g, (el, az)) in enumerate(zip(responses, angles)):
         profile = np.abs(np.fft.ifft(g, n=n_fft)) ** 2
         peak = int(np.argmax(profile))
         med = float(np.median(profile))
@@ -455,7 +455,7 @@ def estimate_delay_amplitude(
 
 
 def estimate_psi(campaign: SoundingCampaign, pas: PasMatrix | None = None) -> PathStateInfo:
-    """Full estimation chain: PAS, peak picking, ZF beamforming, delay/amplitude.
+    """Full estimation chain: PAS, peak picking, the ZF fit, delay/amplitude.
 
     Pass a precomputed pas (from compute_pas on the same campaign) to skip
     the spectrum scan. A sounding step above lambda/2 along either axis
@@ -474,7 +474,4 @@ def estimate_psi(campaign: SoundingCampaign, pas: PasMatrix | None = None) -> Pa
     peaks = find_paths(pas)
     if not peaks:
         raise ValueError("no paths found in the angular spectrum")
-    angles = [(p.elevation_deg, p.azimuth_deg) for p in peaks]
-    positions = campaign.region.positions_array()
-    weights = [zf_weights(angles, i, positions, lam) for i in range(len(angles))]
-    return estimate_delay_amplitude(campaign, weights, angles)
+    return estimate_delay_amplitude(campaign, [(p.elevation_deg, p.azimuth_deg) for p in peaks])

@@ -6,7 +6,11 @@ The heavyweight campaign fixtures come from conftest: a noisy 27.5 GHz
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,7 +384,61 @@ class TestFindPaths:
         assert [(p.elevation_deg, p.azimuth_deg) for p in peaks] == [(-65.0, -40.0), (-15.0, -40.0)]
 
 
+def two_projection_zf_weights(found_angles, target_index, positions, wavelength_m):
+    """(1/sqrt(Q)) (I - F_o (F_o^H F_o)^-1 F_o^H) f_t, the projection applied twice, F_o the other found paths'
+    responses: the per-path weights the estimator formed before its one fit, the oracle of zf_weights.
+
+    Raises DegenerateGeometryError as they did: Q <= L, cond(F_o^H F_o) > 1e10, or a target that lies in
+    the other paths' span.
+    """
+    q = positions.shape[0]
+    if q <= len(found_angles):
+        raise DegenerateGeometryError("too few positions")
+    f_t = array_response(*found_angles[target_index], positions, wavelength_m)
+    others = [a for i, a in enumerate(found_angles) if i != target_index]
+    if not others:
+        return f_t / math.sqrt(q)
+    f_mat = np.column_stack([array_response(e, a, positions, wavelength_m) for (e, a) in others])
+    gram = f_mat.conj().T @ f_mat
+    if np.linalg.cond(gram) > 1e10:
+        raise DegenerateGeometryError("angles too close")
+    w = f_t - f_mat @ np.linalg.solve(gram, f_mat.conj().T @ f_t)
+    w = w - f_mat @ np.linalg.solve(gram, f_mat.conj().T @ w)
+    if np.linalg.norm(w) < 1e-6 * np.linalg.norm(f_t):
+        raise DegenerateGeometryError("target in the interferer span")
+    return w / math.sqrt(q)
+
+
 class TestZeroForcing:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        side=st.integers(1, 12),
+        aperture=st.floats(1e-3, 0.2),
+        wavelength=st.floats(5e-3, 0.2),
+        angles=st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-90.0, 90.0)), min_size=1, max_size=6),
+        target=st.integers(0, 5),
+    )
+    def test_matches_the_two_projection_weights(self, side, aperture, wavelength, angles, target):
+        # the fit's weights equal the two projections wherever the full Gram matrix's condition is at most
+        # 1e10, and every geometry those refused, the fit refuses too. The two agree to a few eps times that
+        # condition, the error bound of a solve through the normal equations (Higham, Accuracy and Stability
+        # of Numerical Algorithms, ch. 20), against the unit scale of f_t / sqrt(Q); relative to ||w|| alone
+        # they part by up to 1e-6 where the target nearly lies in the other paths' span
+        target %= len(angles)
+        positions = MovementRegion(aperture, aperture, aperture / side, aperture / side).positions_array()
+        try:
+            want = two_projection_zf_weights(angles, target, positions, wavelength)
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                zf_weights(angles, target, positions, wavelength)
+            return
+        f_mat = np.column_stack([array_response(e, a, positions, wavelength) for (e, a) in angles])
+        cond = np.linalg.cond(f_mat.conj().T @ f_mat)
+        if cond > 1e10:
+            return
+        got = zf_weights(angles, target, positions, wavelength)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want) + 8 * np.finfo(float).eps * cond
+
     def test_single_path_weight_is_scaled_steering(self):
         lam = 0.0109
         rng = np.random.default_rng(0)
@@ -494,30 +552,37 @@ class TestDelayAmplitude:
 
     def test_bogus_angle_dropped_with_warning(self):
         camp = small_campaign(one_path_psi(), noise_power=0.01, seed=9)
-        positions = camp.region.positions_array()
-        lam = camp.wavelength_m
-        angles = [(3.0, 2.0), (-40.0, -70.0)]
-        weights = [zf_weights(angles, i, positions, lam) for i in range(2)]
         with pytest.warns(UserWarning, match="dropping"):
-            est = estimate_delay_amplitude(camp, weights, angles)
+            est = estimate_delay_amplitude(camp, [(3.0, 2.0), (-40.0, -70.0)])
         assert est.num_paths == 1
         assert est.paths[0].elevation_deg == 3.0
 
-    def test_every_path_dropped_raises(self):
-        # the bogus angle's ZF weights null the one real path, so its response has no delay peak;
+    def test_every_path_dropped_raises(self, monkeypatch):
+        # no delay peak clears an infinite bar, so the fit's two responses are both dropped;
         # an estimate with no paths used to be returned and written
         camp = small_campaign(one_path_psi(), noise_power=0.01, seed=9)
-        angles = [(3.0, 2.0), (-40.0, -70.0)]
-        weights = zf_weights(angles, 1, camp.region.positions_array(), camp.wavelength_m)
+        monkeypatch.setattr(estimator, "MIN_PEAK_TO_MEDIAN_DB", math.inf)
         with pytest.warns(UserWarning, match="dropping"), pytest.raises(ValueError, match="dominant delay peak"):
-            estimate_delay_amplitude(camp, [weights], angles[1:])
+            estimate_delay_amplitude(camp, [(3.0, 2.0), (-40.0, -70.0)])
 
-    def test_weights_angles_must_pair(self):
-        camp = small_campaign(one_path_psi(), extent=0.004)
-        with pytest.raises(ValueError, match="pair"):
-            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)], [])
-        with pytest.raises(ValueError, match="pair"):
-            estimate_delay_amplitude(camp, [np.ones(camp.num_positions)] * 2, [(3.0, 2.0)])
+    def test_cyclic_prefix_past_half_a_symbol(self):
+        # a 48-sample CP of I = 64 admits the strong path at 40.3 delay bins, in the upper half
+        # of the delay range, which the noise floor read as path-free
+        num = OfdmNumerology(480e3, 64, 16, 48 / (64 * 480e3))
+        step = num.delay_step_s
+        psi = PathStateInfo(paths=(PathComponent(-20.0, 40.0, 0.9, 40.3 * step), PathComponent(3.0, 2.0, 0.4, 2.1 * step)),
+                            carrier_hz=27.5e9)
+        est = estimate_psi(small_campaign(psi, extent=0.03, numerology=num, noise_power=0.01))
+        assert [(p.elevation_deg, p.azimuth_deg) for p in est.paths] == [(-20.0, 40.0), (3.0, 2.0)]
+        assert [p.delay_s / step for p in est.paths] == pytest.approx([40.3, 2.1], abs=1e-3)
+        # the two explain all of the planted power, 0.97
+        assert [p.amplitude for p in est.paths] == pytest.approx([0.9 / math.sqrt(0.97), 0.4 / math.sqrt(0.97)], abs=1e-3)
+
+    def test_cyclic_prefix_of_a_whole_symbol_leaves_no_noise_bin(self):
+        num = OfdmNumerology(480e3, 64, 16, 64 / (64 * 480e3))
+        camp = small_campaign(one_path_psi(), extent=0.01, numerology=num, noise_power=0.01)
+        with pytest.raises(ValueError, match="no delay bin"):
+            estimate_psi(camp)
 
 
 class TestPds:
@@ -595,6 +660,85 @@ class TestOneDelayTransform:
         assert camp.delay_power() is power
         assert compute_pds(camp).values is power
         assert camp.delay_power() is not power
+
+
+def two_projection_estimate(campaign):
+    """estimate_psi with each path's response read as w_t^H h_freq / w_t^H f_t through the two-projection
+    weights: the per-path chain the one fit replaced.
+
+    The weights over conj(w_t^H f_t) stand in for F, and the identity for (F^H F)^-1, so the estimator's
+    per-path products form exactly those responses.
+    """
+    pas = compute_pas(campaign)
+    angles = [(p.elevation_deg, p.azimuth_deg) for p in find_paths(pas)]
+    positions, lam = campaign.region.positions_array(), campaign.wavelength_m
+    columns = []
+    for t, angle in enumerate(angles):
+        w = two_projection_zf_weights(angles, t, positions, lam)
+        columns.append(w / np.conj(np.vdot(w, array_response(*angle, positions, lam))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_path_fit", lambda *args: (np.column_stack(columns), np.eye(len(columns))))
+        return estimate_psi(campaign, pas=pas)
+
+
+# one sounding chain in a fresh process: the BLAS thread count it reports, asked as perfbench/worker.py's
+# blas_threads asks, then the estimate's JSON
+THREAD_SCRIPT = """
+import ctypes, glob, json, sys
+from pathlib import Path
+import numpy as np
+from masim import build_sounding_campaign, estimate_psi, hall_psi_3p5ghz
+from masim.harness import ScenarioConfig
+
+def blas_threads():
+    for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return 0
+
+camp = build_sounding_campaign(ScenarioConfig.load(sys.argv[1]), hall_psi_3p5ghz())
+print(blas_threads())
+print(json.dumps(estimate_psi(camp).to_json_dict()))
+"""
+
+
+class TestOneFit:
+    """Every found path's response comes from one least-squares fit, and it gives the paths the per-path chain gave."""
+
+    @pytest.fixture(scope="class")
+    def noisy_lo_campaign(self):
+        # 101 x 101 at 5 mm, 832 x 2, noise 0.01, seed 1
+        return build_sounding_campaign(make_lo_scenario(master_seed=1, noise_power=0.01), hall_psi_3p5ghz())
+
+    @pytest.mark.parametrize("campaign", ["hi_campaign", "noisy_lo_campaign"])
+    def test_matches_the_per_path_chain(self, request, campaign):
+        camp = request.getfixturevalue(campaign)
+        got, want = estimate_psi(camp), two_projection_estimate(camp)
+        assert want.num_paths >= 3
+        assert [(p.elevation_deg, p.azimuth_deg) for p in got.paths] == [(p.elevation_deg, p.azimuth_deg) for p in want.paths]
+        for g, w in zip(got.paths, want.paths):
+            assert abs(g.delay_s - w.delay_s) <= 1e-15
+            assert abs(g.amplitude - w.amplitude) <= 1e-12
+
+    def test_estimate_is_the_same_at_one_and_two_blas_threads(self, tmp_path):
+        # at 10,201 positions OpenBLAS splits a product's sums over positions across threads; the estimate's
+        # bytes used to follow the thread count
+        cfg_path = tmp_path / "scenario.json"
+        make_lo_scenario(master_seed=1, noise_power=0.01).save(cfg_path)
+        path = os.pathsep.join([str(Path(estimator.__file__).parents[1]), *sys.path])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": path}
+            run = subprocess.run([sys.executable, "-c", THREAD_SCRIPT, str(cfg_path)], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.append(run.stdout.splitlines())
+        if int(outputs[1][0]) < 2:
+            pytest.skip(f"the two-thread process runs {outputs[1][0]} BLAS threads")
+        assert outputs[0][1] == outputs[1][1]
 
 
 class TestEstimatePsi:
