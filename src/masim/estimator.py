@@ -299,7 +299,8 @@ def find_paths(pas: PasMatrix) -> list[SpectrumPeak]:
     return peaks
 
 
-def _path_fit(found_angles: list[tuple[float, float]], positions: np.ndarray, wavelength_m: float):
+def _path_fit(found_angles: list[tuple[float, float]], positions: np.ndarray,
+              wavelength_m: float) -> tuple[np.ndarray, np.ndarray]:
     """F (Q, L), the found paths' array responses, and (F^H F)^-1: the least-squares fit of a response on them.
 
     F^H F is an einsum, not a BLAS product, so its sums over positions run in
@@ -391,9 +392,9 @@ def estimate_delay_amplitude(campaign: SoundingCampaign, angles: list[tuple[floa
 
     One least-squares fit of h_freq on the found paths' array responses,
     (F^H F)^-1 F^H h_freq, gives every path's ZF-beamformed response G[i],
-    each transformed to an oversampled delay profile; the peak is refined by parabolic
-    interpolation of |h[n]|^2 and then snapped to the nearest delay that
-    reproduces the measured carrier phase. The amplitude is the coherent
+    each transformed to an oversampled delay profile; the peak is refined
+    by parabolic interpolation of |h[n]|^2 and then snapped to the nearest
+    delay that reproduces the measured carrier phase. The amplitude is the coherent
     subcarrier average |mean_i G[i]*exp(j*2*pi*i*df*tau_hat)|, normalized by
     the total channel power, so sum(amplitude^2) is the power fraction the
     found paths explain (<= 1). The PathStateInfo returned lists its paths
@@ -410,12 +411,12 @@ def estimate_delay_amplitude(campaign: SoundingCampaign, angles: list[tuple[floa
     idx = np.arange(i_n)
     n_fft = DELAY_OVERSAMPLE * i_n
 
+    f_mat, gram_inv = _path_fit(angles, positions, lam)
     # total channel power per subcarrier, noise-debiased
     p_total = float(np.mean(np.abs(h_freq) ** 2)) - i_n * _noise_per_bin(campaign)
     if p_total <= 0.0:
         raise ValueError("measured channel power does not rise above the noise floor")
 
-    f_mat, gram_inv = _path_fit(angles, positions, lam)
     # one (Q,) @ (Q, I) product per path: a batched (L, Q) one splits its sums over positions across BLAS threads
     responses = gram_inv @ np.array([f.conj() @ h_freq for f in f_mat.T])
     found = []
