@@ -30,19 +30,18 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PRESETS = ("scenario_27p5ghz", "scenario_3p5ghz")
+PRESETS = {"scenario_27p5ghz": "hall_psi_27p5ghz", "scenario_3p5ghz": "hall_psi_3p5ghz"}  # each with its path set
 STAGES = ("sound", "estimate", "measure", "optimize")
 NOISE_POWER = 0.01
 
-# one stage in a fresh process: argv is preset, stage, pipeline root, noise power and "tiny" or "full";
+# one stage in a fresh process: argv is preset, path set, stage, pipeline root, noise power and "tiny" or "full";
 # it prints the stage's directory, the stages found cached, wall seconds and peak RSS in MB
 STAGE_RUN = """
 import dataclasses, json, resource, sys, time
 from masim import OfdmNumerology, presets, run_pipeline
 
-preset, stage, root, noise, size = sys.argv[1:]
-cfg = getattr(presets, preset)(noise_power=float(noise))
-psi = presets.hall_psi_27p5ghz() if cfg.carrier_hz > 10e9 else presets.hall_psi_3p5ghz()
+preset, path_set, stage, root, noise, size = sys.argv[1:]
+cfg, psi = getattr(presets, preset)(noise_power=float(noise)), getattr(presets, path_set)()
 if size == "tiny":
     # 5x the sounding step (still under lambda/2) and 10x the tone step: 51 to 441 points a grid
     sounding, region = cfg.sounding_region, cfg.region
@@ -70,7 +69,8 @@ def directory_size(path: Path) -> tuple[int, int]:
 def run_stage(preset: str, stage: str, root: Path, tiny: bool) -> dict:
     """One stage of one preset in a fresh process, over the stages already cached under root."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    cmd = [sys.executable, "-c", STAGE_RUN, preset, stage, str(root), str(NOISE_POWER), "tiny" if tiny else "full"]
+    cmd = [sys.executable, "-c", STAGE_RUN, preset, PRESETS[preset], stage, str(root), str(NOISE_POWER),
+           "tiny" if tiny else "full"]
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
