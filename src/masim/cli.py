@@ -46,7 +46,7 @@ def _cmd_sound(args) -> int:
     cfg = ScenarioConfig.load(args.config)
     psi = load_psi(args.psi)
     out = synthesize_campaign(cfg, psi, args.mode, args.out_dir)
-    print(f"wrote {CampaignManifest.load(out).region.num_points} {args.mode} records to {out}")
+    print(f"wrote {CampaignManifest.load(out).region.num_points} {args.mode} positions to {out}")
     return 0
 
 

@@ -48,7 +48,7 @@ from .channel import (
     write_csv,
     write_csv_rows,
 )
-from .signals import OfdmNumerology
+from .signals import OfdmNumerology, row_blocks
 
 
 PAS_TAPER_BETA = 2.8
@@ -139,16 +139,15 @@ class SoundingCampaign:
     def delay_power(self) -> np.ndarray:
         """(Q, I) |I-point IDFT|^2 of the h_freq rows, transformed once and kept until compute_pds takes it over.
 
-        Rows are transformed a block at a time, so no (Q, I) complex delay
-        response is ever held; each row's values do not depend on the blocking.
+        Rows are transformed a row_blocks block at a time, so no (Q, I) complex
+        delay response is ever held; each row's values do not depend on the blocking.
         """
         if self._delay_power is None:
             q, i_n = self.h_freq.shape
             self._delay_power = np.empty((q, i_n))
-            block = max(1, (1 << 20) // i_n)  # about 16 MiB of delay response per block
-            for start in range(0, q, block):
-                rows = self._delay_power[start:start + block]
-                np.square(np.abs(np.fft.ifft(self.h_freq[start:start + block], axis=1), out=rows), out=rows)
+            for rows in row_blocks(q, i_n):
+                out = self._delay_power[rows]
+                np.square(np.abs(np.fft.ifft(self.h_freq[rows], axis=1), out=out), out=out)
         return self._delay_power
 
 
@@ -346,7 +345,7 @@ def _noise_per_bin(campaign: SoundingCampaign) -> float:
     if first >= num.num_subcarriers:
         raise ValueError(f"a cyclic prefix of {num.cp_samples} samples leaves no delay bin for the noise floor")
     upper = campaign.delay_power()[:, first:]
-    return float(np.mean(upper.copy()))  # C-contiguous: numpy may sum a strided view in another order
+    return float(np.sum(np.sum(upper, axis=1)) / upper.size)  # row sums, then their sum: one order, no copy
 
 
 def compute_pds(campaign: SoundingCampaign) -> PdsMatrix:
@@ -399,7 +398,7 @@ def estimate_delay_amplitude(campaign: SoundingCampaign, angles: list[tuple[floa
     the total channel power, so sum(amplitude^2) is the power fraction the
     found paths explain (<= 1). The PathStateInfo returned lists its paths
     by descending amplitude. Paths without a dominant delay peak are
-    dropped with a warning; ValueError is raised when that drops them all.
+    dropped with a warning; ValueError is raised for no angles or no path left.
     """
     num = campaign.numerology
     i_n = num.num_subcarriers
@@ -411,6 +410,8 @@ def estimate_delay_amplitude(campaign: SoundingCampaign, angles: list[tuple[floa
     idx = np.arange(i_n)
     n_fft = DELAY_OVERSAMPLE * i_n
 
+    if not angles:
+        raise ValueError("no paths found in the angular spectrum")
     f_mat, gram_inv = _path_fit(angles, positions, lam)
     # total channel power per subcarrier, noise-debiased
     p_total = float(np.mean(np.abs(h_freq) ** 2)) - i_n * _noise_per_bin(campaign)
@@ -473,6 +474,4 @@ def estimate_psi(campaign: SoundingCampaign, pas: PasMatrix | None = None) -> Pa
     if pas is None:
         pas = compute_pas(campaign)
     peaks = find_paths(pas)
-    if not peaks:
-        raise ValueError("no paths found in the angular spectrum")
     return estimate_delay_amplitude(campaign, [(p.elevation_deg, p.azimuth_deg) for p in peaks])

@@ -1,16 +1,16 @@
 """Scenario configs, on-disk campaigns, and the staged processing pipeline.
 
-A campaign directory holds one .maiq record file per grid position, raw
-samples only, plus a JSON manifest: the full scenario config and the
-sha256 of every record file. The scenario and a record's index derive the
-rest of its metadata (file name, position, noise seed, length and sample
-interval), so the manifest is enough to re-derive everything the
-estimator needs without touching the channel model that produced the data.
-A tone record is a time-domain capture. A sounding record holds no
-time-domain frame: build_sounding_campaign draws the statistics a
-SoundingCampaign keeps (h_freq and the payload snapshots) directly, with
-the joint noise law the frames would give them, and each sounding record
-holds one position's h_freq row followed by its snapshot row.
+A campaign holds one row per grid position, row-major, in one .maiq record
+file per row block (signals.row_blocks), raw samples only, plus a JSON
+manifest: the full scenario config and the sha256 of every record file.
+The scenario and a row's index derive the rest of its metadata (file,
+position, noise seed, length and sample interval), so the manifest is
+enough to re-derive everything the estimator needs without touching the
+channel model that produced the data. A tone row is a time-domain capture.
+A sounding row holds no time-domain frame: build_sounding_campaign draws
+the statistics a SoundingCampaign keeps (h_freq and the payload snapshots)
+directly, with the joint noise law the frames would give them, and each
+sounding row is one position's h_freq row followed by its snapshot row.
 
 run_pipeline() chains sound -> estimate -> measure -> optimize -> export
 through content-addressed stage directories. Each stage directory name
@@ -68,6 +68,7 @@ from .signals import (
     gen_tone,
     qpsk_symbols,
     read_iq_record,
+    row_blocks,
     write_iq_record,
 )
 
@@ -78,12 +79,12 @@ MAX_SNAPSHOTS = 128
 """Most payload snapshots a sounding campaign keeps per position for the PAS, all from the first symbol."""
 
 MAX_CAMPAIGN_BYTES = 2**31
-"""Largest sounding campaign a ScenarioConfig may ask for: Q records of I + min(MAX_SNAPSHOTS, I) complex128 statistics.
+"""Largest sounding campaign a ScenarioConfig may ask for: Q rows of I + min(MAX_SNAPSHOTS, I) complex128 statistics.
 
 The paper's largest, 10,201 positions at 3168 subcarriers, is 538 MB.
 """
 
-MANIFEST_FORMAT = "maiq-campaign/7"
+MANIFEST_FORMAT = "maiq-campaign/8"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -161,7 +162,7 @@ class ScenarioConfig(JsonCodec):
         ny, nx = self.sounding_region.shape
         if ny * nx < 2:
             raise ConfigError(f"a {ny} x {nx} sounding_region has fewer than the 2 positions a sounding campaign needs")
-        size = ny * nx * _record_samples(self, "ofdm") * 16
+        size = math.prod(_row_shape(self, "ofdm")) * 16
         if size > MAX_CAMPAIGN_BYTES:
             raise ConfigError(f"a {ny} x {nx} sounding_region holds {size} bytes of statistics, "
                               f"over the {MAX_CAMPAIGN_BYTES}-byte cap per campaign")
@@ -273,35 +274,38 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     steer_all, coeff = response_factors(psi, positions, np.arange(i_n) * num.subcarrier_spacing_hz)
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
     snaps = np.empty((q_n, n_snap), dtype=np.complex128)
-    # equal blocks of about 16 MiB of noise each; none has a single row, which
-    # numpy would multiply by another kernel, so rows do not depend on blocking
-    n_blocks = min(-(-q_n * (n_snap + i_n) // (1 << 20)), q_n // 2)
-    bounds = np.linspace(0, q_n, max(n_blocks, 1) + 1).astype(int)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        noise = np.empty((stop - start, n_snap + i_n), dtype=np.complex128)
-        for q, row in enumerate(noise, start):
+    for rows in row_blocks(q_n, n_snap + i_n):  # the noise of a row block at a time
+        noise = np.empty((rows.stop - rows.start, n_snap + i_n), dtype=np.complex128)
+        for q, row in enumerate(noise, rows.start):
             np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
         e, w = noise[:, :n_snap], noise[:, n_snap:]
         e *= scale * math.sqrt(1.0 - 1.0 / m_n)
         w *= scale / math.sqrt(m_n)
-        out = h_freq[start:stop]
-        np.matmul(steer_all[start:stop], coeff, out=out)
+        out = h_freq[rows]
+        np.matmul(steer_all[rows], coeff, out=out)
         out += w
         np.multiply(out, tx0, out=w)  # w is spent: it takes h_freq tx[:, 0]
-        np.add(np.fft.ifft(w, axis=1, norm="forward")[:, offsets], e, out=snaps[start:stop])  # h_freq T + e
+        np.add(np.fft.ifft(w, axis=1, norm="forward")[:, offsets], e, out=snaps[rows])  # h_freq T + e
     return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
 
 
-def _record_name(q: int) -> str:
-    return f"rec_{q:06d}.maiq"
+def _row_shape(cfg: ScenarioConfig, mode: str) -> tuple[int, int]:
+    """Rows and values a row of a campaign of cfg: a capture per tone point, or I + n_snap statistics per position."""
+    if mode == "tone":
+        return cfg.region.num_points, cfg.samples_per_measurement
+    return cfg.sounding_region.num_points, cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology))
+
+
+def _block_file(dir_path, b: int) -> Path:
+    return Path(dir_path) / f"block_{b:04d}.maiq"
 
 
 @dataclass(frozen=True)
 class CampaignManifest(JsonCodec):
     """Index of an on-disk campaign: its mode, its scenario, and the sha256 of every record file.
 
-    Record q sits at point q of the region, row-major; sha256[q] is the hex
-    digest of its whole file.
+    Row q sits at point q of the region, row-major; record file b holds row
+    block b's rows, and sha256[b] is the hex digest of the whole file.
     """
 
     mode: str
@@ -311,9 +315,10 @@ class CampaignManifest(JsonCodec):
     def __post_init__(self):
         if self.mode not in ("tone", "ofdm"):
             raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {self.mode!r}")
-        if len(self.sha256) != self.region.num_points:
-            raise ConfigError(f"manifest holds {len(self.sha256)} record digests, "
-                              f"its region has {self.region.num_points} points")
+        q_n, n = _row_shape(self.scenario, self.mode)
+        if len(self.sha256) != len(row_blocks(q_n, n)):
+            raise ConfigError(f"manifest holds {len(self.sha256)} record digests, the {q_n} points of its region "
+                              f"make {len(row_blocks(q_n, n))} row blocks")
 
     @property
     def region(self) -> MovementRegion:
@@ -341,59 +346,49 @@ class CampaignManifest(JsonCodec):
 
 
 def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_dir) -> Path:
-    """Write a full campaign (records plus manifest) under out_dir.
+    """Write a full campaign (record files plus manifest) under out_dir.
 
-    A tone campaign holds the time-domain captures; an ofdm campaign holds
-    the statistics of build_sounding_campaign(cfg, psi), one position per
-    record. Record files land first and the manifest last, each via rename,
-    so a directory with a manifest is always a complete campaign.
+    A tone campaign's rows are the time-domain captures; an ofdm campaign's
+    are the statistics of build_sounding_campaign(cfg, psi). Each row block
+    is gathered into one record file, and the manifest lands last, via
+    rename, so a manifest whose digests hold describes a whole campaign.
     """
     if mode == "tone":
-        payloads = iter_tone_records(cfg, psi)
+        rows = iter_tone_records(cfg, psi)
     elif mode == "ofdm":
         campaign = build_sounding_campaign(cfg, psi)
-        payloads = (np.concatenate([h, snap]) for h, snap in zip(campaign.h_freq, campaign.samples_matrix()))
+        rows = (np.concatenate([h, snap]) for h, snap in zip(campaign.h_freq, campaign.samples_matrix()))
     else:
         raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {mode!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    digests = []
-    for q, samples in enumerate(payloads):
-        tmp = out / (_record_name(q) + ".tmp")
-        write_iq_record(tmp, samples)
-        os.replace(tmp, out / _record_name(q))
-        digests.append(hashlib.sha256(np.ascontiguousarray(samples, dtype="<c16")).hexdigest())
+    digests, (q_n, n) = [], _row_shape(cfg, mode)
+    for b, block in enumerate(row_blocks(q_n, n)):
+        payload = np.empty((block.stop - block.start, n), dtype=np.complex128)
+        for row in payload:
+            row[:] = next(rows)
+        write_iq_record(_block_file(out, b), payload)
+        digests.append(hashlib.sha256(payload).hexdigest())
     CampaignManifest(mode=mode, scenario=cfg, sha256=tuple(digests)).save(out)
     return out
 
 
-def _record_samples(cfg: ScenarioConfig, mode: str) -> int:
-    """Values in each record file of a campaign of cfg: a tone capture, or one position's I + n_snap statistics."""
-    if mode == "tone":
-        return cfg.samples_per_measurement
-    return cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology))
-
-
 def _read_records(dir_path, manifest: CampaignManifest) -> Iterator[np.ndarray]:
-    """Load the campaign's record payloads one at a time, checking each file against its digest.
-
-    Record q belongs to point q of the manifest's region, row-major; the
-    scenario gives its file name and length (_record_samples).
-    """
-    n = _record_samples(manifest.scenario, manifest.mode)
-    for q, digest in enumerate(manifest.sha256):
-        path = Path(dir_path) / _record_name(q)
+    """Yield the campaign's rows, row-major, as views of one record file at a time, each checked against its digest."""
+    q_n, n = _row_shape(manifest.scenario, manifest.mode)
+    for b, (rows, digest) in enumerate(zip(row_blocks(q_n, n), manifest.sha256)):
+        path = _block_file(dir_path, b)
         if not path.exists():
             raise ConfigError(f"manifest lists {path.name} but the file is missing")
-        samples = read_iq_record(path, n)
+        samples = read_iq_record(path, (rows.stop - rows.start) * n)
         if hashlib.sha256(samples).hexdigest() != digest:  # the file is exactly the <c16 samples
             raise ConfigError(f"{path.name}: sha256 disagrees with the manifest")
-        yield samples
+        yield from samples.reshape(-1, n)
 
 
 def load_campaign(dir_path) -> tuple[CampaignManifest, list[np.ndarray]]:
-    """Load a campaign directory's record payloads, row-major over its region, checking every one against the manifest."""
+    """Load a campaign directory's rows, row-major over its region, checking every record file against the manifest."""
     manifest = CampaignManifest.load(dir_path)
     return manifest, list(_read_records(dir_path, manifest))
 
@@ -401,7 +396,7 @@ def load_campaign(dir_path) -> tuple[CampaignManifest, list[np.ndarray]]:
 def load_sounding_campaign(dir_path) -> SoundingCampaign:
     """Stream an on-disk ofdm campaign into a SoundingCampaign, one record file at a time.
 
-    Each record holds its position's h_freq row, then its snapshot row; the
+    Each row holds its position's h_freq row, then its snapshot row; the
     campaign equals the build_sounding_campaign one that was written.
     """
     manifest = CampaignManifest.load(dir_path)
@@ -409,18 +404,18 @@ def load_sounding_campaign(dir_path) -> SoundingCampaign:
         raise ConfigError(f"expected an ofdm campaign, found mode {manifest.mode!r}")
     cfg = manifest.scenario
     num = cfg.numerology
-    i_n, q_n = num.num_subcarriers, manifest.region.num_points
+    i_n, (q_n, n) = num.num_subcarriers, _row_shape(cfg, "ofdm")
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
-    snaps = np.empty((q_n, _record_samples(cfg, "ofdm") - i_n), dtype=np.complex128)
+    snaps = np.empty((q_n, n - i_n), dtype=np.complex128)
     for q, samples in enumerate(_read_records(dir_path, manifest)):
         h_freq[q], snaps[q] = samples[:i_n], samples[i_n:]
     return SoundingCampaign(manifest.region, num, cfg.carrier_hz, h_freq, snaps)
 
 
 def measure_campaign(dir_path) -> DbMap:
-    """Meter every record of an on-disk tone campaign with the single-bin DFT, one record file at a time.
+    """Meter every capture of an on-disk tone campaign with the single-bin DFT, one record file at a time.
 
-    Each record reads the bin of the manifest's tone_f0_hz on the meter's
+    Each capture reads the bin of the manifest's tone_f0_hz on the meter's
     derived grid, as a zero-padded FFT of the record would.
     """
     manifest = CampaignManifest.load(dir_path)

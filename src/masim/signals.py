@@ -6,8 +6,8 @@ cyclic-prefixed OFDM frames carry a seeded QPSK subcarrier grid
 (qpsk_symbols); harness.build_sounding_campaign draws the statistics the
 estimator reads from those frames without synthesizing them. Synthetic
 IQ samples are stored as raw little-endian complex128 record files, one
-per grid position of a campaign; the campaign's manifest holds everything
-else about them, so a campaign can be replayed deterministically.
+per row block (row_blocks) of a campaign's positions; its manifest holds
+everything else, so a campaign can be replayed deterministically.
 """
 
 from __future__ import annotations
@@ -111,6 +111,18 @@ class OfdmNumerology(JsonCodec):
     def delay_step_s(self) -> float:
         """Delay-domain bin width of the sounder, 1/(I*df)."""
         return 1.0 / self.occupied_bandwidth_hz
+
+
+def row_blocks(num_rows: int, row_values: int) -> list[slice]:
+    """The fewest equal row blocks of [0, num_rows) of at most 2**20 values (16 MiB) each, none with a single row.
+
+    Rows of over 2**20 / 3 values make blocks of two rows, and one of three for an
+    odd count. numpy multiplies a single row by another kernel than a block of
+    rows, so no row's values depend on the blocking: the build, the record files
+    and the delay transform all use these blocks.
+    """
+    n = max(1, min(-(-num_rows // max(2, (1 << 20) // row_values)), num_rows // 2))
+    return [slice(k * num_rows // n, (k + 1) * num_rows // n) for k in range(n)]
 
 
 def write_iq_record(path, samples: np.ndarray) -> None:

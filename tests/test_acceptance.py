@@ -158,7 +158,8 @@ def test_04_psi_round_trip_3p5ghz(capsys):
     w_b = zf_weights(angles, i_b, positions, lam)
     f_a = array_response(*angles[i_a], positions, lam)
     f_b = array_response(*angles[i_b], positions, lam)
-    resid = max(abs(np.vdot(w_a, f_b)), abs(np.vdot(w_b, f_a)))
+    # w^H f as a numpy sum, not the threaded BLAS dot np.vdot: the same digits at any thread count
+    resid = max(abs(np.sum(w_a.conj() * f_b)), abs(np.sum(w_b.conj() * f_a)))
     elapsed = time.perf_counter() - t0
 
     ok = angle_err <= step + 1e-9 and resid < 1e-10 and elapsed < 120.0

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from masim.signals import row_blocks
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_presets.py"
 
 
@@ -26,4 +28,5 @@ def test_tiny_run_writes_every_stage_of_both_presets(tmp_path):
         # each stage ran in its own process over the stages before it, which it found cached
         cached = {name: stage["cached"] for name, stage in preset["stages"].items()}
         assert cached == {"sound": [], "estimate": ["sound"], "measure": [], "optimize": ["estimate", "sound"]}
-        assert preset["stages"]["sound"]["files"] == preset["sounding_positions"] + 2  # records, manifest, marker
+        # a record file per row block of 832 + 128 statistics, the manifest and the marker
+        assert preset["stages"]["sound"]["files"] == len(row_blocks(preset["sounding_positions"], 960)) + 2

@@ -19,13 +19,9 @@ from conftest import make_hi_scenario
 
 
 def valid_manifest() -> dict:
-    # a two-point sounding line: one digest per point
+    # a two-point sounding line: one row block, so one record file and its digest
     scenario = dataclasses.replace(make_hi_scenario(), sounding_region=MovementRegion(1e-3, 0.0, 1e-3, 1e-3))
-    return CampaignManifest(
-        mode="ofdm",
-        scenario=scenario,
-        sha256=(hashlib.sha256(b"a").hexdigest(), hashlib.sha256(b"b").hexdigest()),
-    ).to_json_dict()
+    return CampaignManifest(mode="ofdm", scenario=scenario, sha256=(hashlib.sha256(b"a").hexdigest(),)).to_json_dict()
 
 
 def valid_estimate() -> dict:
@@ -126,8 +122,8 @@ class TestStrictness:
 
     def test_manifest_format_checked(self):
         data = valid_manifest()
-        assert data["format"] == "maiq-campaign/7"
-        for old in (f"maiq-campaign/{n}" for n in range(7)):
+        assert data["format"] == "maiq-campaign/8"
+        for old in (f"maiq-campaign/{n}" for n in range(8)):
             data["format"] = old
             with pytest.raises(ConfigError, match="unsupported manifest format"):
                 CampaignManifest.from_json_dict(data)

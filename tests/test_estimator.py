@@ -201,8 +201,9 @@ def separate_delay_power(h_freq, first_bin=0):
 def delay_campaign():
     """A fresh noisy 11 x 11 sweep of the 27.5 GHz hall paths at 5 mm.
 
-    numpy sums its (121, 416) noise-floor half in another order as a strided
-    view than as a contiguous array, so the floor's mean must be taken on a copy.
+    The noise floor sums each row of its (121, 416) upper half, then the row
+    sums; a mean over the whole half sums in another order, so the oracle
+    sums as the floor does.
     """
     cfg = dataclasses.replace(make_hi_scenario(noise_power=0.01),
                               sounding_region=MovementRegion(0.05, 0.05, 5e-3, 5e-3))
@@ -517,11 +518,12 @@ class TestStreamedReductions:
             SoundingCampaign(camp.region, SMALL_NUM, 27.5e9, camp.h_freq.copy(), np.zeros((4, 0), dtype=complex))
 
     def test_memory_bounded_by_a_few_records(self, tmp_path):
-        # loading keeps the statistics and about one record file being read;
-        # reading every record first would hold the statistics twice
-        cfg = small_config(extent=0.015, numerology=STREAM_NUM)  # 16 x 16 positions
+        # loading keeps the statistics, the record file being read and the one before it, whose
+        # last row was copied: two row blocks of 400 positions; reading every block first holds four
+        cfg = small_config(extent=0.039, numerology=STREAM_NUM)  # 40 x 40 positions
         cdir = synthesize_campaign(cfg, one_path_psi(), "ofdm", tmp_path / "camp")
-        record_bytes = (cdir / "rec_000000.maiq").stat().st_size
+        block_bytes = (cdir / "block_0000.maiq").stat().st_size
+        assert len(list(cdir.glob("*.maiq"))) == 4 and block_bytes == 400 * 2176 * 16
         tracemalloc.start()
         try:
             camp = load_sounding_campaign(cdir)
@@ -529,8 +531,8 @@ class TestStreamedReductions:
         finally:
             tracemalloc.stop()
         held = camp.h_freq.nbytes + camp.samples_matrix().nbytes
-        assert camp.num_positions == 256 and held > 250 * record_bytes
-        assert peak - held < 16 * record_bytes, f"{(peak - held) / record_bytes:.2f} records over the statistics"
+        assert camp.num_positions == 1600 and held == 4 * block_bytes
+        assert peak - held < 2.5 * block_bytes, f"{(peak - held) / block_bytes:.2f} blocks over the statistics"
 
     def test_samples_matrix_is_the_snapshots_uncopied(self):
         h_freq = np.zeros((4, SMALL_NUM.num_subcarriers), dtype=complex)
@@ -564,6 +566,15 @@ class TestDelayAmplitude:
         monkeypatch.setattr(estimator, "MIN_PEAK_TO_MEDIAN_DB", math.inf)
         with pytest.warns(UserWarning, match="dropping"), pytest.raises(ValueError, match="dominant delay peak"):
             estimate_delay_amplitude(camp, [(3.0, 2.0), (-40.0, -70.0)])
+
+    def test_no_angles_raises(self, monkeypatch):
+        # an empty angle list reached the fit and failed there with numpy's "need at least one array to concatenate"
+        camp = small_campaign(one_path_psi())
+        with pytest.raises(ValueError, match="no paths found in the angular spectrum"):
+            estimate_delay_amplitude(camp, [])
+        monkeypatch.setattr(estimator, "find_paths", lambda pas: [])
+        with pytest.raises(ValueError, match="no paths found in the angular spectrum"):
+            estimate_psi(camp)
 
     def test_cyclic_prefix_past_half_a_symbol(self):
         # a 48-sample CP of I = 64 admits the strong path at 40.3 delay bins, in the upper half
@@ -629,7 +640,8 @@ class TestOneDelayTransform:
         # the noise floor, the estimate on it and the PDS, each from its own transform
         camp = delay_campaign()
         h = camp.h_freq
-        noise = float(np.mean(separate_delay_power(h, h.shape[1] // 2)))
+        upper = separate_delay_power(h, h.shape[1] // 2)
+        noise = float(np.sum(np.sum(upper, axis=1)) / upper.size)  # row sums, then their sum
         pds = separate_delay_power(h)
         pds /= np.max(pds, axis=1)[:, None]
         with pytest.MonkeyPatch.context() as mp:

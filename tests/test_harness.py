@@ -27,7 +27,7 @@ from masim.harness import (
     ConfigError,
     ScenarioConfig,
     StageError,
-    _record_samples,
+    _row_shape,
     _snapshot_indices,
     build_sounding_campaign,
     compare_maps,
@@ -50,6 +50,7 @@ from masim.signals import (
     derive_seed,
     gen_tone,
     qpsk_symbols,
+    row_blocks,
     write_iq_record,
 )
 
@@ -86,6 +87,28 @@ ALL_STAGES = ["sound", "estimate", "measure", "optimize", "export"]
 def five_stage_run(tmp_path_factory):
     """Every stage of pipeline_config() at the default stage parameters."""
     return run_pipeline(pipeline_config(), hall_psi_27p5ghz(), ALL_STAGES, tmp_path_factory.mktemp("pipeline"))
+
+
+def multi_block_config():
+    """pipeline_config() with campaigns of three record files: 21 tone captures of 2**17 samples
+    (7 a block), and 51 x 51 sounding positions of 960 statistics (867 a block)."""
+    return dataclasses.replace(pipeline_config(), samples_per_measurement=2**17,
+                               sounding_region=MovementRegion(0.05, 0.05, 1e-3, 1e-3))
+
+
+@pytest.fixture(scope="module")
+def multi_block(tmp_path_factory):
+    """The tone and the ofdm campaign of multi_block_config(), by mode; tests tamper with copies."""
+    root = tmp_path_factory.mktemp("multi_block")
+    dirs = {mode: synthesize_campaign(multi_block_config(), hall_psi_27p5ghz(), mode, root / mode)
+            for mode in ("tone", "ofdm")}
+    for cdir in dirs.values():
+        assert sorted(p.name for p in cdir.iterdir()) == [f"block_000{b}.maiq" for b in range(3)] + ["manifest.json"]
+    return dirs
+
+
+def campaign_copy(multi_block, mode, tmp_path) -> Path:
+    return Path(shutil.copytree(multi_block[mode], tmp_path / "camp"))
 
 
 def input_files(tmp_path, cfg=None):
@@ -149,7 +172,7 @@ class TestScenarioConfig:
         base = sounding_config(TINY_NUM)
         monkeypatch.setattr(harness, "MAX_CAMPAIGN_BYTES", 100 * 32 * 16)
         fits = dataclasses.replace(base, sounding_region=MovementRegion(9e-3, 9e-3, 1e-3, 1e-3))
-        assert fits.sounding_region.num_points == 100 and _record_samples(fits, "ofdm") == 32
+        assert _row_shape(fits, "ofdm") == (100, 32)
         with pytest.raises(ConfigError, match="1 x 101 sounding_region holds 51712 bytes .* over the 51200-byte cap"):
             dataclasses.replace(base, sounding_region=MovementRegion(0.1, 0.0, 1e-3, 1e-3))
 
@@ -246,7 +269,8 @@ class TestSoundingSynthesis:
         clean = build_sounding_campaign(dataclasses.replace(cfg, noise_power=0.0), hall_psi_27p5ghz())
         num = cfg.numerology
         i_n, scale = num.num_subcarriers, math.sqrt(cfg.noise_power / (2.0 * num.num_symbols))
-        assert len(records) == cfg.sounding_region.num_points == len(manifest.sha256)
+        assert len(records) == cfg.sounding_region.num_points
+        assert len(manifest.sha256) == len(row_blocks(*_row_shape(cfg, "ofdm"))) == 1
         for q, samples in enumerate(records):
             w = samples[:i_n] - clean.h_freq[q]
             normals = np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(2 * len(samples))
@@ -483,18 +507,18 @@ class TestCampaignFiles:
         gain_map(est, pipeline_config().region).to_csv(tmp_path / "in_memory.csv")
         assert (tmp_path / "in_memory.csv").read_bytes() == (tmp_path / "from_file.csv").read_bytes()
 
-    def test_statistics_record_of_wrong_length_is_refused(self, five_stage_run, tmp_path):
-        # a record one snapshot short, with its manifest digest made consistent
-        cdir = tmp_path / "camp"
-        shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
+    def test_statistics_record_of_wrong_length_is_refused(self, multi_block, tmp_path):
+        # the middle block file one snapshot short, with its manifest digest made consistent
+        cdir = campaign_copy(multi_block, "ofdm", tmp_path)
         _, records = load_campaign(cdir)
-        short = records[7][:-1]
-        write_iq_record(cdir / "rec_000007.maiq", short)
+        short = np.concatenate(records[867:2 * 867])[:-1]
+        write_iq_record(cdir / "block_0001.maiq", short)
         mpath = cdir / "manifest.json"
         data = json.loads(mpath.read_text())
-        data["sha256"][7] = hashlib.sha256(short).hexdigest()
+        data["sha256"][1] = hashlib.sha256(short).hexdigest()
         mpath.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match=r"truncated IQ record .*rec_000007\.maiq: 15344 bytes, not the 15360 of 960"):
+        with pytest.raises(ValueError, match=r"truncated IQ record .*block_0001\.maiq: 13317104 bytes, "
+                                             r"not the 13317120 of 832320"):
             load_sounding_campaign(cdir)
 
     def test_unknown_mode_leaves_no_directory(self, tmp_path):
@@ -512,32 +536,31 @@ class TestCampaignFiles:
         with pytest.raises(ConfigError, match="hash"):
             load_campaign(cdir)
 
-    def test_manifest_rejects_moved_record(self, tmp_path):
-        # a file's name is its position: two swapped record files fail their digests
-        cfg = pipeline_config()
-        cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        a, b = cdir / "rec_000000.maiq", cdir / "rec_000001.maiq"
+    def test_manifest_rejects_moved_record(self, multi_block, tmp_path):
+        # a file's name is its block of positions: two swapped record files of one size fail their digests
+        cdir = campaign_copy(multi_block, "tone", tmp_path)
+        a, b = cdir / "block_0000.maiq", cdir / "block_0001.maiq"
         blob_a, blob_b = a.read_bytes(), b.read_bytes()
         a.write_bytes(blob_b)
         b.write_bytes(blob_a)
-        with pytest.raises(ConfigError, match="rec_000000.maiq: sha256"):
+        with pytest.raises(ConfigError, match="block_0000.maiq: sha256"):
             load_campaign(cdir)
 
     @pytest.mark.parametrize("delta", [-1, 1])
-    def test_manifest_digest_count_must_match_region(self, tmp_path, delta):
-        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
+    def test_manifest_digest_count_must_match_region(self, multi_block, tmp_path, delta):
+        cdir = campaign_copy(multi_block, "tone", tmp_path)
         mpath = cdir / "manifest.json"
         data = json.loads(mpath.read_text())
         data["sha256"] = data["sha256"][:-1] if delta < 0 else data["sha256"] + [data["sha256"][0]]
         mpath.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match=f"holds {21 + delta} record digests, its region has 21 points"):
+        with pytest.raises(ConfigError, match=f"holds {3 + delta} record digests, the 21 points of its region "
+                                              "make 3 row blocks"):
             load_campaign(cdir)
 
-    def test_missing_record_file(self, tmp_path):
-        cfg = pipeline_config()
-        cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        (cdir / "rec_000003.maiq").unlink()
-        with pytest.raises(ConfigError):
+    def test_missing_record_file(self, multi_block, tmp_path):
+        cdir = campaign_copy(multi_block, "tone", tmp_path)
+        (cdir / "block_0002.maiq").unlink()
+        with pytest.raises(ConfigError, match="lists block_0002.maiq but the file is missing"):
             load_campaign(cdir)
 
     def test_measure_campaign_uses_manifest_tone(self, tmp_path):
@@ -554,15 +577,16 @@ class TestCampaignFiles:
         assert abs(report.offset_db) < 1e-9
 
     def test_measure_campaign_streams_records(self, tmp_path):
-        # 256 records of 256 KiB: holding them all would cost 256 records' bytes;
-        # streaming holds one record being read, its copy and the cached phasor
+        # 256 captures of 256 KiB in 4 block files of 4 MiB: holding them all would cost 4 blocks' bytes;
+        # streaming holds the block being read, the block whose last capture was metered, and the cached phasor
         cfg = ScenarioConfig.from_json_dict({
             **pipeline_config().to_json_dict(),
             "region": {"x_extent_m": 0.015, "y_extent_m": 0.015, "x_step_m": 1e-3, "y_step_m": 1e-3},
             "samples_per_measurement": 16384,
         })
         cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        record_bytes = cfg.samples_per_measurement * 16
+        block_bytes = (cdir / "block_0000.maiq").stat().st_size
+        assert len(list(cdir.glob("*.maiq"))) == 4 and block_bytes == 64 * cfg.samples_per_measurement * 16
         tracemalloc.start()
         try:
             pm = measure_campaign(cdir)
@@ -570,12 +594,12 @@ class TestCampaignFiles:
         finally:
             tracemalloc.stop()
         assert pm.values_db.shape == (16, 16)
-        assert peak < 6 * record_bytes, f"peak {peak / record_bytes:.1f} records"
+        assert peak < 2.5 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
 
     def test_measure_campaign_checks_mode_first(self, tmp_path):
         cfg = pipeline_config()
         cdir = synthesize_campaign(cfg, hall_psi_27p5ghz(), "ofdm", tmp_path / "camp")
-        (cdir / "rec_000000.maiq").unlink()  # a read would fail on this instead
+        (cdir / "block_0000.maiq").unlink()  # a read would fail on this instead
         with pytest.raises(ConfigError, match="expected a tone campaign"):
             measure_campaign(cdir)
 
@@ -583,6 +607,43 @@ class TestCampaignFiles:
         cfg = pipeline_config()
         with pytest.raises(ConfigError, match="mode"):
             CampaignManifest(mode="chirp", scenario=cfg, sha256=())
+
+
+# 8192 + 128 statistics a sounding row: 126 rows a block
+BLOCK_NUM = OfdmNumerology(30e3, 8192, 2, 1.0 / (16.0 * 30e3))
+
+
+def line_config(mode, num_rows):
+    """pipeline_config() whose tone campaign (2**16 samples a row, 16 rows a block) or ofdm campaign is a line of num_rows."""
+    line = MovementRegion((num_rows - 1) * 1e-3, 0.0, 1e-3, 1e-3)
+    cfg = dataclasses.replace(pipeline_config(), numerology=BLOCK_NUM, samples_per_measurement=2**16)
+    return dataclasses.replace(cfg, **{"region" if mode == "tone" else "sounding_region": line})
+
+
+class TestRowBlockRecords:
+    """A campaign's record files are its row blocks: the rows read back bit for bit, and the files are byte-stable."""
+
+    @pytest.mark.parametrize("mode, block_rows", [("tone", 16), ("ofdm", 126)])
+    @pytest.mark.parametrize("blocks, extra", [(1, 0), (3, 0), (3, 1)], ids=["one_block", "k_blocks", "k_blocks_and_a_row"])
+    def test_round_trip(self, tmp_path, mode, block_rows, blocks, extra):
+        num_rows = blocks * block_rows + extra
+        cfg, psi = line_config(mode, num_rows), hall_psi_27p5ghz()
+        dirs = [synthesize_campaign(cfg, psi, mode, tmp_path / name) for name in ("a", "b")]
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == [f"block_{b:04d}.maiq" for b in range(blocks + extra)] + ["manifest.json"]
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+        _, rows = load_campaign(dirs[0])
+        if mode == "tone":
+            written = list(iter_tone_records(cfg, psi))
+        else:
+            built, loaded = build_sounding_campaign(cfg, psi), load_sounding_campaign(dirs[0])
+            assert np.array_equal(loaded.h_freq, built.h_freq)
+            assert np.array_equal(loaded.samples_matrix(), built.samples_matrix())
+            written = np.concatenate([built.h_freq, built.samples_matrix()], axis=1)
+        assert len(rows) == len(written) == num_rows
+        assert all(np.array_equal(row, want) for row, want in zip(rows, written))
 
 
 class TestPipeline:
@@ -637,11 +698,11 @@ class TestPipeline:
     def test_stage_directory_names_pinned(self, five_stage_run):
         # each name hashes the stage's payload: a change here orphans every cached tree
         assert {name: d.name for name, d in five_stage_run.stage_dirs.items()} == {
-            "sound": "sound-b25c74727ed7",
-            "estimate": "estimate-dbb1dd2d7ba1",
-            "measure": "measure-f3968f40cd7a",
-            "optimize": "optimize-7d3175c26924",
-            "export": "export-6e71e5fc0cda",
+            "sound": "sound-d0cabf55cc77",
+            "estimate": "estimate-d7cb140a558f",
+            "measure": "measure-99bf6e5277fd",
+            "optimize": "optimize-ca7e4b915846",
+            "export": "export-7be0ff0da521",
         }
 
     def test_measure_stage_writes_only_its_power_map(self, five_stage_run):
@@ -748,42 +809,42 @@ class TestCli:
         assert rc == 2
         assert "nests too deeply" in capsys.readouterr().err
 
-    def test_forged_record_header_exits_2(self, tmp_path, capsys):
+    def test_forged_record_header_exits_2(self, multi_block, tmp_path, capsys):
         # a record file holds samples only; one carrying a 48-byte header is the wrong size
-        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        path = cdir / "rec_000004.maiq"
+        cdir = campaign_copy(multi_block, "tone", tmp_path)
+        path = cdir / "block_0001.maiq"
         path.write_bytes(b"MAIQ" + bytes(44) + path.read_bytes())
         rc = cli_main(["measure", "--campaign", str(cdir), "--out", str(tmp_path / "pm.csv")])
         assert rc == 2
-        assert "rec_000004.maiq" in capsys.readouterr().err
+        assert "block_0001.maiq" in capsys.readouterr().err
 
     @pytest.mark.parametrize("offset", [0, 24, -1])
-    def test_rewritten_record_byte_exits_2(self, tmp_path, capsys, offset):
+    def test_rewritten_record_byte_exits_2(self, multi_block, tmp_path, capsys, offset):
         # the digest covers every byte of the file; byte 24 once held the sample
         # interval, outside every check, and a rewrite of it metered a wrong map
-        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), "tone", tmp_path / "camp")
-        path = cdir / "rec_000006.maiq"
+        cdir = campaign_copy(multi_block, "tone", tmp_path)
+        path = cdir / "block_0002.maiq"
         blob = bytearray(path.read_bytes())
         blob[offset] ^= 0x40
         path.write_bytes(bytes(blob))
         out = tmp_path / "pm.csv"
         assert cli_main(["measure", "--campaign", str(cdir), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "rec_000006.maiq" in err and err.count("\n") == 1
+        assert "block_0002.maiq" in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("mode, command", [("ofdm", "estimate"), ("tone", "measure")])
-    def test_flipped_payload_byte_exits_2(self, tmp_path, capsys, mode, command):
+    def test_flipped_payload_byte_exits_2(self, multi_block, tmp_path, capsys, mode, command):
         # position and seed still match the manifest; only the payload digest catches this
-        cdir = synthesize_campaign(pipeline_config(), hall_psi_27p5ghz(), mode, tmp_path / "camp")
-        path = cdir / "rec_000005.maiq"
+        cdir = campaign_copy(multi_block, mode, tmp_path)
+        path = cdir / "block_0001.maiq"
         blob = bytearray(path.read_bytes())
         blob[-3] ^= 0x01
         path.write_bytes(bytes(blob))
         rc = cli_main([command, "--campaign", str(cdir), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "rec_000005.maiq" in err and "sha256" in err
+        assert "block_0001.maiq" in err and "sha256" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode, psi, message", [
@@ -813,15 +874,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "samples_per_measurement" in err and err.count("\n") == 1
 
-    def test_forged_statistics_record_exits_2(self, five_stage_run, tmp_path, capsys):
-        cdir = tmp_path / "camp"
-        shutil.copytree(five_stage_run.artifacts["sounding_campaign"], cdir)
-        path = cdir / "rec_000009.maiq"
-        path.write_bytes(path.read_bytes()[: 16 * TEST_NUMEROLOGY.num_subcarriers])  # h_freq only
+    def test_forged_statistics_record_exits_2(self, multi_block, tmp_path, capsys):
+        cdir = campaign_copy(multi_block, "ofdm", tmp_path)
+        path = cdir / "block_0002.maiq"
+        path.write_bytes(path.read_bytes()[: 16 * 867 * TEST_NUMEROLOGY.num_subcarriers])  # as long as h_freq only
         rc = cli_main(["estimate", "--campaign", str(cdir), "--out", str(tmp_path / "est.json")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "rec_000009.maiq" in err and err.count("\n") == 1
+        assert "block_0002.maiq" in err and err.count("\n") == 1
 
     def test_oversized_sounding_campaign_exits_2(self, tmp_path, capsys):
         # 1000 x 1000 positions at the paper numerology: about 52.7 GB of statistics,
@@ -993,7 +1053,7 @@ class TestCli:
         cdir, out = tmp_path / "tone_campaign", tmp_path / "power_map.csv"
         assert cli_main(["sound", "--config", cfg_path, "--psi", psi_path, "--mode", "tone",
                          "--out-dir", str(cdir)]) == 0
-        assert capsys.readouterr().out == f"wrote 21 tone records to {cdir}\n"
+        assert capsys.readouterr().out == f"wrote 21 tone positions to {cdir}\n"
         assert cli_main(["measure", "--campaign", str(cdir), "--out", str(out)]) == 0
         assert out.read_bytes() == five_stage_run.artifacts["power_map"].read_bytes()
 

@@ -21,6 +21,7 @@ from masim.signals import (
     gen_tone,
     qpsk_symbols,
     read_iq_record,
+    row_blocks,
     write_iq_record,
 )
 
@@ -276,6 +277,36 @@ class TestAddNoise:
             got, want = add_noise(x, spec, seed), oracle(x, spec, seed)
             assert got.dtype == np.complex128 and not np.shares_memory(got, x)
             assert got.tobytes() == want.tobytes()
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30000), st.integers(1, 2**24))
+    def test_equal_blocks_cover_the_rows(self, num_rows, row_values):
+        blocks = row_blocks(num_rows, row_values)
+        assert blocks == row_blocks(num_rows, row_values)  # the two counts alone set them
+        assert blocks[0].start == 0 and blocks[-1].stop == num_rows
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        if num_rows >= 2:
+            assert min(sizes) >= 2  # no single-row block
+        for size in sizes:
+            # at most 2**20 values, unless rows of over a third of that meet the two-row floor:
+            # then a block holds two rows, or three in one block when num_rows is odd
+            assert size * row_values <= 2**20 or (3 * row_values > 2**20 and size <= 2 + num_rows % 2)
+        cap = max(2, 2**20 // row_values)
+        assert len(blocks) == 1 or num_rows > (len(blocks) - 1) * cap  # as few blocks as fit
+
+    @pytest.mark.parametrize("num_rows, row_values, sizes", [
+        (10201, 3296, [309] * 8 + [310] + ([309] * 7 + [310]) * 3),  # the 3.5 GHz preset's sounding rows
+        (2601, 3296, [289] * 9),  # the 27.5 GHz preset's
+        (676, 960, [676]),
+        (7, 2**19 + 1, [2, 2, 3]),
+        (1, 5, [1]),
+    ])
+    def test_pinned_blocks(self, num_rows, row_values, sizes):
+        assert [b.stop - b.start for b in row_blocks(num_rows, row_values)] == sizes
 
 
 class TestIqRecordFile:
