@@ -363,7 +363,8 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    digests, (q_n, n) = [], _row_shape(cfg, mode)
+    q_n, n = _row_shape(cfg, mode)
+    digests = []
     for b, block in enumerate(row_blocks(q_n, n)):
         payload = np.empty((block.stop - block.start, n), dtype=np.complex128)
         for row in payload:

@@ -666,6 +666,18 @@ class TestOneDelayTransform:
         for pds in spectra:
             assert np.array_equal(pds.values, want_pds)
 
+    def test_noise_floor_copies_no_delay_power(self):
+        # the floor sums each row's upper bins where they lie; it used to copy the (Q, I/2) upper half first
+        camp = delay_campaign()
+        power = camp.delay_power()
+        tracemalloc.start()
+        try:
+            estimator._noise_per_bin(camp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < power.nbytes / 8, f"{peak} bytes against an upper half of {power.nbytes // 2}"
+
     def test_estimate_keeps_the_transform_and_the_pds_takes_it(self):
         camp = delay_campaign()
         estimate_psi(camp)
