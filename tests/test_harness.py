@@ -508,7 +508,7 @@ class TestCampaignFiles:
         assert (tmp_path / "in_memory.csv").read_bytes() == (tmp_path / "from_file.csv").read_bytes()
 
     def test_statistics_record_of_wrong_length_is_refused(self, multi_block, tmp_path):
-        # the middle block file one snapshot short, with its manifest digest made consistent
+        # the middle block file one value short, with its manifest digest made consistent
         cdir = campaign_copy(multi_block, "ofdm", tmp_path)
         _, records = load_campaign(cdir)
         short = np.concatenate(records[867:2 * 867])[:-1]
