@@ -84,7 +84,7 @@ MAX_CAMPAIGN_BYTES = 2**31
 The paper's largest, 10,201 positions at 3168 subcarriers, is 538 MB.
 """
 
-MANIFEST_FORMAT = "maiq-campaign/8"
+MANIFEST_FORMAT = "maiq-campaign/8"  # a new signals.row_blocks rule is a new record layout, and so a new format
 MANIFEST_NAME = "manifest.json"
 
 
@@ -366,7 +366,7 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     q_n, n = _row_shape(cfg, mode)
     digests = []
     for b, block in enumerate(row_blocks(q_n, n)):
-        payload = np.empty((block.stop - block.start, n), dtype=np.complex128)
+        payload = np.empty((block.stop - block.start, n), dtype="<c16")  # the digest covers the file's bytes
         for row in payload:
             row[:] = next(rows)
         write_iq_record(_block_file(out, b), payload)
@@ -376,16 +376,18 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
 
 
 def _read_records(dir_path, manifest: CampaignManifest) -> Iterator[np.ndarray]:
-    """Yield the campaign's rows, row-major, as views of one record file at a time, each checked against its digest."""
+    """Yield the campaign's rows, row-major, one record file at a time, each checked against its digest."""
     q_n, n = _row_shape(manifest.scenario, manifest.mode)
     for b, (rows, digest) in enumerate(zip(row_blocks(q_n, n), manifest.sha256)):
         path = _block_file(dir_path, b)
         if not path.exists():
             raise ConfigError(f"manifest lists {path.name} but the file is missing")
-        samples = read_iq_record(path, (rows.stop - rows.start) * n)
+        samples = read_iq_record(path, (rows.stop - rows.start) * n).reshape(-1, n)
         if hashlib.sha256(samples).hexdigest() != digest:  # the file is exactly the <c16 samples
             raise ConfigError(f"{path.name}: sha256 disagrees with the manifest")
-        yield from samples.reshape(-1, n)
+        yield from samples[:-1]
+        last, samples = samples[-1].copy(), None  # so a caller keeping one row holds no block during the next read
+        yield last
 
 
 def load_campaign(dir_path) -> tuple[CampaignManifest, list[np.ndarray]]:

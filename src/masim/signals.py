@@ -117,9 +117,9 @@ def row_blocks(num_rows: int, row_values: int) -> list[slice]:
     """The fewest equal row blocks of [0, num_rows) of at most 2**20 values (16 MiB) each, none with a single row.
 
     Rows of over 2**20 / 3 values make blocks of two rows, and one of three for an
-    odd count. numpy multiplies a single row by another kernel than a block of
-    rows, so no row's values depend on the blocking: the build, the record files
-    and the delay transform all use these blocks.
+    odd count: numpy multiplies a single row by another kernel than a block, so no
+    row's values depend on the blocking. A block is also a campaign record file,
+    so a new rule here is a new layout and needs a new harness.MANIFEST_FORMAT.
     """
     n = max(1, min(-(-num_rows // max(2, (1 << 20) // row_values)), num_rows // 2))
     return [slice(k * num_rows // n, (k + 1) * num_rows // n) for k in range(n)]

@@ -546,6 +546,15 @@ class TestCampaignFiles:
         with pytest.raises(ConfigError, match="block_0000.maiq: sha256"):
             load_campaign(cdir)
 
+    @pytest.mark.parametrize("mode", ["tone", "ofdm"])
+    def test_digests_are_of_the_file_bytes(self, multi_block, mode):
+        # the digest covers the little-endian bytes on disk, whatever the host's byte order
+        cdir = multi_block[mode]
+        digests = CampaignManifest.load(cdir).sha256
+        assert len(digests) > 1
+        for b, digest in enumerate(digests):
+            assert hashlib.sha256((cdir / f"block_{b:04d}.maiq").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_manifest_digest_count_must_match_region(self, multi_block, tmp_path, delta):
         cdir = campaign_copy(multi_block, "tone", tmp_path)
@@ -578,7 +587,8 @@ class TestCampaignFiles:
 
     def test_measure_campaign_streams_records(self, tmp_path):
         # 256 captures of 256 KiB in 4 block files of 4 MiB: holding them all would cost 4 blocks' bytes;
-        # streaming holds the block being read, the block whose last capture was metered, and the cached phasor
+        # streaming holds the block being read, a copy of the last capture metered, and the cached phasor,
+        # so holding the block before it too (two blocks) fails
         cfg = ScenarioConfig.from_json_dict({
             **pipeline_config().to_json_dict(),
             "region": {"x_extent_m": 0.015, "y_extent_m": 0.015, "x_step_m": 1e-3, "y_step_m": 1e-3},
@@ -594,7 +604,7 @@ class TestCampaignFiles:
         finally:
             tracemalloc.stop()
         assert pm.values_db.shape == (16, 16)
-        assert peak < 2.5 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
+        assert peak < 1.5 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
 
     def test_measure_campaign_checks_mode_first(self, tmp_path):
         cfg = pipeline_config()

@@ -298,6 +298,7 @@ class TestRowBlocks:
         cap = max(2, 2**20 // row_values)
         assert len(blocks) == 1 or num_rows > (len(blocks) - 1) * cap  # as few blocks as fit
 
+    # a block is a campaign record file: a change here is a new layout and needs a new MANIFEST_FORMAT
     @pytest.mark.parametrize("num_rows, row_values, sizes", [
         (10201, 3296, [309] * 8 + [310] + ([309] * 7 + [310]) * 3),  # the 3.5 GHz preset's sounding rows
         (2601, 3296, [289] * 9),  # the 27.5 GHz preset's
