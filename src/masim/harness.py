@@ -7,10 +7,9 @@ The scenario and a row's index derive the rest of its metadata (file,
 position, noise seed, length and sample interval), so the manifest is
 enough to re-derive everything the estimator needs without touching the
 channel model that produced the data. A tone row is a time-domain capture.
-A sounding row holds no time-domain frame: build_sounding_campaign draws
-the statistics a SoundingCampaign keeps (h_freq and the payload snapshots)
-directly, with the joint noise law the frames would give them, and each
-sounding row is one position's h_freq row followed by its snapshot row.
+A sounding row is one position's h_freq row, then its snapshot row, drawn
+with the frames' noise law but no frame, a row block at a time, by the one
+drawer that build_sounding_campaign and synthesize_campaign share.
 
 run_pipeline() chains sound -> estimate -> measure -> optimize -> export
 through content-addressed stage directories. Each stage directory name
@@ -233,6 +232,33 @@ def _snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
     return np.round(np.linspace(0, i_n - 1, min(MAX_SNAPSHOTS, i_n))).astype(int)
 
 
+def _sounding_drawer(cfg: ScenarioConfig, psi: PathStateInfo) -> Callable[[slice, np.ndarray, np.ndarray], None]:
+    """build_sounding_campaign's law, checked and set up once: draw(rows, h_freq, snaps) draws a row block into both."""
+    _check_carrier(cfg, psi)
+    num = cfg.numerology
+    if np.any(psi.delays_s > num.cp_duration_s):
+        raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
+    i_n, m_n = num.num_subcarriers, num.num_symbols
+    tx0 = qpsk_symbols(i_n, 1, derive_seed(cfg.master_seed, "tx"))[:, 0]
+    offsets = _snapshot_indices(num)
+    scale = math.sqrt(cfg.noise_power / 2.0)
+    freqs = np.arange(i_n) * num.subcarrier_spacing_hz
+    steer_all, coeff = response_factors(psi, cfg.sounding_region.positions_array(), freqs)
+
+    def draw(rows: slice, h_freq: np.ndarray, snaps: np.ndarray) -> None:
+        noise = np.empty((rows.stop - rows.start, len(offsets) + i_n), dtype=np.complex128)
+        for q, row in enumerate(noise, rows.start):
+            np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
+        e, w = noise[:, :len(offsets)], noise[:, len(offsets):]
+        e *= scale * math.sqrt(1.0 - 1.0 / m_n)
+        w *= scale / math.sqrt(m_n)
+        np.matmul(steer_all[rows], coeff, out=h_freq)
+        h_freq += w
+        np.multiply(h_freq, tx0, out=w)  # w is spent: it takes h_freq tx[:, 0]
+        np.add(np.fft.ifft(w, axis=1, norm="forward")[:, offsets], e, out=snaps)  # h_freq T + e
+    return draw
+
+
 def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> SoundingCampaign:
     """Synthesize a sounding campaign in memory: its statistics directly, no time-domain frames.
 
@@ -258,42 +284,24 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     master_seed, "tx")), is a prefix of its draws: only it is drawn.
     Position q draws e, then w, from derive_seed(master_seed, "sound", q),
     so its statistics do not depend on the sweep's size or order.
-    synthesize_campaign writes exactly these statistics to disk.
+    The writer draws the same blocks.
     """
-    _check_carrier(cfg, psi)
-    if np.any(psi.delays_s > cfg.numerology.cp_duration_s):
-        raise ConfigError("path delay exceeds the cyclic prefix; pick a longer CP")
-    num = cfg.numerology
-    i_n, m_n = num.num_subcarriers, num.num_symbols
-    tx0 = qpsk_symbols(i_n, 1, derive_seed(cfg.master_seed, "tx"))[:, 0]
-    offsets = _snapshot_indices(num)
-    scale = math.sqrt(cfg.noise_power / 2.0)
-
-    positions = cfg.sounding_region.positions_array()
-    q_n, n_snap = len(positions), len(offsets)
-    steer_all, coeff = response_factors(psi, positions, np.arange(i_n) * num.subcarrier_spacing_hz)
+    draw, i_n = _sounding_drawer(cfg, psi), cfg.numerology.num_subcarriers
+    q_n, n = _row_shape(cfg, "ofdm")
     h_freq = np.empty((q_n, i_n), dtype=np.complex128)
-    snaps = np.empty((q_n, n_snap), dtype=np.complex128)
-    for rows in row_blocks(q_n, n_snap + i_n):  # the noise of a row block at a time
-        noise = np.empty((rows.stop - rows.start, n_snap + i_n), dtype=np.complex128)
-        for q, row in enumerate(noise, rows.start):
-            np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
-        e, w = noise[:, :n_snap], noise[:, n_snap:]
-        e *= scale * math.sqrt(1.0 - 1.0 / m_n)
-        w *= scale / math.sqrt(m_n)
-        out = h_freq[rows]
-        np.matmul(steer_all[rows], coeff, out=out)
-        out += w
-        np.multiply(out, tx0, out=w)  # w is spent: it takes h_freq tx[:, 0]
-        np.add(np.fft.ifft(w, axis=1, norm="forward")[:, offsets], e, out=snaps[rows])  # h_freq T + e
-    return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
+    snaps = np.empty((q_n, n - i_n), dtype=np.complex128)
+    for rows in row_blocks(q_n, n):
+        draw(rows, h_freq[rows], snaps[rows])
+    return SoundingCampaign(cfg.sounding_region, cfg.numerology, cfg.carrier_hz, h_freq, snaps)
 
 
 def _row_shape(cfg: ScenarioConfig, mode: str) -> tuple[int, int]:
     """Rows and values a row of a campaign of cfg: a capture per tone point, or I + n_snap statistics per position."""
     if mode == "tone":
         return cfg.region.num_points, cfg.samples_per_measurement
-    return cfg.sounding_region.num_points, cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology))
+    if mode == "ofdm":
+        return cfg.sounding_region.num_points, cfg.numerology.num_subcarriers + len(_snapshot_indices(cfg.numerology))
+    raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {mode!r}")
 
 
 def _block_file(dir_path, b: int) -> Path:
@@ -313,8 +321,6 @@ class CampaignManifest(JsonCodec):
     sha256: tuple[str, ...]
 
     def __post_init__(self):
-        if self.mode not in ("tone", "ofdm"):
-            raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {self.mode!r}")
         q_n, n = _row_shape(self.scenario, self.mode)
         if len(self.sha256) != len(row_blocks(q_n, n)):
             raise ConfigError(f"manifest holds {len(self.sha256)} record digests, the {q_n} points of its region "
@@ -346,29 +352,29 @@ class CampaignManifest(JsonCodec):
 
 
 def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_dir) -> Path:
-    """Write a full campaign (record files plus manifest) under out_dir.
+    """Write a full campaign (record files plus manifest) under out_dir, holding one row block at a time.
 
-    A tone campaign's rows are the time-domain captures; an ofdm campaign's
-    are the statistics of build_sounding_campaign(cfg, psi). Each row block
-    is gathered into one record file, and the manifest lands last, via
-    rename, so a manifest whose digests hold describes a whole campaign.
+    A tone campaign's rows are time-domain captures; an ofdm campaign's are
+    drawn like build_sounding_campaign(cfg, psi)'s, straight into each block's
+    record file. The manifest lands last, via rename, so a manifest whose
+    digests hold describes a whole campaign. No input check follows mkdir.
     """
+    q_n, n = _row_shape(cfg, mode)
     if mode == "tone":
-        rows = iter_tone_records(cfg, psi)
-    elif mode == "ofdm":
-        campaign = build_sounding_campaign(cfg, psi)
-        rows = (np.concatenate([h, snap]) for h, snap in zip(campaign.h_freq, campaign.samples_matrix()))
+        captures = iter_tone_records(cfg, psi)
     else:
-        raise ConfigError(f"campaign mode must be 'tone' or 'ofdm': {mode!r}")
+        draw, i_n = _sounding_drawer(cfg, psi), cfg.numerology.num_subcarriers
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    q_n, n = _row_shape(cfg, mode)
     digests = []
     for b, block in enumerate(row_blocks(q_n, n)):
         payload = np.empty((block.stop - block.start, n), dtype="<c16")  # the digest covers the file's bytes
-        for row in payload:
-            row[:] = next(rows)
+        if mode == "ofdm":
+            draw(block, payload[:, :i_n], payload[:, i_n:])  # a row holds its h_freq values, then its snapshots
+        else:
+            for row, capture in zip(payload, captures):
+                row[:] = capture
         write_iq_record(_block_file(out, b), payload)
         digests.append(hashlib.sha256(payload).hexdigest())
     CampaignManifest(mode=mode, scenario=cfg, sha256=tuple(digests)).save(out)
