@@ -656,7 +656,7 @@ class TestRowBlockRecords:
         assert all(np.array_equal(row, want) for row, want in zip(rows, written))
 
     def test_ofdm_writer_holds_a_few_blocks(self, tmp_path):
-        # 676 positions in 6 block files of 14.3 MiB: the writer holds the block it draws into, that block's
+        # 676 positions in 6 block files of about 14 MiB: the writer holds the block it draws into, that block's
         # noise and its transform, about three blocks; building the whole campaign first held over eight
         cfg = dataclasses.replace(pipeline_config(), numerology=BLOCK_NUM,
                                   sounding_region=MovementRegion(0.025, 0.025, 1e-3, 1e-3))
@@ -931,7 +931,7 @@ class TestCli:
         cfg_path, psi_path = tmp_path / "scenario.json", tmp_path / "psi.json"
         cfg_path.write_text(json.dumps(data))
         save_psi(psi_path, hall_psi_27p5ghz())
-        monkeypatch.setattr(harness, "_sounding_drawer", None)  # a call would raise TypeError, exit 1
+        monkeypatch.setattr(harness, "_sounding_drawer", None)  # a draw would raise TypeError, not exit 2
         rc = cli_main(["sound", "--config", str(cfg_path), "--psi", str(psi_path),
                        "--mode", "ofdm", "--out-dir", str(tmp_path / "camp")])
         assert rc == 2
