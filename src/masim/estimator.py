@@ -11,10 +11,10 @@ large virtual array. Processing follows the measurement chain:
      h_freq (step 4) on the found paths' array responses F, (F^H F)^-1 F^H
      h_freq: row l is path l's response with every other found path nulled,
   4. symbol averaging of the equalized per-subcarrier response: a
-     SoundingCampaign keeps this h_freq, one channel frequency response per
-     position, and the PAS snapshots, never time-domain records
-     (harness.build_sounding_campaign draws the two statistics directly, and
-     an on-disk campaign holds them),
+     SoundingCampaign keeps one row per position, this h_freq (one channel
+     frequency response) and then the PAS snapshots, never time-domain
+     records (harness.build_sounding_campaign draws the rows directly, and
+     an on-disk campaign's record files are the same rows),
   5. per-path delay and amplitude from the beamformed delay profile, and a
      power delay spectrum (PDS) per position as a by-product; both read
      the campaign's one delay transform (SoundingCampaign.delay_power).
@@ -88,37 +88,37 @@ def array_response(elevation_deg: float, azimuth_deg: float, positions: np.ndarr
 class SoundingCampaign:
     """A full OFDM sounding sweep, as the per-position statistics the estimator reads.
 
-    Row q of h_freq (Q, I) and snapshots (Q, n_snap) belongs to point q of
-    region, row-major (y, then x) as region.positions_array() lists them. h_freq
-    is that position's channel frequency response on the I subcarriers: the
-    FFT of each symbol's payload, equalized by the known transmit symbols
-    and coherently averaged over the M symbols. snapshots are n_snap
-    received payload time samples, CP excluded, for the PAS. The arrays are
-    kept, not copied. The region's axes are uniform, which compute_pas's lag
-    sums and its aperture taper both rest on.
+    rows (Q, I + n_snap) holds them as a campaign's record files do: row q
+    belongs to point q of region, row-major (y, then x) as
+    region.positions_array() lists them, and holds that position's I h_freq
+    values, then its n_snap snapshots. h_freq = rows[:, :I] is the channel
+    frequency response on the I subcarriers: the FFT of each symbol's
+    payload, equalized by the known transmit symbols and coherently
+    averaged over the M symbols. The snapshots, rows[:, I:], are n_snap
+    received payload time samples, CP excluded, for the PAS. Both are views
+    of rows, which is kept, not copied. The region's axes are uniform, which
+    compute_pas's lag sums and its aperture taper both rest on.
 
-    harness.build_sounding_campaign draws these statistics with the noise
-    law of the time-domain records they summarize; harness.load_sounding_campaign
+    harness.build_sounding_campaign draws these rows with the noise law of
+    the time-domain records they summarize; harness.load_sounding_campaign
     reads them back from an on-disk campaign.
     """
 
-    def __init__(self, region: MovementRegion, numerology: OfdmNumerology, carrier_hz: float,
-                 h_freq: np.ndarray, snapshots: np.ndarray):
+    def __init__(self, region: MovementRegion, numerology: OfdmNumerology, carrier_hz: float, rows: np.ndarray):
         if carrier_hz <= 0.0:
             raise ValueError("carrier_hz must be > 0")
         q, i = region.num_points, numerology.num_subcarriers
         if q < 2:
             raise ValueError("a sounding campaign needs at least 2 positions")
-        if h_freq.shape != (q, i):
-            raise ValueError(f"h_freq must be ({q}, {i}) for {q} positions, got {h_freq.shape}")
-        if snapshots.ndim != 2 or len(snapshots) != q or snapshots.shape[1] < 1:
-            raise ValueError(f"snapshots must be ({q}, n_snap >= 1) for {q} positions, got {snapshots.shape}")
-        h_freq.flags.writeable = False
+        if rows.ndim != 2 or len(rows) != q or rows.shape[1] <= i:
+            raise ValueError(f"rows must be ({q}, {i} + n_snap), n_snap >= 1, for {q} positions, got {rows.shape}")
         self.region, self.numerology, self.carrier_hz = region, numerology, carrier_hz
-        self.h_freq = h_freq  # (Q, I)
+        self.rows = rows  # (Q, I + n_snap)
+        self.h_freq = rows[:, :i]  # (Q, I)
+        self.h_freq.flags.writeable = False
         # samples_matrix takes the snapshots over on its first call, the call
         # whose bytes perfbench/worker.py counts
-        self._snapshots = snapshots
+        self._snapshots = rows[:, i:]
         self._samples: np.ndarray | None = None
         self._delay_power: np.ndarray | None = None  # until compute_pds takes it over
 
@@ -131,7 +131,7 @@ class SoundingCampaign:
         return SPEED_OF_LIGHT_M_PER_S / self.carrier_hz
 
     def samples_matrix(self) -> np.ndarray:
-        """(Q, n_snap) block of the retained payload snapshots, row-major like the region's points, not copied."""
+        """(Q, n_snap) view of the retained payload snapshots in rows, row-major like the region's points."""
         if self._samples is None:
             self._samples, self._snapshots = self._snapshots, None
         return self._samples
@@ -139,13 +139,12 @@ class SoundingCampaign:
     def delay_power(self) -> np.ndarray:
         """(Q, I) |I-point IDFT|^2 of the h_freq rows, transformed once and kept until compute_pds takes it over.
 
-        Rows are transformed a row_blocks block at a time, so no (Q, I) complex
-        delay response is ever held; each row's values do not depend on the blocking.
+        Rows are transformed in the record blocks, row_blocks(*rows.shape), so no
+        (Q, I) complex delay response is ever held; each row's values do not depend on the blocking.
         """
         if self._delay_power is None:
-            q, i_n = self.h_freq.shape
-            self._delay_power = np.empty((q, i_n))
-            for rows in row_blocks(q, i_n):
+            self._delay_power = np.empty(self.h_freq.shape)
+            for rows in row_blocks(*self.rows.shape):
                 out = self._delay_power[rows]
                 np.square(np.abs(np.fft.ifft(self.h_freq[rows], axis=1), out=out), out=out)
         return self._delay_power
@@ -335,16 +334,17 @@ def frequency_response(campaign: SoundingCampaign) -> np.ndarray:
     return campaign.h_freq
 
 
-def _noise_per_bin(campaign: SoundingCampaign) -> float:
-    """Mean delay power per bin past half the delay range and past the CP, where no physical path can sit.
+def first_noise_bin(numerology: OfdmNumerology) -> int:
+    """The first delay bin past half the delay range and past the CP, the longest delay a sounding admits."""
+    first = max(numerology.num_subcarriers // 2, numerology.cp_samples + 1)
+    if first >= numerology.num_subcarriers:
+        raise ValueError(f"a cyclic prefix of {numerology.cp_samples} samples leaves no delay bin for the noise floor")
+    return first
 
-    ValueError when the cyclic prefix, the longest delay a sounding admits, leaves no such bin.
-    """
-    num = campaign.numerology
-    first = max(num.num_subcarriers // 2, num.cp_samples + 1)
-    if first >= num.num_subcarriers:
-        raise ValueError(f"a cyclic prefix of {num.cp_samples} samples leaves no delay bin for the noise floor")
-    upper = campaign.delay_power()[:, first:]
+
+def _noise_per_bin(campaign: SoundingCampaign) -> float:
+    """Mean delay power per bin from first_noise_bin on, where no physical path can sit; ValueError if there is none."""
+    upper = campaign.delay_power()[:, first_noise_bin(campaign.numerology):]
     return float(np.sum(np.sum(upper, axis=1)) / upper.size)  # row sums, then their sum: one order, no copy
 
 

@@ -7,9 +7,9 @@ The scenario and a row's index derive the rest of its metadata (file,
 position, noise seed, length and sample interval), so the manifest is
 enough to re-derive everything the estimator needs without touching the
 channel model that produced the data. A tone row is a time-domain capture.
-A sounding row is one position's h_freq row, then its snapshot row, drawn
-with the frames' noise law but no frame, a row block at a time, by the one
-drawer that build_sounding_campaign and synthesize_campaign share.
+A sounding row, like a SoundingCampaign's, is one position's h_freq values,
+then its snapshots; one drawer, shared by build_sounding_campaign and
+synthesize_campaign, draws them a row block at a time with the frames' noise law.
 
 run_pipeline() chains sound -> estimate -> measure -> optimize -> export
 through content-addressed stage directories. Each stage directory name
@@ -55,6 +55,7 @@ from .estimator import (
     compute_pas,
     compute_pds,
     estimate_psi,
+    first_noise_bin,
 )
 from .mover import MoveResult, SimulatedSlideTrack, optimize
 from .powermeter import sweep_measure
@@ -232,8 +233,8 @@ def _snapshot_indices(numerology: OfdmNumerology) -> np.ndarray:
     return np.round(np.linspace(0, i_n - 1, min(MAX_SNAPSHOTS, i_n))).astype(int)
 
 
-def _sounding_drawer(cfg: ScenarioConfig, psi: PathStateInfo) -> Callable[[slice, np.ndarray, np.ndarray], None]:
-    """build_sounding_campaign's law, checked and set up once: draw(rows, h_freq, snaps) draws a row block into both."""
+def _sounding_drawer(cfg: ScenarioConfig, psi: PathStateInfo) -> Callable[[slice, np.ndarray], None]:
+    """build_sounding_campaign's law, checked and set up once: draw(rows, out) draws those rows' record block."""
     _check_carrier(cfg, psi)
     num = cfg.numerology
     if np.any(psi.delays_s > num.cp_duration_s):
@@ -245,7 +246,8 @@ def _sounding_drawer(cfg: ScenarioConfig, psi: PathStateInfo) -> Callable[[slice
     freqs = np.arange(i_n) * num.subcarrier_spacing_hz
     steer_all, coeff = response_factors(psi, cfg.sounding_region.positions_array(), freqs)
 
-    def draw(rows: slice, h_freq: np.ndarray, snaps: np.ndarray) -> None:
+    def draw(rows: slice, out: np.ndarray) -> None:
+        h_freq, snaps = out[:, :i_n], out[:, i_n:]  # a record row holds its h_freq values, then its snapshots
         noise = np.empty((rows.stop - rows.start, len(offsets) + i_n), dtype=np.complex128)
         for q, row in enumerate(noise, rows.start):
             np.random.default_rng(derive_seed(cfg.master_seed, "sound", q)).standard_normal(out=row.view(np.float64))
@@ -284,15 +286,13 @@ def build_sounding_campaign(cfg: ScenarioConfig, psi: PathStateInfo) -> Sounding
     master_seed, "tx")), is a prefix of its draws: only it is drawn.
     Position q draws e, then w, from derive_seed(master_seed, "sound", q),
     so its statistics do not depend on the sweep's size or order.
-    The writer draws the same blocks.
+    The writer draws the same row blocks, so the rows are its record files' bytes.
     """
-    draw, i_n = _sounding_drawer(cfg, psi), cfg.numerology.num_subcarriers
-    q_n, n = _row_shape(cfg, "ofdm")
-    h_freq = np.empty((q_n, i_n), dtype=np.complex128)
-    snaps = np.empty((q_n, n - i_n), dtype=np.complex128)
-    for rows in row_blocks(q_n, n):
-        draw(rows, h_freq[rows], snaps[rows])
-    return SoundingCampaign(cfg.sounding_region, cfg.numerology, cfg.carrier_hz, h_freq, snaps)
+    draw = _sounding_drawer(cfg, psi)
+    rows = np.empty(_row_shape(cfg, "ofdm"), dtype=np.complex128)
+    for block in row_blocks(*rows.shape):
+        draw(block, rows[block])
+    return SoundingCampaign(cfg.sounding_region, cfg.numerology, cfg.carrier_hz, rows)
 
 
 def _row_shape(cfg: ScenarioConfig, mode: str) -> tuple[int, int]:
@@ -355,7 +355,7 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     """Write a full campaign (record files plus manifest) under out_dir, holding one row block at a time.
 
     A tone campaign's rows are time-domain captures; an ofdm campaign's are
-    drawn like build_sounding_campaign(cfg, psi)'s, straight into each block's
+    build_sounding_campaign(cfg, psi)'s, drawn straight into each block's
     record file. The manifest lands last, via rename, so a manifest whose
     digests hold describes a whole campaign. No input check follows mkdir.
     """
@@ -363,7 +363,7 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     if mode == "tone":
         captures = iter_tone_records(cfg, psi)
     else:
-        draw, i_n = _sounding_drawer(cfg, psi), cfg.numerology.num_subcarriers
+        draw = _sounding_drawer(cfg, psi)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -371,7 +371,7 @@ def synthesize_campaign(cfg: ScenarioConfig, psi: PathStateInfo, mode: str, out_
     for b, block in enumerate(row_blocks(q_n, n)):
         payload = np.empty((block.stop - block.start, n), dtype="<c16")  # the digest covers the file's bytes
         if mode == "ofdm":
-            draw(block, payload[:, :i_n], payload[:, i_n:])  # a row holds its h_freq values, then its snapshots
+            draw(block, payload)
         else:
             for row, capture in zip(payload, captures):
                 row[:] = capture
@@ -403,22 +403,18 @@ def load_campaign(dir_path) -> tuple[CampaignManifest, list[np.ndarray]]:
 
 
 def load_sounding_campaign(dir_path) -> SoundingCampaign:
-    """Stream an on-disk ofdm campaign into a SoundingCampaign, one record file at a time.
+    """Stream an on-disk ofdm campaign's rows into a SoundingCampaign, one record file at a time.
 
-    Each row holds its position's h_freq row, then its snapshot row; the
-    campaign equals the build_sounding_campaign one that was written.
+    The rows are copied whole, so the campaign equals the build_sounding_campaign one that was written.
     """
     manifest = CampaignManifest.load(dir_path)
     if manifest.mode != "ofdm":
         raise ConfigError(f"expected an ofdm campaign, found mode {manifest.mode!r}")
     cfg = manifest.scenario
-    num = cfg.numerology
-    i_n, (q_n, n) = num.num_subcarriers, _row_shape(cfg, "ofdm")
-    h_freq = np.empty((q_n, i_n), dtype=np.complex128)
-    snaps = np.empty((q_n, n - i_n), dtype=np.complex128)
-    for q, samples in enumerate(_read_records(dir_path, manifest)):
-        h_freq[q], snaps[q] = samples[:i_n], samples[i_n:]
-    return SoundingCampaign(manifest.region, num, cfg.carrier_hz, h_freq, snaps)
+    rows = np.empty(_row_shape(cfg, "ofdm"), dtype=np.complex128)
+    for q, row in enumerate(_read_records(dir_path, manifest)):
+        rows[q] = row
+    return SoundingCampaign(manifest.region, cfg.numerology, cfg.carrier_hz, rows)
 
 
 def measure_campaign(dir_path) -> DbMap:
@@ -569,6 +565,8 @@ def run_pipeline(
     for name in reversed(STAGES):
         if name in requested:
             requested.update(_upstream(name, requested))
+    if "estimate" in requested:
+        first_noise_bin(cfg.numerology)  # a CP that leaves the estimate no noise floor fails before any stage runs
 
     params = {"optimize": {"budget": optimize_budget}}
 

@@ -155,7 +155,7 @@ def records_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
         payload = samples.reshape(num.num_symbols, num.samples_per_symbol)[:, num.cp_samples :]
         h_freq.append(np.mean(np.fft.fft(payload, axis=1) / den, axis=0))
         snaps.append(samples[snap_idx])
-    return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, np.array(h_freq), np.array(snaps))
+    return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, np.hstack([h_freq, snaps]))
 
 
 def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
@@ -192,7 +192,7 @@ def conditioning_campaign(cfg: ScenarioConfig, psi) -> SoundingCampaign:
     e, w = noise[:, : len(k)], noise[:, len(k) :] / math.sqrt(m_n)
     h_freq = h + w
     snaps = h @ synth + w @ (m_n * a.conj()) + e @ root.T
-    return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, h_freq, snaps)
+    return SoundingCampaign(cfg.sounding_region, num, cfg.carrier_hz, np.hstack([h_freq, snaps]))
 
 
 def arithmetic_qpsk(num_subcarriers: int, num_symbols: int, seed: int) -> np.ndarray:

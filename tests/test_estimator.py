@@ -108,7 +108,7 @@ def noise_campaign(q_side=10, seed=3, power=0.5, n_snap=128):
 
     side = (q_side - 1) * 1e-3
     region = MovementRegion(side, side, 1e-3, 1e-3)
-    return SoundingCampaign(region, SMALL_NUM, 27.5e9, noise(SMALL_NUM.num_subcarriers), noise(n_snap))
+    return SoundingCampaign(region, SMALL_NUM, 27.5e9, np.hstack([noise(SMALL_NUM.num_subcarriers), noise(n_snap)]))
 
 
 def oracle_raw_subcarrier_response(samples, num, tx_symbols):
@@ -304,9 +304,9 @@ class TestPas:
         region = MovementRegion(2e-3, 2e-3, 1e-3, 1e-3)
         h_freq = np.zeros((9, SMALL_NUM.num_subcarriers), dtype=complex)
         snaps = np.zeros((9, 128), dtype=complex)
-        SoundingCampaign(region, SMALL_NUM, 27.5e9, h_freq, snaps)
+        SoundingCampaign(region, SMALL_NUM, 27.5e9, np.hstack([h_freq, snaps]))
         with pytest.raises(ValueError, match="for 9 positions"):
-            SoundingCampaign(region, SMALL_NUM, 27.5e9, h_freq[:-1], snaps[:-1])
+            SoundingCampaign(region, SMALL_NUM, 27.5e9, np.hstack([h_freq[:-1], snaps[:-1]]))
 
     def test_csv_pins_max_at_zero_db(self, tmp_path):
         camp = small_campaign(one_path_psi(), extent=0.004)
@@ -505,17 +505,18 @@ class TestStreamedReductions:
 
     @pytest.mark.parametrize("announced", [63, 65])
     def test_announced_count_must_match(self, announced):
-        # 64 positions and their snapshots, with one h_freq row too few or too many
+        # 64 positions, with one row too few or too many
         camp = noise_campaign(q_side=8)
         h_freq = np.zeros((announced, SMALL_NUM.num_subcarriers), dtype=complex)
-        with pytest.raises(ValueError, match="h_freq must be"):
-            SoundingCampaign(camp.region, SMALL_NUM, 27.5e9, h_freq, camp.samples_matrix())
+        snaps = np.zeros((announced, 128), dtype=complex)
+        with pytest.raises(ValueError, match=r"rows must be \(64, 64 \+ n_snap\)"):
+            SoundingCampaign(camp.region, SMALL_NUM, 27.5e9, np.hstack([h_freq, snaps]))
 
     def test_rejects_zero_snapshots(self):
         # 0 snapshots would leave an all-zero PAS with no paths in it
         camp = noise_campaign(q_side=2)
-        with pytest.raises(ValueError, match="snapshots"):
-            SoundingCampaign(camp.region, SMALL_NUM, 27.5e9, camp.h_freq.copy(), np.zeros((4, 0), dtype=complex))
+        with pytest.raises(ValueError, match="n_snap >= 1"):
+            SoundingCampaign(camp.region, SMALL_NUM, 27.5e9, np.hstack([camp.h_freq, np.zeros((4, 0), dtype=complex)]))
 
     def test_memory_bounded_by_a_few_records(self, tmp_path):
         # loading keeps the statistics and the one record file being read, a block of 400 positions:
@@ -537,9 +538,10 @@ class TestStreamedReductions:
     def test_samples_matrix_is_the_snapshots_uncopied(self):
         h_freq = np.zeros((4, SMALL_NUM.num_subcarriers), dtype=complex)
         snaps = np.arange(8.0).reshape(4, 2).astype(complex)
-        camp = SoundingCampaign(MovementRegion(1e-3, 1e-3, 1e-3, 1e-3), SMALL_NUM, 27.5e9, h_freq, snaps)
-        assert camp.samples_matrix() is snaps
-        assert camp.samples_matrix() is snaps
+        camp = SoundingCampaign(MovementRegion(1e-3, 1e-3, 1e-3, 1e-3), SMALL_NUM, 27.5e9, np.hstack([h_freq, snaps]))
+        view = camp.samples_matrix()
+        assert np.shares_memory(view, camp.rows) and np.array_equal(view, snaps)
+        assert camp.samples_matrix() is view
 
 
 class TestDelayAmplitude:

@@ -415,7 +415,7 @@ class TestInMemoryCampaign:
             "from masim import build_sounding_campaign, hall_psi_27p5ghz\n"
             "from masim.harness import ScenarioConfig\n"
             "camp = build_sounding_campaign(ScenarioConfig.load(sys.argv[1]), hall_psi_27p5ghz())\n"
-            "print(hashlib.sha256(camp.h_freq).hexdigest(), hashlib.sha256(camp.samples_matrix()).hexdigest())\n"
+            "print(hashlib.sha256(camp.rows).hexdigest())\n"
         )
         cfg_path = tmp_path / "scenario.json"
         sounding_config(TEST_NUMEROLOGY, extent=(0.009, 0.009), noise_power=0.3).save(cfg_path)
@@ -670,6 +670,25 @@ class TestRowBlockRecords:
         assert len(list(cdir.glob("*.maiq"))) == 6 and block_bytes == 112 * 8320 * 16
         assert peak < 4 * block_bytes, f"peak {peak / block_bytes:.2f} blocks"
 
+    def test_campaign_in_memory_is_its_record_files(self, multi_block, monkeypatch):
+        # a built campaign's rows are the bytes of its three record files in order, the loaded rows equal them,
+        # and the delay transform runs over the same row blocks
+        cdir = multi_block["ofdm"]
+        built = build_sounding_campaign(multi_block_config(), hall_psi_27p5ghz())
+        files = sorted(cdir.glob("block_*.maiq"))
+        assert len(files) == 3 and built.rows.tobytes() == b"".join(p.read_bytes() for p in files)
+        loaded = load_sounding_campaign(cdir)
+        assert np.array_equal(loaded.rows, built.rows)
+        shapes = []
+
+        def recorded_row_blocks(*shape):
+            shapes.append(shape)
+            return row_blocks(*shape)
+
+        monkeypatch.setattr(estimator, "row_blocks", recorded_row_blocks)
+        loaded.delay_power()
+        assert shapes == [loaded.rows.shape] == [(2601, 960)]
+
 
 class TestPipeline:
     def test_stage_closure_and_caching(self, tmp_path):
@@ -734,6 +753,14 @@ class TestPipeline:
         # the tone captures are metered as they are made; no campaign is kept
         assert sorted(p.name for p in five_stage_run.stage_dirs["measure"].iterdir()) == [".complete", "power_map.csv"]
         assert "tone_campaign" not in five_stage_run.artifacts
+
+    def test_cp_leaving_no_noise_bin_refused_before_any_stage(self, tmp_path):
+        # a 63-sample CP of I = 64 leaves the estimate no delay bin for its noise floor; the sound stage
+        # used to write the whole campaign before the estimate stage refused it
+        cfg = dataclasses.replace(pipeline_config(), numerology=OfdmNumerology(480e3, 64, 2, 63 / (64 * 480e3)))
+        with pytest.raises(ValueError, match="leaves no delay bin"):
+            run_pipeline(cfg, hall_psi_27p5ghz(), ["estimate"], tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_stage_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown pipeline stages"):
